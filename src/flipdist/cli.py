@@ -13,7 +13,7 @@ from pathlib import Path
 from . import formats, lemmas, render
 from .crossings import count_pair
 from .errors import FlipdistError, ParseError
-from .generate import GenSpec, generate_instance
+from .generate import GenSpec, generate_instance, random_priority
 from .morph import intersection_upper_bound, morph
 from .oracle import build_flip_graph, enumerate_triangulations_direct, exact_flip_distance
 from .triangulation import Triangulation, greedy_triangulate, validate
@@ -68,9 +68,7 @@ def _cmd_triangulate(args) -> int:
                 file=sys.stderr,
             )
             return 2
-        from .generate import _random_priority
-
-        t = greedy_triangulate(inst, priority=_random_priority(inst, int(seed)))
+        t = greedy_triangulate(inst, priority=random_priority(inst, int(seed)))
     _write(args.output, formats.serialize_triangulation(t))
     return 0
 
@@ -92,8 +90,8 @@ def _cmd_count(args) -> int:
 def _cmd_morph(args) -> int:
     t1 = _load_triangulation(args.tri1)
     t2 = _load_triangulation(args.tri2)
-    crossings = count_pair(t1, t2).total
     seq = morph(t1, t2)
+    crossings = seq.steps[0].before if seq.steps else 0
     if seq.replay().edges != t2.edges:
         raise FlipdistError("internal: sequence replay does not reach target")
     inst = t1.instance

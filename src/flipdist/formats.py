@@ -12,6 +12,7 @@ from pathlib import Path
 from typing import Any, Optional
 
 from .errors import InvariantViolation, ParseError
+from .geometry import COORD_LIMIT
 from .morph import FlipSequence, FlipStep
 from .triangulation import Instance, Triangulation, canonical_edge, validate
 
@@ -37,13 +38,18 @@ def _load(doc: bytes | str) -> Any:
         raise ParseError(exc.msg, f"line {exc.lineno}, column {exc.colno}") from exc
 
 
+def _is_int(value: Any) -> bool:
+    """A JSON integer: ``true`` and ``false`` load as bool, a subclass of int."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _expect(obj: Any, key: str, kind: type, where: str) -> Any:
     if not isinstance(obj, dict):
         raise ParseError("expected an object", where)
     if key not in obj:
         raise ParseError(f"missing field '{key}'", where)
     value = obj[key]
-    if not isinstance(value, kind):
+    if not isinstance(value, kind) or (kind is int and not _is_int(value)):
         raise ParseError(
             f"field '{key}' must be {kind.__name__}, got {type(value).__name__}",
             where,
@@ -77,18 +83,20 @@ def _parse_instance_obj(obj: Any, where: str) -> Instance:
         if (
             not isinstance(entry, list)
             or len(entry) != 2
-            or not all(isinstance(v, int) for v in entry)
+            or not all(_is_int(v) for v in entry)
         ):
             raise ParseError(
                 "point must be a pair of integers", f"{where}.points[{i}]"
+            )
+        if any(abs(v) > COORD_LIMIT for v in entry):
+            raise ParseError(
+                "coordinate magnitude exceeds 2^30", f"{where}.points[{i}]"
             )
         points.append((entry[0], entry[1]))
     border_raw = _expect(obj, "border", list, where)
     border = []
     for b, poly in enumerate(border_raw):
-        if not isinstance(poly, list) or not all(
-            isinstance(v, int) for v in poly
-        ):
+        if not isinstance(poly, list) or not all(_is_int(v) for v in poly):
             raise ParseError(
                 "polygon must be a list of vertex ids", f"{where}.border[{b}]"
             )
@@ -121,7 +129,7 @@ def _parse_edges(obj: Any, inst: Instance, where: str) -> list[tuple[int, int]]:
         if (
             not isinstance(entry, list)
             or len(entry) != 2
-            or not all(isinstance(v, int) for v in entry)
+            or not all(_is_int(v) for v in entry)
         ):
             raise ParseError(
                 "edge must be a pair of vertex ids", f"{where}[{i}]"

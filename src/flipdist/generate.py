@@ -236,7 +236,8 @@ def generate_instance(spec: GenSpec) -> Instance:
     raise InfeasibleSpec(f"could not realize {spec} after {_MAX_ATTEMPTS} attempts")
 
 
-def _random_priority(inst: Instance, seed: int):
+def random_priority(inst: Instance, seed: int):
+    """A seeded random insertion order for :func:`greedy_triangulate`."""
     rng = random.Random(seed)
     pairs = list(inst.admissible_pairs())
     ranks = {e: rng.random() for e in pairs}
@@ -252,6 +253,6 @@ def generate_pair(
     priorities, so the pair may coincide (equality iff zero crossings).
     """
     inst = generate_instance(spec)
-    t1 = greedy_triangulate(inst, priority=_random_priority(inst, spec.seed))
-    t2 = greedy_triangulate(inst, priority=_random_priority(inst, seed2))
+    t1 = greedy_triangulate(inst, priority=random_priority(inst, spec.seed))
+    t2 = greedy_triangulate(inst, priority=random_priority(inst, seed2))
     return t1, t2

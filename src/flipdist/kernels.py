@@ -1,11 +1,10 @@
 """Batch proper-intersection counting kernels.
 
-The pairwise O(e1*e2) crossing count is the one hot loop in this package
-(the morph recomputes it at every step).  Three interchangeable backends
-compute per-segment counts over int64 coordinate arrays:
+The pairwise O(e1*e2) crossing count runs once per pair of triangulations
+(the morph then updates it one flip at a time).  Two interchangeable
+backends compute per-segment counts over int64 coordinate arrays:
 
-* ``numba``  - @njit compiled double loop (default when numba is installed)
-* ``numpy``  - broadcasting over the full m1 x m2 grid
+* ``numpy``  - broadcasting over the full m1 x m2 grid (default)
 * ``python`` - scalar loop over the exact predicates in :mod:`geometry`
 
 Select with the ``FLIPDIST_KERNEL`` environment variable.  The int64
@@ -22,13 +21,6 @@ import numpy as np
 
 from . import geometry
 
-try:
-    import numba
-
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    HAS_NUMBA = False
-
 KERNEL_ENV = "FLIPDIST_KERNEL"
 
 # With |c| <= 2^30 - 1, coordinate differences are < 2^31, their pairwise
@@ -38,11 +30,7 @@ INT64_SAFE_LIMIT = (1 << 30) - 1
 
 def active_kernel() -> str:
     choice = os.environ.get(KERNEL_ENV, "").strip().lower()
-    if choice in ("numba", "numpy", "python"):
-        if choice == "numba" and not HAS_NUMBA:
-            return "numpy"
-        return choice
-    return "numba" if HAS_NUMBA else "numpy"
+    return choice if choice in ("numpy", "python") else "numpy"
 
 
 def segments_array(segments: list[geometry.Segment]) -> np.ndarray:
@@ -84,37 +72,12 @@ def _counts_numpy(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return hit.sum(axis=1).astype(np.int64)
 
 
-if HAS_NUMBA:
-
-    @numba.njit(cache=True)
-    def _counts_numba(a, b):  # pragma: no cover - exercised via dispatch
-        m1 = a.shape[0]
-        m2 = b.shape[0]
-        out = np.zeros(m1, dtype=np.int64)
-        for i in range(m1):
-            px, py, qx, qy = a[i, 0], a[i, 1], a[i, 2], a[i, 3]
-            c = 0
-            for j in range(m2):
-                rx, ry, sx, sy = b[j, 0], b[j, 1], b[j, 2], b[j, 3]
-                o1 = (qx - px) * (ry - py) - (qy - py) * (rx - px)
-                o2 = (qx - px) * (sy - py) - (qy - py) * (sx - px)
-                if (o1 > 0 and o2 < 0) or (o1 < 0 and o2 > 0):
-                    o3 = (sx - rx) * (py - ry) - (sy - ry) * (px - rx)
-                    o4 = (sx - rx) * (qy - ry) - (sy - ry) * (qx - rx)
-                    if (o3 > 0 and o4 < 0) or (o3 < 0 and o4 > 0):
-                        c += 1
-            out[i] = c
-        return out
-
-
 def crossing_counts(
     a: np.ndarray, b: np.ndarray, kernel: str | None = None
 ) -> np.ndarray:
     """Per-row counts of segments in ``b`` properly crossing each row of ``a``."""
     backend = kernel or active_kernel()
-    if backend == "numba" and HAS_NUMBA:
-        return _counts_numba(a, b)
-    if backend == "numpy" or backend == "numba":
+    if backend == "numpy":
         return _counts_numpy(a, b)
     return _counts_python(a, b)
 

@@ -8,10 +8,10 @@ from .crossings import count_pair, count_segment
 from .errors import AlreadyEqual, InstanceMismatch, LemmaViolation
 from .triangulation import (
     Edge,
+    MutableTriangulation,
+    Quadrilateral,
     Triangulation,
-    flip,
     interior_edge_count,
-    quadrilateral_of,
 )
 
 
@@ -37,10 +37,39 @@ class FlipSequence:
     steps: tuple[FlipStep, ...]
 
     def replay(self) -> Triangulation:
-        t = self.start
+        """The triangulation the steps reach; each flip is checked legal."""
+        state = MutableTriangulation(self.start)
         for step in self.steps:
-            t = flip(t, step.removed)
-        return t
+            state.flip(step.removed)
+        return state.freeze()
+
+
+def _crossing_edges(t: Triangulation, target: Triangulation) -> dict[Edge, int]:
+    """#(e, target) for each edge e of t that target crosses."""
+    return {e: c for e, c in count_pair(t, target).per_edge.items() if c}
+
+
+def _reducing_flip(
+    state: MutableTriangulation, counts: dict[Edge, int], target: Triangulation
+) -> tuple[Quadrilateral, int]:
+    """The first maximal edge, in canonical order, whose flip lowers its count.
+
+    Returns the edge's quadrilateral and the replacement diagonal's count.
+    Every maximal edge must sit in a strictly convex quadrilateral, and at
+    least one must qualify; either failure raises LemmaViolation.
+    """
+    best = max(counts.values(), default=0)
+    maximal = sorted(e for e, c in counts.items() if c == best)
+    for e in maximal:
+        quad = state.quadrilateral(e)
+        if quad is None or not quad.strictly_convex:
+            raise LemmaViolation(
+                f"maximal edge {e} has no strictly convex quadrilateral"
+            )
+        new_count = count_segment(state.instance.segment(quad.opposite), target)
+        if new_count < best:
+            return quad, new_count
+    raise LemmaViolation(f"no maximal edge of {maximal} reduces crossings")
 
 
 def find_reducing_flip(
@@ -50,52 +79,42 @@ def find_reducing_flip(
 
     Scans the maximal edges in canonical order and returns the first whose
     replacement diagonal crosses the target fewer times than the edge does,
-    together with the resulting total.  Every maximal edge must sit in a
-    strictly convex quadrilateral, and at least one must qualify; either
-    failure raises LemmaViolation.
+    together with the resulting total.  Raises LemmaViolation when a maximal
+    edge has no strictly convex quadrilateral or none of them qualifies.
     """
     if t.instance != target.instance:
         raise InstanceMismatch("triangulations have different instances")
     if t.edges == target.edges:
         raise AlreadyEqual("triangulations are already equal")
-    report = count_pair(t, target)
-    for e in report.max_edges:
-        quad = quadrilateral_of(t, e)
-        if quad is None or not quad.strictly_convex:
-            raise LemmaViolation(
-                f"maximal edge {e} has no strictly convex quadrilateral"
-            )
-        replacement = quad.opposite
-        seg = (
-            t.instance.points[replacement[0]],
-            t.instance.points[replacement[1]],
-        )
-        new_count = count_segment(seg, target)
-        if new_count < report.per_edge[e]:
-            return e, report.total - report.per_edge[e] + new_count
-    raise LemmaViolation(
-        f"no maximal edge of {sorted(report.max_edges)} reduces crossings"
-    )
+    counts = _crossing_edges(t, target)
+    quad, new_count = _reducing_flip(MutableTriangulation(t), counts, target)
+    return quad.diagonal, sum(counts.values()) - counts[quad.diagonal] + new_count
 
 
 def morph(t1: Triangulation, t2: Triangulation) -> FlipSequence:
     """A flip sequence from t1 to t2 of length at most their crossing total.
 
-    Each step flips a maximal edge chosen by :func:`find_reducing_flip`, so
-    the per-step totals strictly decrease to zero.
+    Each step flips a maximal edge chosen as in :func:`find_reducing_flip`,
+    so the per-step totals strictly decrease to zero.  The pair is counted
+    once; #(e, t2) depends only on e and t2, so a flip changes the per-edge
+    counts only by dropping the removed edge and adding the new diagonal.
     """
     if t1.instance != t2.instance:
         raise InstanceMismatch("triangulations have different instances")
+    counts = _crossing_edges(t1, t2)
+    total = sum(counts.values())
+    state = MutableTriangulation(t1)
     steps: list[FlipStep] = []
-    current = t1
-    total = count_pair(current, t2).total
-    while current.edges != t2.edges:
-        e, new_total = find_reducing_flip(current, t2)
-        quad = quadrilateral_of(current, e)
-        assert quad is not None
-        current = flip(current, e)
+    while state.edges != t2.edges:
+        quad, new_count = _reducing_flip(state, counts, t2)
+        after = total - counts.pop(quad.diagonal) + new_count
+        if new_count:
+            counts[quad.opposite] = new_count
+        state.flip(quad.diagonal)
         steps.append(
-            FlipStep(removed=e, added=quad.opposite, before=total, after=new_total)
+            FlipStep(
+                removed=quad.diagonal, added=quad.opposite, before=total, after=after
+            )
         )
-        total = new_total
+        total = after
     return FlipSequence(start=t1, target=t2, steps=tuple(steps))

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
 
@@ -16,7 +17,6 @@ from .triangulation import (
     Edge,
     Instance,
     Triangulation,
-    flip,
     interior_edge_count,
     quadrilateral_of,
 )
@@ -55,8 +55,20 @@ class FlipGraph:
         return dist
 
 
+def _replace_edge(key: NodeKey, old: Edge, new: Edge) -> NodeKey:
+    """The sorted edge list ``key`` with ``old`` replaced by ``new``."""
+    i = bisect_left(key, old)
+    rest = key[:i] + key[i + 1 :]
+    j = bisect_left(rest, new)
+    return rest[:j] + (new,) + rest[j:]
+
+
 def build_flip_graph(seed: Triangulation, max_nodes: int = MAX_NODES) -> FlipGraph:
-    """BFS closure of the seed under all legal flips."""
+    """BFS closure of the seed under all legal flips.
+
+    Faces are traced once per dequeued node and dropped with it; each
+    neighbour's key is the node's key with one edge replaced.
+    """
     instance = seed.instance
     start = seed.key()
     nodes: list[NodeKey] = [start]
@@ -65,12 +77,13 @@ def build_flip_graph(seed: Triangulation, max_nodes: int = MAX_NODES) -> FlipGra
     queue = deque([0])
     while queue:
         u = queue.popleft()
-        t = Triangulation(instance, nodes[u])
+        key = nodes[u]
+        t = Triangulation(instance, key)
         for e in t.interior_edges():
             quad = quadrilateral_of(t, e)
             if quad is None or not quad.strictly_convex:
                 continue
-            neighbor = flip(t, e).key()
+            neighbor = _replace_edge(key, e, quad.opposite)
             v = index.get(neighbor)
             if v is None:
                 if len(nodes) >= max_nodes:

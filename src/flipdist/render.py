@@ -9,7 +9,7 @@ from __future__ import annotations
 from typing import Optional
 
 from .morph import FlipSequence
-from .triangulation import Instance, Triangulation, flip
+from .triangulation import Instance, MutableTriangulation, Triangulation
 
 FRAME = 1000.0
 MARGIN = 0.05
@@ -77,10 +77,10 @@ def render_svg(
     states = [t]
     if sequence is not None:
         states = [sequence.start]
-        current = sequence.start
+        current = MutableTriangulation(sequence.start)
         for step in sequence.steps:
-            current = flip(current, step.removed)
-            states.append(current)
+            current.flip(step.removed)
+            states.append(current.freeze())
     to_svg = _mapper(t.instance)
     width = FRAME * len(states)
     lines = [

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Sequence
+from typing import AbstractSet, Callable, Iterable, Mapping, Optional, Sequence
 
 from . import geometry
 from .errors import (
@@ -248,7 +248,7 @@ class Triangulation:
             canonical_edge(*e) for e in edges
         )
         self._faces: Optional[tuple[Face, ...]] = None
-        self._edge_faces: Optional[dict[Edge, list[Face]]] = None
+        self._apexes: Optional[dict[Edge, list[int]]] = None
         self._interior_sorted: Optional[tuple[Edge, ...]] = None
         self._interior_array = None
 
@@ -382,28 +382,35 @@ def faces(t: Triangulation) -> tuple[Face, ...]:
     return t._faces
 
 
-def _edge_face_map(t: Triangulation) -> dict[Edge, list[Face]]:
-    if t._edge_faces is None:
-        mapping: dict[Edge, list[Face]] = {}
-        for f in faces(t):
-            for e in f.edges():
-                mapping.setdefault(e, []).append(f)
-        t._edge_faces = mapping
-    return t._edge_faces
+def _apex_map(fs: Iterable[Face]) -> dict[Edge, list[int]]:
+    """Edge -> the third vertex of each face incident to it.
+
+    A face is determined by an edge and its apex, so this is the edge ->
+    incident-faces map: one apex for a border edge, two for an interior one.
+    """
+    apexes: dict[Edge, list[int]] = {}
+    for f in fs:
+        a, b, c = f.vertices
+        for u, v, w in ((a, b, c), (b, c, a), (c, a, b)):
+            apexes.setdefault(canonical_edge(u, v), []).append(w)
+    return apexes
 
 
-def quadrilateral_of(t: Triangulation, e: Edge) -> Optional[Quadrilateral]:
-    """The quadrilateral with e as diagonal, or None for a border edge."""
+def _quadrilateral(
+    pts: Sequence[Point],
+    edges: AbstractSet[Edge],
+    apexes: Mapping[Edge, Sequence[int]],
+    e: Edge,
+) -> Optional[Quadrilateral]:
+    """The quadrilateral with e as diagonal, given the edge -> apex map."""
     e = canonical_edge(*e)
-    if e not in t.edges:
+    if e not in edges:
         raise EdgeNotInTriangulation(f"edge {e} not in triangulation")
-    incident = _edge_face_map(t).get(e, [])
+    incident = apexes.get(e, ())
     if len(incident) < 2:
         return None
     a, c = e
-    pts = t.instance.points
-    others = [next(v for v in f.vertices if v not in e) for f in incident]
-    x, y = others
+    x, y = incident
     if geometry.orient(pts[a], pts[c], pts[x]) < 0:
         b, d = x, y
     else:
@@ -422,15 +429,68 @@ def quadrilateral_of(t: Triangulation, e: Edge) -> Optional[Quadrilateral]:
     )
 
 
-def flip(t: Triangulation, e: Edge) -> Triangulation:
-    """Replace diagonal e with the opposite diagonal of its quadrilateral."""
-    e = canonical_edge(*e)
-    quad = quadrilateral_of(t, e)
+def _require_flippable(e: Edge, quad: Optional[Quadrilateral]) -> Quadrilateral:
     if quad is None:
         raise NotFlippable(f"edge {e} is a border edge")
     if not quad.strictly_convex:
         raise NotFlippable(f"quadrilateral of {e} is not strictly convex")
+    return quad
+
+
+def quadrilateral_of(t: Triangulation, e: Edge) -> Optional[Quadrilateral]:
+    """The quadrilateral with e as diagonal, or None for a border edge."""
+    if t._apexes is None:
+        t._apexes = _apex_map(faces(t))
+    return _quadrilateral(t.instance.points, t.edges, t._apexes, e)
+
+
+def flip(t: Triangulation, e: Edge) -> Triangulation:
+    """Replace diagonal e with the opposite diagonal of its quadrilateral."""
+    e = canonical_edge(*e)
+    quad = _require_flippable(e, quadrilateral_of(t, e))
     return Triangulation(t.instance, (t.edges - {e}) | {quad.opposite})
+
+
+def _replace(apexes: list[int], old: int, new: int) -> None:
+    apexes[apexes.index(old)] = new
+
+
+class MutableTriangulation:
+    """A triangulation that flips in place, in O(1) per flip.
+
+    Built once from ``faces(t)``; afterwards each flip rewrites the two faces
+    of its quadrilateral and touches only the five edges they contain, where
+    :func:`flip` builds a new triangulation whose faces are traced again.
+    """
+
+    def __init__(self, t: Triangulation):
+        self.instance = t.instance
+        self.edges: set[Edge] = set(t.edges)
+        self.apexes: dict[Edge, list[int]] = _apex_map(faces(t))
+
+    def quadrilateral(self, e: Edge) -> Optional[Quadrilateral]:
+        """The quadrilateral with e as diagonal, or None for a border edge."""
+        return _quadrilateral(self.instance.points, self.edges, self.apexes, e)
+
+    def flip(self, e: Edge) -> None:
+        """Replace diagonal e with the opposite diagonal, in place."""
+        e = canonical_edge(*e)
+        quad = _require_flippable(e, self.quadrilateral(e))
+        a, b, c, d = quad.vertices
+        # The ccw faces abc and acd become abd and bcd.
+        apexes = self.apexes
+        _replace(apexes[canonical_edge(a, b)], c, d)
+        _replace(apexes[canonical_edge(b, c)], a, d)
+        _replace(apexes[canonical_edge(c, d)], a, b)
+        _replace(apexes[canonical_edge(d, a)], c, b)
+        del apexes[e]
+        apexes[quad.opposite] = [a, c]
+        self.edges.remove(e)
+        self.edges.add(quad.opposite)
+
+    def freeze(self) -> Triangulation:
+        """An immutable copy of the current edge set."""
+        return Triangulation(self.instance, self.edges)
 
 
 def greedy_triangulate(

@@ -171,3 +171,17 @@ def test_stdout_output(files, capsys):
     assert run(["triangulate", str(inst)]) == 0
     out = capsys.readouterr().out
     assert json.loads(out)["format"] == "flipdist.triangulation"
+
+
+@pytest.mark.parametrize("point", [[True, 0], [0, 2**40]], ids=["bool", "huge"])
+def test_validate_rejects_bool_and_huge_coordinates(tmp_path, capsys, point):
+    doc = {
+        "format": "flipdist.instance",
+        "version": 1,
+        "points": [[0, 0], point, [1, 1], [0, 1]],
+        "border": [[0, 1, 2, 3]],
+    }
+    bad = tmp_path / "inst.json"
+    bad.write_text(json.dumps(doc))
+    assert run(["validate", str(bad)]) == 2
+    assert "instance.points[1]" in capsys.readouterr().err

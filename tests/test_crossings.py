@@ -127,7 +127,7 @@ def test_classified_counts_wrong_quad(square_pair):
         classified_counts(t1, quad, t2)
 
 
-KERNELS = ["python", "numpy"] + (["numba"] if kernels.HAS_NUMBA else [])
+KERNELS = ["python", "numpy"]
 
 
 @pytest.mark.parametrize("backend", KERNELS)
@@ -173,7 +173,7 @@ def test_active_kernel_env(monkeypatch):
     monkeypatch.setenv(kernels.KERNEL_ENV, "numpy")
     assert kernels.active_kernel() == "numpy"
     monkeypatch.delenv(kernels.KERNEL_ENV)
-    assert kernels.active_kernel() in ("numba", "numpy")
+    assert kernels.active_kernel() == "numpy"
 
 
 def test_count_pair_near_coordinate_cap():

@@ -155,3 +155,64 @@ def test_parse_sequence_rejects_broken_chain(hexagon):
     doc["steps"][1]["before"] = doc["steps"][1]["before"] + 5
     with pytest.raises(InvariantViolation):
         formats.parse_sequence(json.dumps(doc))
+
+
+def _set(doc, path, value):
+    *parents, last = path
+    for key in parents:
+        doc = doc[key]
+    doc[last] = value
+
+
+@pytest.mark.parametrize(
+    "path, value, location",
+    [
+        (("version",), True, "instance"),
+        (("points", 1), [True, 4], "instance.points[1]"),
+        (("points", 2), [1, False], "instance.points[2]"),
+        (("border", 0, 2), True, "instance.border[0]"),
+        (("points", 3), [0, 2**40], "instance.points[3]"),
+        (("points", 0), [-(2**30) - 1, 0], "instance.points[0]"),
+    ],
+    ids=["version", "x", "y", "border", "x_huge", "x_below_cap"],
+)
+def test_parse_instance_rejects_bools_and_huge_coordinates(
+    square, path, value, location
+):
+    doc = json.loads(formats.serialize_instance(square))
+    _set(doc, path, value)
+    with pytest.raises(ParseError) as exc:
+        formats.parse_instance(json.dumps(doc))
+    assert exc.value.location == location
+
+
+def test_parse_instance_accepts_coordinate_cap():
+    m = 2**30
+    doc = {
+        "format": "flipdist.instance",
+        "version": 1,
+        "points": [[-m, -m], [m, -m], [m, m], [-m, m]],
+        "border": [[0, 1, 2, 3]],
+    }
+    assert formats.parse_instance(json.dumps(doc)).points[2] == (m, m)
+
+
+def test_parse_triangulation_rejects_bool_edge(square):
+    doc = json.loads(formats.serialize_triangulation(greedy_triangulate(square)))
+    doc["edges"][0] = [False, True]
+    with pytest.raises(ParseError) as exc:
+        formats.parse_triangulation(json.dumps(doc))
+    assert exc.value.location == "triangulation.edges[0]"
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("before", True), ("after", False), ("removed", [True, 2]), ("added", [True, 3])],
+    ids=["before", "after", "removed", "added"],
+)
+def test_parse_sequence_rejects_bools(square_pair, field, value):
+    doc = json.loads(formats.serialize_sequence(morph(*square_pair)))
+    doc["steps"][0][field] = value
+    with pytest.raises(ParseError) as exc:
+        formats.parse_sequence(json.dumps(doc))
+    assert exc.value.location.startswith("sequence.steps[0]")

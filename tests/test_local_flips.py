@@ -1,0 +1,138 @@
+"""The in-place flip structure against the triangulations it mirrors.
+
+Every incremental path (MutableTriangulation.flip, the morph's per-edge
+count updates, the flip-graph BFS's neighbour keys) is compared with the
+from-scratch computation on the frozen triangulation.
+"""
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from flipdist.crossings import count_pair
+from flipdist.errors import EdgeNotInTriangulation, NotFlippable
+from flipdist.generate import GenSpec, generate_instance, generate_pair, random_priority
+from flipdist.morph import FlipSequence, FlipStep, morph
+from flipdist.oracle import build_flip_graph
+from flipdist.triangulation import (
+    MutableTriangulation,
+    faces,
+    flip,
+    greedy_triangulate,
+    quadrilateral_of,
+)
+
+SEEDS = st.integers(0, 10**6)
+
+# Convex polygons, convex polygons with free interior points, and holed
+# instances, in the size ranges the acceptance suite generates.
+SPECS = st.one_of(
+    st.builds(GenSpec, seed=SEEDS, n_points=st.integers(4, 11)),
+    st.builds(
+        GenSpec,
+        seed=SEEDS,
+        n_points=st.integers(6, 11),
+        interior_points=st.integers(1, 2),
+    ),
+    st.builds(
+        GenSpec,
+        seed=SEEDS,
+        n_points=st.integers(7, 12),
+        shape=st.just("with_holes"),
+        holes=st.just(1),
+    ),
+    st.builds(
+        GenSpec,
+        seed=SEEDS,
+        n_points=st.integers(10, 12),
+        shape=st.just("with_holes"),
+        holes=st.just(2),
+    ),
+)
+
+
+def _incident(state):
+    return {
+        e: {frozenset((*e, apex)) for apex in apexes}
+        for e, apexes in state.apexes.items()
+    }
+
+
+def _incident_from_faces(t):
+    out = {}
+    for f in faces(t):
+        for e in f.edges():
+            out.setdefault(e, set()).add(frozenset(f.vertices))
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(spec=SPECS, data=st.data())
+def test_local_flips_match_frozen_faces(spec, data):
+    inst = generate_instance(spec)
+    t = greedy_triangulate(inst, priority=random_priority(inst, spec.seed))
+    state = MutableTriangulation(t)
+    for _ in range(data.draw(st.integers(1, 12))):
+        frozen = state.freeze()
+        assert state.edges == frozen.edges
+        assert _incident(state) == _incident_from_faces(frozen)
+        legal = []
+        for e in sorted(frozen.edges):
+            quad = quadrilateral_of(frozen, e)
+            assert state.quadrilateral(e) == quad
+            if quad is not None and quad.strictly_convex:
+                legal.append(e)
+        if not legal:
+            break
+        e = data.draw(st.sampled_from(legal))
+        state.flip(e)
+        assert state.freeze() == flip(frozen, e)
+    assert _incident(state) == _incident_from_faces(state.freeze())
+
+
+@settings(max_examples=40, deadline=None)
+@given(spec=SPECS, seed2=SEEDS)
+def test_morph_steps_match_full_recount(spec, seed2):
+    t1, t2 = generate_pair(spec, seed2)
+    seq = morph(t1, t2)
+    current = t1
+    total = count_pair(t1, t2).total
+    for step in seq.steps:
+        assert step.before == total
+        current = flip(current, step.removed)
+        total = count_pair(current, t2).total
+        assert step.after == total
+    assert total == 0
+    assert current.edges == t2.edges
+
+
+def test_local_flip_errors(dart, square):
+    state = MutableTriangulation(greedy_triangulate(dart))
+    with pytest.raises(NotFlippable, match="not strictly convex"):
+        state.flip((1, 3))
+    with pytest.raises(NotFlippable, match="border edge"):
+        state.flip((0, 1))
+    with pytest.raises(EdgeNotInTriangulation):
+        MutableTriangulation(greedy_triangulate(square)).flip((1, 3))
+
+
+def test_replay_rejects_illegal_step(dart):
+    t = greedy_triangulate(dart)
+    seq = FlipSequence(t, t, (FlipStep(removed=(1, 3), added=(0, 2), before=1, after=0),))
+    with pytest.raises(NotFlippable):
+        seq.replay()
+
+
+@pytest.mark.parametrize("which", ["nonagon", "holed"])
+def test_flip_graph_adjacency_matches_flip(which, holed):
+    inst = generate_instance(GenSpec(seed=9, n_points=9)) if which == "nonagon" else holed
+    graph = build_flip_graph(greedy_triangulate(inst))
+    if which == "nonagon":
+        assert len(graph.nodes) == 429
+    for u in graph.node_ids():
+        t = graph.triangulation(u)
+        expected = []
+        for e in t.interior_edges():
+            quad = quadrilateral_of(t, e)
+            if quad is not None and quad.strictly_convex:
+                expected.append((e, graph.index[flip(t, e).key()]))
+        assert graph.adjacency[u] == expected
