@@ -41,19 +41,6 @@ def _require_same_instance(t1: Triangulation, t2: Triangulation) -> None:
         raise InstanceMismatch("triangulations have different instances")
 
 
-def _interior_counts(t1: Triangulation, t2: Triangulation) -> list[int]:
-    """#(e, t2) for each interior edge of t1, in canonical edge order."""
-    a = t1.interior_array()
-    b = t2.interior_array()
-    if kernels.int64_safe(a, b):
-        return [int(c) for c in kernels.crossing_counts(a, b)]
-    segs2 = [t2.segment(e) for e in t2.interior_edges()]
-    return [
-        sum(geometry.properly_intersect(t1.segment(e), s) for s in segs2)
-        for e in t1.interior_edges()
-    ]
-
-
 def count_pair(t1: Triangulation, t2: Triangulation) -> CrossingReport:
     """The crossing report of t1 against t2.
 
@@ -62,7 +49,9 @@ def count_pair(t1: Triangulation, t2: Triangulation) -> CrossingReport:
     """
     _require_same_instance(t1, t2)
     per_edge: dict[Edge, int] = {e: 0 for e in sorted(t1.edges)}
-    counts = _interior_counts(t1, t2)
+    counts = kernels.crossing_counts(
+        t1.interior_array(), t2.interior_array()
+    ).tolist()
     for e, c in zip(t1.interior_edges(), counts):
         per_edge[e] = c
     total = sum(counts)

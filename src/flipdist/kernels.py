@@ -1,16 +1,19 @@
 """Batch proper-intersection counting kernels.
 
-The pairwise O(e1*e2) crossing count runs once per pair of triangulations
-(the morph then updates it one flip at a time).  Two interchangeable
-backends compute per-segment counts over int64 coordinate arrays:
+The pairwise O(m1*m2) crossing count runs once per pair of triangulations
+(the morph then updates it one flip at a time) and once per triangulation
+as the planarity scan of :func:`flipdist.triangulation.validate`.  Two
+interchangeable backends compute per-segment counts over int64 coordinate
+arrays:
 
-* ``numpy``  - broadcasting over the full m1 x m2 grid (default)
+* ``numpy``  - broadcasting over fixed blocks of rows of the m1 x m2 grid
+  (default)
 * ``python`` - scalar loop over the exact predicates in :mod:`geometry`
 
-Select with the ``FLIPDIST_KERNEL`` environment variable.  The int64
-backends are only used when every coordinate satisfies
-``|c| <= INT64_SAFE_LIMIT``; beyond that, callers fall back to the exact
-big-int path regardless of the flag, so no sign is ever lost to overflow.
+Select with the ``FLIPDIST_KERNEL`` environment variable.  The numpy backend
+is only used when every coordinate satisfies ``|c| <= INT64_SAFE_LIMIT``;
+beyond that, :func:`crossing_counts` takes the exact python loop whatever
+backend is asked for, so no sign is ever lost to overflow.
 """
 
 from __future__ import annotations
@@ -23,9 +26,16 @@ from . import geometry
 
 KERNEL_ENV = "FLIPDIST_KERNEL"
 
-# With |c| <= 2^30 - 1, coordinate differences are < 2^31, their pairwise
-# products are < 2^62 - 2^33, and each determinant fits in int64.
-INT64_SAFE_LIMIT = (1 << 30) - 1
+# With |c| <= 2^30 every point lies in a box of side 2^31, so each coordinate
+# difference is at most 2^31 in magnitude and each product of two is at most
+# 2^62.  Each orientation determinant is twice the signed area of a triangle
+# inside that box, so it is at most 2^62 in magnitude too: int64 holds every
+# intermediate value.
+INT64_SAFE_LIMIT = geometry.COORD_LIMIT
+
+# Rows of the first array broadcast against the second at a time, which
+# bounds the size of every temporary grid.
+_ROW_BLOCK = 32
 
 
 def active_kernel() -> str:
@@ -54,30 +64,38 @@ def _counts_python(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _counts_numpy(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    if len(a) == 0 or len(b) == 0:
-        return np.zeros(len(a), dtype=np.int64)
-    p = a[:, None, 0:2]
-    q = a[:, None, 2:4]
+    out = np.zeros(len(a), dtype=np.int64)
+    if len(b) == 0:
+        return out
     r = b[None, :, 0:2]
     s = b[None, :, 2:4]
-    d1 = q - p
     d2 = s - r
-    o1 = d1[..., 0] * (r - p)[..., 1] - d1[..., 1] * (r - p)[..., 0]
-    o2 = d1[..., 0] * (s - p)[..., 1] - d1[..., 1] * (s - p)[..., 0]
-    o3 = d2[..., 0] * (p - r)[..., 1] - d2[..., 1] * (p - r)[..., 0]
-    o4 = d2[..., 0] * (q - r)[..., 1] - d2[..., 1] * (q - r)[..., 0]
-    # Compare signs rather than products: the determinants themselves can be
-    # near 2^62 and their products would overflow.
-    hit = (np.sign(o1) * np.sign(o2) < 0) & (np.sign(o3) * np.sign(o4) < 0)
-    return hit.sum(axis=1).astype(np.int64)
+    for lo in range(0, len(a), _ROW_BLOCK):
+        block = a[lo:lo + _ROW_BLOCK]
+        p = block[:, None, 0:2]
+        q = block[:, None, 2:4]
+        d1 = q - p
+        o1 = d1[..., 0] * (r - p)[..., 1] - d1[..., 1] * (r - p)[..., 0]
+        o2 = d1[..., 0] * (s - p)[..., 1] - d1[..., 1] * (s - p)[..., 0]
+        o3 = d2[..., 0] * (p - r)[..., 1] - d2[..., 1] * (p - r)[..., 0]
+        o4 = d2[..., 0] * (q - r)[..., 1] - d2[..., 1] * (q - r)[..., 0]
+        # Compare signs rather than products: the determinants themselves can
+        # be near 2^62 and their products would overflow.
+        hit = (np.sign(o1) * np.sign(o2) < 0) & (np.sign(o3) * np.sign(o4) < 0)
+        out[lo:lo + _ROW_BLOCK] = hit.sum(axis=1)
+    return out
 
 
 def crossing_counts(
     a: np.ndarray, b: np.ndarray, kernel: str | None = None
 ) -> np.ndarray:
-    """Per-row counts of segments in ``b`` properly crossing each row of ``a``."""
+    """Per-row counts of segments in ``b`` properly crossing each row of ``a``.
+
+    Exact for any coordinates that fit int64: when some coordinate exceeds
+    ``INT64_SAFE_LIMIT`` the python loop runs whatever ``kernel`` asks for.
+    """
     backend = kernel or active_kernel()
-    if backend == "numpy":
+    if backend == "numpy" and int64_safe(a, b):
         return _counts_numpy(a, b)
     return _counts_python(a, b)
 

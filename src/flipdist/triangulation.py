@@ -6,7 +6,7 @@ import functools
 from dataclasses import dataclass
 from typing import AbstractSet, Callable, Iterable, Mapping, Optional, Sequence
 
-from . import geometry
+from . import geometry, kernels
 from .errors import (
     EdgeNotInTriangulation,
     InstanceInvalid,
@@ -282,8 +282,6 @@ class Triangulation:
     def interior_array(self):
         """Interior-edge coordinates packed for the batch kernels."""
         if self._interior_array is None:
-            from . import kernels
-
             self._interior_array = kernels.segments_array(
                 [self.segment(e) for e in self.interior_edges()]
             )
@@ -521,7 +519,16 @@ def greedy_triangulate(
 
 
 def validate(t: Triangulation) -> list[str]:
-    """Every violated triangulation invariant; empty means valid."""
+    """Every violated triangulation invariant; empty means valid.
+
+    A valid triangulation costs one batch crossing scan over all edge pairs,
+    the vertex-on-edge check and the midpoint check.  Those checks make every
+    edge admissible; every maximal non-crossing set of admissible edges has
+    exactly ``interior_edge_count`` interior edges, and a non-maximal one
+    extends to a maximal one, so a passing set with that count is maximal.
+    Any other set gets the admissible-pair scan, so each ``not maximal``
+    violation names an edge that could be added.
+    """
     inst = t.instance
     out: list[str] = []
     for e in sorted(inst.border_edges - t.edges):
@@ -532,10 +539,12 @@ def validate(t: Triangulation) -> list[str]:
             out.append(f"invalid edge {e}")
             return out
     segs = {e: inst.segment(e) for e in edges}
-    for i in range(len(edges)):
-        for j in range(i + 1, len(edges)):
-            if geometry.properly_intersect(segs[edges[i]], segs[edges[j]]):
-                out.append(f"edges {edges[i]} and {edges[j]} cross")
+    packed = kernels.segments_array([segs[e] for e in edges])
+    if kernels.crossing_counts(packed, packed).any():
+        for i in range(len(edges)):
+            for j in range(i + 1, len(edges)):
+                if geometry.properly_intersect(segs[edges[i]], segs[edges[j]]):
+                    out.append(f"edges {edges[i]} and {edges[j]} cross")
     for e in edges:
         for k in range(inst.n):
             if k not in e and geometry.point_on_open_segment(
@@ -548,6 +557,10 @@ def validate(t: Triangulation) -> list[str]:
             continue
         if geometry.midpoint_in_region(segs[e], coords) != INSIDE:
             out.append(f"edge {e} leaves the region")
+    expected = interior_edge_count(inst.n, inst.n_b, inst.h)
+    actual = len(t.edges - inst.border_edges)
+    if not out and actual == expected:
+        return out
     admissible = set(inst.admissible_pairs())
     for cand in sorted(admissible - t.edges):
         cseg = inst.segment(cand)
@@ -555,8 +568,6 @@ def validate(t: Triangulation) -> list[str]:
             geometry.properly_intersect(cseg, segs[e]) for e in edges
         ):
             out.append(f"not maximal: edge {cand} could be added")
-    expected = interior_edge_count(inst.n, inst.n_b, inst.h)
-    actual = len(t.edges - inst.border_edges)
     if not out and actual != expected:
         out.append(
             f"interior edge count {actual} != expected {expected}"

@@ -47,6 +47,11 @@ def test_validate_reports_violations(tmp_path, capsys):
     assert run(["validate", str(inst), str(tfile)]) == 1
     out = capsys.readouterr().out
     assert "violation:" in out
+    # The square without a diagonal is not maximal; both witnesses are named.
+    assert out.splitlines() == [
+        "violation: triangulation: not maximal: edge (0, 2) could be added",
+        "violation: triangulation: not maximal: edge (1, 3) could be added",
+    ]
 
 
 def test_validate_parse_error(tmp_path, capsys):

@@ -149,6 +149,37 @@ def test_kernels_extreme_but_safe_coordinates(backend):
     assert got.tolist() == [1]
 
 
+def test_kernels_exact_at_coordinate_cap():
+    # Coordinates of exactly +-2^30 stay on the numpy path; every count must
+    # equal the exact predicates.
+    m = geometry.COORD_LIMIT
+    values = [0, 1, -1, m - 1, -(m - 1), m, -m]
+    rng = np.random.default_rng(11)
+    a = rng.choice(values, size=(60, 4)).astype(np.int64)
+    b = rng.choice(values, size=(80, 4)).astype(np.int64)
+    assert kernels.int64_safe(a, b)
+
+    def seg(row):
+        return ((int(row[0]), int(row[1])), (int(row[2]), int(row[3])))
+
+    want = [
+        sum(geometry.properly_intersect(seg(r), seg(s)) for s in b) for r in a
+    ]
+    assert sum(want) > 0
+    assert kernels.crossing_counts(a, b, kernel="numpy").tolist() == want
+
+
+@pytest.mark.parametrize("backend", KERNELS)
+def test_kernels_exact_beyond_safe_limit(backend):
+    # With coordinates of 2^31 the int64 determinants would wrap to 0, so
+    # every backend must take the exact loop.
+    m = 1 << 31
+    a = np.array([[-m, -m, m, m]], dtype=np.int64)
+    b = np.array([[-m, m, m, -m], [0, 0, 1, 0]], dtype=np.int64)
+    assert not kernels.int64_safe(a, b)
+    assert kernels.crossing_counts(a, b, kernel=backend).tolist() == [1]
+
+
 def test_kernels_empty():
     empty = kernels.segments_array([])
     assert empty.shape == (0, 4)
@@ -177,8 +208,9 @@ def test_active_kernel_env(monkeypatch):
 
 
 def test_count_pair_near_coordinate_cap():
-    # Past INT64_SAFE_LIMIT the exact big-int path takes over; results must
-    # match a small-coordinate copy of the same configuration.
+    # At the coordinate cap the int64 kernel still applies (INT64_SAFE_LIMIT
+    # equals COORD_LIMIT); results must match a small-coordinate copy of the
+    # same configuration.
     m = geometry.COORD_LIMIT
     big = Instance([(-m, -m), (m, -m), (m, m), (-m, m)], [[0, 1, 2, 3]])
     t1 = greedy_triangulate(big)

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from flipdist.crossings import count_pair
@@ -9,7 +11,14 @@ from flipdist.morph import (
     morph,
 )
 from flipdist.generate import GenSpec, generate_pair
-from flipdist.triangulation import greedy_triangulate, validate
+from flipdist.triangulation import (
+    Instance,
+    Triangulation,
+    canonical_edge,
+    faces,
+    greedy_triangulate,
+    validate,
+)
 
 
 def test_intersection_upper_bound():
@@ -106,3 +115,68 @@ def test_sequence_is_frozen(square_pair):
     assert isinstance(seq, FlipSequence)
     with pytest.raises(Exception):
         seq.steps = ()
+
+
+def _moved(t, point=lambda p: p, label=lambda v: v, reverse=False):
+    """t carried over by a map of points and of vertex ids."""
+    inst = t.instance
+    points = [None] * inst.n
+    for v, p in enumerate(inst.points):
+        points[label(v)] = point(p)
+    border = [
+        [label(v) for v in (poly[::-1] if reverse else poly)]
+        for poly in inst.border
+    ]
+    moved = Instance(points, border)
+    return Triangulation(moved, [(label(a), label(b)) for a, b in t.edges])
+
+
+# Each keeps vertex ids, so the morph must make the very same flips.
+GEOMETRIC = {
+    "reverse_borders": dict(reverse=True),
+    "reflection": dict(point=lambda p: (-p[0], p[1])),
+    "rotation_90": dict(point=lambda p: (-p[1], p[0])),
+    "translation": dict(point=lambda p: (p[0] + 12345, p[1] - 67890)),
+}
+
+METAMORPHIC_SPECS = [
+    GenSpec(seed=21, n_points=12, interior_points=3),
+    GenSpec(seed=22, n_points=12, shape="with_holes", holes=1),
+    GenSpec(seed=23, n_points=14, shape="with_holes", holes=2),
+]
+SPEC_IDS = ["interior", "one_hole", "two_holes"]
+
+
+@pytest.mark.parametrize("spec", METAMORPHIC_SPECS, ids=SPEC_IDS)
+@pytest.mark.parametrize("name", sorted(GEOMETRIC))
+def test_geometric_maps_preserve_validity_count_and_morph(spec, name):
+    # Border orientation is free: a reflection turns every ccw polygon cw.
+    t1, t2 = generate_pair(spec, spec.seed + 100)
+    m1, m2 = (_moved(t, **GEOMETRIC[name]) for t in (t1, t2))
+    assert m1.instance.validate() == []
+    assert validate(m1) == [] and validate(m2) == []
+    assert {frozenset(f.vertices) for f in faces(m1)} == {
+        frozenset(f.vertices) for f in faces(t1)
+    }
+    assert count_pair(m1, m2).total == count_pair(t1, t2).total > 0
+    assert morph(m1, m2).steps == morph(t1, t2).steps
+
+
+@pytest.mark.parametrize("spec", METAMORPHIC_SPECS, ids=SPEC_IDS)
+def test_relabelling_preserves_validity_and_counts(spec):
+    t1, t2 = generate_pair(spec, spec.seed + 100)
+    perm = list(range(t1.instance.n))
+    random.Random(spec.seed).shuffle(perm)
+    m1, m2 = (_moved(t, label=perm.__getitem__) for t in (t1, t2))
+    assert validate(m1) == [] and validate(m2) == []
+    want = count_pair(t1, t2)
+    got = count_pair(m1, m2)
+    assert got.total == want.total > 0
+    assert got.per_edge == {
+        canonical_edge(perm[a], perm[b]): c for (a, b), c in want.per_edge.items()
+    }
+    # The morph breaks ties between maximal edges by vertex id, so its length
+    # may change with the labels; it stays a witness of the bound.
+    seq = morph(m1, m2)
+    assert len(seq.steps) <= got.total
+    assert seq.replay() == m2

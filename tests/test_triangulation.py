@@ -1,6 +1,10 @@
+import random
+
 import pytest
 
+from flipdist import geometry
 from flipdist.errors import EdgeNotInTriangulation, NotFlippable
+from flipdist.generate import GenSpec, generate_instance, random_priority
 from flipdist.triangulation import (
     Instance,
     Triangulation,
@@ -183,3 +187,116 @@ def test_edge_count_invariant(square, pentagon, hexagon, dart, holed):
         t = greedy_triangulate(inst)
         expected = interior_edge_count(inst.n, inst.n_b, inst.h)
         assert len(t.edges) == expected + inst.n_b
+
+
+def _validate_reference(t):
+    """The admissible-pair maximality scan, run on every input.
+
+    The pairwise crossing loop and the full scan of admissible pairs, with
+    no batch kernel and no edge-count shortcut.
+    """
+    inst = t.instance
+    out = []
+    for e in sorted(inst.border_edges - t.edges):
+        out.append(f"missing border edge {e}")
+    edges = sorted(t.edges)
+    for e in edges:
+        if e[0] < 0 or e[1] >= inst.n or e[0] == e[1]:
+            out.append(f"invalid edge {e}")
+            return out
+    segs = {e: inst.segment(e) for e in edges}
+    for i in range(len(edges)):
+        for j in range(i + 1, len(edges)):
+            if geometry.properly_intersect(segs[edges[i]], segs[edges[j]]):
+                out.append(f"edges {edges[i]} and {edges[j]} cross")
+    for e in edges:
+        for k in range(inst.n):
+            if k not in e and geometry.point_on_open_segment(
+                inst.points[k], segs[e]
+            ):
+                out.append(f"vertex {k} lies inside edge {e}")
+    coords = inst.border_coords()
+    for e in edges:
+        if e in inst.border_edges:
+            continue
+        if geometry.midpoint_in_region(segs[e], coords) != geometry.INSIDE:
+            out.append(f"edge {e} leaves the region")
+    for cand in sorted(set(inst.admissible_pairs()) - t.edges):
+        cseg = inst.segment(cand)
+        if not any(geometry.properly_intersect(cseg, segs[e]) for e in edges):
+            out.append(f"not maximal: edge {cand} could be added")
+    expected = interior_edge_count(inst.n, inst.n_b, inst.h)
+    actual = len(t.edges - inst.border_edges)
+    if not out and actual != expected:
+        out.append(f"interior edge count {actual} != expected {expected}")
+    return out
+
+
+def _differential_instances():
+    big = 1 << 31
+    return {
+        "convex": generate_instance(GenSpec(seed=3, n_points=9)),
+        "interior": generate_instance(
+            GenSpec(seed=4, n_points=10, interior_points=3)
+        ),
+        "holed": generate_instance(
+            GenSpec(seed=5, n_points=11, shape="with_holes", holes=1)
+        ),
+        # A square hole, whose diagonals leave the region.
+        "square_hole": Instance(
+            [(0, 0), (12, 0), (12, 12), (0, 12), (4, 4), (8, 4), (8, 8), (4, 8),
+             (2, 6)],
+            [[0, 1, 2, 3], [4, 5, 6, 7]],
+        ),
+        "pinched": Instance(
+            [(0, 0), (10, 0), (10, 10), (0, 10), (5, 2), (6, 4)],
+            [[0, 1, 2, 3], [0, 4, 5]],
+        ),
+        # A border vertex between two collinear border edges, and three
+        # collinear interior points.
+        "collinear": Instance(
+            [(0, 0), (3, 0), (6, 0), (6, 6), (0, 6), (2, 3), (3, 3), (4, 3)],
+            [[0, 1, 2, 3, 4]],
+        ),
+        # Beyond the parser's cap: the crossing scan takes the exact loop.
+        "beyond_int64_limit": Instance(
+            [(-big, -big), (big, -big), (big, big), (-big, big), (1, 7), (-5, -3)],
+            [[0, 1, 2, 3]],
+        ),
+    }
+
+
+def _edge_sets(inst, rng):
+    """A valid triangulation and five kinds of corruption of one."""
+    priority = random_priority(inst, rng.randrange(10**6))
+    t = greedy_triangulate(inst, priority=priority)
+    interior = sorted(t.edges - inst.border_edges)
+    admissible = list(inst.admissible_pairs())
+    outside = sorted(set(admissible) - t.edges)
+    # Extra edges come from the inadmissible pairs where there are any, so
+    # that vertex-on-edge and leaves-the-region violations turn up too.
+    pairs = [(i, j) for i in range(inst.n) for j in range(i + 1, inst.n)]
+    extra = [e for e in pairs if e not in admissible] or outside
+    gone = rng.choice(interior)
+    yield t.edges
+    yield t.edges - {gone}
+    if outside:
+        yield (t.edges - {gone}) | {rng.choice(outside)}
+        yield t.edges | {rng.choice(extra)}
+    yield t.edges - {rng.choice(sorted(inst.border_edges))}
+    yield inst.border_edges | {e for e in admissible if rng.random() < 0.4}
+
+
+@pytest.mark.parametrize("name", sorted(_differential_instances()))
+def test_validate_matches_reference(name):
+    inst = _differential_instances()[name]
+    assert inst.validate() == []
+    rng = random.Random(name)
+    valid = 0
+    for _ in range(12):
+        for edges in _edge_sets(inst, rng):
+            t = Triangulation(inst, edges)
+            want = _validate_reference(t)
+            assert validate(t) == want
+            valid += want == []
+    assert valid >= 12
