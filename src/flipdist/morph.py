@@ -4,7 +4,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .crossings import count_pair, count_segment
+from . import kernels
+from .crossings import count_pair
 from .errors import AlreadyEqual, InstanceMismatch, LemmaViolation
 from .triangulation import (
     Edge,
@@ -66,7 +67,10 @@ def _reducing_flip(
             raise LemmaViolation(
                 f"maximal edge {e} has no strictly convex quadrilateral"
             )
-        new_count = count_segment(state.instance.segment(quad.opposite), target)
+        # The new diagonal lies inside the region, so no border edge can
+        # properly cross it: count it against target's interior edges only.
+        segment = kernels.segments_array([state.instance.segment(quad.opposite)])
+        new_count = int(kernels.crossing_counts(segment, target.interior_array())[0])
         if new_count < best:
             return quad, new_count
     raise LemmaViolation(f"no maximal edge of {maximal} reduces crossings")

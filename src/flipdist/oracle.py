@@ -5,6 +5,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
+from typing import Optional
 
 from . import geometry
 from .errors import (
@@ -17,8 +18,11 @@ from .triangulation import (
     Edge,
     Instance,
     Triangulation,
+    apex_map,
+    apex_quadrilateral,
+    faces,
+    flip_apexes,
     interior_edge_count,
-    quadrilateral_of,
 )
 
 MAX_NODES = 10**6
@@ -63,57 +67,89 @@ def _replace_edge(key: NodeKey, old: Edge, new: Edge) -> NodeKey:
     return rest[:j] + (new,) + rest[j:]
 
 
-def build_flip_graph(seed: Triangulation, max_nodes: int = MAX_NODES) -> FlipGraph:
-    """BFS closure of the seed under all legal flips.
+def _walk(
+    seed: Triangulation, max_nodes: int, target: Optional[NodeKey] = None
+) -> tuple[FlipGraph, Optional[int]]:
+    """Breadth-first search of the flip graph from the seed.
 
-    Faces are traced once per dequeued node and dropped with it; each
-    neighbour's key is the node's key with one edge replaced.
+    Faces are traced once, on the seed.  Each queued node carries its own
+    edge -> apex map, derived from its parent's by one in-place flip, and
+    drops it when dequeued, so only the frontier holds maps; a neighbour's
+    key is the node's key with one edge replaced.  The search stops when it
+    discovers ``target`` and returns the graph explored so far with the
+    target's depth, or, once the component is exhausted, the whole graph
+    with None.  Raises GraphTooLarge before a node beyond ``max_nodes``.
     """
     instance = seed.instance
+    pts = instance.points
+    border = instance.border_edges
     start = seed.key()
     nodes: list[NodeKey] = [start]
     index: dict[NodeKey, int] = {start: 0}
     adjacency: list[list[tuple[Edge, int]]] = [[]]
-    queue = deque([0])
+    graph = FlipGraph(
+        instance=instance, nodes=nodes, index=index, adjacency=adjacency
+    )
+    if start == target:
+        return graph, 0
+    queue = deque([(0, apex_map(faces(seed)))])
+    # Node ids are assigned in BFS order, so the nodes of one depth are
+    # contiguous: ids below level_end have depth at most ``depth``.
+    depth, level_end = 0, 1
     while queue:
-        u = queue.popleft()
+        u, apexes = queue.popleft()
+        if u >= level_end:
+            depth, level_end = depth + 1, len(nodes)
         key = nodes[u]
-        t = Triangulation(instance, key)
-        for e in t.interior_edges():
-            quad = quadrilateral_of(t, e)
-            if quad is None or not quad.strictly_convex:
+        arcs = adjacency[u]
+        for e in key:
+            if e in border:
+                continue
+            quad = apex_quadrilateral(pts, apexes, e)
+            if not quad.strictly_convex:
                 continue
             neighbor = _replace_edge(key, e, quad.opposite)
             v = index.get(neighbor)
             if v is None:
                 if len(nodes) >= max_nodes:
-                    raise GraphTooLarge(
-                        f"flip graph exceeds {max_nodes} nodes"
-                    )
+                    raise GraphTooLarge(f"flip graph exceeds {max_nodes} nodes")
                 v = len(nodes)
                 index[neighbor] = v
                 nodes.append(neighbor)
                 adjacency.append([])
-                queue.append(v)
-            adjacency[u].append((e, v))
-    return FlipGraph(
-        instance=instance, nodes=nodes, index=index, adjacency=adjacency
-    )
+                if neighbor == target:
+                    return graph, depth + 1
+                child = dict(apexes)
+                flip_apexes(child, quad)
+                queue.append((v, child))
+            arcs.append((e, v))
+    return graph, None
+
+
+def build_flip_graph(seed: Triangulation, max_nodes: int = MAX_NODES) -> FlipGraph:
+    """BFS closure of the seed under all legal flips.
+
+    Raises GraphTooLarge when the closure has more than ``max_nodes``
+    triangulations.
+    """
+    return _walk(seed, max_nodes)[0]
 
 
 def exact_flip_distance(t1: Triangulation, t2: Triangulation) -> int:
-    """Shortest flip-path length between t1 and t2, via BFS."""
+    """Shortest flip-path length between t1 and t2.
+
+    A BFS from t1 that stops at the depth where it first discovers t2;
+    it raises GraphTooLarge when more than MAX_NODES triangulations are
+    discovered before that.
+    """
     if t1.instance != t2.instance:
         raise InstanceMismatch("triangulations have different instances")
-    if t1.edges == t2.edges:
-        return 0
-    graph = build_flip_graph(t1)
-    target = graph.index.get(t2.key())
-    if target is None:
+    depth = _walk(t1, MAX_NODES, t2.key())[1]
+    if depth is None:
         raise FlipdistError(
             "target triangulation unreachable by flips (flip graph disconnected)"
         )
-    return graph.distances_from(0)[target]
+    return depth
 
 
 def enumerate_triangulations_direct(inst: Instance) -> list[NodeKey]:

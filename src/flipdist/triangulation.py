@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import AbstractSet, Callable, Iterable, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from . import geometry, kernels
 from .errors import (
@@ -16,6 +16,8 @@ from .errors import (
 from .geometry import INSIDE, Point, Segment
 
 Edge = tuple[int, int]
+# Edge -> the third vertex of each face incident to it (see apex_map).
+ApexMap = dict[Edge, tuple[int, ...]]
 
 
 def canonical_edge(i: int, j: int) -> Edge:
@@ -248,7 +250,7 @@ class Triangulation:
             canonical_edge(*e) for e in edges
         )
         self._faces: Optional[tuple[Face, ...]] = None
-        self._apexes: Optional[dict[Edge, list[int]]] = None
+        self._apexes: Optional[ApexMap] = None
         self._interior_sorted: Optional[tuple[Edge, ...]] = None
         self._interior_array = None
 
@@ -380,31 +382,33 @@ def faces(t: Triangulation) -> tuple[Face, ...]:
     return t._faces
 
 
-def _apex_map(fs: Iterable[Face]) -> dict[Edge, list[int]]:
+def apex_map(fs: Iterable[Face]) -> ApexMap:
     """Edge -> the third vertex of each face incident to it.
 
     A face is determined by an edge and its apex, so this is the edge ->
     incident-faces map: one apex for a border edge, two for an interior one.
     """
-    apexes: dict[Edge, list[int]] = {}
+    apexes: ApexMap = {}
     for f in fs:
         a, b, c = f.vertices
         for u, v, w in ((a, b, c), (b, c, a), (c, a, b)):
-            apexes.setdefault(canonical_edge(u, v), []).append(w)
+            e = canonical_edge(u, v)
+            apexes[e] = apexes.get(e, ()) + (w,)
     return apexes
 
 
-def _quadrilateral(
-    pts: Sequence[Point],
-    edges: AbstractSet[Edge],
-    apexes: Mapping[Edge, Sequence[int]],
-    e: Edge,
+def apex_quadrilateral(
+    pts: Sequence[Point], apexes: ApexMap, e: Edge
 ) -> Optional[Quadrilateral]:
-    """The quadrilateral with e as diagonal, given the edge -> apex map."""
+    """The quadrilateral with e as diagonal, read from an edge -> apex map.
+
+    Every edge of a triangulation bounds a face, so the map's keys are its
+    edges.  None for a border edge.
+    """
     e = canonical_edge(*e)
-    if e not in edges:
+    incident = apexes.get(e)
+    if incident is None:
         raise EdgeNotInTriangulation(f"edge {e} not in triangulation")
-    incident = apexes.get(e, ())
     if len(incident) < 2:
         return None
     a, c = e
@@ -413,17 +417,19 @@ def _quadrilateral(
         b, d = x, y
     else:
         b, d = y, x
-    quad = (a, b, c, d)  # ccw boundary order
-    ring = [pts[v] for v in quad]
-    strictly_convex = all(
-        geometry.orient(ring[i], ring[(i + 1) % 4], ring[(i + 2) % 4]) == 1
-        for i in range(4)
+    # The faces abc and acd are non-degenerate, so b and d lie strictly on
+    # opposite sides of ac; the quadrilateral is strictly convex iff a and c
+    # lie strictly on opposite sides of bd too, i.e. the diagonals cross.
+    strictly_convex = (
+        geometry.orient(pts[b], pts[d], pts[a])
+        * geometry.orient(pts[b], pts[d], pts[c])
+        < 0
     )
     return Quadrilateral(
         diagonal=e,
         opposite=canonical_edge(b, d),
         strictly_convex=strictly_convex,
-        vertices=quad,
+        vertices=(a, b, c, d),  # ccw boundary order
     )
 
 
@@ -438,8 +444,8 @@ def _require_flippable(e: Edge, quad: Optional[Quadrilateral]) -> Quadrilateral:
 def quadrilateral_of(t: Triangulation, e: Edge) -> Optional[Quadrilateral]:
     """The quadrilateral with e as diagonal, or None for a border edge."""
     if t._apexes is None:
-        t._apexes = _apex_map(faces(t))
-    return _quadrilateral(t.instance.points, t.edges, t._apexes, e)
+        t._apexes = apex_map(faces(t))
+    return apex_quadrilateral(t.instance.points, t._apexes, e)
 
 
 def flip(t: Triangulation, e: Edge) -> Triangulation:
@@ -449,8 +455,25 @@ def flip(t: Triangulation, e: Edge) -> Triangulation:
     return Triangulation(t.instance, (t.edges - {e}) | {quad.opposite})
 
 
-def _replace(apexes: list[int], old: int, new: int) -> None:
-    apexes[apexes.index(old)] = new
+def _replace_apex(apexes: ApexMap, e: Edge, old: int, new: int) -> None:
+    pair = apexes[e]
+    i = pair.index(old)
+    apexes[e] = pair[:i] + (new,) + pair[i + 1:]
+
+
+def flip_apexes(apexes: ApexMap, quad: Quadrilateral) -> None:
+    """Rewrite an apex map in place for the flip of ``quad``'s diagonal.
+
+    The ccw faces abc and acd become abd and bcd: the four sides of the
+    quadrilateral change one apex each, the diagonal is replaced.
+    """
+    a, b, c, d = quad.vertices
+    _replace_apex(apexes, canonical_edge(a, b), c, d)
+    _replace_apex(apexes, canonical_edge(b, c), a, d)
+    _replace_apex(apexes, canonical_edge(c, d), a, b)
+    _replace_apex(apexes, canonical_edge(d, a), c, b)
+    del apexes[quad.diagonal]
+    apexes[quad.opposite] = (a, c)
 
 
 class MutableTriangulation:
@@ -464,25 +487,17 @@ class MutableTriangulation:
     def __init__(self, t: Triangulation):
         self.instance = t.instance
         self.edges: set[Edge] = set(t.edges)
-        self.apexes: dict[Edge, list[int]] = _apex_map(faces(t))
+        self.apexes: ApexMap = apex_map(faces(t))
 
     def quadrilateral(self, e: Edge) -> Optional[Quadrilateral]:
         """The quadrilateral with e as diagonal, or None for a border edge."""
-        return _quadrilateral(self.instance.points, self.edges, self.apexes, e)
+        return apex_quadrilateral(self.instance.points, self.apexes, e)
 
     def flip(self, e: Edge) -> None:
         """Replace diagonal e with the opposite diagonal, in place."""
         e = canonical_edge(*e)
         quad = _require_flippable(e, self.quadrilateral(e))
-        a, b, c, d = quad.vertices
-        # The ccw faces abc and acd become abd and bcd.
-        apexes = self.apexes
-        _replace(apexes[canonical_edge(a, b)], c, d)
-        _replace(apexes[canonical_edge(b, c)], a, d)
-        _replace(apexes[canonical_edge(c, d)], a, b)
-        _replace(apexes[canonical_edge(d, a)], c, b)
-        del apexes[e]
-        apexes[quad.opposite] = [a, c]
+        flip_apexes(self.apexes, quad)
         self.edges.remove(e)
         self.edges.add(quad.opposite)
 

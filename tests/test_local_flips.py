@@ -122,12 +122,24 @@ def test_replay_rejects_illegal_step(dart):
         seq.replay()
 
 
-@pytest.mark.parametrize("which", ["nonagon", "holed"])
+# Flip graphs with 429, 8, 65 and 281 nodes: a convex 9-gon, the holed
+# fixture, a star-shaped 9-gon and a 9-point convex set with 2 interior
+# points; the last three have non-convex quadrilaterals.
+ADJACENCY_CASES = {
+    "nonagon": (GenSpec(seed=9, n_points=9), 429),
+    "holed": (None, 8),
+    "star": (GenSpec(seed=9, n_points=9, shape="random_simple_border"), 65),
+    "interior": (GenSpec(seed=9, n_points=9, interior_points=2), 281),
+}
+
+
+@pytest.mark.parametrize("which", sorted(ADJACENCY_CASES))
 def test_flip_graph_adjacency_matches_flip(which, holed):
-    inst = generate_instance(GenSpec(seed=9, n_points=9)) if which == "nonagon" else holed
+    spec, size = ADJACENCY_CASES[which]
+    inst = holed if spec is None else generate_instance(spec)
     graph = build_flip_graph(greedy_triangulate(inst))
-    if which == "nonagon":
-        assert len(graph.nodes) == 429
+    assert len(graph.nodes) == size
+    non_convex = 0
     for u in graph.node_ids():
         t = graph.triangulation(u)
         expected = []
@@ -135,4 +147,7 @@ def test_flip_graph_adjacency_matches_flip(which, holed):
             quad = quadrilateral_of(t, e)
             if quad is not None and quad.strictly_convex:
                 expected.append((e, graph.index[flip(t, e).key()]))
+            else:
+                non_convex += 1
         assert graph.adjacency[u] == expected
+    assert (non_convex > 0) == (which != "nonagon")

@@ -1,8 +1,9 @@
 import itertools
+import random
 
 import pytest
 
-from flipdist.errors import InstanceTooLarge
+from flipdist.errors import FlipdistError, GraphTooLarge, InstanceTooLarge
 from flipdist.generate import GenSpec, generate_instance
 from flipdist.oracle import (
     build_flip_graph,
@@ -99,3 +100,60 @@ def test_graph_edges_are_single_flips(pentagon):
             edges_v = set(graph.nodes[v])
             assert len(edges_u - edges_v) == 1
             assert len(edges_v - edges_u) == 1
+
+
+def _all_distances_agree(graph, pairs):
+    ts = [graph.triangulation(i) for i in graph.node_ids()]
+    for i, targets in itertools.groupby(sorted(pairs), key=lambda p: p[0]):
+        dist = graph.distances_from(i)
+        for _, j in targets:
+            assert exact_flip_distance(ts[i], ts[j]) == dist[j]
+
+
+def test_early_exit_distance_heptagon_all_pairs():
+    inst = generate_instance(GenSpec(seed=7, n_points=7))
+    graph = build_flip_graph(greedy_triangulate(inst))
+    assert len(graph.nodes) == 42
+    _all_distances_agree(graph, itertools.product(graph.node_ids(), repeat=2))
+
+
+# A generated n=10 holed instance, a star-shaped 9-gon and a 9-point convex
+# set with 2 interior points: flip graphs with non-convex quadrilaterals.
+SAMPLED = {
+    "holed10": GenSpec(seed=3, n_points=10, shape="with_holes", holes=1),
+    "star9": GenSpec(seed=9, n_points=9, shape="random_simple_border"),
+    "interior9": GenSpec(seed=9, n_points=9, interior_points=2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SAMPLED))
+def test_early_exit_distance_sampled_pairs(name):
+    graph = build_flip_graph(greedy_triangulate(generate_instance(SAMPLED[name])))
+    rng = random.Random(name)
+    ids = list(graph.node_ids())
+    pairs = [(rng.choice(ids), rng.choice(ids)) for _ in range(40)]
+    _all_distances_agree(graph, pairs)
+
+
+def test_early_exit_distance_holed_fixture_all_pairs(holed):
+    graph = build_flip_graph(greedy_triangulate(holed))
+    _all_distances_agree(graph, itertools.product(graph.node_ids(), repeat=2))
+
+
+def test_distance_to_non_triangulation_unreachable(holed):
+    # Dyn, Goren & Rippa: the flip graph of a polygonal domain is connected,
+    # so this branch fires only when t2 is not a triangulation.
+    t1 = greedy_triangulate(holed)
+    e = t1.interior_edges()[0]
+    t2 = Triangulation(holed, t1.edges - {e})
+    with pytest.raises(FlipdistError, match="unreachable"):
+        exact_flip_distance(t1, t2)
+
+
+def test_flip_graph_node_cap():
+    seed = greedy_triangulate(generate_instance(GenSpec(seed=9, n_points=9)))
+    with pytest.raises(GraphTooLarge, match="exceeds 50 nodes"):
+        build_flip_graph(seed, max_nodes=50)
+    with pytest.raises(GraphTooLarge):
+        build_flip_graph(seed, max_nodes=428)
+    assert len(build_flip_graph(seed, max_nodes=429).nodes) == 429

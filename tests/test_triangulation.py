@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
 from flipdist import geometry
 from flipdist.errors import EdgeNotInTriangulation, NotFlippable
@@ -8,6 +9,7 @@ from flipdist.generate import GenSpec, generate_instance, random_priority
 from flipdist.triangulation import (
     Instance,
     Triangulation,
+    apex_quadrilateral,
     faces,
     flip,
     greedy_triangulate,
@@ -300,3 +302,46 @@ def test_validate_matches_reference(name):
             assert validate(t) == want
             valid += want == []
     assert valid >= 12
+
+
+SMALL = st.integers(-3, 3)
+HUGE = st.sampled_from([-(2**30), -(2**30) + 1, -1, 0, 1, 2**30 - 1, 2**30])
+QUADS = st.one_of(
+    st.lists(st.tuples(SMALL, SMALL), min_size=4, max_size=4),
+    st.lists(st.tuples(HUGE, HUGE), min_size=4, max_size=4),
+)
+
+
+def _with_diagonal_02(pts):
+    """The four points relabelled so that 1 and 3 lie strictly on opposite
+    sides of 0-2, or None; some pair separates the other two unless three of
+    the points are collinear."""
+    for i, j, k, m in ((0, 2, 1, 3), (0, 1, 2, 3), (0, 3, 1, 2)):
+        side = geometry.orient(pts[i], pts[j], pts[k])
+        if side * geometry.orient(pts[i], pts[j], pts[m]) < 0:
+            return [pts[i], pts[k], pts[j], pts[m]]
+    return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(points=QUADS, swap=st.booleans())
+@example(points=[(0, 0), (1, -1), (2, 1), (-1, 1)], swap=False)  # collinear at 0
+@example(points=[(2, 1), (4, 0), (2, 4), (0, 0)], swap=True)  # reflex at 0
+@example(
+    points=[(0, 0), (2**30, -(2**30)), (2**30, 2**30), (-(2**30), 2**30)], swap=False
+)
+def test_strict_convexity_matches_four_corners(points, swap):
+    # Faces 0-1-2 and 0-2-3 around the diagonal 0-2, both non-degenerate.
+    pts = _with_diagonal_02(points)
+    assume(pts is not None)
+    quad = apex_quadrilateral(pts, {(0, 2): (3, 1) if swap else (1, 3)}, (0, 2))
+    ring = (0, 1, 2, 3) if geometry.orient(pts[0], pts[2], pts[1]) < 0 else (0, 3, 2, 1)
+    assert quad.vertices == ring
+    corners = [pts[v] for v in ring]
+    # The definition: every corner of the ccw ring turns strictly left.
+    expected = all(
+        geometry.orient(corners[i], corners[(i + 1) % 4], corners[(i + 2) % 4]) == 1
+        for i in range(4)
+    )
+    assert quad.strictly_convex == expected
+    assert quad.opposite == (1, 3)
