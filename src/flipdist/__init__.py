@@ -17,8 +17,8 @@ from .triangulation import (
     quadrilateral_of,
     validate,
 )
-from .crossings import CrossingReport, count_pair, segment_crossing_count
-from .morph import FlipSequence, find_reducing_flip, intersection_upper_bound, morph
+from .crossings import CrossingReport, count_pair
+from .morph import FlipSequence, intersection_upper_bound, morph
 from .oracle import build_flip_graph, enumerate_triangulations_direct, exact_flip_distance
 
 __all__ = [
@@ -33,9 +33,7 @@ __all__ = [
     "validate",
     "CrossingReport",
     "count_pair",
-    "segment_crossing_count",
     "FlipSequence",
-    "find_reducing_flip",
     "intersection_upper_bound",
     "morph",
     "build_flip_graph",

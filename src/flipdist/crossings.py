@@ -2,23 +2,23 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Mapping
+from dataclasses import dataclass
+from typing import Mapping, Sequence
+
+import numpy as np
 
 from . import geometry, kernels
-from .errors import (
-    InstanceMismatch,
-    QuadNotInTriangulation,
-    SegmentOutsideRegion,
-)
 from .geometry import Segment
 from .triangulation import (
     Edge,
     Quadrilateral,
     Triangulation,
-    canonical_edge,
-    quadrilateral_of,
+    require_same_instance,
 )
+
+# The segments of a quadrilateral abcd that quad_crossers reports on: its
+# four sides in ccw order and the diagonal ac.
+QUAD_SEGMENTS = ("ab", "bc", "cd", "da", "ac")
 
 
 @dataclass(frozen=True)
@@ -36,18 +36,13 @@ class CrossingReport:
     max_edges: tuple[Edge, ...]
 
 
-def _require_same_instance(t1: Triangulation, t2: Triangulation) -> None:
-    if t1.instance != t2.instance:
-        raise InstanceMismatch("triangulations have different instances")
-
-
 def count_pair(t1: Triangulation, t2: Triangulation) -> CrossingReport:
     """The crossing report of t1 against t2.
 
     Only interior edges can cross: border edges belong to both
     triangulations, and crossing one would break planarity.
     """
-    _require_same_instance(t1, t2)
+    require_same_instance(t1, t2)
     per_edge: dict[Edge, int] = {e: 0 for e in sorted(t1.edges)}
     counts = kernels.crossing_counts(
         t1.interior_array(), t2.interior_array()
@@ -72,101 +67,32 @@ def count_segment(s: Segment, t: Triangulation) -> int:
     )
 
 
-def segment_crossing_count(s: Segment, t: Triangulation) -> int:
-    """Crossings between a vertex-to-vertex segment and t.
+def quad_crossers(
+    t1: Triangulation, quads: Sequence[Quadrilateral], t2: Triangulation
+) -> list[dict[str, frozenset[Edge]]]:
+    """For each quadrilateral of t1, the t2 edges properly crossing each of
+    its sides ``ab``, ``bc``, ``cd``, ``da`` and its diagonal ``ac``.
 
-    The segment's open interior must lie in the region; a segment that
-    properly crosses a border edge, or whose midpoint is strictly outside,
-    raises SegmentOutsideRegion.
+    Border edges of t2 are included, as in :func:`count_segment`.  All
+    5 * len(quads) segments go to one :func:`kernels.crossing_matrix` call.
     """
-    inst = t.instance
-    if s[0] not in inst.points or s[1] not in inst.points:
-        raise SegmentOutsideRegion(f"segment {s} endpoints are not vertices")
-    coords = inst.border_coords()
-    i = inst.points.index(s[0])
-    j = inst.points.index(s[1])
-    if canonical_edge(i, j) not in inst.border_edges:
-        for poly in coords:
-            for bs in geometry.segments_of_polygon(poly):
-                if geometry.properly_intersect(s, bs):
-                    raise SegmentOutsideRegion(
-                        f"segment {s} crosses the border"
-                    )
-        if geometry.midpoint_in_region(s, coords) == geometry.OUTSIDE:
-            raise SegmentOutsideRegion(f"segment {s} leaves the region")
-    return count_segment(s, t)
-
-
-@dataclass(frozen=True)
-class QuadCrossingCounts:
-    """Classified crossing counts of one quadrilateral against t2.
-
-    Segment labels are the quad sides in ccw order (``ab``, ``bc``, ``cd``,
-    ``da``) plus the diagonals ``ac`` (in t1) and ``bd``.  ``pair_counts``
-    holds, for every unordered label pair, the number of t2 edges crossing
-    both segments; ``corner_counts[(v, xy)]`` counts t2 edges emerging from
-    corner v that cross segment xy.
-    """
-
-    seg_counts: Mapping[str, int]
-    pair_counts: Mapping[tuple[str, str], int]
-    corner_counts: Mapping[tuple[str, str], int]
-    ac_in_t2: bool
-    bd_in_t2: bool
-    labels: tuple[str, ...] = field(
-        default=("ab", "bc", "cd", "da", "ac", "bd")
+    require_same_instance(t1, t2)
+    pts = t1.instance.points
+    rows = []
+    for quad in quads:
+        a, b, c, d = (pts[v] for v in quad.vertices)
+        rows += [(a, b), (b, c), (c, d), (d, a), (a, c)]
+    edges = sorted(t2.edges)
+    hits = kernels.crossing_matrix(
+        kernels.segments_array(rows),
+        kernels.segments_array([t2.segment(e) for e in edges]),
     )
-
-
-def classified_counts(
-    t1: Triangulation, quad: Quadrilateral, t2: Triangulation
-) -> QuadCrossingCounts:
-    """Per-side, per-pair and per-corner crossing counts for one quadrilateral."""
-    _require_same_instance(t1, t2)
-    if quad.diagonal not in t1.edges:
-        raise QuadNotInTriangulation(f"diagonal {quad.diagonal} not in t1")
-    actual = quadrilateral_of(t1, quad.diagonal)
-    if actual is None or actual.opposite != quad.opposite:
-        raise QuadNotInTriangulation(
-            f"{quad.diagonal} is not the diagonal of this quadrilateral in t1"
-        )
-    inst = t1.instance
-    a, b, c, d = quad.vertices
-    segments = {
-        "ab": (inst.points[a], inst.points[b]),
-        "bc": (inst.points[b], inst.points[c]),
-        "cd": (inst.points[c], inst.points[d]),
-        "da": (inst.points[d], inst.points[a]),
-        "ac": (inst.points[a], inst.points[c]),
-        "bd": (inst.points[b], inst.points[d]),
-    }
-    corners = {"a": a, "b": b, "c": c, "d": d}
-    crossers: dict[str, set[Edge]] = {label: set() for label in segments}
-    for e in t2.edges:
-        seg = t2.segment(e)
-        for label, qseg in segments.items():
-            if geometry.properly_intersect(seg, qseg):
-                crossers[label].add(e)
-    labels = ("ab", "bc", "cd", "da", "ac", "bd")
-    seg_counts = {label: len(crossers[label]) for label in labels}
-    pair_counts = {
-        (labels[i], labels[j]): len(crossers[labels[i]] & crossers[labels[j]])
-        for i in range(len(labels))
-        for j in range(i + 1, len(labels))
-    }
-    corner_counts = {}
-    for cname, v in corners.items():
-        incident = [e for e in t2.edges if v in e]
-        for label in labels:
-            qseg = segments[label]
-            corner_counts[(cname, label)] = sum(
-                geometry.properly_intersect(t2.segment(e), qseg)
-                for e in incident
-            )
-    return QuadCrossingCounts(
-        seg_counts=seg_counts,
-        pair_counts=pair_counts,
-        corner_counts=corner_counts,
-        ac_in_t2=canonical_edge(a, c) in t2.edges,
-        bd_in_t2=canonical_edge(b, d) in t2.edges,
-    )
+    # Rows 5k .. 5k+4 are the segments of quads[k], in QUAD_SEGMENTS order.
+    grid = hits.reshape(len(quads), len(QUAD_SEGMENTS), len(edges))
+    return [
+        {
+            name: frozenset(edges[j] for j in np.flatnonzero(row).tolist())
+            for name, row in zip(QUAD_SEGMENTS, block)
+        }
+        for block in grid
+    ]

@@ -35,20 +35,12 @@ class EdgeNotInTriangulation(FlipdistError):
     pass
 
 
-class QuadNotInTriangulation(FlipdistError):
-    pass
-
-
 class NotFlippable(FlipdistError):
     """The requested edge is a border edge or its quadrilateral is not strictly convex."""
 
 
 class NotATriangulation(FlipdistError):
     """Face extraction found a bounded region that is not a triangle."""
-
-
-class SegmentOutsideRegion(FlipdistError):
-    pass
 
 
 class AlreadyEqual(FlipdistError):

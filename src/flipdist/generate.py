@@ -9,7 +9,12 @@ from dataclasses import dataclass
 
 from . import geometry
 from .errors import InfeasibleSpec
-from .triangulation import Instance, Triangulation, greedy_triangulate
+from .triangulation import (
+    Instance,
+    Triangulation,
+    angular_cmp,
+    greedy_triangulate,
+)
 
 SHAPES = ("convex_gon", "random_simple_border", "with_holes")
 
@@ -72,23 +77,9 @@ def _star_order(points: list[geometry.Point]) -> list[int] | None:
     n = len(points)
     cx = sum(p[0] for p in points)
     cy = sum(p[1] for p in points)
+    # n times each point minus the sum: the centroid moves to the origin.
     scaled = [(p[0] * n - cx, p[1] * n - cy) for p in points]
-
-    def half(v):
-        return 0 if (v[1] > 0 or (v[1] == 0 and v[0] > 0)) else 1
-
-    def cmp(i, j):
-        u, v = scaled[i], scaled[j]
-        hu, hv = half(u), half(v)
-        if hu != hv:
-            return -1 if hu < hv else 1
-        cross = u[0] * v[1] - u[1] * v[0]
-        if cross > 0:
-            return -1
-        if cross < 0:
-            return 1
-        return 0
-
+    cmp = angular_cmp((0, 0), scaled)
     order = sorted(range(n), key=functools.cmp_to_key(cmp))
     for a, b in zip(order, order[1:]):
         if cmp(a, b) == 0:

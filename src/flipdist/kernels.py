@@ -1,10 +1,12 @@
-"""Batch proper-intersection counting kernels.
+"""Batch proper-intersection kernels.
 
 The pairwise O(m1*m2) crossing count runs once per pair of triangulations
 (the morph then updates it one flip at a time) and once per triangulation
-as the planarity scan of :func:`flipdist.triangulation.validate`.  Two
-interchangeable backends compute per-segment counts over int64 coordinate
-arrays:
+as the planarity scan of :func:`flipdist.triangulation.validate`; each audit
+reads the crossing grid of its quadrilateral segments once, through
+:func:`flipdist.crossings.quad_crossers`.  Two interchangeable backends
+compute the boolean crossing grid over int64 coordinate arrays; the
+per-segment counts are its row sums:
 
 * ``numpy``  - broadcasting over fixed blocks of rows of the m1 x m2 grid
   (default)
@@ -12,7 +14,7 @@ arrays:
 
 Select with the ``FLIPDIST_KERNEL`` environment variable.  The numpy backend
 is only used when every coordinate satisfies ``|c| <= INT64_SAFE_LIMIT``;
-beyond that, :func:`crossing_counts` takes the exact python loop whatever
+beyond that, :func:`crossing_matrix` takes the exact python loop whatever
 backend is asked for, so no sign is ever lost to overflow.
 """
 
@@ -52,19 +54,19 @@ def segments_array(segments: list[geometry.Segment]) -> np.ndarray:
     )
 
 
-def _counts_python(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    out = np.zeros(len(a), dtype=np.int64)
+def _matrix_python(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    out = np.zeros((len(a), len(b)), dtype=bool)
     segs_b = [((int(r[0]), int(r[1])), (int(r[2]), int(r[3]))) for r in b]
     for i, r in enumerate(a):
         seg_a = ((int(r[0]), int(r[1])), (int(r[2]), int(r[3])))
-        out[i] = sum(
+        out[i] = [
             geometry.properly_intersect(seg_a, seg_b) for seg_b in segs_b
-        )
+        ]
     return out
 
 
-def _counts_numpy(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    out = np.zeros(len(a), dtype=np.int64)
+def _matrix_numpy(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    out = np.zeros((len(a), len(b)), dtype=bool)
     if len(b) == 0:
         return out
     r = b[None, :, 0:2]
@@ -81,23 +83,33 @@ def _counts_numpy(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         o4 = d2[..., 0] * (q - r)[..., 1] - d2[..., 1] * (q - r)[..., 0]
         # Compare signs rather than products: the determinants themselves can
         # be near 2^62 and their products would overflow.
-        hit = (np.sign(o1) * np.sign(o2) < 0) & (np.sign(o3) * np.sign(o4) < 0)
-        out[lo:lo + _ROW_BLOCK] = hit.sum(axis=1)
+        out[lo:lo + _ROW_BLOCK] = (np.sign(o1) * np.sign(o2) < 0) & (
+            np.sign(o3) * np.sign(o4) < 0
+        )
     return out
 
 
-def crossing_counts(
+def crossing_matrix(
     a: np.ndarray, b: np.ndarray, kernel: str | None = None
 ) -> np.ndarray:
-    """Per-row counts of segments in ``b`` properly crossing each row of ``a``.
+    """Boolean grid: entry (i, j) is whether row j of ``b`` properly crosses
+    row i of ``a``.
 
     Exact for any coordinates that fit int64: when some coordinate exceeds
     ``INT64_SAFE_LIMIT`` the python loop runs whatever ``kernel`` asks for.
     """
     backend = kernel or active_kernel()
     if backend == "numpy" and int64_safe(a, b):
-        return _counts_numpy(a, b)
-    return _counts_python(a, b)
+        return _matrix_numpy(a, b)
+    return _matrix_python(a, b)
+
+
+def crossing_counts(
+    a: np.ndarray, b: np.ndarray, kernel: str | None = None
+) -> np.ndarray:
+    """Per-row counts of segments in ``b`` properly crossing each row of ``a``:
+    the row sums of :func:`crossing_matrix`."""
+    return crossing_matrix(a, b, kernel).sum(axis=1)
 
 
 def int64_safe(a: np.ndarray, b: np.ndarray) -> bool:

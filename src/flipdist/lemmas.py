@@ -11,17 +11,17 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import geometry
-from .crossings import count_pair, count_segment
-from .errors import AlreadyEqual, InstanceMismatch, InvariantViolation
+from .crossings import count_pair, count_segment, quad_crossers
+from .errors import AlreadyEqual, InvariantViolation
 from .triangulation import (
     Edge,
     Quadrilateral,
     Triangulation,
     canonical_edge,
     quadrilateral_of,
+    require_same_instance,
     validate,
 )
-from .errors import QuadNotInTriangulation
 
 PASS = "pass"
 FAIL = "fail"
@@ -58,11 +58,6 @@ class AuditReport:
         return "\n".join(c.format() for c in self.checks)
 
 
-def _require_pair(t1: Triangulation, t2: Triangulation) -> None:
-    if t1.instance != t2.instance:
-        raise InstanceMismatch("triangulations have different instances")
-
-
 def _signed_det(p, q, r) -> int:
     return (q[0] - p[0]) * (r[1] - p[1]) - (q[1] - p[1]) * (r[0] - p[0])
 
@@ -81,34 +76,6 @@ def _strictly_inside_quad(
     return geometry.point_on_open_segment(p, (a, c))
 
 
-def _quad_sides(t: Triangulation, quad: Quadrilateral):
-    pts = t.instance.points
-    a, b, c, d = quad.vertices
-    return {
-        "ab": (pts[a], pts[b]),
-        "bc": (pts[b], pts[c]),
-        "cd": (pts[c], pts[d]),
-        "da": (pts[d], pts[a]),
-        "ac": (pts[a], pts[c]),
-    }
-
-
-def _edges_crossing_quad(
-    t1: Triangulation, quad: Quadrilateral, t2: Triangulation
-) -> list[Edge]:
-    """t2 edges whose open segment enters the quadrilateral's interior."""
-    sides = _quad_sides(t1, quad)
-    out = []
-    for e in sorted(t2.edges):
-        if e == quad.opposite:
-            out.append(e)
-            continue
-        seg = t2.segment(e)
-        if any(geometry.properly_intersect(seg, s) for s in sides.values()):
-            out.append(e)
-    return out
-
-
 def audit_propositions(t1: Triangulation, t2: Triangulation) -> AuditReport:
     """Structural sanity of a pair of valid triangulations.
 
@@ -117,7 +84,7 @@ def audit_propositions(t1: Triangulation, t2: Triangulation) -> AuditReport:
     adjacency, equality iff zero crossings, crossed edges absent from the
     other triangulation, and shared uncrossed border edges.
     """
-    _require_pair(t1, t2)
+    require_same_instance(t1, t2)
     for label, t in (("t1", t1), ("t2", t2)):
         bad = validate(t)
         if bad:
@@ -130,15 +97,20 @@ def audit_propositions(t1: Triangulation, t2: Triangulation) -> AuditReport:
     report.add("planarity", "P1", PASS)
 
     # P2: endpoint kinds of every t2 edge crossing a t1 quadrilateral.
-    quads = [
-        q
-        for e in t1.interior_edges()
-        if (q := quadrilateral_of(t1, e)) is not None
-    ]
+    quads = [quadrilateral_of(t1, e) for e in t1.interior_edges()]
+    crossers = quad_crossers(t1, quads, t2)
+    # The t2 edges entering each quadrilateral: those crossing a side or the
+    # diagonal ac, and the other diagonal bd when t2 has it.
+    entering = []
+    for quad, sets in zip(quads, crossers):
+        hit = set().union(*sets.values())
+        if quad.opposite in t2.edges:
+            hit.add(quad.opposite)
+        entering.append(sorted(hit))
     checked = 0
-    for quad in quads:
+    for quad, crossing in zip(quads, entering):
         corner_set = set(quad.vertices)
-        for e in _edges_crossing_quad(t1, quad, t2):
+        for e in crossing:
             checked += 1
             if e == quad.opposite:
                 continue
@@ -166,8 +138,7 @@ def audit_propositions(t1: Triangulation, t2: Triangulation) -> AuditReport:
     # P3: two t2 edges crossing a quad never meet strictly inside it.
     checked = 0
     ok = True
-    for quad in quads:
-        crossing = _edges_crossing_quad(t1, quad, t2)
+    for quad, crossing in zip(quads, entering):
         for i in range(len(crossing)):
             for j in range(i + 1, len(crossing)):
                 shared = set(crossing[i]) & set(crossing[j])
@@ -192,15 +163,9 @@ def audit_propositions(t1: Triangulation, t2: Triangulation) -> AuditReport:
     # to that endpoint in t2.
     checked = 0
     ok = True
-    for e in t1.interior_edges():
+    for e, sets in zip(t1.interior_edges(), crossers):
         if crossings.per_edge[e] == 0:
             continue
-        seg = t1.segment(e)
-        crossers = [
-            f
-            for f in t2.edges
-            if geometry.properly_intersect(seg, t2.segment(f))
-        ]
         for endpoint, far in ((e[0], e[1]), (e[1], e[0])):
             p, q = pts[endpoint], pts[far]
 
@@ -210,7 +175,7 @@ def audit_propositions(t1: Triangulation, t2: Triangulation) -> AuditReport:
                 dq = _signed_det(g, h, q)
                 return Fraction(dp, dp - dq)
 
-            nearest = min(crossers, key=param)
+            nearest = min(sets["ac"], key=param)
             checked += 1
             for v in nearest:
                 if canonical_edge(endpoint, v) not in t2.edges:
@@ -276,7 +241,7 @@ def audit_propositions(t1: Triangulation, t2: Triangulation) -> AuditReport:
 def _max_edge_quads(
     t1: Triangulation, t2: Triangulation
 ) -> tuple[list[tuple[Edge, Quadrilateral | None]], "object"]:
-    _require_pair(t1, t2)
+    require_same_instance(t1, t2)
     if t1.edges == t2.edges:
         raise AlreadyEqual("triangulations are equal; no maximal edges")
     report = count_pair(t1, t2)
@@ -315,53 +280,46 @@ def audit_lemma1(t1: Triangulation, t2: Triangulation) -> AuditReport:
     return report
 
 
+def _max_edge_crossers(t1: Triangulation, t2: Triangulation):
+    """(edge, quadrilateral, quad_crossers sets) for each maximal edge with a
+    quadrilateral, and the crossing report."""
+    quads, report = _max_edge_quads(t1, t2)
+    inner = [(e, quad) for e, quad in quads if quad is not None]
+    crossers = quad_crossers(t1, [quad for _, quad in inner], t2)
+    return [(e, quad, sets) for (e, quad), sets in zip(inner, crossers)], report
+
+
 def _corner_hypothesis_edges(
-    t1: Triangulation, quad: Quadrilateral, t2: Triangulation
+    quad: Quadrilateral, sets: dict[str, frozenset[Edge]], t2: Triangulation
 ) -> list[str]:
     """Which of the flip-guarantee hypotheses hold for this quadrilateral.
 
     Cases: the replacement diagonal bd is in t2, or t2 has an edge from b
     crossing da or cd, or an edge from d crossing ab or bc.
     """
-    pts = t1.instance.points
-    a, b, c, d = quad.vertices
+    _, b, _, d = quad.vertices
     cases = []
     if canonical_edge(b, d) in t2.edges:
         cases.append("bd-in-t2")
-    sides = {
-        "ab": (pts[a], pts[b]),
-        "bc": (pts[b], pts[c]),
-        "cd": (pts[c], pts[d]),
-        "da": (pts[d], pts[a]),
-    }
     for e in t2.edges:
-        seg = t2.segment(e)
-        if b in e and (
-            geometry.properly_intersect(seg, sides["da"])
-            or geometry.properly_intersect(seg, sides["cd"])
-        ):
+        if b in e and (e in sets["da"] or e in sets["cd"]):
             cases.append(f"from-b:{e}")
-        if d in e and (
-            geometry.properly_intersect(seg, sides["ab"])
-            or geometry.properly_intersect(seg, sides["bc"])
-        ):
+        if d in e and (e in sets["ab"] or e in sets["bc"]):
             cases.append(f"from-d:{e}")
     return cases
 
 
 def audit_lemma2(t1: Triangulation, t2: Triangulation) -> AuditReport:
     """Corner-incident crossers (or bd in t2) force a strictly reducing flip."""
-    quads, crossings = _max_edge_quads(t1, t2)
+    found, crossings = _max_edge_crossers(t1, t2)
+    pts = t1.instance.points
     report = AuditReport()
     tested = 0
-    for e, quad in quads:
-        if quad is None:
-            continue
-        cases = _corner_hypothesis_edges(t1, quad, t2)
+    for e, quad, sets in found:
+        cases = _corner_hypothesis_edges(quad, sets, t2)
         if not cases:
             continue
         tested += 1
-        pts = t1.instance.points
         bd = quad.opposite
         bd_count = count_segment((pts[bd[0]], pts[bd[1]]), t2)
         margin = crossings.per_edge[e] - bd_count
@@ -388,31 +346,15 @@ def audit_lemma2(t1: Triangulation, t2: Triangulation) -> AuditReport:
 
 def audit_lemma2_2(t1: Triangulation, t2: Triangulation) -> AuditReport:
     """No t2 edge from a diagonal endpoint crosses the quadrilateral."""
-    quads, _ = _max_edge_quads(t1, t2)
+    found, _ = _max_edge_crossers(t1, t2)
     report = AuditReport()
-    for e, quad in quads:
-        if quad is None:
-            continue
-        pts = t1.instance.points
-        a, b, c, d = quad.vertices
-        sides = {
-            "ab": (pts[a], pts[b]),
-            "bc": (pts[b], pts[c]),
-            "cd": (pts[c], pts[d]),
-            "da": (pts[d], pts[a]),
-        }
+    for e, quad, sets in found:
+        a, _, c, _ = quad.vertices
         offenders = []
         for f in t2.edges:
-            seg = t2.segment(f)
-            if a in f and (
-                geometry.properly_intersect(seg, sides["bc"])
-                or geometry.properly_intersect(seg, sides["cd"])
-            ):
+            if a in f and (f in sets["bc"] or f in sets["cd"]):
                 offenders.append(("a", f))
-            if c in f and (
-                geometry.properly_intersect(seg, sides["ab"])
-                or geometry.properly_intersect(seg, sides["da"])
-            ):
+            if c in f and (f in sets["ab"] or f in sets["da"]):
                 offenders.append(("c", f))
         if canonical_edge(a, c) in t2.edges:
             offenders.append(("ac", canonical_edge(a, c)))
@@ -428,63 +370,3 @@ def audit_lemma2_2(t1: Triangulation, t2: Triangulation) -> AuditReport:
                 "no-diagonal-endpoint-crossers", "L2.2", PASS, f"edge {e}"
             )
     return report
-
-
-def detect_corner_cutters(
-    t1: Triangulation, quad: Quadrilateral, t2: Triangulation
-) -> dict[int, list[Edge]]:
-    """t2 edges cutting each corner: crossing both sides incident to it.
-
-    Diagnostic only; existence of a cutter at every corner is guaranteed only
-    under a hypothesis (no reducing flip exists anywhere) that valid inputs
-    never satisfy, so nothing is asserted here.
-    """
-    if quad.diagonal not in t1.edges:
-        raise QuadNotInTriangulation(f"diagonal {quad.diagonal} not in t1")
-    actual = quadrilateral_of(t1, quad.diagonal)
-    if actual is None or actual.opposite != quad.opposite:
-        raise QuadNotInTriangulation(
-            f"{quad.diagonal} is not a quadrilateral diagonal of t1"
-        )
-    pts = t1.instance.points
-    a, b, c, d = quad.vertices
-    sides = {
-        "ab": (pts[a], pts[b]),
-        "bc": (pts[b], pts[c]),
-        "cd": (pts[c], pts[d]),
-        "da": (pts[d], pts[a]),
-    }
-    incident = {a: ("da", "ab"), b: ("ab", "bc"), c: ("bc", "cd"), d: ("cd", "da")}
-    out: dict[int, list[Edge]] = {v: [] for v in quad.vertices}
-    for e in sorted(t2.edges):
-        seg = t2.segment(e)
-        for v, (s1, s2) in incident.items():
-            if geometry.properly_intersect(
-                seg, sides[s1]
-            ) and geometry.properly_intersect(seg, sides[s2]):
-                out[v].append(e)
-    return out
-
-
-def zigzag_diagnostic(
-    t1: Triangulation, t2: Triangulation
-) -> list[tuple[Edge, bool]]:
-    """Report which maximal-edge quadrilaterals have #(ac)=#(bc)=#(da)=#(bd).
-
-    Purely informational: the equality is derived under a hypothesis that is
-    never satisfied by valid inputs, so no assertion is attached.
-    """
-    quads, _ = _max_edge_quads(t1, t2)
-    pts = t1.instance.points
-    out = []
-    for e, quad in quads:
-        if quad is None:
-            continue
-        a, b, c, d = quad.vertices
-        counts = {
-            (x, y): count_segment((pts[x], pts[y]), t2)
-            for (x, y) in ((a, c), (b, c), (d, a), (b, d))
-        }
-        values = set(counts.values())
-        out.append((e, len(values) == 1))
-    return out

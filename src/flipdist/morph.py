@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 from . import kernels
 from .crossings import count_pair
-from .errors import AlreadyEqual, InstanceMismatch, LemmaViolation
+from .errors import LemmaViolation
 from .triangulation import (
     Edge,
     MutableTriangulation,
@@ -76,35 +76,16 @@ def _reducing_flip(
     raise LemmaViolation(f"no maximal edge of {maximal} reduces crossings")
 
 
-def find_reducing_flip(
-    t: Triangulation, target: Triangulation
-) -> tuple[Edge, int]:
-    """A maximally-crossing edge whose flip strictly reduces the total.
-
-    Scans the maximal edges in canonical order and returns the first whose
-    replacement diagonal crosses the target fewer times than the edge does,
-    together with the resulting total.  Raises LemmaViolation when a maximal
-    edge has no strictly convex quadrilateral or none of them qualifies.
-    """
-    if t.instance != target.instance:
-        raise InstanceMismatch("triangulations have different instances")
-    if t.edges == target.edges:
-        raise AlreadyEqual("triangulations are already equal")
-    counts = _crossing_edges(t, target)
-    quad, new_count = _reducing_flip(MutableTriangulation(t), counts, target)
-    return quad.diagonal, sum(counts.values()) - counts[quad.diagonal] + new_count
-
-
 def morph(t1: Triangulation, t2: Triangulation) -> FlipSequence:
     """A flip sequence from t1 to t2 of length at most their crossing total.
 
-    Each step flips a maximal edge chosen as in :func:`find_reducing_flip`,
-    so the per-step totals strictly decrease to zero.  The pair is counted
-    once; #(e, t2) depends only on e and t2, so a flip changes the per-edge
-    counts only by dropping the removed edge and adding the new diagonal.
+    Each step flips the first maximal edge, in canonical order, whose flip
+    lowers its count (:func:`_reducing_flip`), so the per-step totals
+    strictly decrease to zero.  The pair is counted once (``count_pair``
+    raises InstanceMismatch for different instances); #(e, t2) depends only
+    on e and t2, so a flip changes the per-edge counts only by dropping the
+    removed edge and adding the new diagonal.
     """
-    if t1.instance != t2.instance:
-        raise InstanceMismatch("triangulations have different instances")
     counts = _crossing_edges(t1, t2)
     total = sum(counts.values())
     state = MutableTriangulation(t1)

@@ -8,12 +8,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import geometry
-from .errors import (
-    FlipdistError,
-    GraphTooLarge,
-    InstanceMismatch,
-    InstanceTooLarge,
-)
+from .errors import FlipdistError, GraphTooLarge, InstanceTooLarge
 from .triangulation import (
     Edge,
     Instance,
@@ -23,6 +18,7 @@ from .triangulation import (
     faces,
     flip_apexes,
     interior_edge_count,
+    require_same_instance,
 )
 
 MAX_NODES = 10**6
@@ -142,8 +138,7 @@ def exact_flip_distance(t1: Triangulation, t2: Triangulation) -> int:
     it raises GraphTooLarge when more than MAX_NODES triangulations are
     discovered before that.
     """
-    if t1.instance != t2.instance:
-        raise InstanceMismatch("triangulations have different instances")
+    require_same_instance(t1, t2)
     depth = _walk(t1, MAX_NODES, t2.key())[1]
     if depth is None:
         raise FlipdistError(

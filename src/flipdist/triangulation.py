@@ -10,6 +10,7 @@ from . import geometry, kernels
 from .errors import (
     EdgeNotInTriangulation,
     InstanceInvalid,
+    InstanceMismatch,
     NotATriangulation,
     NotFlippable,
 )
@@ -290,8 +291,20 @@ class Triangulation:
         return self._interior_array
 
 
-def _angular_cmp(origin: Point, points: Sequence[Point]):
-    """Exact comparator ordering neighbour vertices ccw around origin."""
+def require_same_instance(t1: Triangulation, t2: Triangulation) -> None:
+    """Raise InstanceMismatch unless both triangulate the same instance."""
+    if t1.instance != t2.instance:
+        raise InstanceMismatch("triangulations have different instances")
+
+
+def angular_cmp(
+    origin: Point, points: Sequence[Point]
+) -> Callable[[int, int], int]:
+    """Exact comparator ordering vertex ids ccw around origin.
+
+    Angles start at the positive x direction; -1, 0 and 1 mean before, at
+    the same angle as, and after.
+    """
 
     def half(p: Point) -> int:
         dx, dy = p[0] - origin[0], p[1] - origin[1]
@@ -311,7 +324,7 @@ def _angular_cmp(origin: Point, points: Sequence[Point]):
             return 1
         return 0
 
-    return functools.cmp_to_key(cmp)
+    return cmp
 
 
 def faces(t: Triangulation) -> tuple[Face, ...]:
@@ -341,7 +354,7 @@ def faces(t: Triangulation) -> tuple[Face, ...]:
     order: dict[int, list[int]] = {}
     pos: dict[tuple[int, int], int] = {}
     for v, nbrs in adj.items():
-        nbrs.sort(key=_angular_cmp(pts[v], pts))
+        nbrs.sort(key=functools.cmp_to_key(angular_cmp(pts[v], pts)))
         order[v] = nbrs
         for idx, u in enumerate(nbrs):
             pos[(v, u)] = idx

@@ -1,24 +1,19 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from flipdist import geometry, kernels
-from flipdist.crossings import (
-    classified_counts,
-    count_pair,
-    count_segment,
-    segment_crossing_count,
-)
-from flipdist.errors import (
-    InstanceMismatch,
-    QuadNotInTriangulation,
-    SegmentOutsideRegion,
-)
+from flipdist.crossings import count_pair, count_segment, quad_crossers
+from flipdist.errors import InstanceMismatch
+from flipdist.generate import GenSpec, generate_pair
 from flipdist.triangulation import (
     Instance,
     Triangulation,
     greedy_triangulate,
     quadrilateral_of,
 )
+
+KERNELS = ["python", "numpy"]
 
 
 def _pairwise_oracle(t1, t2):
@@ -81,53 +76,102 @@ def test_count_segment(square_pair):
     assert count_segment((pts[0], pts[1]), t2) == 0
 
 
-def test_segment_crossing_count_region_checks(dart):
-    t = greedy_triangulate(dart)
-    pts = dart.points
-    assert segment_crossing_count((pts[1], pts[3]), t) == 0
-    # (0, 2) exits the dart through the reflex notch
-    with pytest.raises(SegmentOutsideRegion):
-        segment_crossing_count((pts[0], pts[2]), t)
-    with pytest.raises(SegmentOutsideRegion):
-        segment_crossing_count(((0, 0), (99, 99)), t)
+def _scalar_quad_crossers(t1, quad, t2):
+    """quad_crossers' sets straight off the definition, one exact predicate
+    per segment and t2 edge."""
+    pts = t1.instance.points
+    a, b, c, d = quad.vertices
+    segments = {
+        "ab": (pts[a], pts[b]),
+        "bc": (pts[b], pts[c]),
+        "cd": (pts[c], pts[d]),
+        "da": (pts[d], pts[a]),
+        "ac": (pts[a], pts[c]),
+    }
+    return {
+        name: frozenset(
+            f for f in t2.edges if geometry.properly_intersect(seg, t2.segment(f))
+        )
+        for name, seg in segments.items()
+    }
 
 
-def test_classified_counts_square(square_pair):
+def _all_quads(t):
+    return [quadrilateral_of(t, e) for e in t.interior_edges()]
+
+
+def test_quad_crossers_square(square_pair):
     t1, t2 = square_pair
     quad = quadrilateral_of(t1, (0, 2))
-    counts = classified_counts(t1, quad, t2)
-    assert counts.seg_counts["ac"] == 1
-    assert counts.seg_counts["bd"] == 0  # bd is in t2, nothing crosses it
-    assert counts.bd_in_t2
-    assert not counts.ac_in_t2
-    assert all(counts.seg_counts[s] == 0 for s in ("ab", "bc", "cd", "da"))
+    assert quad.opposite in t2.edges
+    assert quad.diagonal not in t2.edges
+    [sets] = quad_crossers(t1, [quad], t2)
+    assert sets["ac"] == {(1, 3)}
+    assert all(sets[s] == frozenset() for s in ("ab", "bc", "cd", "da"))
 
 
-def test_classified_counts_decomposition(hexagon):
-    # Every t2 edge crossing the diagonal shows up in the per-corner or
-    # per-pair classification consistently: pair counts never exceed the
-    # smaller side count.
-    t1 = greedy_triangulate(hexagon)
-    t2 = greedy_triangulate(hexagon, priority=lambda e: (-e[0], -e[1]))
-    for e in t1.interior_edges():
-        quad = quadrilateral_of(t1, e)
-        if quad is None:
-            continue
-        counts = classified_counts(t1, quad, t2)
-        for (x, y), c in counts.pair_counts.items():
-            assert c <= min(counts.seg_counts[x], counts.seg_counts[y])
-        for (corner, label), c in counts.corner_counts.items():
-            assert c <= counts.seg_counts[label]
-
-
-def test_classified_counts_wrong_quad(square_pair):
+def test_quad_crossers_no_quads_and_mismatch(square_pair, pentagon):
     t1, t2 = square_pair
-    quad = quadrilateral_of(t2, (1, 3))
-    with pytest.raises(QuadNotInTriangulation):
-        classified_counts(t1, quad, t2)
+    assert quad_crossers(t1, [], t2) == []
+    with pytest.raises(InstanceMismatch):
+        quad_crossers(t1, _all_quads(t1), greedy_triangulate(pentagon))
 
 
-KERNELS = ["python", "numpy"]
+SEEDS = st.integers(0, 10**6)
+
+# Convex polygons, convex polygons with interior points, and holed instances.
+PAIR_SPECS = st.one_of(
+    st.builds(GenSpec, seed=SEEDS, n_points=st.integers(5, 11)),
+    st.builds(
+        GenSpec,
+        seed=SEEDS,
+        n_points=st.integers(7, 12),
+        interior_points=st.integers(1, 3),
+    ),
+    st.builds(
+        GenSpec,
+        seed=SEEDS,
+        n_points=st.integers(7, 12),
+        shape=st.just("with_holes"),
+        holes=st.just(1),
+    ),
+    st.builds(
+        GenSpec,
+        seed=SEEDS,
+        n_points=st.integers(10, 13),
+        shape=st.just("with_holes"),
+        holes=st.just(2),
+    ),
+)
+
+
+@pytest.mark.parametrize("backend", KERNELS)
+@settings(max_examples=25, deadline=None)
+@given(spec=PAIR_SPECS, seed2=SEEDS)
+def test_quad_crossers_match_scalar_definition(backend, spec, seed2):
+    t1, t2 = generate_pair(spec, seed2)
+    quads = _all_quads(t1)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv(kernels.KERNEL_ENV, backend)
+        got = quad_crossers(t1, quads, t2)
+    assert got == [_scalar_quad_crossers(t1, q, t2) for q in quads]
+
+
+def test_quad_crossers_exact_beyond_safe_limit():
+    # Coordinates of 2^31 exceed the int64 gate, so the exact loop must run.
+    m = 1 << 31
+    inst = Instance(
+        [(-m, -m), (m, -m), (m, m), (-m, m), (1, 2), (-3, 5), (7, -4)],
+        [[0, 1, 2, 3]],
+    )
+    t1 = greedy_triangulate(inst)
+    t2 = greedy_triangulate(inst, priority=lambda e: (-e[0], -e[1]))
+    assert not kernels.int64_safe(t1.interior_array(), t2.interior_array())
+    quads = _all_quads(t1)
+    want = [_scalar_quad_crossers(t1, q, t2) for q in quads]
+    assert any(sets["ac"] for sets in want)
+    assert quad_crossers(t1, quads, t2) == want
+
 
 
 @pytest.mark.parametrize("backend", KERNELS)
@@ -162,10 +206,10 @@ def test_kernels_exact_at_coordinate_cap():
     def seg(row):
         return ((int(row[0]), int(row[1])), (int(row[2]), int(row[3])))
 
-    want = [
-        sum(geometry.properly_intersect(seg(r), seg(s)) for s in b) for r in a
-    ]
+    grid = [[geometry.properly_intersect(seg(r), seg(s)) for s in b] for r in a]
+    want = [sum(row) for row in grid]
     assert sum(want) > 0
+    assert kernels.crossing_matrix(a, b, kernel="numpy").tolist() == grid
     assert kernels.crossing_counts(a, b, kernel="numpy").tolist() == want
 
 
@@ -177,6 +221,7 @@ def test_kernels_exact_beyond_safe_limit(backend):
     a = np.array([[-m, -m, m, m]], dtype=np.int64)
     b = np.array([[-m, m, m, -m], [0, 0, 1, 0]], dtype=np.int64)
     assert not kernels.int64_safe(a, b)
+    assert kernels.crossing_matrix(a, b, kernel=backend).tolist() == [[True, False]]
     assert kernels.crossing_counts(a, b, kernel=backend).tolist() == [1]
 
 
@@ -187,6 +232,8 @@ def test_kernels_empty():
     for backend in KERNELS:
         assert kernels.crossing_counts(empty, full, kernel=backend).tolist() == []
         assert kernels.crossing_counts(full, empty, kernel=backend).tolist() == [0]
+        assert kernels.crossing_matrix(empty, full, kernel=backend).shape == (0, 1)
+        assert kernels.crossing_matrix(full, empty, kernel=backend).shape == (1, 0)
 
 
 def test_int64_safe_gate():

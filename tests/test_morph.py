@@ -3,10 +3,9 @@ import random
 import pytest
 
 from flipdist.crossings import count_pair
-from flipdist.errors import AlreadyEqual, InstanceMismatch
+from flipdist.errors import InstanceMismatch
 from flipdist.morph import (
     FlipSequence,
-    find_reducing_flip,
     intersection_upper_bound,
     morph,
 )
@@ -44,19 +43,6 @@ def test_morph_equal_is_empty(pentagon):
     seq = morph(t, t)
     assert seq.steps == ()
     assert seq.replay().edges == t.edges
-
-
-def test_find_reducing_flip_square(square_pair):
-    t1, t2 = square_pair
-    e, new_total = find_reducing_flip(t1, t2)
-    assert e == (0, 2)
-    assert new_total == 0
-
-
-def test_find_reducing_flip_equal_raises(square_pair):
-    t1, _ = square_pair
-    with pytest.raises(AlreadyEqual):
-        find_reducing_flip(t1, t1)
 
 
 def test_morph_instance_mismatch(square, pentagon):
