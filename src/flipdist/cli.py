@@ -37,8 +37,8 @@ def _write(path: str | None, data: bytes) -> None:
 
 def _cmd_validate(args) -> int:
     inst = _load_instance(args.instance)
-    violations = [f"instance: {v}" for v in inst.validate()]
-    if args.triangulation is not None and not violations:
+    violations: list[str] = []
+    if args.triangulation is not None:
         p = Path(args.triangulation)
         t = formats.parse_triangulation(
             p.read_bytes(), base_dir=p.parent, validate_on_load=False

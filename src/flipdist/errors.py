@@ -14,17 +14,18 @@ class ParseError(FlipdistError):
 
 
 class InvariantViolation(FlipdistError):
-    """A parsed or constructed value violates a structural invariant."""
+    """A parsed or constructed value violates a structural invariant.
+
+    ``violations`` lists each violated invariant, located.  Constructing an
+    ``Instance`` raises it as ``invalid instance``; parsing a triangulation
+    raises it as ``invalid triangulation``.
+    """
 
     def __init__(self, message: str, violations: list[str] | None = None):
         self.violations = violations or []
         if self.violations:
             message = message + ": " + "; ".join(self.violations)
         super().__init__(message)
-
-
-class InstanceInvalid(FlipdistError):
-    """An operation was given an instance that fails its own invariants."""
 
 
 class InstanceMismatch(FlipdistError):

@@ -101,11 +101,7 @@ def _parse_instance_obj(obj: Any, where: str) -> Instance:
                 "polygon must be a list of vertex ids", f"{where}.border[{b}]"
             )
         border.append(tuple(poly))
-    inst = Instance(points, border)
-    violations = inst.validate()
-    if violations:
-        raise InvariantViolation("invalid instance", violations)
-    return inst
+    return Instance(points, border)
 
 
 def serialize_instance(inst: Instance) -> bytes:

@@ -8,7 +8,7 @@ import random
 from dataclasses import dataclass
 
 from . import geometry
-from .errors import InfeasibleSpec
+from .errors import InfeasibleSpec, InvariantViolation
 from .triangulation import (
     Instance,
     Triangulation,
@@ -156,10 +156,7 @@ def _gen_star(spec: GenSpec, rng: random.Random) -> Instance | None:
     interior = _sample_interior(rng, spec.interior_points, points, border)
     if interior is None:
         return None
-    inst = Instance(points + interior, border)
-    if inst.validate():
-        return None
-    return inst
+    return Instance(points + interior, border)
 
 
 def _gen_with_holes(spec: GenSpec, rng: random.Random) -> Instance | None:
@@ -187,8 +184,9 @@ def _gen_with_holes(spec: GenSpec, rng: random.Random) -> Instance | None:
             base = len(points)
             candidate_points = points + tri
             candidate_border = border + [[base, base + 1, base + 2]]
-            inst = Instance(candidate_points, candidate_border)
-            if inst.validate():
+            try:
+                Instance(candidate_points, candidate_border)
+            except InvariantViolation:
                 continue
             if not _no_three_collinear(candidate_points):
                 continue
@@ -199,10 +197,7 @@ def _gen_with_holes(spec: GenSpec, rng: random.Random) -> Instance | None:
     interior = _sample_interior(rng, spec.interior_points, points, border)
     if interior is None:
         return None
-    inst = Instance(points + interior, border)
-    if inst.validate():
-        return None
-    return inst
+    return Instance(points + interior, border)
 
 
 def generate_instance(spec: GenSpec) -> Instance:
@@ -221,8 +216,11 @@ def generate_instance(spec: GenSpec) -> Instance:
     }
     build = builders[spec.shape]
     for _ in range(_MAX_ATTEMPTS):
-        inst = build(spec, rng)
-        if inst is not None and not inst.validate():
+        try:
+            inst = build(spec, rng)
+        except InvariantViolation:
+            continue
+        if inst is not None:
             return inst
     raise InfeasibleSpec(f"could not realize {spec} after {_MAX_ATTEMPTS} attempts")
 

@@ -1,9 +1,11 @@
 """Batch proper-intersection kernels.
 
 The pairwise O(m1*m2) crossing count runs once per pair of triangulations
-(the morph then updates it one flip at a time) and once per triangulation
-as the planarity scan of :func:`flipdist.triangulation.validate`; each audit
-reads the crossing grid of its quadrilateral segments once, through
+(the morph then updates it one flip at a time).  The crossing grid is the
+planarity scan of :func:`flipdist.triangulation.validate`, which names its
+crossing pairs, and the compatibility masks of
+:func:`flipdist.oracle.enumerate_triangulations_direct`; each audit reads
+the grid of its quadrilateral segments once, through
 :func:`flipdist.crossings.quad_crossers`.  Two interchangeable backends
 compute the boolean crossing grid over int64 coordinate arrays; the
 per-segment counts are its row sums:

@@ -7,7 +7,9 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Optional
 
-from . import geometry
+import numpy as np
+
+from . import kernels
 from .errors import FlipdistError, GraphTooLarge, InstanceTooLarge
 from .triangulation import (
     Edge,
@@ -35,12 +37,6 @@ class FlipGraph:
     nodes: list[NodeKey]
     index: dict[NodeKey, int]
     adjacency: list[list[tuple[Edge, int]]]
-
-    def node_ids(self) -> range:
-        return range(len(self.nodes))
-
-    def triangulation(self, i: int) -> Triangulation:
-        return Triangulation(self.instance, self.nodes[i])
 
     def distances_from(self, start: int) -> list[int]:
         dist = [-1] * len(self.nodes)
@@ -159,7 +155,6 @@ def enumerate_triangulations_direct(inst: Instance) -> list[NodeKey]:
         raise InstanceTooLarge(
             f"direct enumeration capped at {MAX_DIRECT_POINTS} points"
         )
-    inst.require_valid()
     need = interior_edge_count(inst.n, inst.n_b, inst.h)
     border = tuple(sorted(inst.border_edges))
     candidates = [
@@ -168,14 +163,13 @@ def enumerate_triangulations_direct(inst: Instance) -> list[NodeKey]:
     m = len(candidates)
     if need == 0:
         return [tuple(sorted(border))]
-    segs = [inst.segment(e) for e in candidates]
-    compat = [0] * m
-    for i in range(m):
-        mask = 0
-        for j in range(m):
-            if i != j and not geometry.properly_intersect(segs[i], segs[j]):
-                mask |= 1 << j
-        compat[i] = mask
+    packed = kernels.segments_array([inst.segment(e) for e in candidates])
+    # Bit j of compat[i]: candidates i and j do not cross.  Bit i is set too,
+    # which is harmless: the search only adds candidates after i.
+    compat = [
+        int.from_bytes(np.packbits(~row, bitorder="little").tobytes(), "little")
+        for row in kernels.crossing_matrix(packed, packed)
+    ]
     results: list[NodeKey] = []
     chosen: list[Edge] = []
 

@@ -6,11 +6,13 @@ import functools
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence
 
+import numpy as np
+
 from . import geometry, kernels
 from .errors import (
     EdgeNotInTriangulation,
-    InstanceInvalid,
     InstanceMismatch,
+    InvariantViolation,
     NotATriangulation,
     NotFlippable,
 )
@@ -40,6 +42,9 @@ class Instance:
 
     ``points`` defines vertex ids by position.  ``border[0]`` is the outer
     polygon, the rest are holes; each polygon is a list of vertex ids.
+    An instance is valid by construction: ``__init__`` raises
+    InvariantViolation listing every violation :meth:`validate` finds, so
+    code handed an Instance never checks it again.
     """
 
     def __init__(
@@ -56,12 +61,21 @@ class Instance:
         self.n = len(self.points)
         self.n_b = sum(len(poly) for poly in self.border)
         self.h = len(self.border) - 1
-        edges = set()
-        for poly in self.border:
-            for k in range(len(poly)):
-                edges.add(canonical_edge(poly[k], poly[(k + 1) % len(poly)]))
-        self.border_edges: frozenset[Edge] = frozenset(edges)
+        # The edges of each border polygon, in border order.
+        self.polygon_edges: tuple[frozenset[Edge], ...] = tuple(
+            frozenset(
+                canonical_edge(poly[k], poly[(k + 1) % len(poly)])
+                for k in range(len(poly))
+            )
+            for poly in self.border
+        )
+        self.border_edges: frozenset[Edge] = frozenset().union(
+            *self.polygon_edges
+        )
         self._admissible: Optional[tuple[Edge, ...]] = None
+        violations = self.validate()
+        if violations:
+            raise InvariantViolation("invalid instance", violations)
 
     def __eq__(self, other):
         return (
@@ -101,7 +115,6 @@ class Instance:
         if not self.border:
             out.append("no outer border polygon")
             return out
-        coords = self.border_coords()
         for b, poly in enumerate(self.border):
             if len(poly) < 3:
                 out.append(f"border[{b}] has fewer than 3 vertices")
@@ -111,13 +124,16 @@ class Instance:
                 continue
             if len(set(poly)) != len(poly):
                 out.append(f"border[{b}] repeats a vertex")
-            segs = list(geometry.segments_of_polygon(coords[b]))
+            segs = list(
+                geometry.segments_of_polygon([self.points[v] for v in poly])
+            )
             for i in range(len(segs)):
                 for j in range(i + 1, len(segs)):
                     if geometry.properly_intersect(segs[i], segs[j]):
                         out.append(f"border[{b}] is not simple")
         if out:
             return out
+        coords = self.border_coords()
         # Polygons must not overlap: no crossings, no shared edges.
         for b1 in range(len(self.border)):
             for b2 in range(b1 + 1, len(self.border)):
@@ -127,21 +143,10 @@ class Instance:
                             out.append(
                                 f"border[{b1}] and border[{b2}] cross"
                             )
-        for b, poly in enumerate(self.border):
-            n = len(poly)
-            poly_edges = {
-                canonical_edge(poly[k], poly[(k + 1) % n]) for k in range(n)
-            }
-            for b2 in range(b + 1, len(self.border)):
-                n2 = len(self.border[b2])
-                other = {
-                    canonical_edge(
-                        self.border[b2][k], self.border[b2][(k + 1) % n2]
-                    )
-                    for k in range(n2)
-                }
-                if poly_edges & other:
-                    out.append(f"border[{b}] and border[{b2}] share an edge")
+        for b1 in range(len(self.border)):
+            for b2 in range(b1 + 1, len(self.border)):
+                if self.polygon_edges[b1] & self.polygon_edges[b2]:
+                    out.append(f"border[{b1}] and border[{b2}] share an edge")
         # Point containment rules.
         outer = [coords[0]]
         for i, p in enumerate(self.points):
@@ -149,14 +154,11 @@ class Instance:
             if where == geometry.OUTSIDE:
                 out.append(f"point {i} lies strictly outside the outer border")
         for b in range(1, len(self.border)):
-            hole = coords[b]
+            hole = [coords[b]]
             for i, p in enumerate(self.points):
                 if i in self.border[b]:
                     continue
-                if geometry._ray_crossing_parity(p, hole) and not any(
-                    geometry.point_on_closed_segment(p, s)
-                    for s in geometry.segments_of_polygon(hole)
-                ):
+                if geometry.point_in_region(p, hole) == INSIDE:
                     out.append(f"point {i} lies strictly inside hole {b}")
             for v in self.border[b]:
                 if geometry.point_in_region(self.points[v], outer) == geometry.OUTSIDE:
@@ -169,11 +171,6 @@ class Instance:
                         f"point {i} lies on the interior of border edge {e}"
                     )
         return out
-
-    def require_valid(self) -> None:
-        violations = self.validate()
-        if violations:
-            raise InstanceInvalid("; ".join(violations))
 
     def admissible_pairs(self) -> tuple[Edge, ...]:
         """All vertex pairs whose open segment can be a triangulation edge.
@@ -218,10 +215,6 @@ class Face:
     """A bounded triangular face, vertices in counter-clockwise order."""
 
     vertices: tuple[int, int, int]
-
-    def edges(self) -> tuple[Edge, Edge, Edge]:
-        a, b, c = self.vertices
-        return (canonical_edge(a, b), canonical_edge(b, c), canonical_edge(c, a))
 
 
 @dataclass(frozen=True)
@@ -339,13 +332,11 @@ def faces(t: Triangulation) -> tuple[Face, ...]:
     """
     if t._faces is not None:
         return t._faces
-    pts = t.instance.points
+    inst = t.instance
+    pts = inst.points
     hole_signatures = [
-        (frozenset(poly), frozenset(
-            canonical_edge(poly[k], poly[(k + 1) % len(poly)])
-            for k in range(len(poly))
-        ))
-        for poly in t.instance.border[1:]
+        (frozenset(poly), edges)
+        for poly, edges in zip(inst.border[1:], inst.polygon_edges[1:])
     ]
     adj: dict[int, list[int]] = {}
     for a, b in t.edges:
@@ -526,15 +517,15 @@ def greedy_triangulate(
     """Build a triangulation by inserting admissible pairs in priority order.
 
     Border edges are inserted first; every further candidate is accepted iff
-    it crosses no accepted edge.  The default priority is lexicographic on
-    (min id, max id), which makes the output deterministic.
+    it crosses no accepted edge.  An admissible pair never crosses a border
+    edge, so only the accepted interior edges are tested.  The default
+    priority is lexicographic on (min id, max id), which makes the output
+    deterministic.
     """
-    inst.require_valid()
     candidates = list(inst.admissible_pairs())
     candidates.sort(key=priority if priority is not None else lambda e: e)
-    accepted: list[Edge] = list(inst.border_edges)
-    accepted_segs: list[Segment] = [inst.segment(e) for e in accepted]
-    chosen = set(accepted)
+    accepted_segs: list[Segment] = []
+    chosen = set(inst.border_edges)
     for e in candidates:
         if e in chosen:
             continue
@@ -568,11 +559,9 @@ def validate(t: Triangulation) -> list[str]:
             return out
     segs = {e: inst.segment(e) for e in edges}
     packed = kernels.segments_array([segs[e] for e in edges])
-    if kernels.crossing_counts(packed, packed).any():
-        for i in range(len(edges)):
-            for j in range(i + 1, len(edges)):
-                if geometry.properly_intersect(segs[edges[i]], segs[edges[j]]):
-                    out.append(f"edges {edges[i]} and {edges[j]} cross")
+    crossing = np.triu(kernels.crossing_matrix(packed, packed))
+    for i, j in zip(*np.nonzero(crossing)):  # row-major: i, then j
+        out.append(f"edges {edges[i]} and {edges[j]} cross")
     for e in edges:
         for k in range(inst.n):
             if k not in e and geometry.point_on_open_segment(

@@ -190,3 +190,21 @@ def test_validate_rejects_bool_and_huge_coordinates(tmp_path, capsys, point):
     bad.write_text(json.dumps(doc))
     assert run(["validate", str(bad)]) == 2
     assert "instance.points[1]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("border", [[0, 1, 7], [0, 1, 3], [0, -1, 2]])
+def test_validate_out_of_range_border_id(tmp_path, capsys, border):
+    doc = {
+        "format": "flipdist.instance",
+        "version": 1,
+        "points": [[0, 0], [1, 0], [0, 1]],
+        "border": [border],
+    }
+    bad = tmp_path / "inst.json"
+    bad.write_text(json.dumps(doc))
+    assert run(["validate", str(bad)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: invalid instance: border[0] has out-of-range vertex ids\n"
+    )

@@ -1,0 +1,215 @@
+"""Instance validation: construction refuses every invalid instance.
+
+The violations ``Instance(...)`` raises are compared with a scalar
+reference written out below: the instance checks as plain loops over the
+exact predicates, each computed on its own (edge sets per polygon pair, the
+ray-parity and boundary tests inlined for holes).
+"""
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from flipdist import geometry
+from flipdist.errors import InvariantViolation
+from flipdist.triangulation import Instance
+
+
+def _segments(poly):
+    return [(poly[k], poly[(k + 1) % len(poly)]) for k in range(len(poly))]
+
+
+def _edge_set(poly):
+    return {(min(a, b), max(a, b)) for a, b in _segments(poly)}
+
+
+def reference_violations(points, border):
+    """Every violated instance invariant, in the order validation reports them.
+
+    Each polygon's coordinates are looked up only after its vertex ids are
+    range-checked, so an id >= n is a violation rather than an IndexError.
+    """
+    n = len(points)
+    out = []
+    if len(set(points)) != n:
+        out.append("duplicate points")
+    if not border:
+        out.append("no outer border polygon")
+        return out
+    for b, poly in enumerate(border):
+        if len(poly) < 3:
+            out.append(f"border[{b}] has fewer than 3 vertices")
+            continue
+        if any(v < 0 or v >= n for v in poly):
+            out.append(f"border[{b}] has out-of-range vertex ids")
+            continue
+        if len(set(poly)) != len(poly):
+            out.append(f"border[{b}] repeats a vertex")
+        segs = _segments([points[v] for v in poly])
+        for i in range(len(segs)):
+            for j in range(i + 1, len(segs)):
+                if geometry.properly_intersect(segs[i], segs[j]):
+                    out.append(f"border[{b}] is not simple")
+    if out:
+        return out
+    coords = [[points[v] for v in poly] for poly in border]
+    for b1 in range(len(border)):
+        for b2 in range(b1 + 1, len(border)):
+            for s1 in _segments(coords[b1]):
+                for s2 in _segments(coords[b2]):
+                    if geometry.properly_intersect(s1, s2):
+                        out.append(f"border[{b1}] and border[{b2}] cross")
+    for b1 in range(len(border)):
+        for b2 in range(b1 + 1, len(border)):
+            if _edge_set(border[b1]) & _edge_set(border[b2]):
+                out.append(f"border[{b1}] and border[{b2}] share an edge")
+    outer = [coords[0]]
+    for i, p in enumerate(points):
+        if geometry.point_in_region(p, outer) == geometry.OUTSIDE:
+            out.append(f"point {i} lies strictly outside the outer border")
+    for b in range(1, len(border)):
+        hole = coords[b]
+        for i, p in enumerate(points):
+            if i in border[b]:
+                continue
+            if geometry._ray_crossing_parity(p, hole) and not any(
+                geometry.point_on_closed_segment(p, s) for s in _segments(hole)
+            ):
+                out.append(f"point {i} lies strictly inside hole {b}")
+        for v in border[b]:
+            if geometry.point_in_region(points[v], outer) == geometry.OUTSIDE:
+                out.append(f"hole {b} vertex {v} is outside the outer border")
+    border_edges = set().union(*(_edge_set(poly) for poly in border))
+    for e in sorted(border_edges):
+        seg = (points[e[0]], points[e[1]])
+        for i, p in enumerate(points):
+            if i not in e and geometry.point_on_open_segment(p, seg):
+                out.append(f"point {i} lies on the interior of border edge {e}")
+    return out
+
+
+def _check(points, border):
+    """Instance(...) accepts exactly the valid inputs and refuses the others
+    with the reference's violations; returns them."""
+    expected = reference_violations(points, border)
+    if not expected:
+        assert Instance(points, border).validate() == []
+        return expected
+    with pytest.raises(InvariantViolation) as exc:
+        Instance(points, border)
+    assert exc.value.violations == expected
+    assert str(exc.value) == "invalid instance: " + "; ".join(expected)
+    return expected
+
+
+SQUARE = [(0, 0), (20, 0), (20, 20), (0, 20)]
+BIG = 1 << 31
+
+CORPUS = {
+    "bowtie": ([(0, 0), (2, 2), (2, 0), (0, 2)], [[0, 1, 2, 3]]),
+    "crossing_holes": (
+        SQUARE + [(5, 5), (12, 5), (8, 12), (5, 9), (12, 9), (8, 2)],
+        [[0, 1, 2, 3], [4, 5, 6], [7, 8, 9]],
+    ),
+    "holes_share_edge": (
+        SQUARE + [(5, 5), (10, 5), (7, 10), (7, 1)],
+        [[0, 1, 2, 3], [4, 5, 6], [4, 5, 7]],
+    ),
+    "point_inside_hole": (
+        [(0, 0), (10, 0), (10, 10), (0, 10), (4, 4), (6, 4), (5, 6), (5, 5)],
+        [[0, 1, 2, 3], [4, 5, 6]],
+    ),
+    "hole_inside_hole": (
+        SQUARE + [(2, 2), (18, 2), (10, 18), (8, 5), (12, 5), (10, 9)],
+        [[0, 1, 2, 3], [4, 5, 6], [7, 8, 9]],
+    ),
+    "hole_vertex_outside": (
+        [(0, 0), (10, 0), (10, 10), (0, 10), (4, 4), (15, 5), (5, 6)],
+        [[0, 1, 2, 3], [4, 5, 6]],
+    ),
+    "hole_outside": (
+        [(0, 0), (10, 0), (10, 10), (0, 10), (14, 4), (16, 4), (15, 6)],
+        [[0, 1, 2, 3], [4, 5, 6]],
+    ),
+    "point_outside": ([(0, 0), (4, 0), (4, 4), (0, 4), (9, 9)], [[0, 1, 2, 3]]),
+    "point_on_border_edge": (
+        [(0, 0), (4, 0), (4, 4), (0, 4), (2, 0)],
+        [[0, 1, 2, 3]],
+    ),
+    "point_on_hole_edge": (
+        [(0, 0), (10, 0), (10, 10), (0, 10), (4, 4), (6, 4), (5, 6), (5, 4)],
+        [[0, 1, 2, 3], [4, 5, 6]],
+    ),
+    "short_outer": ([(0, 0), (1, 0)], [[0, 1]]),
+    "short_hole": (SQUARE + [(5, 5), (6, 6)], [[0, 1, 2, 3], [4, 5]]),
+    "no_border": ([(0, 0), (1, 0), (0, 1)], []),
+    "duplicate_points": ([(0, 0), (1, 0), (0, 0)], [[0, 1, 2]]),
+    "out_of_range_id": ([(0, 0), (1, 0), (0, 1)], [[0, 1, 7]]),
+    "id_equal_to_n": ([(0, 0), (1, 0), (0, 1)], [[0, 1, 3]]),
+    "negative_id": ([(0, 0), (1, 0), (0, 1)], [[0, 1, -1]]),
+    "out_of_range_hole_id": (
+        SQUARE + [(5, 5), (9, 5), (7, 9)],
+        [[0, 1, 2, 3], [4, 5, 99], [-2, 5, 6]],
+    ),
+    "repeated_vertex": (SQUARE, [[0, 1, 2, 0, 3]]),
+    "pinched": (
+        [(0, 0), (10, 0), (10, 10), (0, 10), (5, 2), (6, 4)],
+        [[0, 1, 2, 3], [0, 4, 5]],
+    ),
+    "collinear": (
+        [(0, 0), (3, 0), (6, 0), (6, 6), (0, 6), (2, 3), (3, 3), (4, 3)],
+        [[0, 1, 2, 3, 4]],
+    ),
+    "collinear_on_edge": (
+        [(0, 0), (3, 0), (6, 0), (6, 6), (0, 6)],
+        [[0, 2, 3, 4]],
+    ),
+    "coords_2^31": (
+        [(-BIG, -BIG), (BIG, -BIG), (BIG, BIG), (-BIG, BIG), (1, 7), (-5, -3)],
+        [[0, 1, 2, 3]],
+    ),
+    "coords_2^31_invalid": (
+        [(-BIG, -BIG), (BIG, -BIG), (BIG, BIG), (-BIG, BIG), (BIG + 1, 0),
+         (0, -BIG)],
+        [[0, 1, 2, 3]],
+    ),
+    "holed_valid": (
+        [(0, 0), (10, 0), (10, 10), (0, 10), (4, 4), (6, 4), (5, 6)],
+        [[0, 1, 2, 3], [4, 5, 6]],
+    ),
+}
+
+# The cases construction accepts; it refuses every other one.
+VALID = {"pinched", "collinear", "coords_2^31", "holed_valid"}
+
+
+@pytest.mark.parametrize("name", sorted(CORPUS))
+def test_instance_violations_match_reference(name):
+    points, border = CORPUS[name]
+    assert bool(_check(points, border)) == (name not in VALID)
+
+
+# Small grids, so that repeated, collinear and on-edge points are common.
+# The polygons cut one permutation of the ids into pieces; one id may then
+# be replaced by any id, in range or not, so that polygons repeat a vertex,
+# share vertices or edges, or name a missing vertex.
+@st.composite
+def _raw_instances(draw):
+    coord = st.integers(0, 8)
+    points = draw(st.lists(st.tuples(coord, coord), min_size=3, max_size=10))
+    n = len(points)
+    ids = draw(st.permutations(range(n)))
+    border, k = [], 0
+    for size in draw(st.lists(st.integers(2, 6), min_size=1, max_size=3)):
+        border.append(list(ids[k:k + size]))
+        k += size
+    polys = [poly for poly in border if poly]
+    if draw(st.booleans()):
+        poly = draw(st.sampled_from(polys))
+        poly[draw(st.integers(0, len(poly) - 1))] = draw(st.integers(-1, n + 1))
+    return points, border
+
+
+@settings(max_examples=300, deadline=None)
+@given(_raw_instances())
+def test_random_instances_match_reference(raw):
+    _check(*raw)

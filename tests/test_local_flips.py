@@ -15,6 +15,8 @@ from flipdist.morph import FlipSequence, FlipStep, morph
 from flipdist.oracle import build_flip_graph
 from flipdist.triangulation import (
     MutableTriangulation,
+    Triangulation,
+    canonical_edge,
     faces,
     flip,
     greedy_triangulate,
@@ -60,7 +62,8 @@ def _incident(state):
 def _incident_from_faces(t):
     out = {}
     for f in faces(t):
-        for e in f.edges():
+        a, b, c = f.vertices
+        for e in (canonical_edge(a, b), canonical_edge(b, c), canonical_edge(c, a)):
             out.setdefault(e, set()).add(frozenset(f.vertices))
     return out
 
@@ -140,8 +143,8 @@ def test_flip_graph_adjacency_matches_flip(which, holed):
     graph = build_flip_graph(greedy_triangulate(inst))
     assert len(graph.nodes) == size
     non_convex = 0
-    for u in graph.node_ids():
-        t = graph.triangulation(u)
+    for u in range(len(graph.nodes)):
+        t = Triangulation(graph.instance, graph.nodes[u])
         expected = []
         for e in t.interior_edges():
             quad = quadrilateral_of(t, e)

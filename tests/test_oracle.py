@@ -94,7 +94,7 @@ def test_three_points_single_triangulation():
 
 def test_graph_edges_are_single_flips(pentagon):
     graph = build_flip_graph(greedy_triangulate(pentagon))
-    for u in graph.node_ids():
+    for u in range(len(graph.nodes)):
         edges_u = set(graph.nodes[u])
         for _, v in graph.adjacency[u]:
             edges_v = set(graph.nodes[v])
@@ -103,7 +103,7 @@ def test_graph_edges_are_single_flips(pentagon):
 
 
 def _all_distances_agree(graph, pairs):
-    ts = [graph.triangulation(i) for i in graph.node_ids()]
+    ts = [Triangulation(graph.instance, key) for key in graph.nodes]
     for i, targets in itertools.groupby(sorted(pairs), key=lambda p: p[0]):
         dist = graph.distances_from(i)
         for _, j in targets:
@@ -114,7 +114,7 @@ def test_early_exit_distance_heptagon_all_pairs():
     inst = generate_instance(GenSpec(seed=7, n_points=7))
     graph = build_flip_graph(greedy_triangulate(inst))
     assert len(graph.nodes) == 42
-    _all_distances_agree(graph, itertools.product(graph.node_ids(), repeat=2))
+    _all_distances_agree(graph, itertools.product(range(len(graph.nodes)), repeat=2))
 
 
 # A generated n=10 holed instance, a star-shaped 9-gon and a 9-point convex
@@ -130,14 +130,14 @@ SAMPLED = {
 def test_early_exit_distance_sampled_pairs(name):
     graph = build_flip_graph(greedy_triangulate(generate_instance(SAMPLED[name])))
     rng = random.Random(name)
-    ids = list(graph.node_ids())
+    ids = list(range(len(graph.nodes)))
     pairs = [(rng.choice(ids), rng.choice(ids)) for _ in range(40)]
     _all_distances_agree(graph, pairs)
 
 
 def test_early_exit_distance_holed_fixture_all_pairs(holed):
     graph = build_flip_graph(greedy_triangulate(holed))
-    _all_distances_agree(graph, itertools.product(graph.node_ids(), repeat=2))
+    _all_distances_agree(graph, itertools.product(range(len(graph.nodes)), repeat=2))
 
 
 def test_distance_to_non_triangulation_unreachable(holed):

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from flipdist import geometry
-from flipdist.errors import EdgeNotInTriangulation, NotFlippable
+from flipdist.errors import EdgeNotInTriangulation, InvariantViolation, NotFlippable
 from flipdist.generate import GenSpec, generate_instance, random_priority
 from flipdist.triangulation import (
     Instance,
@@ -32,27 +32,34 @@ def test_instance_validate_good(square, dart, pentagon, hexagon, holed):
         assert inst.validate() == []
 
 
+def _violations(points, border):
+    """The violations an invalid instance is refused with."""
+    with pytest.raises(InvariantViolation) as exc:
+        Instance(points, border)
+    return exc.value.violations
+
+
 def test_instance_validate_bad():
-    dup = Instance([(0, 0), (1, 0), (0, 0)], [[0, 1, 2]])
-    assert any("duplicate" in v for v in dup.validate())
+    dup = _violations([(0, 0), (1, 0), (0, 0)], [[0, 1, 2]])
+    assert any("duplicate" in v for v in dup)
 
-    short = Instance([(0, 0), (1, 0)], [[0, 1]])
-    assert any("fewer than 3" in v for v in short.validate())
+    short = _violations([(0, 0), (1, 0)], [[0, 1]])
+    assert any("fewer than 3" in v for v in short)
 
-    bowtie = Instance(
+    bowtie = _violations(
         [(0, 0), (2, 2), (2, 0), (0, 2)], [[0, 1, 2, 3]]
     )
-    assert any("not simple" in v for v in bowtie.validate())
+    assert any("not simple" in v for v in bowtie)
 
-    outside = Instance(
+    outside = _violations(
         [(0, 0), (4, 0), (4, 4), (0, 4), (9, 9)], [[0, 1, 2, 3]]
     )
-    assert any("outside" in v for v in outside.validate())
+    assert any("outside" in v for v in outside)
 
-    on_edge = Instance(
+    on_edge = _violations(
         [(0, 0), (4, 0), (4, 4), (0, 4), (2, 0)], [[0, 1, 2, 3]]
     )
-    assert any("interior of border edge" in v for v in on_edge.validate())
+    assert any("interior of border edge" in v for v in on_edge)
 
 
 def test_instance_counts(holed):
