@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 domain error (validation or audit failure),
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -170,7 +171,9 @@ def _cmd_gen(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process and shared by every run."""
     parser = argparse.ArgumentParser(
         prog="flipdist",
         description="Edge-flip distance tooling for constrained triangulations",

@@ -123,8 +123,6 @@ def _sample_interior(
 
 def _gen_convex(spec: GenSpec, rng: random.Random) -> Instance | None:
     n_border = spec.n_points - spec.interior_points
-    if n_border < 3:
-        return None
     ring = _convex_ring(rng, n_border)
     if ring is None:
         return None
@@ -137,8 +135,6 @@ def _gen_convex(spec: GenSpec, rng: random.Random) -> Instance | None:
 
 def _gen_star(spec: GenSpec, rng: random.Random) -> Instance | None:
     n_border = spec.n_points - spec.interior_points
-    if n_border < 3:
-        return None
     points: list[geometry.Point] = []
     while len(points) < n_border:
         p = (
@@ -161,8 +157,6 @@ def _gen_star(spec: GenSpec, rng: random.Random) -> Instance | None:
 
 def _gen_with_holes(spec: GenSpec, rng: random.Random) -> Instance | None:
     n_outer = spec.n_points - 3 * spec.holes - spec.interior_points
-    if n_outer < 3:
-        return None
     outer = _convex_ring(rng, n_outer)
     if outer is None:
         return None

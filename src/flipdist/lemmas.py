@@ -245,13 +245,7 @@ def _max_edge_quads(
     if t1.edges == t2.edges:
         raise AlreadyEqual("triangulations are equal; no maximal edges")
     report = count_pair(t1, t2)
-    quads = []
-    for e in report.max_edges:
-        if e in t1.instance.border_edges:
-            quads.append((e, None))
-        else:
-            quads.append((e, quadrilateral_of(t1, e)))
-    return quads, report
+    return [(e, quadrilateral_of(t1, e)) for e in report.max_edges], report
 
 
 def audit_lemma1(t1: Triangulation, t2: Triangulation) -> AuditReport:

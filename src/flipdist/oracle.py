@@ -17,7 +17,6 @@ from .triangulation import (
     Triangulation,
     apex_map,
     apex_quadrilateral,
-    faces,
     flip_apexes,
     interior_edge_count,
     require_same_instance,
@@ -64,9 +63,9 @@ def _walk(
 ) -> tuple[FlipGraph, Optional[int]]:
     """Breadth-first search of the flip graph from the seed.
 
-    Faces are traced once, on the seed.  Each queued node carries its own
-    edge -> apex map, derived from its parent's by one in-place flip, and
-    drops it when dequeued, so only the frontier holds maps; a neighbour's
+    The seed's cached apex map is read as is.  Each queued child carries its
+    own copy, derived from its parent's by one in-place flip, and drops it
+    when dequeued, so only the frontier holds maps; a neighbour's
     key is the node's key with one edge replaced.  The search stops when it
     discovers ``target`` and returns the graph explored so far with the
     target's depth, or, once the component is exhausted, the whole graph
@@ -84,7 +83,7 @@ def _walk(
     )
     if start == target:
         return graph, 0
-    queue = deque([(0, apex_map(faces(seed)))])
+    queue = deque([(0, apex_map(seed))])
     # Node ids are assigned in BFS order, so the nodes of one depth are
     # contiguous: ids below level_end have depth at most ``depth``.
     depth, level_end = 0, 1

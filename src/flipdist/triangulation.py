@@ -3,8 +3,8 @@
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Sequence
+import operator
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -37,6 +37,14 @@ def interior_edge_count(n: int, n_b: int, h: int) -> int:
     return 3 * n - 2 * n_b - 3 + 3 * h
 
 
+def _as_int(v) -> Optional[int]:
+    """v as an exact int (numpy integers too); None for a bool or non-integer."""
+    try:
+        return None if isinstance(v, bool) else operator.index(v)
+    except TypeError:
+        return None
+
+
 class Instance:
     """A point set with border constraints: an outer polygon plus holes.
 
@@ -53,11 +61,20 @@ class Instance:
         border: Sequence[Sequence[int]],
     ):
         self.points: tuple[Point, ...] = tuple(
-            (int(x), int(y)) for x, y in points
+            (_as_int(x), _as_int(y)) for x, y in points
         )
         self.border: tuple[tuple[int, ...], ...] = tuple(
-            tuple(int(v) for v in poly) for poly in border
+            tuple(_as_int(v) for v in poly) for poly in border
         )
+        not_integers = [
+            f"point {i} has a non-integer coordinate"
+            for i, p in enumerate(self.points) if None in p
+        ] + [
+            f"border[{b}] has a non-integer vertex id"
+            for b, poly in enumerate(self.border) if None in poly
+        ]
+        if not_integers:
+            raise InvariantViolation("invalid instance", not_integers)
         self.n = len(self.points)
         self.n_b = sum(len(poly) for poly in self.border)
         self.h = len(self.border) - 1
@@ -210,15 +227,7 @@ class Instance:
         return self._admissible
 
 
-@dataclass(frozen=True)
-class Face:
-    """A bounded triangular face, vertices in counter-clockwise order."""
-
-    vertices: tuple[int, int, int]
-
-
-@dataclass(frozen=True)
-class Quadrilateral:
+class Quadrilateral(NamedTuple):
     """Two adjacent triangles abc, acd sharing the diagonal ac.
 
     ``vertices`` lists a, b, c, d in counter-clockwise boundary order, so
@@ -235,7 +244,7 @@ class Triangulation:
     """An immutable maximal edge set over an instance.
 
     Equality and hashing are on the edge set, matching set-equality of
-    triangulations.  Face structure is derived on demand and cached.
+    triangulations.  The edge -> apex map is derived on demand and cached.
     """
 
     def __init__(self, instance: Instance, edges: Iterable[Edge]):
@@ -243,7 +252,6 @@ class Triangulation:
         self.edges: frozenset[Edge] = frozenset(
             canonical_edge(*e) for e in edges
         )
-        self._faces: Optional[tuple[Face, ...]] = None
         self._apexes: Optional[ApexMap] = None
         self._interior_sorted: Optional[tuple[Edge, ...]] = None
         self._interior_array = None
@@ -320,18 +328,17 @@ def angular_cmp(
     return cmp
 
 
-def faces(t: Triangulation) -> tuple[Face, ...]:
-    """All bounded triangular faces inside the region, each ccw.
+def faces(t: Triangulation) -> tuple[tuple[int, int, int], ...]:
+    """All bounded triangular faces inside the region, as ccw vertex triples.
 
     Traces the rotation system: around each vertex, neighbours are sorted by
     exact angle; following predecessor links walks every face with its
     interior on the left.  Cycles with positive signed area are the interior
     faces.  The outer cycle comes out clockwise (negative area) and is
     dropped; each hole interior is a bounded face too, traced ccw, and is
-    recognized by its boundary polygon and dropped as well.
+    recognized by its boundary polygon and dropped as well.  Not cached:
+    :func:`apex_map` is the per-triangulation cache.
     """
-    if t._faces is not None:
-        return t._faces
     inst = t.instance
     pts = inst.points
     hole_signatures = [
@@ -349,7 +356,7 @@ def faces(t: Triangulation) -> tuple[Face, ...]:
         order[v] = nbrs
         for idx, u in enumerate(nbrs):
             pos[(v, u)] = idx
-    result: list[Face] = []
+    result: list[tuple[int, int, int]] = []
     seen: set[tuple[int, int]] = set()
     for a, b in sorted(t.edges):
         for start in ((a, b), (b, a)):
@@ -380,25 +387,27 @@ def faces(t: Triangulation) -> tuple[Face, ...]:
                 raise NotATriangulation(
                     f"bounded face {cycle} has {len(cycle)} vertices"
                 )
-            result.append(Face(tuple(cycle)))
-    result.sort(key=lambda f: tuple(sorted(f.vertices)))
-    t._faces = tuple(result)
-    return t._faces
+            result.append(tuple(cycle))
+    result.sort(key=sorted)
+    return tuple(result)
 
 
-def apex_map(fs: Iterable[Face]) -> ApexMap:
-    """Edge -> the third vertex of each face incident to it.
+def apex_map(t: Triangulation) -> ApexMap:
+    """Edge -> the third vertex of each face incident to it, cached on t.
 
     A face is determined by an edge and its apex, so this is the edge ->
     incident-faces map: one apex for a border edge, two for an interior one.
+    Every edge bounds a face, so the keys are t's edges.  Faces are traced
+    once per triangulation; callers must not mutate the shared map.
     """
-    apexes: ApexMap = {}
-    for f in fs:
-        a, b, c = f.vertices
-        for u, v, w in ((a, b, c), (b, c, a), (c, a, b)):
-            e = canonical_edge(u, v)
-            apexes[e] = apexes.get(e, ()) + (w,)
-    return apexes
+    if t._apexes is None:
+        apexes: ApexMap = {}
+        for a, b, c in faces(t):
+            for u, v, w in ((a, b, c), (b, c, a), (c, a, b)):
+                e = canonical_edge(u, v)
+                apexes[e] = apexes.get(e, ()) + (w,)
+        t._apexes = apexes
+    return t._apexes
 
 
 def apex_quadrilateral(
@@ -447,9 +456,7 @@ def _require_flippable(e: Edge, quad: Optional[Quadrilateral]) -> Quadrilateral:
 
 def quadrilateral_of(t: Triangulation, e: Edge) -> Optional[Quadrilateral]:
     """The quadrilateral with e as diagonal, or None for a border edge."""
-    if t._apexes is None:
-        t._apexes = apex_map(faces(t))
-    return apex_quadrilateral(t.instance.points, t._apexes, e)
+    return apex_quadrilateral(t.instance.points, apex_map(t), e)
 
 
 def flip(t: Triangulation, e: Edge) -> Triangulation:
@@ -483,15 +490,19 @@ def flip_apexes(apexes: ApexMap, quad: Quadrilateral) -> None:
 class MutableTriangulation:
     """A triangulation that flips in place, in O(1) per flip.
 
-    Built once from ``faces(t)``; afterwards each flip rewrites the two faces
-    of its quadrilateral and touches only the five edges they contain, where
+    Holds a copy of ``apex_map(t)``; each flip rewrites the two faces of its
+    quadrilateral and touches only the five edges they contain, where
     :func:`flip` builds a new triangulation whose faces are traced again.
     """
 
     def __init__(self, t: Triangulation):
         self.instance = t.instance
-        self.edges: set[Edge] = set(t.edges)
-        self.apexes: ApexMap = apex_map(faces(t))
+        self.apexes: ApexMap = dict(apex_map(t))
+
+    @property
+    def edges(self):
+        """The current edge set: every edge bounds a face."""
+        return self.apexes.keys()
 
     def quadrilateral(self, e: Edge) -> Optional[Quadrilateral]:
         """The quadrilateral with e as diagonal, or None for a border edge."""
@@ -502,8 +513,6 @@ class MutableTriangulation:
         e = canonical_edge(*e)
         quad = _require_flippable(e, self.quadrilateral(e))
         flip_apexes(self.apexes, quad)
-        self.edges.remove(e)
-        self.edges.add(quad.opposite)
 
     def freeze(self) -> Triangulation:
         """An immutable copy of the current edge set."""

@@ -1,8 +1,9 @@
+import argparse
 import json
 
 import pytest
 
-from flipdist import formats
+from flipdist import cli, formats
 from flipdist.cli import run
 from flipdist.triangulation import Triangulation, greedy_triangulate
 
@@ -208,3 +209,20 @@ def test_validate_out_of_range_border_id(tmp_path, capsys, border):
     assert captured.err == (
         "error: invalid instance: border[0] has out-of-range vertex ids\n"
     )
+
+
+def test_parser_is_built_once(files, monkeypatch):
+    _, inst, f1, f2 = files
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        if kwargs.get("prog") == "flipdist":
+            built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    cli.build_parser.cache_clear()
+    assert run(["validate", str(inst)]) == 0
+    assert run(["count", str(f1), str(f2)]) == 0
+    assert len(built) == 1

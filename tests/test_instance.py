@@ -6,6 +6,7 @@ exact predicates, each computed on its own (edge sets per polygon pair, the
 ray-parity and boundary tests inlined for holes).
 """
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -213,3 +214,44 @@ def _raw_instances(draw):
 @given(_raw_instances())
 def test_random_instances_match_reference(raw):
     _check(*raw)
+
+
+@pytest.mark.parametrize(
+    "points, border, violations",
+    [
+        (
+            [(0.5, 0.9), (1, 0), (0, 1)],
+            [[0, 1, 2]],
+            ["point 0 has a non-integer coordinate"],
+        ),
+        (
+            [(0, 0), (1, 0), (0, 1)],
+            [[0, 1, 2.7]],
+            ["border[0] has a non-integer vertex id"],
+        ),
+        (
+            [(0, 0), ("1", 0), (0, True)],
+            [[0, 1, 2], [0, 1, "2"], [True, 1, 2]],
+            [
+                "point 1 has a non-integer coordinate",
+                "point 2 has a non-integer coordinate",
+                "border[1] has a non-integer vertex id",
+                "border[2] has a non-integer vertex id",
+            ],
+        ),
+    ],
+)
+def test_non_integers_are_refused(points, border, violations):
+    with pytest.raises(InvariantViolation) as exc:
+        Instance(points, border)
+    assert exc.value.violations == violations
+
+
+def test_numpy_integers_are_stored_as_int():
+    inst = Instance(
+        [(np.int64(0), np.int64(0)), (1, 0), (0, np.int32(1))],
+        [[np.int64(0), 1, 2]],
+    )
+    assert inst.points == ((0, 0), (1, 0), (0, 1))
+    assert all(type(c) is int for p in inst.points for c in p)
+    assert all(type(v) is int for v in inst.border[0])

@@ -80,6 +80,44 @@ def test_audits_on_random_pairs():
     assert hits > 0
 
 
+CASE_CORPUS = [
+    dict(n_points=10, interior_points=2),
+    dict(n_points=10, shape="random_simple_border"),
+    dict(n_points=12, shape="with_holes", holes=1),
+]
+
+
+def test_case_analysis_coverage():
+    """A seeded corpus reaches every audited case of the paper's argument.
+
+    Each rule passes at least once, so none is only ever skipped, and the
+    three hypotheses of Lemma 2 each appear in some witness.
+    """
+    passed, lemma2_witnesses = set(), []
+    for kwargs in CASE_CORPUS:
+        for seed in range(1, 7):
+            t1, t2 = generate_pair(GenSpec(seed=seed, **kwargs), seed + 100)
+            reports = [lemmas.audit_propositions(t1, t2)]
+            if t1.edges != t2.edges:
+                reports += [
+                    lemmas.audit_lemma1(t1, t2),
+                    lemmas.audit_lemma2(t1, t2),
+                    lemmas.audit_lemma2_2(t1, t2),
+                ]
+            for report in reports:
+                assert report.passed
+                for c in report.checks:
+                    if c.status == lemmas.PASS:
+                        passed.add(c.rule)
+                    if c.rule == "L2":
+                        lemma2_witnesses.append(c.witness)
+    assert passed == {
+        "P1", "P2", "P3", "P4", "P5", "P7", "P8", "L1", "L2", "L2.2"
+    }
+    for case in ("bd-in-t2", "from-b", "from-d"):
+        assert any(case in w for w in lemma2_witnesses), case
+
+
 def test_report_formatting(square_pair):
     t1, t2 = square_pair
     report = lemmas.audit_propositions(t1, t2)

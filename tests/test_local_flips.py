@@ -62,9 +62,9 @@ def _incident(state):
 def _incident_from_faces(t):
     out = {}
     for f in faces(t):
-        a, b, c = f.vertices
+        a, b, c = f
         for e in (canonical_edge(a, b), canonical_edge(b, c), canonical_edge(c, a)):
-            out.setdefault(e, set()).add(frozenset(f.vertices))
+            out.setdefault(e, set()).add(frozenset(f))
     return out
 
 
