@@ -210,15 +210,12 @@ def parse_sequence(
     obj = _load(doc)
     _check_format(obj, SEQUENCE_FORMAT, "sequence")
     inst = _resolve_instance(obj, "sequence", base_dir)
-    start = Triangulation(
-        inst,
-        _parse_edges(_expect(obj, "start", list, "sequence"), inst, "sequence.start"),
-    )
-    target = Triangulation(
-        inst,
-        _parse_edges(
-            _expect(obj, "target", list, "sequence"), inst, "sequence.target"
-        ),
+    start, target = (
+        Triangulation(
+            inst,
+            _parse_edges(_expect(obj, key, list, "sequence"), inst, f"sequence.{key}"),
+        )
+        for key in ("start", "target")
     )
     steps_raw = _expect(obj, "steps", list, "sequence")
     steps = []
@@ -243,4 +240,10 @@ def parse_sequence(
             )
     if steps and steps[-1].after != 0:
         raise InvariantViolation("last step does not reach zero crossings")
-    return FlipSequence(start=start, target=target, steps=tuple(steps))
+    for where, t in (("sequence.start", start), ("sequence.target", target)):
+        if violations := validate(t):
+            raise InvariantViolation(f"invalid {where}", violations)
+    seq = FlipSequence(start=start, target=target, steps=tuple(steps))
+    if seq.replay().edges != target.edges:
+        raise InvariantViolation("sequence.steps do not reach sequence.target")
+    return seq

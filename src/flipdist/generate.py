@@ -121,19 +121,15 @@ def _sample_interior(
     return added
 
 
-def _gen_convex(spec: GenSpec, rng: random.Random) -> Instance | None:
+def _gen_convex(spec: GenSpec, rng: random.Random) -> tuple[list, list] | None:
     n_border = spec.n_points - spec.interior_points
     ring = _convex_ring(rng, n_border)
     if ring is None:
         return None
-    border = [list(range(n_border))]
-    interior = _sample_interior(rng, spec.interior_points, ring, border)
-    if interior is None:
-        return None
-    return Instance(ring + interior, border)
+    return ring, [list(range(n_border))]
 
 
-def _gen_star(spec: GenSpec, rng: random.Random) -> Instance | None:
+def _gen_star(spec: GenSpec, rng: random.Random) -> tuple[list, list] | None:
     n_border = spec.n_points - spec.interior_points
     points: list[geometry.Point] = []
     while len(points) < n_border:
@@ -148,14 +144,10 @@ def _gen_star(spec: GenSpec, rng: random.Random) -> Instance | None:
     order = _star_order(points)
     if order is None:
         return None
-    border = [order]
-    interior = _sample_interior(rng, spec.interior_points, points, border)
-    if interior is None:
-        return None
-    return Instance(points + interior, border)
+    return points, [order]
 
 
-def _gen_with_holes(spec: GenSpec, rng: random.Random) -> Instance | None:
+def _gen_with_holes(spec: GenSpec, rng: random.Random) -> tuple[list, list] | None:
     n_outer = spec.n_points - 3 * spec.holes - spec.interior_points
     outer = _convex_ring(rng, n_outer)
     if outer is None:
@@ -188,10 +180,7 @@ def _gen_with_holes(spec: GenSpec, rng: random.Random) -> Instance | None:
             break
         else:
             return None
-    interior = _sample_interior(rng, spec.interior_points, points, border)
-    if interior is None:
-        return None
-    return Instance(points + interior, border)
+    return points, border
 
 
 def generate_instance(spec: GenSpec) -> Instance:
@@ -203,6 +192,7 @@ def generate_instance(spec: GenSpec) -> Instance:
             f"{minimum} border points"
         )
     rng = random.Random(spec.seed)
+    # Each builder draws the border points and polygons, or None to retry.
     builders = {
         "convex_gon": _gen_convex,
         "random_simple_border": _gen_star,
@@ -210,12 +200,17 @@ def generate_instance(spec: GenSpec) -> Instance:
     }
     build = builders[spec.shape]
     for _ in range(_MAX_ATTEMPTS):
+        built = build(spec, rng)
+        if built is None:
+            continue
+        points, border = built
+        interior = _sample_interior(rng, spec.interior_points, points, border)
+        if interior is None:
+            continue
         try:
-            inst = build(spec, rng)
+            return Instance(points + interior, border)
         except InvariantViolation:
             continue
-        if inst is not None:
-            return inst
     raise InfeasibleSpec(f"could not realize {spec} after {_MAX_ATTEMPTS} attempts")
 
 

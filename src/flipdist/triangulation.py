@@ -45,6 +45,16 @@ def _as_int(v) -> Optional[int]:
         return None
 
 
+def _as_ints(values, size: Optional[int] = None) -> Optional[tuple]:
+    """values as a tuple of _as_int results; None when values is not
+    iterable or, with ``size``, not of that length."""
+    try:
+        out = tuple(_as_int(v) for v in values)
+    except TypeError:
+        return None
+    return out if size is None or len(out) == size else None
+
+
 class Instance:
     """A point set with border constraints: an outer polygon plus holes.
 
@@ -60,21 +70,21 @@ class Instance:
         points: Sequence[Point],
         border: Sequence[Sequence[int]],
     ):
-        self.points: tuple[Point, ...] = tuple(
-            (_as_int(x), _as_int(y)) for x, y in points
-        )
-        self.border: tuple[tuple[int, ...], ...] = tuple(
-            tuple(_as_int(v) for v in poly) for poly in border
-        )
-        not_integers = [
-            f"point {i} has a non-integer coordinate"
-            for i, p in enumerate(self.points) if None in p
+        pairs = [_as_ints(p, 2) for p in points]
+        polygons = [_as_ints(poly) for poly in border]
+        malformed = [
+            f"point {i} is not a pair of integers" if p is None
+            else f"point {i} has a non-integer coordinate"
+            for i, p in enumerate(pairs) if p is None or None in p
         ] + [
-            f"border[{b}] has a non-integer vertex id"
-            for b, poly in enumerate(self.border) if None in poly
+            f"border[{b}] is not a list of vertex ids" if poly is None
+            else f"border[{b}] has a non-integer vertex id"
+            for b, poly in enumerate(polygons) if poly is None or None in poly
         ]
-        if not_integers:
-            raise InvariantViolation("invalid instance", not_integers)
+        if malformed:
+            raise InvariantViolation("invalid instance", malformed)
+        self.points: tuple[Point, ...] = tuple(pairs)
+        self.border: tuple[tuple[int, ...], ...] = tuple(polygons)
         self.n = len(self.points)
         self.n_b = sum(len(poly) for poly in self.border)
         self.h = len(self.border) - 1
@@ -180,51 +190,47 @@ class Instance:
             for v in self.border[b]:
                 if geometry.point_in_region(self.points[v], outer) == geometry.OUTSIDE:
                     out.append(f"hole {b} vertex {v} is outside the outer border")
-        for e in sorted(self.border_edges):
-            seg = self.segment(e)
-            for i, p in enumerate(self.points):
-                if i not in e and geometry.point_on_open_segment(p, seg):
-                    out.append(
-                        f"point {i} lies on the interior of border edge {e}"
-                    )
+        inside, _ = _segment_defects(self, sorted(self.border_edges))
+        out += [f"point {k} lies on the interior of border edge {e}" for k, e in inside]
         return out
 
     def admissible_pairs(self) -> tuple[Edge, ...]:
-        """All vertex pairs whose open segment can be a triangulation edge.
-
-        A pair qualifies when no vertex lies in its open interior, it does
-        not properly cross a border edge, and its midpoint is inside the
-        region (border edges qualify by definition).
-        """
-        if self._admissible is not None:
-            return self._admissible
-        coords = self.border_coords()
-        border_segs = [
-            s for poly in coords for s in geometry.segments_of_polygon(poly)
-        ]
-        pairs: list[Edge] = []
-        for i in range(self.n):
-            for j in range(i + 1, self.n):
-                e = (i, j)
-                seg = self.segment(e)
-                if any(
-                    geometry.point_on_open_segment(self.points[k], seg)
-                    for k in range(self.n)
-                    if k != i and k != j
-                ):
-                    continue
-                if e in self.border_edges:
-                    pairs.append(e)
-                    continue
-                if any(
-                    geometry.properly_intersect(seg, bs) for bs in border_segs
-                ):
-                    continue
-                if geometry.midpoint_in_region(seg, coords) != INSIDE:
-                    continue
-                pairs.append(e)
-        self._admissible = tuple(pairs)
+        """All vertex pairs whose open segment can be a triangulation edge:
+        those with no :func:`_segment_defects` that cross no border edge."""
+        if self._admissible is None:
+            pairs = [(i, j) for i in range(self.n) for j in range(i + 1, self.n)]
+            crossing = kernels.crossing_matrix(
+                kernels.segments_array([self.segment(e) for e in pairs]),
+                kernels.segments_array([self.segment(e) for e in self.border_edges]),
+            ).any(axis=1)
+            pairs = [e for e, c in zip(pairs, crossing) if not c]
+            inside, leaving = _segment_defects(self, pairs)
+            bad = {e for _, e in inside}.union(leaving)
+            self._admissible = tuple(e for e in pairs if e not in bad)
         return self._admissible
+
+
+def _segment_defects(inst: Instance, edges: Sequence[Edge]) -> tuple[list, list]:
+    """Why the segments of ``edges`` are not admissible, in edge order.
+
+    ``(k, e)`` for every vertex k strictly inside a segment e, and every
+    non-border e whose midpoint is not inside the region.  A segment free of
+    both that crosses no border edge is admissible.
+    """
+    coords = inst.border_coords()
+    inside: list[tuple[int, Edge]] = []
+    leaving: list[Edge] = []
+    for e in edges:
+        seg = inst.segment(e)
+        inside += [
+            (k, e) for k, p in enumerate(inst.points)
+            if k not in e and geometry.point_on_open_segment(p, seg)
+        ]
+        if e not in inst.border_edges and (
+            geometry.midpoint_in_region(seg, coords) != INSIDE
+        ):
+            leaving.append(e)
+    return inside, leaving
 
 
 class Quadrilateral(NamedTuple):
@@ -253,6 +259,7 @@ class Triangulation:
             canonical_edge(*e) for e in edges
         )
         self._apexes: Optional[ApexMap] = None
+        self._violations: Optional[list[str]] = None
         self._interior_sorted: Optional[tuple[Edge, ...]] = None
         self._interior_array = None
 
@@ -549,53 +556,46 @@ def greedy_triangulate(
 def validate(t: Triangulation) -> list[str]:
     """Every violated triangulation invariant; empty means valid.
 
-    A valid triangulation costs one batch crossing scan over all edge pairs,
-    the vertex-on-edge check and the midpoint check.  Those checks make every
+    A valid triangulation costs one batch crossing scan over all edge pairs
+    and the :func:`_segment_defects` of its edges.  Those checks make every
     edge admissible; every maximal non-crossing set of admissible edges has
     exactly ``interior_edge_count`` interior edges, and a non-maximal one
     extends to a maximal one, so a passing set with that count is maximal.
     Any other set gets the admissible-pair scan, so each ``not maximal``
-    violation names an edge that could be added.
+    violation names an edge that could be added.  The verdict is cached on
+    ``t``; each call returns a fresh list.
     """
+    if t._violations is None:
+        t._violations = _violations(t)
+    return list(t._violations)
+
+
+def _violations(t: Triangulation) -> list[str]:
     inst = t.instance
-    out: list[str] = []
-    for e in sorted(inst.border_edges - t.edges):
-        out.append(f"missing border edge {e}")
+    out = [f"missing border edge {e}" for e in sorted(inst.border_edges - t.edges)]
     edges = sorted(t.edges)
     for e in edges:
         if e[0] < 0 or e[1] >= inst.n or e[0] == e[1]:
             out.append(f"invalid edge {e}")
             return out
-    segs = {e: inst.segment(e) for e in edges}
-    packed = kernels.segments_array([segs[e] for e in edges])
+    packed = kernels.segments_array([inst.segment(e) for e in edges])
     crossing = np.triu(kernels.crossing_matrix(packed, packed))
     for i, j in zip(*np.nonzero(crossing)):  # row-major: i, then j
         out.append(f"edges {edges[i]} and {edges[j]} cross")
-    for e in edges:
-        for k in range(inst.n):
-            if k not in e and geometry.point_on_open_segment(
-                inst.points[k], segs[e]
-            ):
-                out.append(f"vertex {k} lies inside edge {e}")
-    coords = inst.border_coords()
-    for e in edges:
-        if e in inst.border_edges:
-            continue
-        if geometry.midpoint_in_region(segs[e], coords) != INSIDE:
-            out.append(f"edge {e} leaves the region")
+    inside, leaving = _segment_defects(inst, edges)
+    out += [f"vertex {k} lies inside edge {e}" for k, e in inside]
+    out += [f"edge {e} leaves the region" for e in leaving]
     expected = interior_edge_count(inst.n, inst.n_b, inst.h)
     actual = len(t.edges - inst.border_edges)
     if not out and actual == expected:
         return out
-    admissible = set(inst.admissible_pairs())
-    for cand in sorted(admissible - t.edges):
-        cseg = inst.segment(cand)
-        if not any(
-            geometry.properly_intersect(cseg, segs[e]) for e in edges
-        ):
+    candidates = sorted(set(inst.admissible_pairs()) - t.edges)
+    blocked = kernels.crossing_matrix(
+        kernels.segments_array([inst.segment(e) for e in candidates]), packed
+    ).any(axis=1)
+    for cand, hit in zip(candidates, blocked):
+        if not hit:
             out.append(f"not maximal: edge {cand} could be added")
     if not out and actual != expected:
-        out.append(
-            f"interior edge count {actual} != expected {expected}"
-        )
+        out.append(f"interior edge count {actual} != expected {expected}")
     return out

@@ -5,7 +5,7 @@ import pytest
 
 from flipdist import cli, formats
 from flipdist.cli import run
-from flipdist.triangulation import Triangulation, greedy_triangulate
+from flipdist.triangulation import Instance, Triangulation, greedy_triangulate
 
 
 @pytest.fixture
@@ -226,3 +226,54 @@ def test_parser_is_built_once(files, monkeypatch):
     assert run(["validate", str(inst)]) == 0
     assert run(["count", str(f1), str(f2)]) == 0
     assert len(built) == 1
+
+
+def test_validate_different_instance(files, tmp_path, capsys, square):
+    _, inst, _, _ = files
+    other = tmp_path / "square.json"
+    other.write_bytes(formats.serialize_triangulation(greedy_triangulate(square)))
+    assert run(["validate", str(inst), str(other)]) == 1
+    assert capsys.readouterr().out == (
+        "violation: triangulation references a different instance\n"
+    )
+
+
+def test_validate_notes_pinched_instance(tmp_path, capsys):
+    pinched = Instance(
+        [(0, 0), (10, 0), (10, 10), (0, 10), (5, 2), (6, 4)],
+        [[0, 1, 2, 3], [0, 4, 5]],
+    )
+    inst = tmp_path / "pinched.json"
+    inst.write_bytes(formats.serialize_instance(pinched))
+    assert run(["validate", str(inst)]) == 0
+    assert capsys.readouterr().out == (
+        "note: pinched (border polygons share a vertex)\nok\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "case", ["start-crossing", "target-invalid", "target-unreached"]
+)
+def test_render_refuses_invalid_sequence(files, tmp_path, capsys, hexagon, case):
+    _, _, f1, f2 = files
+    seq_file = tmp_path / "seq.json"
+    assert run(["morph", str(f1), str(f2), "-o", str(seq_file)]) == 0
+    doc = json.loads(seq_file.read_text())
+    assert doc["steps"]
+    if case == "start-crossing":
+        # An admissible pair outside a triangulation crosses one of its edges.
+        start = {tuple(e) for e in doc["start"]}
+        doc["start"].append(min(set(hexagon.admissible_pairs()) - start))
+        expected = "error: invalid sequence.start: edges "
+    elif case == "target-invalid":
+        doc["target"].pop(0)
+        expected = "error: invalid sequence.target: missing border edge "
+    else:
+        doc["target"] = doc["start"]
+        expected = "error: sequence.steps do not reach sequence.target\n"
+    seq_file.write_text(json.dumps(doc))
+    capsys.readouterr()
+    svg = tmp_path / "frames.svg"
+    assert run(["render", str(f1), "--sequence", str(seq_file), "-o", str(svg)]) == 1
+    assert capsys.readouterr().err.startswith(expected)
+    assert not svg.exists()

@@ -239,6 +239,25 @@ def test_random_instances_match_reference(raw):
                 "border[2] has a non-integer vertex id",
             ],
         ),
+        (
+            [(0, 0, 1), (1, 0), 5, (1,)],
+            [[0, 1, 2]],
+            [
+                "point 0 is not a pair of integers",
+                "point 2 is not a pair of integers",
+                "point 3 is not a pair of integers",
+            ],
+        ),
+        # Refused before any geometric check: points 0 and 3 coincide.
+        (
+            [(0, 0), (1, 0), (0, 1), (0, 0)],
+            [0, [0, 1, 2], None, [0, 1.5, 2]],
+            [
+                "border[0] is not a list of vertex ids",
+                "border[2] is not a list of vertex ids",
+                "border[3] has a non-integer vertex id",
+            ],
+        ),
     ],
 )
 def test_non_integers_are_refused(points, border, violations):

@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from flipdist import geometry
+from flipdist import geometry, kernels
 from flipdist.errors import EdgeNotInTriangulation, InvariantViolation, NotFlippable
 from flipdist.generate import GenSpec, generate_instance, random_priority
 from flipdist.triangulation import (
@@ -352,3 +352,93 @@ def test_strict_convexity_matches_four_corners(points, swap):
     )
     assert quad.strictly_convex == expected
     assert quad.opposite == (1, 3)
+
+
+def _admissible_reference(inst):
+    """The per-pair scan: a pair qualifies when no vertex lies in its open
+    interior and it is a border edge, or it crosses no border edge and its
+    midpoint is inside the region."""
+    coords = inst.border_coords()
+    border_segs = [
+        s for poly in coords for s in geometry.segments_of_polygon(poly)
+    ]
+    pairs = []
+    for i in range(inst.n):
+        for j in range(i + 1, inst.n):
+            seg = inst.segment((i, j))
+            if any(
+                geometry.point_on_open_segment(inst.points[k], seg)
+                for k in range(inst.n)
+                if k != i and k != j
+            ):
+                continue
+            if (i, j) in inst.border_edges:
+                pairs.append((i, j))
+                continue
+            if any(geometry.properly_intersect(seg, bs) for bs in border_segs):
+                continue
+            if geometry.midpoint_in_region(seg, coords) == geometry.INSIDE:
+                pairs.append((i, j))
+    return tuple(pairs)
+
+
+def _admissibility_instances():
+    limit = 1 << 30
+    cases = dict(_differential_instances())
+    cases["cw_outer_holed"] = Instance(
+        [(0, 0), (10, 0), (10, 10), (0, 10), (4, 4), (6, 4), (5, 6), (2, 7),
+         (8, 2)],
+        [[3, 2, 1, 0], [4, 5, 6]],
+    )
+    # Two holes sharing vertex 5.
+    cases["two_holes_pinched"] = Instance(
+        [(0, 0), (20, 0), (20, 20), (0, 20), (5, 5), (10, 5), (7, 9), (15, 5),
+         (13, 9), (10, 15)],
+        [[0, 1, 2, 3], [4, 5, 6], [5, 7, 8]],
+    )
+    # At the parser's cap: the numpy kernel runs on the extreme coordinates.
+    cases["coords_2^30"] = Instance(
+        [(-limit, -limit), (limit, -limit), (limit, limit), (-limit, limit),
+         (1, 7), (-5, -3), (limit - 1, 0)],
+        [[0, 1, 2, 3]],
+    )
+    for seed in (1, 2, 3):
+        for spec in (
+            GenSpec(seed=seed, n_points=10, interior_points=2),
+            GenSpec(seed=seed, n_points=10, shape="random_simple_border",
+                    interior_points=1),
+            GenSpec(seed=seed, n_points=12, shape="with_holes", holes=1,
+                    interior_points=1),
+        ):
+            cases[f"{spec.shape}_{seed}"] = generate_instance(spec)
+    return cases
+
+
+@pytest.mark.parametrize("name", sorted(_admissibility_instances()))
+def test_admissible_pairs_match_reference(name):
+    inst = _admissibility_instances()[name]
+    assert inst.admissible_pairs() == _admissible_reference(inst)
+
+
+@pytest.mark.parametrize("bad", [(2, 9), (-1, 2), (2, 2)])
+def test_validate_rejects_invalid_edge_ids(square, bad):
+    t = Triangulation(square, square.border_edges | {bad})
+    assert validate(t) == [f"invalid edge {bad}"]
+
+
+def test_validate_verdict_is_cached(pentagon, monkeypatch):
+    t = Triangulation(pentagon, pentagon.border_edges | {(0, 2)})
+    first = validate(t)
+    assert first
+    calls = []
+    crossing_matrix = kernels.crossing_matrix
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return crossing_matrix(*args, **kwargs)
+
+    monkeypatch.setattr(kernels, "crossing_matrix", counting)
+    again = validate(t)
+    assert again == first and calls == []
+    again.clear()
+    assert validate(t) == first
