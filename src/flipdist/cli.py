@@ -17,16 +17,23 @@ from .errors import FlipdistError, ParseError
 from .generate import GenSpec, generate_instance, random_priority
 from .morph import intersection_upper_bound, morph
 from .oracle import build_flip_graph, enumerate_triangulations_direct, exact_flip_distance
-from .triangulation import Triangulation, greedy_triangulate, validate
+from .triangulation import Instance, Triangulation, greedy_triangulate, validate
 
 
 def _load_instance(path: str):
     return formats.parse_instance(Path(path).read_bytes())
 
 
-def _load_triangulation(path: str) -> Triangulation:
+def _load_triangulation(path: str, known: Instance | None = None) -> Triangulation:
+    """Parse and validate a triangulation file; ``known``, an instance this
+    command has already loaded, is reused when the file embeds the same one."""
     p = Path(path)
-    return formats.parse_triangulation(p.read_bytes(), base_dir=p.parent)
+    return formats.parse_triangulation(p.read_bytes(), base_dir=p.parent, known=known)
+
+
+def _load_pair(args) -> tuple[Triangulation, Triangulation]:
+    t1 = _load_triangulation(args.tri1)
+    return t1, _load_triangulation(args.tri2, t1.instance)
 
 
 def _write(path: str | None, data: bytes) -> None:
@@ -42,7 +49,7 @@ def _cmd_validate(args) -> int:
     if args.triangulation is not None:
         p = Path(args.triangulation)
         t = formats.parse_triangulation(
-            p.read_bytes(), base_dir=p.parent, validate_on_load=False
+            p.read_bytes(), base_dir=p.parent, validate_on_load=False, known=inst
         )
         if t.instance != inst:
             violations.append("triangulation references a different instance")
@@ -75,8 +82,7 @@ def _cmd_triangulate(args) -> int:
 
 
 def _cmd_count(args) -> int:
-    t1 = _load_triangulation(args.tri1)
-    t2 = _load_triangulation(args.tri2)
+    t1, t2 = _load_pair(args)
     report = count_pair(t1, t2)
     print(f"total={report.total}")
     for e, c in sorted(report.per_edge.items()):
@@ -89,8 +95,7 @@ def _cmd_count(args) -> int:
 
 
 def _cmd_morph(args) -> int:
-    t1 = _load_triangulation(args.tri1)
-    t2 = _load_triangulation(args.tri2)
+    t1, t2 = _load_pair(args)
     seq = morph(t1, t2)
     crossings = seq.steps[0].before if seq.steps else 0
     if seq.replay().edges != t2.edges:
@@ -104,8 +109,7 @@ def _cmd_morph(args) -> int:
 
 
 def _cmd_distance(args) -> int:
-    t1 = _load_triangulation(args.tri1)
-    t2 = _load_triangulation(args.tri2)
+    t1, t2 = _load_pair(args)
     print(exact_flip_distance(t1, t2))
     return 0
 
@@ -128,8 +132,7 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_audit(args) -> int:
-    t1 = _load_triangulation(args.tri1)
-    t2 = _load_triangulation(args.tri2)
+    t1, t2 = _load_pair(args)
     reports = [("propositions", lemmas.audit_propositions(t1, t2))]
     if t1.edges != t2.edges:
         reports.append(("lemma1", lemmas.audit_lemma1(t1, t2)))
@@ -148,11 +151,13 @@ def _cmd_audit(args) -> int:
 
 def _cmd_render(args) -> int:
     t = _load_triangulation(args.triangulation)
-    overlay = _load_triangulation(args.overlay) if args.overlay else None
+    overlay = _load_triangulation(args.overlay, t.instance) if args.overlay else None
     sequence = None
     if args.sequence:
         p = Path(args.sequence)
-        sequence = formats.parse_sequence(p.read_bytes(), base_dir=p.parent)
+        sequence = formats.parse_sequence(
+            p.read_bytes(), base_dir=p.parent, known=t.instance
+        )
     svg = render.render_svg(t, overlay=overlay, sequence=sequence)
     _write(args.output, svg.encode("utf-8"))
     return 0

@@ -11,10 +11,18 @@ import json
 from pathlib import Path
 from typing import Any, Optional
 
-from .errors import InvariantViolation, ParseError
+from . import kernels
+from .crossings import count_pair
+from .errors import EdgeNotInTriangulation, InvariantViolation, NotFlippable, ParseError
 from .geometry import COORD_LIMIT
 from .morph import FlipSequence, FlipStep
-from .triangulation import Instance, Triangulation, canonical_edge, validate
+from .triangulation import (
+    Instance,
+    MutableTriangulation,
+    Triangulation,
+    canonical_edge,
+    validate,
+)
 
 INSTANCE_FORMAT = "flipdist.instance"
 TRIANGULATION_FORMAT = "flipdist.triangulation"
@@ -75,7 +83,9 @@ def _instance_obj(inst: Instance) -> dict:
     }
 
 
-def _parse_instance_obj(obj: Any, where: str) -> Instance:
+def _parse_instance_obj(
+    obj: Any, where: str, known: Optional[Instance] = None
+) -> Instance:
     _check_format(obj, INSTANCE_FORMAT, where)
     points_raw = _expect(obj, "points", list, where)
     points = []
@@ -101,6 +111,10 @@ def _parse_instance_obj(obj: Any, where: str) -> Instance:
                 "polygon must be a list of vertex ids", f"{where}.border[{b}]"
             )
         border.append(tuple(poly))
+    if known is not None and known.points == tuple(points) and (
+        known.border == tuple(border)
+    ):
+        return known
     return Instance(points, border)
 
 
@@ -108,8 +122,10 @@ def serialize_instance(inst: Instance) -> bytes:
     return _dump(_instance_obj(inst))
 
 
-def parse_instance(doc: bytes | str) -> Instance:
-    return _parse_instance_obj(_load(doc), "instance")
+def parse_instance(doc: bytes | str, known: Optional[Instance] = None) -> Instance:
+    """The instance in ``doc``; ``known`` itself when it has the same points
+    and border, so a command validates each instance once."""
+    return _parse_instance_obj(_load(doc), "instance", known)
 
 
 def _edges_list(t: Triangulation) -> list[list[int]]:
@@ -139,9 +155,11 @@ def _parse_edges(obj: Any, inst: Instance, where: str) -> list[tuple[int, int]]:
     return edges
 
 
-def _resolve_instance(obj: Any, where: str, base_dir: Optional[Path]) -> Instance:
+def _resolve_instance(
+    obj: Any, where: str, base_dir: Optional[Path], known: Optional[Instance]
+) -> Instance:
     if isinstance(obj, dict) and "instance" in obj:
-        return _parse_instance_obj(obj["instance"], f"{where}.instance")
+        return _parse_instance_obj(obj["instance"], f"{where}.instance", known)
     if isinstance(obj, dict) and "instance_path" in obj:
         rel = _expect(obj, "instance_path", str, where)
         path = Path(rel)
@@ -151,7 +169,7 @@ def _resolve_instance(obj: Any, where: str, base_dir: Optional[Path]) -> Instanc
             data = path.read_bytes()
         except OSError as exc:
             raise ParseError(str(exc), f"{where}.instance_path") from exc
-        return parse_instance(data)
+        return parse_instance(data, known)
     raise ParseError("missing field 'instance' or 'instance_path'", where)
 
 
@@ -170,10 +188,14 @@ def parse_triangulation(
     doc: bytes | str,
     base_dir: Optional[Path] = None,
     validate_on_load: bool = True,
+    known: Optional[Instance] = None,
 ) -> Triangulation:
+    """The triangulation in ``doc``, validated unless ``validate_on_load`` is
+    false.  Its instance is ``known`` when that has the same points and
+    border (see :func:`parse_instance`)."""
     obj = _load(doc)
     _check_format(obj, TRIANGULATION_FORMAT, "triangulation")
-    inst = _resolve_instance(obj, "triangulation", base_dir)
+    inst = _resolve_instance(obj, "triangulation", base_dir, known)
     edges = _parse_edges(obj, inst, "triangulation.edges")
     t = Triangulation(inst, edges)
     if validate_on_load:
@@ -205,11 +227,13 @@ def serialize_sequence(seq: FlipSequence) -> bytes:
 
 
 def parse_sequence(
-    doc: bytes | str, base_dir: Optional[Path] = None
+    doc: bytes | str,
+    base_dir: Optional[Path] = None,
+    known: Optional[Instance] = None,
 ) -> FlipSequence:
     obj = _load(doc)
     _check_format(obj, SEQUENCE_FORMAT, "sequence")
-    inst = _resolve_instance(obj, "sequence", base_dir)
+    inst = _resolve_instance(obj, "sequence", base_dir, known)
     start, target = (
         Triangulation(
             inst,
@@ -243,7 +267,48 @@ def parse_sequence(
     for where, t in (("sequence.start", start), ("sequence.target", target)):
         if violations := validate(t):
             raise InvariantViolation(f"invalid {where}", violations)
-    seq = FlipSequence(start=start, target=target, steps=tuple(steps))
-    if seq.replay().edges != target.edges:
+    state = MutableTriangulation(start)
+    for i, step in enumerate(steps):
+        try:
+            quad = state.quadrilateral(step.removed)
+            state.flip(step.removed)
+        except (EdgeNotInTriangulation, NotFlippable) as exc:
+            raise InvariantViolation(
+                f"invalid sequence.steps[{i}]", [str(exc)]
+            ) from exc
+        if step.added != quad.opposite:
+            raise InvariantViolation(
+                f"invalid sequence.steps[{i}]",
+                [f"added {step.added} is not {quad.opposite}, the diagonal "
+                 f"the flip of {step.removed} creates"],
+            )
+    if state.edges != target.edges:
         raise InvariantViolation("sequence.steps do not reach sequence.target")
-    return seq
+    _check_totals(start, target, steps)
+    return FlipSequence(start=start, target=target, steps=tuple(steps))
+
+
+def _check_totals(
+    start: Triangulation, target: Triangulation, steps: list[FlipStep]
+) -> None:
+    """Each step's totals must be crossing counts against ``target``: the
+    first ``before`` is #(start, target), and each flip takes #(removed,
+    target) off and puts #(added, target) on."""
+    rows = [e for step in steps for e in (step.removed, step.added)]
+    counts = kernels.crossing_counts(
+        kernels.segments_array([start.segment(e) for e in rows]),
+        target.interior_array(),
+    ).tolist()
+    total = count_pair(start, target).total
+    for i, step in enumerate(steps):
+        after = total - counts[2 * i] + counts[2 * i + 1]
+        for name, got, want in (
+            ("before", step.before, total),
+            ("after", step.after, after),
+        ):
+            if got != want:
+                raise InvariantViolation(
+                    f"invalid sequence.steps[{i}]",
+                    [f"{name} {got} is not the crossing count {want}"],
+                )
+        total = after

@@ -51,7 +51,7 @@ def _crossing_edges(t: Triangulation, target: Triangulation) -> dict[Edge, int]:
 
 
 def _reducing_flip(
-    state: MutableTriangulation, counts: dict[Edge, int], target: Triangulation
+    state: MutableTriangulation, counts: dict[Edge, int], target: kernels.Segments
 ) -> tuple[Quadrilateral, int]:
     """The first maximal edge, in canonical order, whose flip lowers its count.
 
@@ -68,9 +68,9 @@ def _reducing_flip(
                 f"maximal edge {e} has no strictly convex quadrilateral"
             )
         # The new diagonal lies inside the region, so no border edge can
-        # properly cross it: count it against target's interior edges only.
+        # properly cross it: ``target`` holds the target's interior edges only.
         segment = kernels.segments_array([state.instance.segment(quad.opposite)])
-        new_count = int(kernels.crossing_counts(segment, target.interior_array())[0])
+        new_count = int(kernels.crossing_counts(segment, target)[0])
         if new_count < best:
             return quad, new_count
     raise LemmaViolation(f"no maximal edge of {maximal} reduces crossings")
@@ -88,10 +88,11 @@ def morph(t1: Triangulation, t2: Triangulation) -> FlipSequence:
     """
     counts = _crossing_edges(t1, t2)
     total = sum(counts.values())
+    target = kernels.Segments(t2.interior_array())
     state = MutableTriangulation(t1)
     steps: list[FlipStep] = []
     while state.edges != t2.edges:
-        quad, new_count = _reducing_flip(state, counts, t2)
+        quad, new_count = _reducing_flip(state, counts, target)
         after = total - counts.pop(quad.diagonal) + new_count
         if new_count:
             counts[quad.opposite] = new_count

@@ -408,13 +408,17 @@ def apex_map(t: Triangulation) -> ApexMap:
     once per triangulation; callers must not mutate the shared map.
     """
     if t._apexes is None:
-        apexes: ApexMap = {}
-        for a, b, c in faces(t):
-            for u, v, w in ((a, b, c), (b, c, a), (c, a, b)):
-                e = canonical_edge(u, v)
-                apexes[e] = apexes.get(e, ()) + (w,)
-        t._apexes = apexes
+        t._apexes = _apexes_of(faces(t))
     return t._apexes
+
+
+def _apexes_of(triangles: Iterable[tuple[int, int, int]]) -> ApexMap:
+    apexes: ApexMap = {}
+    for a, b, c in triangles:
+        for u, v, w in ((a, b, c), (b, c, a), (c, a, b)):
+            e = canonical_edge(u, v)
+            apexes[e] = apexes.get(e, ()) + (w,)
+    return apexes
 
 
 def apex_quadrilateral(
@@ -556,18 +560,90 @@ def greedy_triangulate(
 def validate(t: Triangulation) -> list[str]:
     """Every violated triangulation invariant; empty means valid.
 
-    A valid triangulation costs one batch crossing scan over all edge pairs
-    and the :func:`_segment_defects` of its edges.  Those checks make every
-    edge admissible; every maximal non-crossing set of admissible edges has
-    exactly ``interior_edge_count`` interior edges, and a non-maximal one
-    extends to a maximal one, so a passing set with that count is maximal.
-    Any other set gets the admissible-pair scan, so each ``not maximal``
-    violation names an edge that could be added.  The verdict is cached on
-    ``t``; each call returns a fresh list.
+    A valid triangulation costs one :func:`faces` trace: it is accepted by
+    the face certificate of :func:`_face_certificate`, whose edge -> apex
+    map becomes ``t``'s cached :func:`apex_map`.  Any other set gets the full
+    checks of :func:`_violations`, so each violation names its edges.  The
+    verdict is cached on ``t``; each call returns a fresh list.
     """
     if t._violations is None:
-        t._violations = _violations(t)
+        apexes = _face_certificate(t)
+        if apexes is None:
+            t._violations = _violations(t)
+        else:
+            t._violations = []
+            if t._apexes is None:
+                t._apexes = apexes
     return list(t._violations)
+
+
+def _area2(points: Sequence[Point]) -> int:
+    """Twice the signed area of a polygon, exactly (the shoelace formula)."""
+    return sum(
+        p[0] * q[1] - q[0] * p[1] for p, q in geometry.segments_of_polygon(points)
+    )
+
+
+def _face_certificate(t: Triangulation) -> Optional[ApexMap]:
+    """t's edge -> apex map when its faces prove it valid, else None.
+
+    The certificate, at the cost of one :func:`faces` trace:
+
+    1. every border edge is in t and every edge id is valid;
+    2. ``faces(t)`` traces exactly ``2n - n_b - 2 + 2h`` ccw triangles, the
+       face count Euler's relation gives (see :func:`interior_edge_count`);
+    3. in their apex map every border edge has one apex, every other edge two;
+    4. twice their total area equals twice the region's, |outer| - sum |hole|.
+
+    Why it suffices.  For a point p on no edge let D(p) be the number of
+    traced triangles containing p.  A traced triangle lies left of each of
+    its directed sides, and each directed edge bounds one traced face, so an
+    edge with two apexes has a triangle on each side and D does not change
+    across it; across a border edge D changes by 1.  The instance's border
+    edges meet only at endpoints, so along any path D changes parity exactly
+    where the number of border polygons containing p does.  Both are 0 far
+    away, so D is odd, hence at least 1, wherever p is in the region (inside
+    the outer polygon and in no hole): D >= [region].  The region's area is
+    the integral of [outer] - sum [hole] <= [region], so 4 makes D = [region]
+    almost everywhere: the triangles tile the region once.  Then
+    * no two edges cross: near the crossing their triangles would overlap;
+    * no vertex k with an edge lies inside an edge e: e is not a border
+      edge (the instance forbids that), so e's two triangles cover a disc
+      around k, which overlaps the corner of a triangle at k;
+    * so the triangles triangulate the region on the n' vertices they use,
+      and Euler's relation gives 2n' - n_b - 2 + 2h triangles: by 2, n' = n,
+      so no vertex is isolated (nor, by the point above, inside an edge) and
+      t has ``interior_edge_count`` interior edges;
+    * a non-border edge's open segment is covered from both sides and meets
+      no border edge, so its midpoint is inside the region.
+    These are the checks of :func:`_violations`, which would find nothing.
+    Conversely, unless a hole overlaps another or leaves the outer polygon
+    (which only a pinched instance can do), each valid triangulation
+    passes: its rotation system is sorted by exact angle, so its bounded
+    faces are traced as its triangles.  Any input that fails gets the full
+    checks.
+    """
+    inst = t.instance
+    if not inst.border_edges <= t.edges or any(
+        not 0 <= a < b < inst.n for a, b in t.edges
+    ):
+        return None
+    try:
+        triangles = faces(t)
+    except NotATriangulation:
+        return None
+    if len(triangles) != 2 * inst.n - inst.n_b - 2 + 2 * inst.h:
+        return None
+    apexes = _apexes_of(triangles)
+    if len(apexes) != len(t.edges) or any(
+        len(incident) != (1 if e in inst.border_edges else 2)
+        for e, incident in apexes.items()
+    ):
+        return None
+    outer, *holes = (abs(_area2(poly)) for poly in inst.border_coords())
+    pts = inst.points
+    area2 = sum(_area2([pts[a], pts[b], pts[c]]) for a, b, c in triangles)
+    return apexes if area2 == outer - sum(holes) else None
 
 
 def _violations(t: Triangulation) -> list[str]:

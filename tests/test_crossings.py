@@ -211,6 +211,14 @@ def test_kernels_exact_at_coordinate_cap():
     assert sum(want) > 0
     assert kernels.crossing_matrix(a, b, kernel="numpy").tolist() == grid
     assert kernels.crossing_counts(a, b, kernel="numpy").tolist() == want
+    # One row at a time against prepared segments, as the morph counts.
+    target = kernels.Segments(b)
+    assert target.safe
+    rows = [
+        int(kernels.crossing_counts(a[i:i + 1], target, kernel="numpy")[0])
+        for i in range(len(a))
+    ]
+    assert rows == want
 
 
 @pytest.mark.parametrize("backend", KERNELS)

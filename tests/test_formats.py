@@ -216,3 +216,25 @@ def test_parse_sequence_rejects_bools(square_pair, field, value):
     with pytest.raises(ParseError) as exc:
         formats.parse_sequence(json.dumps(doc))
     assert exc.value.location.startswith("sequence.steps[0]")
+
+
+@pytest.mark.parametrize(
+    "field, value, reason",
+    [
+        ("added", [0, 1], "is not"),
+        ("before", "forged", "is not the crossing count"),
+        ("removed", [0, 1], "is a border edge"),
+    ],
+    ids=["added-border-edge", "forged-before", "removed-border-edge"],
+)
+def test_parse_sequence_checks_each_step(hexagon, field, value, reason):
+    t1 = greedy_triangulate(hexagon)
+    t2 = greedy_triangulate(hexagon, priority=lambda e: (-e[0], -e[1]))
+    doc = json.loads(formats.serialize_sequence(morph(t1, t2)))
+    step = doc["steps"][0]
+    # A forged first total that still decreases and chains to step 1.
+    step[field] = step["before"] + 5 if value == "forged" else value
+    with pytest.raises(InvariantViolation) as exc:
+        formats.parse_sequence(json.dumps(doc))
+    assert str(exc.value).startswith("invalid sequence.steps[0]: ")
+    assert reason in str(exc.value)

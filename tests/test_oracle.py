@@ -4,7 +4,7 @@ import random
 import pytest
 
 from flipdist.errors import FlipdistError, GraphTooLarge, InstanceTooLarge
-from flipdist.generate import GenSpec, generate_instance
+from flipdist.generate import GenSpec, generate_instance, random_priority
 from flipdist.oracle import (
     build_flip_graph,
     enumerate_triangulations_direct,
@@ -157,3 +157,49 @@ def test_flip_graph_node_cap():
     with pytest.raises(GraphTooLarge):
         build_flip_graph(seed, max_nodes=428)
     assert len(build_flip_graph(seed, max_nodes=429).nodes) == 429
+
+
+def _moved(inst, triangulations, point_map=lambda p: p, reverse=False, labels=None):
+    """The instance and triangulations under a point map, with every border
+    polygon reversed when ``reverse``, and vertex i renamed ``labels[i]``."""
+    labels = labels or list(range(inst.n))
+    points = [None] * inst.n
+    for i, p in enumerate(inst.points):
+        points[labels[i]] = point_map(p)
+    border = [
+        [labels[v] for v in (poly[::-1] if reverse else poly)] for poly in inst.border
+    ]
+    moved = Instance(points, border)
+    return [
+        Triangulation(moved, [(labels[a], labels[b]) for a, b in t.edges])
+        for t in triangulations
+    ]
+
+
+METAMORPHIC_SHAPES = {
+    "convex_interior": dict(n_points=10, interior_points=2),
+    "star": dict(n_points=9, shape="random_simple_border"),
+    "holed": dict(n_points=10, shape="with_holes", holes=1),
+}
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("shape", sorted(METAMORPHIC_SHAPES))
+def test_distance_is_invariant_under_transforms(shape, seed):
+    inst = generate_instance(GenSpec(seed=seed, **METAMORPHIC_SHAPES[shape]))
+    pair = [
+        greedy_triangulate(inst, priority=random_priority(inst, seed + s))
+        for s in (10, 20)
+    ]
+    d = exact_flip_distance(*pair)
+    labels = list(range(inst.n))
+    random.Random(seed).shuffle(labels)
+    transforms = {
+        "translation": dict(point_map=lambda p: (p[0] + 17, p[1] - 5)),
+        "rotation": dict(point_map=lambda p: (-p[1], p[0])),
+        "reflection": dict(point_map=lambda p: (-p[0], p[1]), reverse=True),
+        "border_reversal": dict(reverse=True),
+        "relabelling": dict(labels=labels),
+    }
+    for kind, transform in transforms.items():
+        assert exact_flip_distance(*_moved(inst, pair, **transform)) == d, kind

@@ -1,3 +1,5 @@
+import functools
+import itertools
 import random
 
 import pytest
@@ -9,7 +11,11 @@ from flipdist.generate import GenSpec, generate_instance, random_priority
 from flipdist.triangulation import (
     Instance,
     Triangulation,
+    _face_certificate,
+    _violations as _full_checks,
+    apex_map,
     apex_quadrilateral,
+    canonical_edge,
     faces,
     flip,
     greedy_triangulate,
@@ -442,3 +448,78 @@ def test_validate_verdict_is_cached(pentagon, monkeypatch):
     assert again == first and calls == []
     again.clear()
     assert validate(t) == first
+
+
+@functools.cache
+def _certificate_instances():
+    return _admissibility_instances()
+
+
+CERTIFICATE_MUTATIONS = (
+    "swap",  # replace an interior edge by any other vertex pair
+    "add_admissible",  # an admissible pair, which crosses an edge
+    "add_inadmissible",  # a vertex on it, leaving the region, or through a hole
+    "drop",  # leaves a quadrilateral face, or a vertex isolated in a triangle
+    "isolate",  # drop every interior edge at one vertex
+    "hole_chord",  # a chord between two vertices of one hole
+    "drop_border",
+)
+
+
+def _mutate(inst, edges, kind, k):
+    """``edges`` after one corruption of ``kind``, its choices made by ``k``."""
+    pairs = [(i, j) for i in range(inst.n) for j in range(i + 1, inst.n)]
+    admissible = set(inst.admissible_pairs())
+    interior = sorted(edges - inst.border_edges)
+    pools = {
+        "swap": [e for e in pairs if e not in edges],
+        "add_admissible": sorted(admissible - edges),
+        "add_inadmissible": [e for e in pairs if e not in admissible],
+        "hole_chord": [
+            canonical_edge(u, v)
+            for poly in inst.border[1:]
+            for u, v in itertools.combinations(poly, 2)
+            if canonical_edge(u, v) not in inst.border_edges
+        ],
+    }
+    if kind == "drop" and interior:
+        return edges - {interior[k % len(interior)]}
+    if kind == "isolate" and interior:
+        v = interior[k % len(interior)][k % 2]
+        return edges - {e for e in interior if v in e}
+    if kind == "drop_border":
+        border = sorted(inst.border_edges)
+        return edges - {border[k % len(border)]}
+    pool = pools.get(kind)
+    if not pool:
+        return edges
+    added = pool[k % len(pool)]
+    if kind == "swap" and interior:
+        edges = edges - {interior[(k // len(pool)) % len(interior)]}
+    return edges | {added}
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    name=st.sampled_from(sorted(_certificate_instances())),
+    seed=st.integers(0, 10**6),
+    mutations=st.lists(
+        st.tuples(st.sampled_from(CERTIFICATE_MUTATIONS), st.integers(0, 10**6)),
+        max_size=3,
+    ),
+)
+def test_face_certificate_matches_full_check(name, seed, mutations):
+    """The certificate accepts exactly the inputs the full checks pass, and
+    every rejected input keeps the full checks' violation list."""
+    inst = _certificate_instances()[name]
+    edges = greedy_triangulate(inst, priority=random_priority(inst, seed)).edges
+    for kind, k in mutations:
+        edges = _mutate(inst, edges, kind, k)
+    t = Triangulation(inst, edges)
+    full = _full_checks(t)
+    assert (_face_certificate(t) is not None) == (full == [])
+    assert full == _validate_reference(t)
+    assert validate(t) == full
+    if not full:
+        # The certificate's map is the cached apex map, as a fresh trace has it.
+        assert t._apexes == apex_map(Triangulation(inst, edges))
