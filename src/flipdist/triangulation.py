@@ -190,6 +190,16 @@ class Instance:
             for v in self.border[b]:
                 if geometry.point_in_region(self.points[v], outer) == geometry.OUTSIDE:
                     out.append(f"hole {b} vertex {v} is outside the outer border")
+            # A hole whose vertices all lie on another hole's boundary can
+            # nest inside it without a vertex inside or a crossing edge.
+            # Holes that share no vertex cannot: a nested hole would have a
+            # vertex inside the other or on one of its edges.
+            for b2 in range(1, len(self.border)):
+                if b2 == b or not set(self.border[b]) & set(self.border[b2]):
+                    continue
+                for e in sorted(self.polygon_edges[b]):
+                    if geometry.midpoint_in_region(self.segment(e), [coords[b2]]) == INSIDE:
+                        out.append(f"hole {b} edge {e} lies inside hole {b2}")
         inside, _ = _segment_defects(self, sorted(self.border_edges))
         out += [f"point {k} lies on the interior of border edge {e}" for k, e in inside]
         return out

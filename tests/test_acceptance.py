@@ -83,6 +83,40 @@ def test_acceptance_1_sandwich_all_octagon_pairs():
     )
 
 
+# (n_points, interior_points) for the sandwich beyond the octagon: flip
+# graphs of 16 796 (12-gon) to 208 012 (14-gon) triangulations, which only
+# the bidirectional distance search reaches in test time.
+LARGE_SANDWICH = [(12, 0), (13, 0), (14, 0), (12, 2)]
+
+
+def test_acceptance_1_sandwich_seeded_pairs_beyond_octagon():
+    """d_f <= morph steps <= #(T1,T2) <= bound on five seeded pairs per size,
+    in under 60 s (about 3 s on a 2-vCPU VM; the slowest 14-gon distance
+    took under 1 s)."""
+    started = time.time()
+    totals = {"d_f": 0, "steps": 0, "crossings": 0}
+    for n, interior in LARGE_SANDWICH:
+        for seed in range(1, 6):
+            spec = GenSpec(seed=seed, n_points=n, interior_points=interior)
+            t1, t2 = generate_pair(spec, 1000 + seed)
+            inst = t1.instance
+            crossings = count_pair(t1, t2).total
+            steps = len(morph(t1, t2).steps)
+            distance = exact_flip_distance(t1, t2)
+            bound = intersection_upper_bound(inst.n, inst.n_b, inst.h)
+            assert distance <= steps <= crossings <= bound, (n, interior, seed)
+            totals["d_f"] += distance
+            totals["steps"] += steps
+            totals["crossings"] += crossings
+    elapsed = time.time() - started
+    assert elapsed < 60.0
+    print(
+        f"\nACCEPTANCE 1 (n=12-14): PASS ({5 * len(LARGE_SANDWICH)} pairs, "
+        f"sum d_f / steps / # = {totals['d_f']} / {totals['steps']} / "
+        f"{totals['crossings']}, {elapsed:.1f}s)"
+    )
+
+
 def test_acceptance_2_equality_cases(square_pair):
     t1, t2 = square_pair
     crossings = count_pair(t1, t2).total

@@ -79,6 +79,18 @@ def reference_violations(points, border):
         for v in border[b]:
             if geometry.point_in_region(points[v], outer) == geometry.OUTSIDE:
                 out.append(f"hole {b} vertex {v} is outside the outer border")
+        for b2 in range(1, len(border)):
+            if b2 == b or not set(border[b]) & set(border[b2]):
+                continue
+            doubled = [(2 * x, 2 * y) for x, y in coords[b2]]
+            for e in sorted(_edge_set(border[b])):
+                (ax, ay), (bx, by) = points[e[0]], points[e[1]]
+                mid = (ax + bx, ay + by)
+                if geometry._ray_crossing_parity(mid, doubled) and not any(
+                    geometry.point_on_closed_segment(mid, s)
+                    for s in _segments(doubled)
+                ):
+                    out.append(f"hole {b} edge {e} lies inside hole {b2}")
     border_edges = set().union(*(_edge_set(poly) for poly in border))
     for e in sorted(border_edges):
         seg = (points[e[0]], points[e[1]])
@@ -274,3 +286,16 @@ def test_numpy_integers_are_stored_as_int():
     assert inst.points == ((0, 0), (1, 0), (0, 1))
     assert all(type(c) is int for p in inst.points for c in p)
     assert all(type(v) is int for v in inst.border[0])
+
+
+def test_hole_nested_in_hole_on_its_vertices_is_refused():
+    # The inner triangle's vertices are all vertices of the outer hexagon,
+    # so no vertex lies strictly inside a hole and no edges cross or are
+    # shared; only the inner hole's edges lying inside the hexagon show it.
+    points = SQUARE + [(6, 10), (8, 7), (12, 7), (14, 10), (12, 13), (8, 13)]
+    border = [[0, 1, 2, 3], [4, 5, 6, 7, 8, 9], [4, 6, 8]]
+    assert _check(points, border) == [
+        "hole 2 edge (4, 6) lies inside hole 1",
+        "hole 2 edge (4, 8) lies inside hole 1",
+        "hole 2 edge (6, 8) lies inside hole 1",
+    ]

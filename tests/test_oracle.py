@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from flipdist import oracle
 from flipdist.errors import FlipdistError, GraphTooLarge, InstanceTooLarge
 from flipdist.generate import GenSpec, generate_instance, random_priority
 from flipdist.oracle import (
@@ -138,6 +139,61 @@ def test_early_exit_distance_sampled_pairs(name):
 def test_early_exit_distance_holed_fixture_all_pairs(holed):
     graph = build_flip_graph(greedy_triangulate(holed))
     _all_distances_agree(graph, itertools.product(range(len(graph.nodes)), repeat=2))
+
+
+def test_bidirectional_distance_octagon_all_pairs():
+    inst = generate_instance(GenSpec(seed=8, n_points=8))
+    graph = build_flip_graph(greedy_triangulate(inst))
+    assert len(graph.nodes) == 132
+    _all_distances_agree(graph, itertools.product(range(132), repeat=2))
+
+
+def test_bidirectional_distance_nonagon_seeded_sources():
+    graph = build_flip_graph(greedy_triangulate(generate_instance(GenSpec(seed=9, n_points=9))))
+    assert len(graph.nodes) == 429
+    sources = random.Random(9).sample(range(429), 10)
+    _all_distances_agree(graph, itertools.product(sources, range(429)))
+
+
+def test_distance_node_cap_counts_both_sides(monkeypatch):
+    # A pair at distance 6 in the 9-gon's 429-node flip graph: the two
+    # sides together discover 149 nodes before they meet.
+    inst = generate_instance(GenSpec(seed=9, n_points=9))
+    graph = build_flip_graph(greedy_triangulate(inst))
+    t1 = Triangulation(inst, graph.nodes[0])
+    t2 = Triangulation(inst, graph.nodes[297])
+    monkeypatch.setattr(oracle, "MAX_NODES", 148)
+    with pytest.raises(GraphTooLarge, match="exceeds 148 nodes"):
+        exact_flip_distance(t1, t2)
+    monkeypatch.setattr(oracle, "MAX_NODES", 149)
+    assert exact_flip_distance(t1, t2) == graph.distances_from(0)[297] == 6
+
+
+# The holed instance of the oracle_sweep benchmark: a 7-gon with a
+# triangular hole, 833 triangulations.
+SWEEP_HOLED = Instance(
+    [
+        (431681, 902027), (-347282, 937761), (-441804, 897112), (-585040, 811004),
+        (-599397, -800452), (553308, -832976), (978969, -204011), (314538, -277353),
+        (307385, -280391), (329861, -240936),
+    ],
+    [[0, 1, 2, 3, 4, 5, 6], [7, 8, 9]],
+)
+
+
+@pytest.mark.parametrize(
+    "inst, count",
+    [
+        (generate_instance(SAMPLED["star9"]), None),
+        (SWEEP_HOLED, 833),
+        (generate_instance(GenSpec(seed=10, n_points=10, interior_points=3)), None),
+    ],
+    ids=["star9", "sweep_holed10", "interior10"],
+)
+def test_pruned_enumeration_matches_flip_graph(inst, count):
+    nodes = enumerate_triangulations_direct(inst)
+    assert nodes == sorted(build_flip_graph(greedy_triangulate(inst)).nodes)
+    assert count is None or len(nodes) == count
 
 
 def test_distance_to_non_triangulation_unreachable(holed):
