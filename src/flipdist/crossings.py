@@ -17,8 +17,8 @@ from .triangulation import (
 )
 
 # The segments of a quadrilateral abcd that quad_crossers reports on: its
-# four sides in ccw order and the diagonal ac.
-QUAD_SEGMENTS = ("ab", "bc", "cd", "da", "ac")
+# four sides in ccw order, the diagonal ac and the flip's new diagonal bd.
+QUAD_SEGMENTS = ("ab", "bc", "cd", "da", "ac", "bd")
 
 
 @dataclass(frozen=True)
@@ -71,23 +71,24 @@ def quad_crossers(
     t1: Triangulation, quads: Sequence[Quadrilateral], t2: Triangulation
 ) -> list[dict[str, frozenset[Edge]]]:
     """For each quadrilateral of t1, the t2 edges properly crossing each of
-    its sides ``ab``, ``bc``, ``cd``, ``da`` and its diagonal ``ac``.
+    its sides ``ab``, ``bc``, ``cd``, ``da``, its diagonal ``ac`` and the
+    other diagonal ``bd``.
 
-    Border edges of t2 are included, as in :func:`count_segment`.  All
-    5 * len(quads) segments go to one :func:`kernels.crossing_matrix` call.
+    Every edge of t2 is tested, border edges included.  All
+    6 * len(quads) segments go to one :func:`kernels.crossing_matrix` call.
     """
     require_same_instance(t1, t2)
     pts = t1.instance.points
     rows = []
     for quad in quads:
         a, b, c, d = (pts[v] for v in quad.vertices)
-        rows += [(a, b), (b, c), (c, d), (d, a), (a, c)]
+        rows += [(a, b), (b, c), (c, d), (d, a), (a, c), (b, d)]
     edges = sorted(t2.edges)
     hits = kernels.crossing_matrix(
         kernels.segments_array(rows),
         kernels.segments_array([t2.segment(e) for e in edges]),
     )
-    # Rows 5k .. 5k+4 are the segments of quads[k], in QUAD_SEGMENTS order.
+    # Rows 6k .. 6k+5 are the segments of quads[k], in QUAD_SEGMENTS order.
     grid = hits.reshape(len(quads), len(QUAD_SEGMENTS), len(edges))
     return [
         {

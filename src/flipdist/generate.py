@@ -1,4 +1,4 @@
-"""Seeded random instances and triangulation pairs for tests and audits."""
+"""Seeded random instances and triangulation priorities."""
 
 from __future__ import annotations
 
@@ -9,12 +9,7 @@ from dataclasses import dataclass
 
 from . import geometry
 from .errors import InfeasibleSpec, InvariantViolation
-from .triangulation import (
-    Instance,
-    Triangulation,
-    angular_cmp,
-    greedy_triangulate,
-)
+from .triangulation import Instance, angular_cmp
 
 SHAPES = ("convex_gon", "random_simple_border", "with_holes")
 
@@ -220,17 +215,3 @@ def random_priority(inst: Instance, seed: int):
     pairs = list(inst.admissible_pairs())
     ranks = {e: rng.random() for e in pairs}
     return lambda e: ranks.get(e, 2.0)
-
-
-def generate_pair(
-    spec: GenSpec, seed2: int
-) -> tuple[Triangulation, Triangulation]:
-    """Two triangulations of the same generated instance.
-
-    Both come from greedy construction under different seeded random
-    priorities, so the pair may coincide (equality iff zero crossings).
-    """
-    inst = generate_instance(spec)
-    t1 = greedy_triangulate(inst, priority=random_priority(inst, spec.seed))
-    t2 = greedy_triangulate(inst, priority=random_priority(inst, seed2))
-    return t1, t2

@@ -7,18 +7,20 @@ hypothesis never triggered are reported as skipped, never as passed.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import geometry
-from .crossings import count_pair, count_segment, quad_crossers
+from .crossings import CrossingReport, count_pair, quad_crossers
 from .errors import AlreadyEqual, InvariantViolation
 from .triangulation import (
     Edge,
     Quadrilateral,
     Triangulation,
+    apex_map,
+    apex_quadrilateral,
     canonical_edge,
-    quadrilateral_of,
     require_same_instance,
     validate,
 )
@@ -46,6 +48,26 @@ class AuditReport:
 
     def add(self, name: str, rule: str, status: str, witness: str = "") -> None:
         self.checks.append(CheckResult(name, rule, status, witness))
+
+    def verdict(
+        self,
+        name: str,
+        rule: str,
+        failures: list[str],
+        checked: int,
+        unit: str,
+        vacuous: str = "",
+    ) -> None:
+        """One FAIL per witness in ``failures``; without any, a PASS over the
+        ``checked`` cases, or a SKIP saying why when there were none."""
+        for witness in failures:
+            self.add(name, rule, FAIL, witness)
+        if failures:
+            return
+        if checked:
+            self.add(name, rule, PASS, f"{checked} {unit}")
+        else:
+            self.add(name, rule, SKIP, vacuous)
 
     @property
     def passed(self) -> bool:
@@ -76,6 +98,13 @@ def _strictly_inside_quad(
     return geometry.point_on_open_segment(p, (a, c))
 
 
+def _quadrilaterals(
+    t: Triangulation, edges: tuple[Edge, ...]
+) -> list[Quadrilateral | None]:
+    pts, apexes = t.instance.points, apex_map(t)
+    return [apex_quadrilateral(pts, apexes, e) for e in edges]
+
+
 def audit_propositions(t1: Triangulation, t2: Triangulation) -> AuditReport:
     """Structural sanity of a pair of valid triangulations.
 
@@ -96,73 +125,52 @@ def audit_propositions(t1: Triangulation, t2: Triangulation) -> AuditReport:
     # P1: planarity of each triangulation (validated above).
     report.add("planarity", "P1", PASS)
 
-    # P2: endpoint kinds of every t2 edge crossing a t1 quadrilateral.
-    quads = [quadrilateral_of(t1, e) for e in t1.interior_edges()]
+    quads = _quadrilaterals(t1, t1.interior_edges())
     crossers = quad_crossers(t1, quads, t2)
-    # The t2 edges entering each quadrilateral: those crossing a side or the
-    # diagonal ac, and the other diagonal bd when t2 has it.
-    entering = []
+    # P2: endpoint kinds of every t2 edge entering a t1 quadrilateral: those
+    # crossing a side or the diagonal ac, and the other diagonal bd when t2
+    # has it.  (An edge crossing bd need not enter: ac itself crosses it.)
+    # P3: two entering edges never meet strictly inside the quadrilateral.
+    p2_failures, p3_failures = [], []
+    p2_checked = p3_checked = 0
     for quad, sets in zip(quads, crossers):
-        hit = set().union(*sets.values())
+        hit = set().union(*(sets[s] for s in ("ab", "bc", "cd", "da", "ac")))
         if quad.opposite in t2.edges:
             hit.add(quad.opposite)
-        entering.append(sorted(hit))
-    checked = 0
-    for quad, crossing in zip(quads, entering):
-        corner_set = set(quad.vertices)
-        for e in crossing:
-            checked += 1
-            if e == quad.opposite:
-                continue
-            kinds = []
-            for v in e:
-                if v in corner_set:
-                    kinds.append("corner")
-                elif _strictly_inside_quad(t1, quad, pts[v]):
-                    kinds.append("inside")
-                else:
-                    kinds.append("outside")
-            if "inside" in kinds or kinds == ["corner", "corner"]:
-                report.add(
-                    "no-vertex-inside-quad",
-                    "P2",
-                    FAIL,
-                    f"edge {e} endpoint kinds {kinds} in quad {quad.vertices}",
+        entering = sorted(hit)
+        kind = {v: "corner" for v in quad.vertices}
+        for v in {v for e in entering for v in e} - kind.keys():
+            kind[v] = (
+                "inside" if _strictly_inside_quad(t1, quad, pts[v]) else "outside"
+            )
+        p2_checked += len(entering)
+        for e in entering:
+            kinds = [kind[v] for v in e]
+            if e != quad.opposite and (
+                "inside" in kinds or kinds == ["corner", "corner"]
+            ):
+                p2_failures.append(
+                    f"edge {e} endpoint kinds {kinds} in quad {quad.vertices}"
                 )
-    if checked:
-        if all(c.name != "no-vertex-inside-quad" for c in report.checks):
-            report.add("no-vertex-inside-quad", "P2", PASS, f"{checked} edges")
-    else:
-        report.add("no-vertex-inside-quad", "P2", SKIP, "no crossing edges")
-
-    # P3: two t2 edges crossing a quad never meet strictly inside it.
-    checked = 0
-    ok = True
-    for quad, crossing in zip(quads, entering):
-        for i in range(len(crossing)):
-            for j in range(i + 1, len(crossing)):
-                shared = set(crossing[i]) & set(crossing[j])
-                checked += 1
-                for v in shared:
-                    if _strictly_inside_quad(t1, quad, pts[v]):
-                        ok = False
-                        report.add(
-                            "no-meeting-inside-quad",
-                            "P3",
-                            FAIL,
-                            f"edges {crossing[i]},{crossing[j]} meet at {v} "
-                            f"inside quad {quad.vertices}",
-                        )
-    if checked:
-        if ok:
-            report.add("no-meeting-inside-quad", "P3", PASS, f"{checked} pairs")
-    else:
-        report.add("no-meeting-inside-quad", "P3", SKIP, "no crossing pairs")
+        for f, g in itertools.combinations(entering, 2):
+            p3_checked += 1
+            p3_failures += [
+                f"edges {f},{g} meet at {v} inside quad {quad.vertices}"
+                for v in set(f) & set(g)
+                if kind[v] == "inside"
+            ]
+    report.verdict(
+        "no-vertex-inside-quad", "P2", p2_failures, p2_checked, "edges",
+        "no crossing edges",
+    )
+    report.verdict(
+        "no-meeting-inside-quad", "P3", p3_failures, p3_checked, "pairs",
+        "no crossing pairs",
+    )
 
     # P4: the crossing edge nearest to an endpoint has both ends adjacent
     # to that endpoint in t2.
-    checked = 0
-    ok = True
+    failures, checked = [], 0
     for e, sets in zip(t1.interior_edges(), crossers):
         if crossings.per_edge[e] == 0:
             continue
@@ -177,23 +185,16 @@ def audit_propositions(t1: Triangulation, t2: Triangulation) -> AuditReport:
 
             nearest = min(sets["ac"], key=param)
             checked += 1
-            for v in nearest:
-                if canonical_edge(endpoint, v) not in t2.edges:
-                    ok = False
-                    report.add(
-                        "closest-crossing-adjacency",
-                        "P4",
-                        FAIL,
-                        f"edge {e}: nearest crosser {nearest} to vertex "
-                        f"{endpoint}, but {canonical_edge(endpoint, v)} not in t2",
-                    )
-    if checked:
-        if ok:
-            report.add(
-                "closest-crossing-adjacency", "P4", PASS, f"{checked} endpoints"
-            )
-    else:
-        report.add("closest-crossing-adjacency", "P4", SKIP, "no crossed edges")
+            failures += [
+                f"edge {e}: nearest crosser {nearest} to vertex "
+                f"{endpoint}, but {canonical_edge(endpoint, v)} not in t2"
+                for v in nearest
+                if canonical_edge(endpoint, v) not in t2.edges
+            ]
+    report.verdict(
+        "closest-crossing-adjacency", "P4", failures, checked, "endpoints",
+        "no crossed edges",
+    )
 
     # P5: equality iff zero crossings.
     equal = t1.edges == t2.edges
@@ -209,50 +210,48 @@ def audit_propositions(t1: Triangulation, t2: Triangulation) -> AuditReport:
 
     # P7: crossed edges of t1 are absent from t2.
     crossed = [e for e, c in crossings.per_edge.items() if c > 0]
-    if crossed:
-        bad = [e for e in crossed if e in t2.edges]
-        if bad:
-            report.add(
-                "crossed-edges-absent", "P7", FAIL, f"edges {bad} in both"
-            )
-        else:
-            report.add(
-                "crossed-edges-absent", "P7", PASS, f"{len(crossed)} edges"
-            )
-    else:
-        report.add("crossed-edges-absent", "P7", SKIP, "no crossed edges")
+    bad = [e for e in crossed if e in t2.edges]
+    report.verdict(
+        "crossed-edges-absent", "P7", [f"edges {bad} in both"] if bad else [],
+        len(crossed), "edges", "no crossed edges",
+    )
 
     # P8: border edges shared and uncrossed.
     border = t1.instance.border_edges
     missing = sorted((border - t1.edges) | (border - t2.edges))
     crossed_border = [e for e in border if crossings.per_edge.get(e, 0) > 0]
-    if missing or crossed_border:
-        report.add(
-            "border-edges-shared",
-            "P8",
-            FAIL,
-            f"missing={missing} crossed={crossed_border}",
-        )
-    else:
-        report.add("border-edges-shared", "P8", PASS, f"{len(border)} edges")
+    report.verdict(
+        "border-edges-shared", "P8",
+        [f"missing={missing} crossed={crossed_border}"]
+        if missing or crossed_border else [],
+        len(border), "edges",
+    )
     return report
 
 
-def _max_edge_quads(
+def _max_edge_crossers(
     t1: Triangulation, t2: Triangulation
-) -> tuple[list[tuple[Edge, Quadrilateral | None]], "object"]:
+) -> tuple[CrossingReport, list[tuple]]:
+    """The crossing report of t1 against t2 and, for each maximal edge in
+    order, its quadrilateral and :func:`quad_crossers` sets (both None for a
+    border edge)."""
     require_same_instance(t1, t2)
     if t1.edges == t2.edges:
         raise AlreadyEqual("triangulations are equal; no maximal edges")
-    report = count_pair(t1, t2)
-    return [(e, quadrilateral_of(t1, e)) for e in report.max_edges], report
+    crossings = count_pair(t1, t2)
+    quads = _quadrilaterals(t1, crossings.max_edges)
+    sets = iter(quad_crossers(t1, [q for q in quads if q is not None], t2))
+    return crossings, [
+        (e, quad, None if quad is None else next(sets))
+        for e, quad in zip(crossings.max_edges, quads)
+    ]
 
 
 def audit_lemma1(t1: Triangulation, t2: Triangulation) -> AuditReport:
     """Every maximally-crossing edge sits in a strictly convex quadrilateral."""
-    quads, _ = _max_edge_quads(t1, t2)
+    _, found = _max_edge_crossers(t1, t2)
     report = AuditReport()
-    for e, quad in quads:
+    for e, quad, _ in found:
         if e in t1.instance.border_edges:
             report.add(
                 "max-edge-not-border", "L1", FAIL, f"max edge {e} is a border edge"
@@ -274,15 +273,6 @@ def audit_lemma1(t1: Triangulation, t2: Triangulation) -> AuditReport:
     return report
 
 
-def _max_edge_crossers(t1: Triangulation, t2: Triangulation):
-    """(edge, quadrilateral, quad_crossers sets) for each maximal edge with a
-    quadrilateral, and the crossing report."""
-    quads, report = _max_edge_quads(t1, t2)
-    inner = [(e, quad) for e, quad in quads if quad is not None]
-    crossers = quad_crossers(t1, [quad for _, quad in inner], t2)
-    return [(e, quad, sets) for (e, quad), sets in zip(inner, crossers)], report
-
-
 def _corner_hypothesis_edges(
     quad: Quadrilateral, sets: dict[str, frozenset[Edge]], t2: Triangulation
 ) -> list[str]:
@@ -293,7 +283,7 @@ def _corner_hypothesis_edges(
     """
     _, b, _, d = quad.vertices
     cases = []
-    if canonical_edge(b, d) in t2.edges:
+    if quad.opposite in t2.edges:
         cases.append("bd-in-t2")
     for e in t2.edges:
         if b in e and (e in sets["da"] or e in sets["cd"]):
@@ -304,34 +294,25 @@ def _corner_hypothesis_edges(
 
 
 def audit_lemma2(t1: Triangulation, t2: Triangulation) -> AuditReport:
-    """Corner-incident crossers (or bd in t2) force a strictly reducing flip."""
-    found, crossings = _max_edge_crossers(t1, t2)
-    pts = t1.instance.points
+    """Corner-incident crossers (or bd in t2) force a strictly reducing flip.
+
+    Flipping e to bd replaces e's crossings by bd's, its ``bd`` set.
+    """
+    crossings, found = _max_edge_crossers(t1, t2)
     report = AuditReport()
-    tested = 0
     for e, quad, sets in found:
-        cases = _corner_hypothesis_edges(quad, sets, t2)
-        if not cases:
+        if quad is None:
             continue
-        tested += 1
-        bd = quad.opposite
-        bd_count = count_segment((pts[bd[0]], pts[bd[1]]), t2)
-        margin = crossings.per_edge[e] - bd_count
-        if margin >= 1:
+        cases = _corner_hypothesis_edges(quad, sets, t2)
+        if cases:
+            margin = crossings.per_edge[e] - len(sets["bd"])
             report.add(
                 "corner-crosser-forces-decrease",
                 "L2",
-                PASS,
+                PASS if margin >= 1 else FAIL,
                 f"edge {e} cases={cases} decrease={margin}",
             )
-        else:
-            report.add(
-                "corner-crosser-forces-decrease",
-                "L2",
-                FAIL,
-                f"edge {e} cases={cases} decrease={margin}",
-            )
-    if not tested:
+    if not report.checks:
         report.add(
             "corner-crosser-forces-decrease", "L2", SKIP, "hypothesis vacuous"
         )
@@ -340,9 +321,11 @@ def audit_lemma2(t1: Triangulation, t2: Triangulation) -> AuditReport:
 
 def audit_lemma2_2(t1: Triangulation, t2: Triangulation) -> AuditReport:
     """No t2 edge from a diagonal endpoint crosses the quadrilateral."""
-    found, _ = _max_edge_crossers(t1, t2)
+    _, found = _max_edge_crossers(t1, t2)
     report = AuditReport()
     for e, quad, sets in found:
+        if quad is None:
+            continue
         a, _, c, _ = quad.vertices
         offenders = []
         for f in t2.edges:
@@ -350,17 +333,12 @@ def audit_lemma2_2(t1: Triangulation, t2: Triangulation) -> AuditReport:
                 offenders.append(("a", f))
             if c in f and (f in sets["ab"] or f in sets["da"]):
                 offenders.append(("c", f))
-        if canonical_edge(a, c) in t2.edges:
-            offenders.append(("ac", canonical_edge(a, c)))
-        if offenders:
-            report.add(
-                "no-diagonal-endpoint-crossers",
-                "L2.2",
-                FAIL,
-                f"edge {e}: {offenders}",
-            )
-        else:
-            report.add(
-                "no-diagonal-endpoint-crossers", "L2.2", PASS, f"edge {e}"
-            )
+        if quad.diagonal in t2.edges:
+            offenders.append(("ac", quad.diagonal))
+        report.add(
+            "no-diagonal-endpoint-crossers",
+            "L2.2",
+            FAIL if offenders else PASS,
+            f"edge {e}: {offenders}" if offenders else f"edge {e}",
+        )
     return report

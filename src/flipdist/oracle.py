@@ -41,18 +41,6 @@ class FlipGraph:
     index: dict[NodeKey, int]
     adjacency: list[list[tuple[Edge, int]]]
 
-    def distances_from(self, start: int) -> list[int]:
-        dist = [-1] * len(self.nodes)
-        dist[start] = 0
-        queue = deque([start])
-        while queue:
-            u = queue.popleft()
-            for _, v in self.adjacency[u]:
-                if dist[v] < 0:
-                    dist[v] = dist[u] + 1
-                    queue.append(v)
-        return dist
-
 
 def _replace_edge(key: NodeKey, old: Edge, new: Edge) -> NodeKey:
     """The sorted edge list ``key`` with ``old`` replaced by ``new``."""
@@ -98,14 +86,14 @@ def _child(apexes: ApexMap, quad: Quadrilateral) -> ApexMap:
     return child
 
 
-def build_flip_graph(seed: Triangulation, max_nodes: int = MAX_NODES) -> FlipGraph:
+def build_flip_graph(seed: Triangulation) -> FlipGraph:
     """BFS closure of the seed under all legal flips.
 
     The seed's cached apex map is read as is.  Each queued child carries its
     own copy, derived from its parent's by one in-place flip, and drops it
     when dequeued, so only the frontier holds maps.  Node ids are assigned
     in discovery order.  Raises GraphTooLarge when the closure has more
-    than ``max_nodes`` triangulations.
+    than MAX_NODES triangulations.
     """
     instance = seed.instance
     pts = instance.points
@@ -122,8 +110,8 @@ def build_flip_graph(seed: Triangulation, max_nodes: int = MAX_NODES) -> FlipGra
         for quad, neighbor in _expand(nodes[u], apexes, pts, border, memo):
             v = index.get(neighbor)
             if v is None:
-                if len(nodes) >= max_nodes:
-                    raise GraphTooLarge(f"flip graph exceeds {max_nodes} nodes")
+                if len(nodes) >= MAX_NODES:
+                    raise GraphTooLarge(f"flip graph exceeds {MAX_NODES} nodes")
                 v = len(nodes)
                 index[neighbor] = v
                 nodes.append(neighbor)

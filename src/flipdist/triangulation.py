@@ -190,15 +190,20 @@ class Instance:
             for v in self.border[b]:
                 if geometry.point_in_region(self.points[v], outer) == geometry.OUTSIDE:
                     out.append(f"hole {b} vertex {v} is outside the outer border")
-            # A hole whose vertices all lie on another hole's boundary can
-            # nest inside it without a vertex inside or a crossing edge.
-            # Holes that share no vertex cannot: a nested hole would have a
-            # vertex inside the other or on one of its edges.
-            for b2 in range(1, len(self.border)):
+            # A hole that shares vertices with the outer polygon can lie in
+            # a notch outside it, and one that shares vertices with another
+            # hole can nest inside it, with no vertex outside or inside and
+            # no crossing edge.  Without a shared vertex neither can: the
+            # hole would have a vertex outside the outer polygon, or inside
+            # the other hole or on its edges.
+            for b2 in range(len(self.border)):
                 if b2 == b or not set(self.border[b]) & set(self.border[b2]):
                     continue
                 for e in sorted(self.polygon_edges[b]):
-                    if geometry.midpoint_in_region(self.segment(e), [coords[b2]]) == INSIDE:
+                    where = geometry.midpoint_in_region(self.segment(e), [coords[b2]])
+                    if b2 == 0 and where == geometry.OUTSIDE:
+                        out.append(f"hole {b} edge {e} is outside the outer border")
+                    elif b2 > 0 and where == INSIDE:
                         out.append(f"hole {b} edge {e} lies inside hole {b2}")
         inside, _ = _segment_defects(self, sorted(self.border_edges))
         out += [f"point {k} lies on the interior of border edge {e}" for k, e in inside]
@@ -627,11 +632,9 @@ def _face_certificate(t: Triangulation) -> Optional[ApexMap]:
     * a non-border edge's open segment is covered from both sides and meets
       no border edge, so its midpoint is inside the region.
     These are the checks of :func:`_violations`, which would find nothing.
-    Conversely, unless a hole overlaps another or leaves the outer polygon
-    (which only a pinched instance can do), each valid triangulation
-    passes: its rotation system is sorted by exact angle, so its bounded
-    faces are traced as its triangles.  Any input that fails gets the full
-    checks.
+    Conversely, each valid triangulation passes: its rotation system is
+    sorted by exact angle, so its bounded faces are traced as its
+    triangles.  Any input that fails gets the full checks.
     """
     inst = t.instance
     if not inst.border_edges <= t.edges or any(

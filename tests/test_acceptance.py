@@ -13,7 +13,7 @@ import pytest
 from flipdist import formats, lemmas
 from flipdist.cli import run as cli_run
 from flipdist.crossings import count_pair
-from flipdist.generate import GenSpec, generate_instance, generate_pair
+from flipdist.generate import GenSpec, generate_instance
 from flipdist.morph import intersection_upper_bound, morph
 from flipdist.oracle import (
     build_flip_graph,
@@ -27,6 +27,7 @@ from flipdist.triangulation import (
     greedy_triangulate,
     interior_edge_count,
 )
+from helpers import distances_from, generate_pair
 
 CATALAN = {4: 2, 5: 5, 6: 14, 7: 42, 8: 132}
 
@@ -66,7 +67,7 @@ def test_acceptance_1_sandwich_all_octagon_pairs():
     graph = build_flip_graph(greedy_triangulate(inst))
     assert len(graph.nodes) == 132
     tris = [Triangulation(inst, key) for key in graph.nodes]
-    dist = [graph.distances_from(i) for i in range(len(graph.nodes))]
+    dist = [distances_from(graph, i) for i in range(len(graph.nodes))]
     bound = intersection_upper_bound(8, 8, 0)
     assert bound == 25
     checked = 0
@@ -237,7 +238,7 @@ def test_acceptance_7_oracle_cross_check():
     for n in (5, 6):
         inst = generate_instance(GenSpec(seed=n, n_points=n))
         graph = build_flip_graph(greedy_triangulate(inst))
-        dist = [graph.distances_from(i) for i in range(len(graph.nodes))]
+        dist = [distances_from(graph, i) for i in range(len(graph.nodes))]
         size = len(graph.nodes)
         for i, j, k in itertools.product(range(size), repeat=3):
             assert dist[i][j] == dist[j][i]

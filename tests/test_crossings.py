@@ -5,13 +5,14 @@ from hypothesis import given, settings, strategies as st
 from flipdist import geometry, kernels
 from flipdist.crossings import count_pair, count_segment, quad_crossers
 from flipdist.errors import InstanceMismatch
-from flipdist.generate import GenSpec, generate_pair
+from flipdist.generate import GenSpec
 from flipdist.triangulation import (
     Instance,
     Triangulation,
     greedy_triangulate,
     quadrilateral_of,
 )
+from helpers import generate_pair
 
 KERNELS = ["python", "numpy"]
 
@@ -87,6 +88,7 @@ def _scalar_quad_crossers(t1, quad, t2):
         "cd": (pts[c], pts[d]),
         "da": (pts[d], pts[a]),
         "ac": (pts[a], pts[c]),
+        "bd": (pts[b], pts[d]),
     }
     return {
         name: frozenset(
@@ -107,7 +109,11 @@ def test_quad_crossers_square(square_pair):
     assert quad.diagonal not in t2.edges
     [sets] = quad_crossers(t1, [quad], t2)
     assert sets["ac"] == {(1, 3)}
+    # bd is t2's own diagonal, which does not cross itself; in t1 ac does.
+    assert sets["bd"] == frozenset()
     assert all(sets[s] == frozenset() for s in ("ab", "bc", "cd", "da"))
+    [own] = quad_crossers(t1, [quad], t1)
+    assert own["bd"] == {(0, 2)} and own["ac"] == frozenset()
 
 
 def test_quad_crossers_no_quads_and_mismatch(square_pair, pentagon):
@@ -169,7 +175,7 @@ def test_quad_crossers_exact_beyond_safe_limit():
     assert not kernels.int64_safe(t1.interior_array(), t2.interior_array())
     quads = _all_quads(t1)
     want = [_scalar_quad_crossers(t1, q, t2) for q in quads]
-    assert any(sets["ac"] for sets in want)
+    assert any(sets["ac"] for sets in want) and any(sets["bd"] for sets in want)
     assert quad_crossers(t1, quads, t2) == want
 
 

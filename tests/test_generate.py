@@ -5,9 +5,9 @@ from flipdist.generate import (
     GenSpec,
     SHAPES,
     generate_instance,
-    generate_pair,
 )
 from flipdist.triangulation import validate
+from helpers import generate_pair
 
 
 def test_spec_validation():

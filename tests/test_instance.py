@@ -79,17 +79,21 @@ def reference_violations(points, border):
         for v in border[b]:
             if geometry.point_in_region(points[v], outer) == geometry.OUTSIDE:
                 out.append(f"hole {b} vertex {v} is outside the outer border")
-        for b2 in range(1, len(border)):
+        for b2 in range(len(border)):
             if b2 == b or not set(border[b]) & set(border[b2]):
                 continue
             doubled = [(2 * x, 2 * y) for x, y in coords[b2]]
             for e in sorted(_edge_set(border[b])):
                 (ax, ay), (bx, by) = points[e[0]], points[e[1]]
                 mid = (ax + bx, ay + by)
-                if geometry._ray_crossing_parity(mid, doubled) and not any(
+                on_edge = any(
                     geometry.point_on_closed_segment(mid, s)
                     for s in _segments(doubled)
-                ):
+                )
+                inside = geometry._ray_crossing_parity(mid, doubled)
+                if b2 == 0 and not inside and not on_edge:
+                    out.append(f"hole {b} edge {e} is outside the outer border")
+                if b2 > 0 and inside and not on_edge:
                     out.append(f"hole {b} edge {e} lies inside hole {b2}")
     border_edges = set().union(*(_edge_set(poly) for poly in border))
     for e in sorted(border_edges):
@@ -138,6 +142,13 @@ CORPUS = {
     "hole_vertex_outside": (
         [(0, 0), (10, 0), (10, 10), (0, 10), (4, 4), (15, 5), (5, 6)],
         [[0, 1, 2, 3], [4, 5, 6]],
+    ),
+    # A hole pinched to the outer polygon at three vertices, lying in a
+    # notch of it: no vertex is outside, but every hole edge is.
+    "notch_hole": (
+        [(0, 0), (20, 0), (20, 20), (14, 20), (13, 12), (10, 10), (7, 12),
+         (6, 20), (0, 20)],
+        [[0, 1, 2, 3, 4, 5, 6, 7, 8], [3, 5, 7]],
     ),
     "hole_outside": (
         [(0, 0), (10, 0), (10, 10), (0, 10), (14, 4), (16, 4), (15, 6)],

@@ -5,8 +5,9 @@ import pytest
 from flipdist import lemmas
 from flipdist.cli import run as cli_run
 from flipdist.errors import AlreadyEqual, InvariantViolation
-from flipdist.generate import GenSpec, generate_pair
+from flipdist.generate import GenSpec
 from flipdist.triangulation import Triangulation, greedy_triangulate
+from helpers import generate_pair
 
 
 def test_propositions_square_pair(square_pair):

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from flipdist.crossings import count_pair
 from flipdist.errors import EdgeNotInTriangulation, NotFlippable
-from flipdist.generate import GenSpec, generate_instance, generate_pair, random_priority
+from flipdist.generate import GenSpec, generate_instance, random_priority
 from flipdist.morph import FlipSequence, FlipStep, morph
 from flipdist.oracle import build_flip_graph
 from flipdist.triangulation import (
@@ -22,6 +22,7 @@ from flipdist.triangulation import (
     greedy_triangulate,
     quadrilateral_of,
 )
+from helpers import generate_pair
 
 SEEDS = st.integers(0, 10**6)
 

@@ -9,7 +9,7 @@ from flipdist.morph import (
     intersection_upper_bound,
     morph,
 )
-from flipdist.generate import GenSpec, generate_pair
+from flipdist.generate import GenSpec
 from flipdist.triangulation import (
     Instance,
     Triangulation,
@@ -18,6 +18,7 @@ from flipdist.triangulation import (
     greedy_triangulate,
     validate,
 )
+from helpers import generate_pair
 
 
 def test_intersection_upper_bound():

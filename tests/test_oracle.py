@@ -12,6 +12,7 @@ from flipdist.oracle import (
     exact_flip_distance,
 )
 from flipdist.triangulation import Instance, Triangulation, greedy_triangulate
+from helpers import distances_from
 
 # Triangulation counts of a convex n-gon are the Catalan numbers C(n-2).
 CATALAN = {4: 2, 5: 5, 6: 14, 7: 42, 8: 132}
@@ -54,7 +55,7 @@ def test_exact_distance_symmetric(hexagon):
 
 
 def _distance_matrix(graph):
-    return [graph.distances_from(i) for i in range(len(graph.nodes))]
+    return [distances_from(graph, i) for i in range(len(graph.nodes))]
 
 
 @pytest.mark.parametrize("n", [5, 6])
@@ -106,7 +107,7 @@ def test_graph_edges_are_single_flips(pentagon):
 def _all_distances_agree(graph, pairs):
     ts = [Triangulation(graph.instance, key) for key in graph.nodes]
     for i, targets in itertools.groupby(sorted(pairs), key=lambda p: p[0]):
-        dist = graph.distances_from(i)
+        dist = distances_from(graph, i)
         for _, j in targets:
             assert exact_flip_distance(ts[i], ts[j]) == dist[j]
 
@@ -166,7 +167,7 @@ def test_distance_node_cap_counts_both_sides(monkeypatch):
     with pytest.raises(GraphTooLarge, match="exceeds 148 nodes"):
         exact_flip_distance(t1, t2)
     monkeypatch.setattr(oracle, "MAX_NODES", 149)
-    assert exact_flip_distance(t1, t2) == graph.distances_from(0)[297] == 6
+    assert exact_flip_distance(t1, t2) == distances_from(graph, 0)[297] == 6
 
 
 # The holed instance of the oracle_sweep benchmark: a 7-gon with a
@@ -206,13 +207,16 @@ def test_distance_to_non_triangulation_unreachable(holed):
         exact_flip_distance(t1, t2)
 
 
-def test_flip_graph_node_cap():
+def test_flip_graph_node_cap(monkeypatch):
     seed = greedy_triangulate(generate_instance(GenSpec(seed=9, n_points=9)))
+    monkeypatch.setattr(oracle, "MAX_NODES", 50)
     with pytest.raises(GraphTooLarge, match="exceeds 50 nodes"):
-        build_flip_graph(seed, max_nodes=50)
+        build_flip_graph(seed)
+    monkeypatch.setattr(oracle, "MAX_NODES", 428)
     with pytest.raises(GraphTooLarge):
-        build_flip_graph(seed, max_nodes=428)
-    assert len(build_flip_graph(seed, max_nodes=429).nodes) == 429
+        build_flip_graph(seed)
+    monkeypatch.setattr(oracle, "MAX_NODES", 429)
+    assert len(build_flip_graph(seed).nodes) == 429
 
 
 def _moved(inst, triangulations, point_map=lambda p: p, reverse=False, labels=None):

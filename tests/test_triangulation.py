@@ -8,6 +8,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from flipdist import geometry, kernels
 from flipdist.errors import EdgeNotInTriangulation, InvariantViolation, NotFlippable
 from flipdist.generate import GenSpec, generate_instance, random_priority
+from flipdist.oracle import enumerate_triangulations_direct
 from flipdist.triangulation import (
     Instance,
     Triangulation,
@@ -523,3 +524,15 @@ def test_face_certificate_matches_full_check(name, seed, mutations):
     if not full:
         # The certificate's map is the cached apex map, as a fresh trace has it.
         assert t._apexes == apex_map(Triangulation(inst, edges))
+
+
+@pytest.mark.parametrize("name", ["pinched", "two_holes_pinched", "collinear"])
+def test_face_certificate_accepts_every_triangulation(name):
+    """The certificate's converse on instances where polygons share a vertex
+    or border edges are collinear: every triangulation passes it."""
+    inst = _certificate_instances()[name]
+    assert validate(greedy_triangulate(inst)) == []
+    keys = enumerate_triangulations_direct(inst)
+    assert keys
+    for key in keys:
+        assert _face_certificate(Triangulation(inst, key)) is not None
