@@ -98,8 +98,6 @@ def _cmd_morph(args) -> int:
     t1, t2 = _load_pair(args)
     seq = morph(t1, t2)
     crossings = seq.steps[0].before if seq.steps else 0
-    if seq.replay().edges != t2.edges:
-        raise FlipdistError("internal: sequence replay does not reach target")
     inst = t1.instance
     bound = intersection_upper_bound(inst.n, inst.n_b, inst.h)
     print(f"steps={len(seq.steps)} crossings={crossings} bound={bound}")

@@ -34,6 +34,8 @@ class GenSpec:
             raise InfeasibleSpec("with_holes requires holes >= 1")
         if self.shape != "with_holes" and self.holes:
             raise InfeasibleSpec(f"shape '{self.shape}' does not take holes")
+        if self.interior_points < 0:
+            raise InfeasibleSpec("interior_points must be >= 0")
 
 
 def _no_three_collinear(points: list[geometry.Point]) -> bool:

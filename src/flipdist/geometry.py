@@ -69,7 +69,7 @@ def point_on_closed_segment(p: Point, s: Segment) -> bool:
     return point_on_open_segment(p, s)
 
 
-def _ray_crossing_parity(p: Point, polygon: Sequence[Point]) -> bool:
+def ray_crossing_parity(p: Point, polygon: Sequence[Point]) -> bool:
     """Crossing parity of a rightward ray from p with the polygon boundary.
 
     Uses the half-open vertical rule (an edge counts iff its endpoints
@@ -105,10 +105,10 @@ def point_in_region(p: Point, border: Sequence[Sequence[Point]]) -> str:
         for i in range(n):
             if point_on_closed_segment(p, (polygon[i], polygon[(i + 1) % n])):
                 return ON_BOUNDARY
-    if not _ray_crossing_parity(p, border[0]):
+    if not ray_crossing_parity(p, border[0]):
         return OUTSIDE
     for hole in border[1:]:
-        if _ray_crossing_parity(p, hole):
+        if ray_crossing_parity(p, hole):
             return OUTSIDE
     return INSIDE
 

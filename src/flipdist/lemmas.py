@@ -84,20 +84,6 @@ def _signed_det(p, q, r) -> int:
     return (q[0] - p[0]) * (r[1] - p[1]) - (q[1] - p[1]) * (r[0] - p[0])
 
 
-def _strictly_inside_quad(
-    t: Triangulation, quad: Quadrilateral, p: geometry.Point
-) -> bool:
-    """p strictly inside the union of the two triangles of the quadrilateral."""
-    pts = t.instance.points
-    a, b, c, d = (pts[v] for v in quad.vertices)
-    for tri in ((a, b, c), (a, c, d)):
-        if all(
-            geometry.orient(tri[i], tri[(i + 1) % 3], p) == 1 for i in range(3)
-        ):
-            return True
-    return geometry.point_on_open_segment(p, (a, c))
-
-
 def _quadrilaterals(
     t: Triangulation, edges: tuple[Edge, ...]
 ) -> list[Quadrilateral | None]:
@@ -138,11 +124,13 @@ def audit_propositions(t1: Triangulation, t2: Triangulation) -> AuditReport:
         if quad.opposite in t2.edges:
             hit.add(quad.opposite)
         entering = sorted(hit)
+        # abc and acd are ccw faces, so abcd is a simple polygon whose open
+        # interior is the two open triangles and the open diagonal ac.
+        polygon = [[pts[v] for v in quad.vertices]]
         kind = {v: "corner" for v in quad.vertices}
         for v in {v for e in entering for v in e} - kind.keys():
-            kind[v] = (
-                "inside" if _strictly_inside_quad(t1, quad, pts[v]) else "outside"
-            )
+            inside = geometry.point_in_region(pts[v], polygon) == geometry.INSIDE
+            kind[v] = "inside" if inside else "outside"
         p2_checked += len(entering)
         for e in entering:
             kinds = [kind[v] for v in e]

@@ -9,7 +9,12 @@ from __future__ import annotations
 from typing import Optional
 
 from .morph import FlipSequence
-from .triangulation import Instance, MutableTriangulation, Triangulation
+from .triangulation import (
+    Instance,
+    MutableTriangulation,
+    Triangulation,
+    require_same_instance,
+)
 
 FRAME = 1000.0
 MARGIN = 0.05
@@ -74,8 +79,11 @@ def render_svg(
     sequence: Optional[FlipSequence] = None,
 ) -> str:
     """One frame, or one frame per sequence state when a sequence is given."""
+    if overlay is not None:
+        require_same_instance(t, overlay)
     states = [t]
     if sequence is not None:
+        require_same_instance(t, sequence.start)
         states = [sequence.start]
         current = MutableTriangulation(sequence.start)
         for step in sequence.steps:

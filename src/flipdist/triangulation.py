@@ -167,28 +167,31 @@ class Instance:
                 for s1 in geometry.segments_of_polygon(coords[b1]):
                     for s2 in geometry.segments_of_polygon(coords[b2]):
                         if geometry.properly_intersect(s1, s2):
-                            out.append(
-                                f"border[{b1}] and border[{b2}] cross"
-                            )
+                            out.append(f"border[{b1}] and border[{b2}] cross")
         for b1 in range(len(self.border)):
             for b2 in range(b1 + 1, len(self.border)):
                 if self.polygon_edges[b1] & self.polygon_edges[b2]:
                     out.append(f"border[{b1}] and border[{b2}] share an edge")
-        # Point containment rules.
-        outer = [coords[0]]
-        for i, p in enumerate(self.points):
-            where = geometry.point_in_region(p, outer)
-            if where == geometry.OUTSIDE:
-                out.append(f"point {i} lies strictly outside the outer border")
+        # Point containment rules.  Point k is on polygon b's boundary when it
+        # has the coordinates of one of b's corners or the border-edge scan
+        # hits it on one of b's edges; otherwise ray parity places it.
+        hits, _ = _segment_defects(self, sorted(self.border_edges))
+        on = [
+            {k for k, p in enumerate(self.points) if p in corners}
+            | {k for k, e in hits if e in edges}
+            for corners, edges in zip(map(set, coords), self.polygon_edges)
+        ]
+        outside: list[int] = []
+        for k, p in enumerate(self.points):
+            if k not in on[0] and not geometry.ray_crossing_parity(p, coords[0]):
+                outside.append(k)
+                out.append(f"point {k} lies strictly outside the outer border")
         for b in range(1, len(self.border)):
-            hole = [coords[b]]
-            for i, p in enumerate(self.points):
-                if i in self.border[b]:
-                    continue
-                if geometry.point_in_region(p, hole) == INSIDE:
-                    out.append(f"point {i} lies strictly inside hole {b}")
+            for k, p in enumerate(self.points):
+                if k not in on[b] and geometry.ray_crossing_parity(p, coords[b]):
+                    out.append(f"point {k} lies strictly inside hole {b}")
             for v in self.border[b]:
-                if geometry.point_in_region(self.points[v], outer) == geometry.OUTSIDE:
+                if v in outside:
                     out.append(f"hole {b} vertex {v} is outside the outer border")
             # A hole that shares vertices with the outer polygon can lie in
             # a notch outside it, and one that shares vertices with another
@@ -205,8 +208,7 @@ class Instance:
                         out.append(f"hole {b} edge {e} is outside the outer border")
                     elif b2 > 0 and where == INSIDE:
                         out.append(f"hole {b} edge {e} lies inside hole {b2}")
-        inside, _ = _segment_defects(self, sorted(self.border_edges))
-        out += [f"point {k} lies on the interior of border edge {e}" for k, e in inside]
+        out += [f"point {k} lies on the interior of border edge {e}" for k, e in hits]
         return out
 
     def admissible_pairs(self) -> tuple[Edge, ...]:

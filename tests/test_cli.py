@@ -1,5 +1,6 @@
 import argparse
 import json
+from pathlib import Path
 
 import pytest
 
@@ -155,6 +156,41 @@ def test_render_sequence(files, tmp_path):
     assert f'width="{1000 * (len(seq.steps) + 1)}"' in body
 
 
+@pytest.fixture
+def two_instances(tmp_path):
+    """Triangulations ta of a 6-point and tb, tb2 of a 9-point instance, and
+    the morph sequence sb from tb to tb2."""
+    names = ("a", "b", "ta", "tb", "tb2", "sb")
+    p = {name: str(tmp_path / f"{name}.json") for name in names}
+    for argv in (
+        ["gen", "--seed", "1", "--n-points", "6", "-o", p["a"]],
+        ["gen", "--seed", "2", "--n-points", "9", "-o", p["b"]],
+        ["triangulate", p["a"], "-o", p["ta"]],
+        ["triangulate", p["b"], "-o", p["tb"]],
+        ["triangulate", p["b"], "--priority", "random:3", "-o", p["tb2"]],
+        ["morph", p["tb"], p["tb2"], "-o", p["sb"]],
+    ):
+        assert run(argv) == 0
+    assert formats.parse_sequence(Path(p["sb"]).read_bytes()).steps
+    return p
+
+
+@pytest.mark.parametrize(
+    "args",
+    [["ta", "--overlay", "tb"], ["tb", "--overlay", "ta"], ["ta", "--sequence", "sb"]],
+    ids=["overlay-larger", "overlay-smaller", "sequence"],
+)
+def test_render_refuses_other_instance(two_instances, tmp_path, capsys, args):
+    svg = tmp_path / "out.svg"
+    capsys.readouterr()
+    argv = [two_instances.get(a, a) for a in args]
+    assert run(["render", *argv, "-o", str(svg)]) == 1
+    assert capsys.readouterr().err == (
+        "error: triangulations have different instances\n"
+    )
+    assert not svg.exists()
+
+
 def test_gen_deterministic(tmp_path):
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"
@@ -170,6 +206,14 @@ def test_gen_infeasible(capsys):
     assert run(["gen", "--seed", "1", "--n-points", "4",
                 "--shape", "with_holes", "--holes", "2"]) == 1
     assert "error" in capsys.readouterr().err
+
+
+def test_gen_refuses_negative_interior_points(tmp_path, capsys):
+    out = tmp_path / "inst.json"
+    assert run(["gen", "--seed", "1", "--n-points", "6",
+                "--interior-points", "-2", "-o", str(out)]) == 1
+    assert capsys.readouterr().err == "error: interior_points must be >= 0\n"
+    assert not out.exists()
 
 
 def test_stdout_output(files, capsys):

@@ -19,6 +19,8 @@ def test_spec_validation():
         GenSpec(seed=1, n_points=5, shape="convex_gon", holes=1)
     with pytest.raises(InfeasibleSpec):
         generate_instance(GenSpec(seed=1, n_points=5, shape="with_holes", holes=1))
+    with pytest.raises(InfeasibleSpec, match="interior_points must be >= 0"):
+        GenSpec(seed=1, n_points=6, interior_points=-2)
 
 
 @pytest.mark.parametrize("shape", SHAPES)

@@ -72,7 +72,7 @@ def reference_violations(points, border):
         for i, p in enumerate(points):
             if i in border[b]:
                 continue
-            if geometry._ray_crossing_parity(p, hole) and not any(
+            if geometry.ray_crossing_parity(p, hole) and not any(
                 geometry.point_on_closed_segment(p, s) for s in _segments(hole)
             ):
                 out.append(f"point {i} lies strictly inside hole {b}")
@@ -90,7 +90,7 @@ def reference_violations(points, border):
                     geometry.point_on_closed_segment(mid, s)
                     for s in _segments(doubled)
                 )
-                inside = geometry._ray_crossing_parity(mid, doubled)
+                inside = geometry.ray_crossing_parity(mid, doubled)
                 if b2 == 0 and not inside and not on_edge:
                     out.append(f"hole {b} edge {e} is outside the outer border")
                 if b2 > 0 and inside and not on_edge:
