@@ -11,7 +11,7 @@ import functools
 import sys
 from pathlib import Path
 
-from . import formats, lemmas, render
+from . import formats, kernels, lemmas, render
 from .crossings import count_pair
 from .errors import FlipdistError, ParseError
 from .generate import GenSpec, generate_instance, random_priority
@@ -242,6 +242,7 @@ def run(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        kernels.active_kernel()  # an unknown FLIPDIST_KERNEL fails every command
         return args.func(args)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)

@@ -1,35 +1,55 @@
-"""Batch proper-intersection kernels.
+"""Batch kernels: proper crossings and point location.
 
 The pairwise O(m1*m2) crossing count runs once per pair of triangulations
 (the morph then updates it one flip at a time, one candidate row against
 the target's :class:`Segments` per check).  The crossing grid is the
 planarity scan of :func:`flipdist.triangulation.validate`'s full checks,
-which names its crossing pairs, and the compatibility masks of
-:func:`flipdist.oracle.enumerate_triangulations_direct`; each audit reads
-the grid of its quadrilateral segments once, through
-:func:`flipdist.crossings.quad_crossers`.  Two interchangeable backends
-compute the boolean crossing grid over int64 coordinate arrays; the
-per-segment counts are its row sums:
+which names its crossing pairs, the compatibility masks of
+:func:`flipdist.oracle.enumerate_triangulations_direct`, and the blocks of
+candidates :func:`flipdist.triangulation.greedy_triangulate` tests against
+the edges it has accepted; each audit reads the grid of its quadrilateral
+segments once, through :func:`flipdist.crossings.quad_crossers`.
 
-* ``numpy``  - broadcasting over fixed blocks of rows of the m1 x m2 grid
-  (default)
+Two point-location kernels answer whether a segment between two vertices
+is admissible (``triangulation._segment_defects``, behind
+``Instance.validate``, ``Instance.admissible_pairs`` and ``validate``'s
+full checks): :func:`vertices_inside`, the grid of vertices strictly inside
+segments, and :func:`midpoint_classes`, the region class of each segment's
+midpoint by ray parity.  ``Instance.validate`` also places the midpoints
+of its holes' edges with :func:`midpoint_classes`.
+
+Every kernel has two interchangeable backends:
+
+* ``numpy``  - broadcasting over fixed blocks of rows of the grid (default)
 * ``python`` - scalar loop over the exact predicates in :mod:`geometry`
 
-Select with the ``FLIPDIST_KERNEL`` environment variable.  The numpy backend
-is only used when every coordinate satisfies ``|c| <= INT64_SAFE_LIMIT``;
-beyond that, :func:`crossing_matrix` takes the exact python loop whatever
-backend is asked for, so no sign is ever lost to overflow.
+Select with the ``FLIPDIST_KERNEL`` environment variable; any other name
+raises :class:`~flipdist.errors.FlipdistError`.  The numpy backend is only
+used when every coordinate satisfies ``|c| <= INT64_SAFE_LIMIT``; beyond
+that, each kernel takes the exact python loop whatever backend is asked
+for, so no sign is ever lost to overflow.
+
+The midpoint kernel does not double coordinates to make the midpoint m of
+ab integral: doubled coordinates reach 2^31 and their products 2^64.  It
+uses 2 * orient(u, v, m) = det(u, v, a) + det(u, v, b) instead.  Each det
+fits int64 (see ``INT64_SAFE_LIMIT``).  Where their signs do not cancel,
+they give the sign of the sum; where they cancel, the sum is at most the
+larger magnitude, so it fits too.  The straddle and box tests compare ``2 * y``
+with ``ay + by``, both at most 2^31 in magnitude.
 """
 
 from __future__ import annotations
 
 import os
+from typing import Sequence
 
 import numpy as np
 
 from . import geometry
+from .errors import FlipdistError
 
 KERNEL_ENV = "FLIPDIST_KERNEL"
+KERNELS = ("numpy", "python")
 
 # With |c| <= 2^30 each coordinate difference is at most 2^31 in magnitude.
 # The numpy kernel expands orient(p, q, r) as (q - p) x r - p x q: each of its
@@ -42,10 +62,33 @@ INT64_SAFE_LIMIT = geometry.COORD_LIMIT
 # bounds the size of every temporary grid.
 _ROW_BLOCK = 32
 
+# Cells of a point-location grid computed at a time: a block of rows takes
+# as many rows as fit, so the temporaries stay small at any size.
+_CELL_BLOCK = 1 << 14
+
+# The region classes, as :func:`midpoint_classes` returns them.
+_CLASS_DTYPE = "<U11"
+
 
 def active_kernel() -> str:
-    choice = os.environ.get(KERNEL_ENV, "").strip().lower()
-    return choice if choice in ("numpy", "python") else "numpy"
+    """The backend ``FLIPDIST_KERNEL`` names; numpy when it is unset or empty."""
+    value = os.environ.get(KERNEL_ENV)
+    if not value:
+        return "numpy"
+    choice = value.strip().lower() or "numpy"
+    if choice not in KERNELS:
+        raise FlipdistError(
+            f"unknown {KERNEL_ENV} value {value!r}: expected numpy or python"
+        )
+    return choice
+
+
+def _backend(kernel: str | None) -> str:
+    if not kernel:
+        return active_kernel()
+    if kernel not in KERNELS:
+        raise FlipdistError(f"unknown kernel {kernel!r}: expected numpy or python")
+    return kernel
 
 
 def segments_array(segments: list[geometry.Segment]) -> np.ndarray:
@@ -79,6 +122,28 @@ class Segments:
 
     def __len__(self) -> int:
         return len(self.array)
+
+
+class Points:
+    """Vertex coordinates for the point-location kernels, packed once: the
+    tuples themselves (``coords``, for the exact loop) and, when every
+    coordinate is within ``INT64_SAFE_LIMIT``, an (n, 2) int64 ``array``
+    with its columns ``x`` and ``y`` (None otherwise, which sends every
+    kernel to the exact loop).  The gate reads the ints before packing, so
+    no value beyond int64 reaches numpy.
+    """
+
+    def __init__(self, points: Sequence[geometry.Point]):
+        self.coords = points
+        values = [c for p in points for c in p]
+        self.array = (
+            np.array(values, dtype=np.int64).reshape(-1, 2)
+            if not values
+            or -INT64_SAFE_LIMIT <= min(values) and max(values) <= INT64_SAFE_LIMIT
+            else None
+        )
+        if self.array is not None:
+            self.x, self.y = self.array.T.copy()
 
 
 def _matrix_python(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -129,8 +194,7 @@ def crossing_matrix(
     """
     if not isinstance(b, Segments):
         b = Segments(b)
-    backend = kernel or active_kernel()
-    if backend == "numpy" and int64_safe(a, b):
+    if _backend(kernel) == "numpy" and int64_safe(a, b):
         return _matrix_numpy(a, b)
     return _matrix_python(a, b.array)
 
@@ -143,8 +207,138 @@ def crossing_counts(
     return crossing_matrix(a, b, kernel).sum(axis=1)
 
 
+def _rows_per_block(cols: int) -> int:
+    return max(1, _CELL_BLOCK // max(cols, 1))
+
+
+def vertices_inside(
+    points: Points, ids: np.ndarray, kernel: str | None = None
+) -> np.ndarray:
+    """Boolean (m, n) grid: entry (i, k) is whether point k lies strictly
+    inside the segment from point ``ids[i, 0]`` to point ``ids[i, 1]``.
+
+    ``ids`` is an (m, 2) array of vertex ids; the points must be distinct.
+    """
+    if _backend(kernel) == "numpy" and points.array is not None:
+        return _inside_numpy(points, ids)
+    coords = points.coords
+    return np.array(
+        [
+            [
+                k != i and k != j
+                and geometry.point_on_open_segment(p, (coords[i], coords[j]))
+                for k, p in enumerate(coords)
+            ]
+            for i, j in ids.tolist()
+        ],
+        dtype=bool,
+    ).reshape(len(ids), len(coords))
+
+
+def _inside_numpy(points: Points, ids: np.ndarray) -> np.ndarray:
+    x, y = points.x, points.y
+    i, j = ids[:, 0], ids[:, 1]
+    ax, ay = x[i], y[i]
+    dx, dy = x[j] - ax, y[j] - ay
+    # orient(a, b, p) = dx (py - ay) - dy (px - ax) is zero iff dx py - dy px
+    # equals dx ay - dy ax.  Every product is below 2^61.
+    dx, dy, k = dx[:, None], dy[:, None], (dx * ay - dy * ax)[:, None]
+    out = np.zeros((len(ids), len(x)), dtype=bool)
+    step = _rows_per_block(len(x))
+    for lo in range(0, len(ids), step):
+        rows = slice(lo, lo + step)
+        on_line = dx[rows] * y - dy[rows] * x == k[rows]
+        # Both ends of a segment are on its line; usually no other point is.
+        if np.count_nonzero(on_line) == 2 * len(on_line):
+            continue
+        r, c = np.nonzero(on_line)
+        r += lo
+        ends, p = points.array[ids[r]], points.array[c]
+        # On the line, p is in the closed segment iff it is in its bounding
+        # box; distinct points make the ends the only ones at its ends.
+        keep = (
+            (c != i[r]) & (c != j[r])
+            & ((ends.min(axis=1) <= p) & (p <= ends.max(axis=1))).all(axis=1)
+        )
+        out[r[keep], c[keep]] = True
+    return out
+
+
+def midpoint_classes(
+    points: Points,
+    ids: np.ndarray,
+    polygons: Sequence[Sequence[int]],
+    kernel: str | None = None,
+) -> np.ndarray:
+    """:func:`geometry.midpoint_in_region` of every segment of ``ids`` (an
+    (m, 2) array of vertex ids) against the region that ``polygons`` bound
+    (vertex-id polygons: the outer one, then holes), as an array of
+    ``INSIDE``, ``ON_BOUNDARY`` and ``OUTSIDE``.  A row ``(k, k)`` classifies
+    point k itself.
+    """
+    if _backend(kernel) == "numpy" and points.array is not None:
+        return _classes_numpy(points.array, ids, polygons)
+    coords = points.coords
+    border = [[coords[v] for v in poly] for poly in polygons]
+    return np.array(
+        [
+            geometry.midpoint_in_region((coords[i], coords[j]), border)
+            for i, j in ids.tolist()
+        ],
+        dtype=_CLASS_DTYPE,
+    )
+
+
+def _classes_numpy(
+    pts: np.ndarray, ids: np.ndarray, polygons: Sequence[Sequence[int]]
+) -> np.ndarray:
+    # The edges (u, v) of every polygon, polygon after polygon; ``starts``
+    # holds the index of each polygon's first edge.
+    u = np.concatenate([np.asarray(poly) for poly in polygons])
+    v = np.concatenate([np.roll(poly, -1) for poly in polygons])
+    starts = np.cumsum([0] + [len(poly) for poly in polygons[:-1]])
+    ux, uy, vx, vy = pts[u, 0], pts[u, 1], pts[v, 0], pts[v, 1]
+    dx, dy, k = vx - ux, vy - uy, vx * uy - vy * ux
+    up = np.sign(dy)
+    # The edges' ends and bounding boxes, doubled like the midpoints.
+    uy2, vy2 = 2 * uy, 2 * vy
+    lo_x, hi_x = 2 * np.minimum(ux, vx), 2 * np.maximum(ux, vx)
+    lo_y, hi_y = np.minimum(uy2, vy2), np.maximum(uy2, vy2)
+    out = np.empty(len(ids), dtype=_CLASS_DTYPE)
+    step = _rows_per_block(len(u))
+    for lo in range(0, len(ids), step):
+        rows = slice(lo, lo + step)
+        a, b = pts[ids[rows, 0]], pts[ids[rows, 1]]
+        ax, ay, bx, by = a[:, :1], a[:, 1:], b[:, :1], b[:, 1:]
+        sx, sy = ax + bx, ay + by  # the midpoint, doubled
+        det_a = dx * ay - dy * ax - k  # det(u, v, a), below 3 * 2^61
+        det_b = dx * by - dy * bx - k
+        sign_a, sign_b = np.sign(det_a), np.sign(det_b)
+        # The sign of det_a + det_b = 2 * orient(u, v, m): where the two
+        # signs do not cancel, their sum's (det_a + det_b may wrap there and
+        # is not used); where they cancel, opposite or both 0, the sum fits.
+        side = np.where(sign_a == -sign_b, np.sign(det_a + det_b), sign_a + sign_b)
+        # The half-open rule of geometry.ray_crossing_parity: an edge counts
+        # when it straddles m's height, lower end inclusive, and m is left of
+        # it directed upwards.
+        crosses = ((uy2 > sy) != (vy2 > sy)) & (side * up > 0)
+        on_edge = (
+            (side == 0)
+            & (lo_x <= sx) & (sx <= hi_x) & (lo_y <= sy) & (sy <= hi_y)
+        ).any(axis=1)
+        odd = np.logical_xor.reduceat(crosses, starts, axis=1)
+        inside = odd[:, 0] & ~odd[:, 1:].any(axis=1)
+        out[rows] = np.where(
+            on_edge,
+            geometry.ON_BOUNDARY,
+            np.where(inside, geometry.INSIDE, geometry.OUTSIDE),
+        )
+    return out
+
+
 def _within_limit(a: np.ndarray) -> bool:
-    return len(a) == 0 or bool(np.abs(a).max() <= INT64_SAFE_LIMIT)
+    # abs(-2^63) wraps to -2^63, which the unsigned view reads as 2^63.
+    return len(a) == 0 or bool(np.abs(a).view(np.uint64).max() <= INT64_SAFE_LIMIT)
 
 
 def int64_safe(a: np.ndarray, b: np.ndarray | Segments) -> bool:

@@ -16,7 +16,7 @@ from .errors import (
     NotATriangulation,
     NotFlippable,
 )
-from .geometry import INSIDE, Point, Segment
+from .geometry import INSIDE, OUTSIDE, Point, Segment
 
 Edge = tuple[int, int]
 # Edge -> the third vertex of each face incident to it (see apex_map).
@@ -100,6 +100,8 @@ class Instance:
             *self.polygon_edges
         )
         self._admissible: Optional[tuple[Edge, ...]] = None
+        # The points packed once for the point-location kernels.
+        self._packed = kernels.Points(self.points)
         violations = self.validate()
         if violations:
             raise InvariantViolation("invalid instance", violations)
@@ -154,8 +156,9 @@ class Instance:
             segs = list(
                 geometry.segments_of_polygon([self.points[v] for v in poly])
             )
+            # Consecutive edges share a vertex, so they never cross properly.
             for i in range(len(segs)):
-                for j in range(i + 1, len(segs)):
+                for j in range(i + 2, len(segs) - (i == 0)):
                     if geometry.properly_intersect(segs[i], segs[j]):
                         out.append(f"border[{b}] is not simple")
         if out:
@@ -173,40 +176,37 @@ class Instance:
                 if self.polygon_edges[b1] & self.polygon_edges[b2]:
                     out.append(f"border[{b1}] and border[{b2}] share an edge")
         # Point containment rules.  Point k is on polygon b's boundary when it
-        # has the coordinates of one of b's corners or the border-edge scan
-        # hits it on one of b's edges; otherwise ray parity places it.
+        # is one of b's corners (the points are distinct) or the border-edge
+        # scan hits it on one of b's edges; otherwise ray parity places it.
         hits, _ = _segment_defects(self, sorted(self.border_edges))
         on = [
-            {k for k, p in enumerate(self.points) if p in corners}
-            | {k for k, e in hits if e in edges}
-            for corners, edges in zip(map(set, coords), self.polygon_edges)
+            set(poly) | {k for k, e in hits if e in edges}
+            for poly, edges in zip(self.border, self.polygon_edges)
         ]
-        outside: list[int] = []
         for k, p in enumerate(self.points):
             if k not in on[0] and not geometry.ray_crossing_parity(p, coords[0]):
-                outside.append(k)
                 out.append(f"point {k} lies strictly outside the outer border")
         for b in range(1, len(self.border)):
             for k, p in enumerate(self.points):
                 if k not in on[b] and geometry.ray_crossing_parity(p, coords[b]):
                     out.append(f"point {k} lies strictly inside hole {b}")
-            for v in self.border[b]:
-                if v in outside:
-                    out.append(f"hole {b} vertex {v} is outside the outer border")
             # A hole that shares vertices with the outer polygon can lie in
             # a notch outside it, and one that shares vertices with another
             # hole can nest inside it, with no vertex outside or inside and
             # no crossing edge.  Without a shared vertex neither can: the
             # hole would have a vertex outside the outer polygon, or inside
             # the other hole or on its edges.
+            edges = sorted(self.polygon_edges[b])
             for b2 in range(len(self.border)):
                 if b2 == b or not set(self.border[b]) & set(self.border[b2]):
                     continue
-                for e in sorted(self.polygon_edges[b]):
-                    where = geometry.midpoint_in_region(self.segment(e), [coords[b2]])
-                    if b2 == 0 and where == geometry.OUTSIDE:
+                where = kernels.midpoint_classes(
+                    self._packed, np.array(edges), [self.border[b2]]
+                )
+                for e, w in zip(edges, where):
+                    if b2 == 0 and w == OUTSIDE:
                         out.append(f"hole {b} edge {e} is outside the outer border")
-                    elif b2 > 0 and where == INSIDE:
+                    elif b2 > 0 and w == INSIDE:
                         out.append(f"hole {b} edge {e} lies inside hole {b2}")
         out += [f"point {k} lies on the interior of border edge {e}" for k, e in hits]
         return out
@@ -234,19 +234,14 @@ def _segment_defects(inst: Instance, edges: Sequence[Edge]) -> tuple[list, list]
     non-border e whose midpoint is not inside the region.  A segment free of
     both that crosses no border edge is admissible.
     """
-    coords = inst.border_coords()
-    inside: list[tuple[int, Edge]] = []
+    ids = np.array(edges, dtype=np.int64).reshape(-1, 2)
+    rows, ks = np.nonzero(kernels.vertices_inside(inst._packed, ids))
+    inside = [(k, edges[i]) for i, k in zip(rows.tolist(), ks.tolist())]
+    free = [i for i, e in enumerate(edges) if e not in inst.border_edges]
     leaving: list[Edge] = []
-    for e in edges:
-        seg = inst.segment(e)
-        inside += [
-            (k, e) for k, p in enumerate(inst.points)
-            if k not in e and geometry.point_on_open_segment(p, seg)
-        ]
-        if e not in inst.border_edges and (
-            geometry.midpoint_in_region(seg, coords) != INSIDE
-        ):
-            leaving.append(e)
+    if free:
+        where = kernels.midpoint_classes(inst._packed, ids[free], inst.border)
+        leaving = [edges[i] for i, w in zip(free, where) if w != INSIDE]
     return inside, leaving
 
 
@@ -547,6 +542,11 @@ class MutableTriangulation:
         return Triangulation(self.instance, self.edges)
 
 
+# Candidates greedy_triangulate tests at a time: a block meets the accepted
+# edges in one crossing grid and itself in another, never all candidates.
+_GREEDY_BLOCK = 64
+
+
 def greedy_triangulate(
     inst: Instance,
     priority: Optional[Callable[[Edge], object]] = None,
@@ -557,20 +557,30 @@ def greedy_triangulate(
     it crosses no accepted edge.  An admissible pair never crosses a border
     edge, so only the accepted interior edges are tested.  The default
     priority is lexicographic on (min id, max id), which makes the output
-    deterministic.
+    deterministic.  Candidates are taken in blocks, in order: one crossing
+    grid against the edges accepted before the block and one within it
+    decide each block.
     """
-    candidates = list(inst.admissible_pairs())
+    candidates = [e for e in inst.admissible_pairs() if e not in inst.border_edges]
     candidates.sort(key=priority if priority is not None else lambda e: e)
-    accepted_segs: list[Segment] = []
+    segs = kernels.segments_array([inst.segment(e) for e in candidates])
+    accepted = segs[:0]
     chosen = set(inst.border_edges)
-    for e in candidates:
-        if e in chosen:
-            continue
-        seg = inst.segment(e)
-        if any(geometry.properly_intersect(seg, s) for s in accepted_segs):
-            continue
-        chosen.add(e)
-        accepted_segs.append(seg)
+    for lo in range(0, len(candidates), _GREEDY_BLOCK):
+        block = segs[lo:lo + _GREEDY_BLOCK]
+        # The block's candidates that cross no accepted edge, in order; one
+        # is accepted iff it crosses none accepted before it in the block.
+        free = lo + np.flatnonzero(~kernels.crossing_matrix(block, accepted).any(axis=1))
+        block = segs[free]
+        within = kernels.crossing_matrix(block, block)
+        blocked = np.zeros(len(block), dtype=bool)
+        taken = []
+        for i in range(len(block)):
+            if not blocked[i]:
+                taken.append(i)
+                blocked |= within[i]
+        chosen.update(candidates[k] for k in free[taken].tolist())
+        accepted = np.concatenate([accepted, block[taken]])
     return Triangulation(inst, chosen)
 
 

@@ -29,6 +29,15 @@ def test_validate_ok(files, capsys):
     assert "ok" in capsys.readouterr().out
 
 
+def test_unknown_kernel_is_refused(files, capsys, monkeypatch):
+    _, inst, f1, f2 = files
+    monkeypatch.setenv("FLIPDIST_KERNEL", "pyhton")
+    assert run(["count", str(f1), str(f2)]) == 1
+    assert "unknown FLIPDIST_KERNEL value 'pyhton'" in capsys.readouterr().err
+    monkeypatch.setenv("FLIPDIST_KERNEL", "python")
+    assert run(["validate", str(inst)]) == 0
+
+
 def test_validate_reports_violations(tmp_path, capsys):
     doc = {
         "format": "flipdist.instance",

@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from flipdist import geometry, kernels
 from flipdist.crossings import count_pair, count_segment, quad_crossers
-from flipdist.errors import InstanceMismatch
+from flipdist.errors import FlipdistError, InstanceMismatch
 from flipdist.generate import GenSpec
 from flipdist.triangulation import (
     Instance,
@@ -257,6 +257,12 @@ def test_int64_safe_gate():
     assert kernels.int64_safe(ok, ok)
     assert not kernels.int64_safe(ok, too_big)
     assert kernels.int64_safe(kernels.segments_array([]), ok)
+    # abs(-2^63) wraps to -2^63 in int64, below any bound.
+    lowest = np.array([[np.iinfo(np.int64).min, 0, 0, 0]], dtype=np.int64)
+    assert not kernels.int64_safe(ok, lowest)
+    assert not kernels.int64_safe(lowest, ok)
+    assert kernels.Points([(np.iinfo(np.int64).min, 0), (0, 0)]).array is None
+    assert kernels.Points([(1 << 64, 0), (0, 0)]).array is None
 
 
 def test_active_kernel_env(monkeypatch):
@@ -264,8 +270,29 @@ def test_active_kernel_env(monkeypatch):
     assert kernels.active_kernel() == "python"
     monkeypatch.setenv(kernels.KERNEL_ENV, "numpy")
     assert kernels.active_kernel() == "numpy"
+    monkeypatch.setenv(kernels.KERNEL_ENV, " Python ")
+    assert kernels.active_kernel() == "python"
+    monkeypatch.setenv(kernels.KERNEL_ENV, "")
+    assert kernels.active_kernel() == "numpy"
     monkeypatch.delenv(kernels.KERNEL_ENV)
     assert kernels.active_kernel() == "numpy"
+    # An unknown name is refused, by the env and by the argument alike.
+    seg = kernels.segments_array([((0, 0), (1, 1))])
+    monkeypatch.setenv(kernels.KERNEL_ENV, "pyhton")
+    with pytest.raises(FlipdistError, match="'pyhton'"):
+        kernels.active_kernel()
+    with pytest.raises(FlipdistError, match="'pyhton'"):
+        kernels.crossing_matrix(seg, seg)
+    monkeypatch.delenv(kernels.KERNEL_ENV)
+    points = kernels.Points([(0, 0), (2, 0), (0, 2)])
+    ids = np.array([[0, 1]])
+    for call in (
+        lambda k: kernels.crossing_matrix(seg, seg, kernel=k),
+        lambda k: kernels.vertices_inside(points, ids, kernel=k),
+        lambda k: kernels.midpoint_classes(points, ids, [[0, 1, 2]], kernel=k),
+    ):
+        with pytest.raises(FlipdistError, match="'bogus'"):
+            call("bogus")
 
 
 def test_count_pair_near_coordinate_cap():

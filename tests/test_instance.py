@@ -76,9 +76,8 @@ def reference_violations(points, border):
                 geometry.point_on_closed_segment(p, s) for s in _segments(hole)
             ):
                 out.append(f"point {i} lies strictly inside hole {b}")
-        for v in border[b]:
-            if geometry.point_in_region(points[v], outer) == geometry.OUTSIDE:
-                out.append(f"hole {b} vertex {v} is outside the outer border")
+        # A hole vertex outside the outer polygon is reported once, as a
+        # point outside the outer border.
         for b2 in range(len(border)):
             if b2 == b or not set(border[b]) & set(border[b2]):
                 continue

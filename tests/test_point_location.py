@@ -1,0 +1,164 @@
+"""The point-location kernels against the exact scalar predicates.
+
+``kernels.vertices_inside`` must equal ``geometry.point_on_open_segment``
+for every vertex other than a segment's ends, and
+``kernels.midpoint_classes`` must equal ``geometry.midpoint_in_region``, on
+both backends, at the int64 gate's limit (the numpy path) and beyond it
+(the exact loop).
+"""
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from flipdist import geometry, kernels
+from flipdist.generate import GenSpec, generate_instance
+from flipdist.triangulation import Instance
+
+KERNELS = ["python", "numpy"]
+LIMIT = kernels.INT64_SAFE_LIMIT
+BEYOND = 1 << 31
+
+
+def _inside_reference(coords, ids):
+    return [
+        [
+            k != i and k != j
+            and geometry.point_on_open_segment(p, (coords[i], coords[j]))
+            for k, p in enumerate(coords)
+        ]
+        for i, j in ids
+    ]
+
+
+def _classes_reference(coords, ids, polygons):
+    border = [[coords[v] for v in poly] for poly in polygons]
+    return [
+        geometry.midpoint_in_region((coords[i], coords[j]), border)
+        for i, j in ids
+    ]
+
+
+def _check(coords, ids, polygons):
+    """Both kernels on both backends equal the references; returns them."""
+    points = kernels.Points(coords)
+    beyond = max(abs(c) for p in coords for c in p) > LIMIT
+    assert (points.array is None) == beyond
+    segments = [(i, j) for i, j in ids if i != j]
+    inside = _inside_reference(coords, segments)
+    classes = _classes_reference(coords, ids, polygons)
+    for backend in KERNELS:
+        got = kernels.vertices_inside(
+            points, np.array(segments, dtype=np.int64).reshape(-1, 2), kernel=backend
+        )
+        assert got.shape == (len(segments), len(coords))
+        assert got.tolist() == inside
+        got = kernels.midpoint_classes(
+            points, np.array(ids, dtype=np.int64).reshape(-1, 2), polygons,
+            kernel=backend,
+        )
+        assert got.tolist() == classes
+    return inside, classes
+
+
+SMALL = st.integers(-4, 4)
+AT_CAP = st.sampled_from([-LIMIT, -LIMIT + 1, -1, 0, 1, LIMIT - 1, LIMIT])
+PAST_CAP = st.sampled_from([-BEYOND, -LIMIT, -1, 0, 1, LIMIT, BEYOND])
+
+
+@st.composite
+def _configurations(draw):
+    """Distinct points on a coarse grid, so that collinear points, vertices
+    on segments, midpoints on edges and rays through vertices are common;
+    segments (and rows (k, k), which classify point k); polygons of distinct
+    ids that may share vertices, cross or nest."""
+    coord = draw(st.sampled_from([SMALL, AT_CAP, PAST_CAP]))
+    coords = draw(
+        st.lists(st.tuples(coord, coord), min_size=3, max_size=9, unique=True)
+    )
+    n = len(coords)
+    vertex = st.integers(0, n - 1)
+    ids = draw(st.lists(st.tuples(vertex, vertex), min_size=1, max_size=20))
+    polygons = draw(
+        st.lists(
+            st.lists(vertex, min_size=3, max_size=n, unique=True),
+            min_size=1,
+            max_size=3,
+        )
+    )
+    return coords, ids, polygons
+
+
+DIAMOND = [(5, 0), (10, 5), (5, 10), (0, 5)]
+
+
+@settings(max_examples=400, deadline=None)
+@given(_configurations())
+# A collinear border run: vertex 1 inside segment 0-2, whose midpoint is on
+# the border; 3-4's midpoint is outside.
+@example(([(0, 0), (3, 0), (6, 0), (6, 6), (0, 6)], [(0, 2), (3, 4), (1, 3)],
+          [[0, 1, 2, 3, 4]]))
+# Rays through the diamond's vertices 1 and 3, from inside and outside.
+@example((DIAMOND + [(2, 4), (2, 6), (-3, 4), (-3, 6)],
+          [(4, 5), (6, 7), (4, 4), (6, 6), (0, 2)], [[0, 1, 2, 3]]))
+# Axis-parallel and diagonal segments through vertices at the cap.
+@example(([(-LIMIT, -LIMIT), (0, -LIMIT), (LIMIT, -LIMIT), (LIMIT, LIMIT),
+           (0, 0)], [(0, 2), (0, 3), (1, 2), (4, 4)], [[0, 2, 3]]))
+# det(u, v, a) = det(u, v, b) = 2^62 against the downward edge 0-1, so
+# their sum, 2^63, does not fit int64: only their signs may decide.
+@example(([(-LIMIT, LIMIT), (-LIMIT, -LIMIT), (0, 0), (LIMIT, 0), (LIMIT, 1)],
+          [(3, 4)], [[0, 1, 2]]))
+def test_kernels_match_scalar_predicates(config):
+    _check(*config)
+
+
+def _notched(m):
+    return Instance(
+        [(-m, -m), (0, -m), (m, -m), (m, m), (0, 1), (-m, m), (1, -7), (-5, -3),
+         (m - 1, 0)],
+        [[0, 1, 2, 3, 4, 5]],
+    )
+
+
+def _instances():
+    return {
+        "collinear": Instance(
+            [(0, 0), (3, 0), (6, 0), (6, 6), (0, 6), (2, 3), (3, 3), (4, 3)],
+            [[0, 1, 2, 3, 4]],
+        ),
+        "diamond": Instance(DIAMOND + [(2, 4), (2, 6), (8, 4), (8, 6)], [[0, 1, 2, 3]]),
+        "pinched": Instance(
+            [(0, 0), (10, 0), (10, 10), (0, 10), (5, 2), (6, 4)],
+            [[0, 1, 2, 3], [0, 4, 5]],
+        ),
+        "two_holes_pinched": Instance(
+            [(0, 0), (20, 0), (20, 20), (0, 20), (5, 5), (10, 5), (7, 9),
+             (15, 5), (13, 9), (10, 15)],
+            [[0, 1, 2, 3], [4, 5, 6], [5, 7, 8]],
+        ),
+        "holed": generate_instance(
+            GenSpec(seed=5, n_points=12, shape="with_holes", holes=2)
+        ),
+        # A collinear run along the bottom and a reflex vertex at (0, 1),
+        # at the int64 gate's limit and beyond it.
+        "coords_2^30": _notched(LIMIT),
+        "coords_2^31": _notched(BEYOND),
+    }
+
+
+@pytest.mark.parametrize("one_row_blocks", [False, True])
+@pytest.mark.parametrize("name", sorted(_instances()))
+def test_kernels_on_instances(name, one_row_blocks, monkeypatch):
+    """Every vertex pair and every vertex against the instance's region, in
+    the kernels' usual blocks and one grid row at a time."""
+    if one_row_blocks:
+        monkeypatch.setattr(kernels, "_CELL_BLOCK", 1)
+    inst = _instances()[name]
+    n = inst.n
+    ids = [(i, j) for i in range(n) for j in range(i, n)]
+    inside, classes = _check(list(inst.points), ids, inst.border)
+    assert {geometry.INSIDE, geometry.ON_BOUNDARY} <= set(classes)
+    if name in ("holed", "coords_2^30", "coords_2^31"):
+        assert geometry.OUTSIDE in classes
+    if name in ("collinear", "coords_2^30", "coords_2^31"):
+        assert any(map(any, inside))

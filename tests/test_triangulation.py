@@ -10,6 +10,7 @@ from flipdist.errors import EdgeNotInTriangulation, InvariantViolation, NotFlipp
 from flipdist.generate import GenSpec, generate_instance, random_priority
 from flipdist.oracle import enumerate_triangulations_direct
 from flipdist.triangulation import (
+    _GREEDY_BLOCK,
     Instance,
     Triangulation,
     _face_certificate,
@@ -425,6 +426,62 @@ def _admissibility_instances():
 def test_admissible_pairs_match_reference(name):
     inst = _admissibility_instances()[name]
     assert inst.admissible_pairs() == _admissible_reference(inst)
+
+
+def _greedy_reference(inst, priority):
+    """The one-candidate-at-a-time insertion: each admissible pair in
+    priority order is kept when it crosses no edge kept before it."""
+    candidates = list(inst.admissible_pairs())
+    candidates.sort(key=priority if priority is not None else lambda e: e)
+    kept, chosen = [], set(inst.border_edges)
+    for e in candidates:
+        if e in chosen:
+            continue
+        seg = inst.segment(e)
+        if not any(geometry.properly_intersect(seg, s) for s in kept):
+            chosen.add(e)
+            kept.append(seg)
+    return chosen
+
+
+def _greedy_instances():
+    big = 1 << 31
+    cases = {
+        name: _admissibility_instances()[name]
+        for name in ("collinear", "two_holes_pinched", "coords_2^30")
+    }
+    # More candidates than one block of greedy_triangulate.
+    cases["convex_24"] = generate_instance(GenSpec(seed=6, n_points=24))
+    cases["interior_30"] = generate_instance(
+        GenSpec(seed=7, n_points=30, interior_points=8)
+    )
+    cases["holed_26"] = generate_instance(
+        GenSpec(seed=8, n_points=26, shape="with_holes", holes=2)
+    )
+    # Beyond the int64 gate: the blocks take the exact loop.
+    cases["beyond_int64_limit"] = Instance(
+        [(-big, -big), (0, -big), (big, -big), (big, big), (-big, big), (1, 7),
+         (-5, -3), (9, 2), (-4, 11), (6, -8)],
+        [[0, 1, 2, 3, 4]],
+    )
+    return cases
+
+
+@pytest.mark.parametrize("backend", ["python", "numpy"])
+@pytest.mark.parametrize("name", sorted(_greedy_instances()))
+def test_greedy_matches_one_at_a_time(name, backend, monkeypatch):
+    monkeypatch.setenv(kernels.KERNEL_ENV, backend)
+    inst = _greedy_instances()[name]
+    priorities = [None, lambda e: (-e[0], -e[1])] + [
+        random_priority(inst, seed) for seed in (1, 2, 3)
+    ]
+    for priority in priorities:
+        t = greedy_triangulate(inst, priority=priority)
+        assert t.edges == _greedy_reference(inst, priority)
+        assert validate(t) == []
+    if name.endswith(("_24", "_26", "_30")):
+        candidates = set(inst.admissible_pairs()) - inst.border_edges
+        assert len(candidates) > 2 * _GREEDY_BLOCK
 
 
 @pytest.mark.parametrize("bad", [(2, 9), (-1, 2), (2, 2)])
