@@ -124,8 +124,8 @@ def _cmd_enumerate(args) -> int:
         )
     print(f"{len(nodes)} triangulations")
     if args.list:
-        for node in nodes:
-            print(" ".join(f"{a}-{b}" for a, b in node))
+        for edges in sorted(map(inst.edges_of, nodes)):
+            print(" ".join(f"{a}-{b}" for a, b in edges))
     return 0
 
 

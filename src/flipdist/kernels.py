@@ -4,7 +4,8 @@ The pairwise O(m1*m2) crossing count runs once per pair of triangulations
 (the morph then updates it one flip at a time, one candidate row against
 the target's :class:`Segments` per check).  The crossing grid is the
 planarity scan of :func:`flipdist.triangulation.validate`'s full checks,
-which names its crossing pairs, the compatibility masks of
+which names its crossing pairs, the simplicity and overlap scan of the
+border polygons in ``Instance.validate``, the crossing masks of
 :func:`flipdist.oracle.enumerate_triangulations_direct`, and the blocks of
 candidates :func:`flipdist.triangulation.greedy_triangulate` tests against
 the edges it has accepted; each audit reads the grid of its quadrilateral
@@ -181,6 +182,22 @@ def _matrix_numpy(a: np.ndarray, b: Segments) -> np.ndarray:
     return out
 
 
+def _self_matrix_numpy(s: Segments) -> np.ndarray:
+    # The grid of s against itself needs one orientation table: row i holds
+    # orient(r_i, s_i, e) for every endpoint e, in the expansion (and so
+    # within the int64 bound) of _matrix_numpy's second table, and segments
+    # i and j cross iff j's endpoints straddle i's line and i's straddle j's.
+    m = len(s)
+    straddle = np.empty((m, m), dtype=bool)
+    for lo in range(0, m, _ROW_BLOCK):
+        rows = slice(lo, lo + _ROW_BLOCK)
+        o = np.sign(
+            s.dx[rows, None] * s.ey - s.dy[rows, None] * s.ex - s.k[rows, None]
+        )
+        straddle[rows] = o[:, :m] * o[:, m:] < 0
+    return straddle & straddle.T
+
+
 def crossing_matrix(
     a: np.ndarray, b: np.ndarray | Segments, kernel: str | None = None
 ) -> np.ndarray:
@@ -188,14 +205,15 @@ def crossing_matrix(
     row i of ``a``.
 
     ``b`` is an array or, when the same segments meet many ``a``, their
-    :class:`Segments`.  Exact for any coordinates that fit int64: when some
-    coordinate exceeds ``INT64_SAFE_LIMIT`` the python loop runs whatever
-    ``kernel`` asks for.
+    :class:`Segments`.  An array against itself (``a`` is ``b``'s array)
+    needs one orientation table instead of two.  Exact for any coordinates
+    that fit int64: when some coordinate exceeds ``INT64_SAFE_LIMIT`` the
+    python loop runs whatever ``kernel`` asks for.
     """
     if not isinstance(b, Segments):
         b = Segments(b)
     if _backend(kernel) == "numpy" and int64_safe(a, b):
-        return _matrix_numpy(a, b)
+        return _self_matrix_numpy(b) if a is b.array else _matrix_numpy(a, b)
     return _matrix_python(a, b.array)
 
 
@@ -343,6 +361,8 @@ def _within_limit(a: np.ndarray) -> bool:
 
 def int64_safe(a: np.ndarray, b: np.ndarray | Segments) -> bool:
     """Whether every coordinate of ``a`` and ``b`` is within
-    ``INT64_SAFE_LIMIT``; the gate of ``b``'s :class:`Segments` is reused."""
-    safe_b = b.safe if isinstance(b, Segments) else _within_limit(b)
-    return safe_b and _within_limit(a)
+    ``INT64_SAFE_LIMIT``; the gate of ``b``'s :class:`Segments` is reused,
+    for ``a`` too when it is their array."""
+    if isinstance(b, Segments):
+        return b.safe and (a is b.array or _within_limit(a))
+    return _within_limit(b) and _within_limit(a)

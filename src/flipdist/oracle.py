@@ -1,26 +1,28 @@
-"""Ground truth at desk scale: flip-graph BFS and exhaustive enumeration."""
+"""Ground truth at desk scale: flip-graph BFS and exhaustive enumeration.
+
+Both searches name a triangulation by its :meth:`Triangulation.key`, an int
+with bit i set iff ``inst.admissible_pairs()[i]`` is one of its edges; a
+flip is then one xor.  ``inst.edges_of(key)`` decodes a key into its sorted
+edge list.
+"""
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterator
 
 import numpy as np
 
 from . import kernels
 from .errors import FlipdistError, GraphTooLarge, InstanceTooLarge
-from .geometry import Point
 from .triangulation import (
-    ApexMap,
     Edge,
     Instance,
-    Quadrilateral,
     Triangulation,
     apex_map,
     apex_quadrilateral,
-    flip_apexes,
+    canonical_edge,
     interior_edge_count,
     require_same_instance,
     validate,
@@ -29,85 +31,123 @@ from .triangulation import (
 MAX_NODES = 10**6
 MAX_DIRECT_POINTS = 12
 
-NodeKey = tuple[Edge, ...]
-
 
 @dataclass
 class FlipGraph:
-    """The graph of all triangulations reachable from a seed by single flips."""
+    """The graph of all triangulations reachable from a seed by single flips.
+
+    ``nodes`` lists their keys in discovery order, ``index`` maps a key to
+    its node id, and ``adjacency[u]`` lists ``(flipped edge, neighbour id)``
+    in edge order.
+    """
 
     instance: Instance
-    nodes: list[NodeKey]
-    index: dict[NodeKey, int]
+    nodes: list[int]
+    index: dict[int, int]
     adjacency: list[list[tuple[Edge, int]]]
 
 
-def _replace_edge(key: NodeKey, old: Edge, new: Edge) -> NodeKey:
-    """The sorted edge list ``key`` with ``old`` replaced by ``new``."""
-    i = bisect_left(key, old)
-    rest = key[:i] + key[i + 1 :]
-    j = bisect_left(rest, new)
-    return rest[:j] + (new,) + rest[j:]
+# A node's faces, by edge position: slot i holds sum(1 << v) over the apexes
+# v of the faces on admissible pair i, and 0 when that pair is not an edge.
+Apexes = list[int]
+# One flip, as the search applies it: the xor that turns a key into the
+# neighbour's; the flipped edge and its slot; the opposite diagonal's slot
+# and apexes; then four (side slot, apex xor) pairs.
+Flip = tuple[int, Edge, int, int, int, int, int, int, int, int, int, int, int]
 
 
-QuadMemo = dict[tuple[Edge, tuple[int, ...]], Quadrilateral]
+class _Flips:
+    """The flips of one instance's triangulations, each computed once.
 
-
-def _expand(
-    key: NodeKey,
-    apexes: ApexMap,
-    pts: Sequence[Point],
-    border: frozenset[Edge],
-    memo: QuadMemo,
-) -> Iterator[tuple[Quadrilateral, NodeKey]]:
-    """Each flip of the node ``key``, whose edge -> apex map is ``apexes``.
-
-    Yields ``(quadrilateral, neighbour key)`` for every flippable interior
-    edge, in key order; the neighbour's key is ``key`` with the diagonal
-    replaced by the opposite one.  An edge and its two apexes fix the
-    quadrilateral, so ``memo`` caches :func:`apex_quadrilateral` by
-    ``(edge, apex pair)`` for the whole search, across nodes and sides.
+    An edge and its two apexes fix the quadrilateral, so the flip of edge i
+    is memoised by (i, slot i) for the whole search, across nodes and sides.
     """
-    for e in key:
-        if e in border:
-            continue
-        slot = (e, apexes[e])
-        quad = memo.get(slot)
-        if quad is None:
-            quad = memo[slot] = apex_quadrilateral(pts, apexes, e)
-        if quad.strictly_convex:
-            yield quad, _replace_edge(key, e, quad.opposite)
+
+    def __init__(self, inst: Instance):
+        self.pts = inst.points
+        self.pairs = inst.admissible_pairs()
+        self.index = inst.edge_index()
+        self.interior = sum(
+            1 << i for i, e in enumerate(self.pairs) if e not in inst.border_edges
+        )
+        self.memo: list[dict[int, Flip | tuple[()]]] = [{} for _ in self.pairs]
+
+    def apexes(self, t: Triangulation) -> Apexes:
+        """The slots of ``t``, read from its cached apex map."""
+        slots = [0] * len(self.pairs)
+        for e, incident in apex_map(t).items():
+            slots[self.index[e]] = sum(1 << v for v in incident)
+        return slots
+
+    def expand(self, key: int, apexes: Apexes) -> Iterator[tuple[Flip, int]]:
+        """Each flip of the node ``key`` with its neighbour's key, in edge order."""
+        memo = self.memo
+        edges = key & self.interior
+        while edges:
+            low = edges & -edges
+            edges ^= low
+            i = low.bit_length() - 1
+            pair = apexes[i]
+            flip = memo[i].get(pair)
+            if flip is None:
+                flip = memo[i][pair] = self._flip(i, pair)
+            if flip:
+                yield flip, key ^ flip[0]
+
+    def _flip(self, i: int, pair: int) -> Flip | tuple[()]:
+        """The flip of edge i with apexes ``pair``; () when its quadrilateral
+        is not strictly convex."""
+        e = self.pairs[i]
+        x, y = (pair & -pair).bit_length() - 1, pair.bit_length() - 1
+        quad = apex_quadrilateral(self.pts, {e: (x, y)}, e)
+        if not quad.strictly_convex:
+            return ()
+        a, b, c, d = quad.vertices
+        index = self.index
+        j = index[quad.opposite]
+        # The ccw faces abc and acd become abd and bcd: each side trades the
+        # apex across the old diagonal for the one across the new.
+        return (
+            1 << i | 1 << j, e, i, j, 1 << a | 1 << c,
+            index[canonical_edge(a, b)], 1 << c | 1 << d,
+            index[canonical_edge(b, c)], 1 << a | 1 << d,
+            index[canonical_edge(c, d)], 1 << a | 1 << b,
+            index[canonical_edge(d, a)], 1 << c | 1 << b,
+        )
 
 
-def _child(apexes: ApexMap, quad: Quadrilateral) -> ApexMap:
-    """A copy of ``apexes`` with ``quad``'s diagonal flipped."""
-    child = dict(apexes)
-    flip_apexes(child, quad)
+def _child(apexes: Apexes, flip: Flip) -> Apexes:
+    """A copy of ``apexes`` with ``flip`` applied."""
+    _, _, i, j, diagonal, s0, x0, s1, x1, s2, x2, s3, x3 = flip
+    child = apexes.copy()
+    child[i] = 0
+    child[j] = diagonal
+    child[s0] ^= x0
+    child[s1] ^= x1
+    child[s2] ^= x2
+    child[s3] ^= x3
     return child
 
 
 def build_flip_graph(seed: Triangulation) -> FlipGraph:
     """BFS closure of the seed under all legal flips.
 
-    The seed's cached apex map is read as is.  Each queued child carries its
-    own copy, derived from its parent's by one in-place flip, and drops it
-    when dequeued, so only the frontier holds maps.  Node ids are assigned
-    in discovery order.  Raises GraphTooLarge when the closure has more
-    than MAX_NODES triangulations.
+    The seed's slots are read from its cached apex map.  Each queued child
+    carries its own slots, derived from its parent's by one flip, and drops
+    them when dequeued, so only the frontier holds them.  Node ids are
+    assigned in discovery order.  Raises GraphTooLarge when the closure has
+    more than MAX_NODES triangulations.
     """
-    instance = seed.instance
-    pts = instance.points
-    border = instance.border_edges
-    memo: QuadMemo = {}
+    flips = _Flips(seed.instance)
     start = seed.key()
-    nodes: list[NodeKey] = [start]
-    index: dict[NodeKey, int] = {start: 0}
+    nodes = [start]
+    index = {start: 0}
     adjacency: list[list[tuple[Edge, int]]] = [[]]
-    queue = deque([(0, apex_map(seed))])
+    queue = deque([(0, flips.apexes(seed))])
     while queue:
         u, apexes = queue.popleft()
         arcs = adjacency[u]
-        for quad, neighbor in _expand(nodes[u], apexes, pts, border, memo):
+        for flip, neighbor in flips.expand(nodes[u], apexes):
             v = index.get(neighbor)
             if v is None:
                 if len(nodes) >= MAX_NODES:
@@ -116,9 +156,11 @@ def build_flip_graph(seed: Triangulation) -> FlipGraph:
                 index[neighbor] = v
                 nodes.append(neighbor)
                 adjacency.append([])
-                queue.append((v, _child(apexes, quad)))
-            arcs.append((quad.diagonal, v))
-    return FlipGraph(instance=instance, nodes=nodes, index=index, adjacency=adjacency)
+                queue.append((v, _child(apexes, flip)))
+            arcs.append((flip[1], v))
+    return FlipGraph(
+        instance=seed.instance, nodes=nodes, index=index, adjacency=adjacency
+    )
 
 
 def exact_flip_distance(t1: Triangulation, t2: Triangulation) -> int:
@@ -144,19 +186,17 @@ def exact_flip_distance(t1: Triangulation, t2: Triangulation) -> int:
     start, goal = t1.key(), t2.key()
     if start == goal:
         return 0
-    pts = t1.instance.points
-    border = t1.instance.border_edges
-    memo: QuadMemo = {}
+    flips = _Flips(t1.instance)
     seen = ({start: 0}, {goal: 0})
-    frontiers = [[(start, apex_map(t1))], [(goal, apex_map(t2))]]
+    frontiers = [[(start, flips.apexes(t1))], [(goal, flips.apexes(t2))]]
     levels = [0, 0]
     while frontiers[0] and frontiers[1]:
         side = 0 if len(frontiers[0]) <= len(frontiers[1]) else 1
         mine, other = seen[side], seen[1 - side]
         depth = levels[side] + 1
-        level: list[tuple[NodeKey, ApexMap]] = []
+        level: list[tuple[int, Apexes]] = []
         for key, apexes in frontiers[side]:
-            for quad, neighbor in _expand(key, apexes, pts, border, memo):
+            for flip, neighbor in flips.expand(key, apexes):
                 if neighbor in other:
                     return depth + other[neighbor]
                 if neighbor not in mine:
@@ -165,14 +205,15 @@ def exact_flip_distance(t1: Triangulation, t2: Triangulation) -> int:
                             f"flip graph exceeds {MAX_NODES} nodes"
                         )
                     mine[neighbor] = depth
-                    level.append((neighbor, _child(apexes, quad)))
+                    level.append((neighbor, _child(apexes, flip)))
         frontiers[side] = level
         levels[side] = depth
     raise unreachable
 
 
-def enumerate_triangulations_direct(inst: Instance) -> list[NodeKey]:
-    """All triangulations of the instance, by exhaustive search.
+def enumerate_triangulations_direct(inst: Instance) -> list[int]:
+    """The keys of all triangulations of the instance, sorted, by exhaustive
+    search.
 
     Enumerates every pairwise non-crossing set of admissible interior edges
     with exactly the interior edge count the Euler formula dictates; together
@@ -184,37 +225,37 @@ def enumerate_triangulations_direct(inst: Instance) -> list[NodeKey]:
             f"direct enumeration capped at {MAX_DIRECT_POINTS} points"
         )
     need = interior_edge_count(inst.n, inst.n_b, inst.h)
-    border = tuple(sorted(inst.border_edges))
-    candidates = [
-        e for e in inst.admissible_pairs() if e not in inst.border_edges
-    ]
+    pairs = inst.admissible_pairs()
+    border = sum(1 << i for i, e in enumerate(pairs) if e in inst.border_edges)
     if need == 0:
-        return [tuple(sorted(border))]
-    packed = kernels.segments_array([inst.segment(e) for e in candidates])
-    # Bit j of compat[i]: candidates i and j do not cross.  Bit i is set too,
-    # which is harmless: the search has cleared it before it reads compat[i].
-    compat = [
-        int.from_bytes(np.packbits(~row, bitorder="little").tobytes(), "little")
-        for row in kernels.crossing_matrix(packed, packed)
+        return [border]
+    packed = kernels.segments_array([inst.segment(e) for e in pairs])
+    # Bit j of crossers[i]: pairs i and j cross.
+    grid = kernels.crossing_matrix(packed, packed)
+    crossers = [
+        int.from_bytes(row.tobytes(), "little")
+        for row in np.packbits(grid, axis=1, bitorder="little")
     ]
-    results: list[NodeKey] = []
-    chosen: list[Edge] = []
+    results: list[int] = []
 
-    def rec(allowed: int, need_left: int) -> None:
+    def rec(allowed: int, need_left: int, key: int) -> None:
         # Take the set bits of ``allowed`` lowest first, clearing each as it
-        # is taken, so a branch only adds candidates after its last one; stop
-        # when fewer candidates are left than edges are still needed.
-        if need_left == 0:
-            results.append(tuple(sorted(chosen + list(border))))
-            return
+        # is taken, so a branch only adds candidates after its last one.  A
+        # triangulation is maximal, so a candidate passed over must be
+        # crossed by a later one: once none is left to cross it, or fewer
+        # candidates are left than edges are still needed, no later branch
+        # completes.
         while allowed.bit_count() >= need_left:
             low = allowed & -allowed
             allowed ^= low
-            i = low.bit_length() - 1
-            chosen.append(candidates[i])
-            rec(allowed & compat[i], need_left - 1)
-            chosen.pop()
+            crossing = crossers[low.bit_length() - 1]
+            if need_left == 1:
+                results.append(key | low)
+            else:
+                rec(allowed & ~crossing, need_left - 1, key | low)
+            if not allowed & crossing:
+                return
 
-    rec((1 << len(candidates)) - 1, need)
+    rec(((1 << len(pairs)) - 1) ^ border, need, border)
     results.sort()
     return results

@@ -100,6 +100,7 @@ class Instance:
             *self.polygon_edges
         )
         self._admissible: Optional[tuple[Edge, ...]] = None
+        self._edge_index: Optional[dict[Edge, int]] = None
         # The points packed once for the point-location kernels.
         self._packed = kernels.Points(self.points)
         violations = self.validate()
@@ -144,6 +145,23 @@ class Instance:
         if not self.border:
             out.append("no outer border polygon")
             return out
+        # One crossing grid of the edges of every polygon with valid ids, in
+        # border order.  Consecutive edges share a vertex, so they never cross
+        # properly and need no mask.
+        sides, owner = [], []
+        for b, poly in enumerate(self.border):
+            if len(poly) >= 3 and all(0 <= v < self.n for v in poly):
+                for k, v in enumerate(poly):
+                    sides.append(canonical_edge(v, poly[(k + 1) % len(poly)]))
+                    owner.append(b)
+        segs = kernels.segments_array([self.segment(e) for e in sides])
+        # The first crossing of each pair of polygons, by owner ids, in
+        # row-major order: within one polygon it names the earlier edge first.
+        witness: dict[tuple[int, int], str] = {}
+        for i, j in np.argwhere(kernels.crossing_matrix(segs, segs)).tolist():
+            witness.setdefault(
+                (owner[i], owner[j]), f"edges {sides[i]} and {sides[j]} cross"
+            )
         for b, poly in enumerate(self.border):
             if len(poly) < 3:
                 out.append(f"border[{b}] has fewer than 3 vertices")
@@ -153,24 +171,18 @@ class Instance:
                 continue
             if len(set(poly)) != len(poly):
                 out.append(f"border[{b}] repeats a vertex")
-            segs = list(
-                geometry.segments_of_polygon([self.points[v] for v in poly])
-            )
-            # Consecutive edges share a vertex, so they never cross properly.
-            for i in range(len(segs)):
-                for j in range(i + 2, len(segs) - (i == 0)):
-                    if geometry.properly_intersect(segs[i], segs[j]):
-                        out.append(f"border[{b}] is not simple")
+            if (b, b) in witness:
+                out.append(f"border[{b}] is not simple: {witness[b, b]}")
         if out:
             return out
         coords = self.border_coords()
         # Polygons must not overlap: no crossings, no shared edges.
         for b1 in range(len(self.border)):
             for b2 in range(b1 + 1, len(self.border)):
-                for s1 in geometry.segments_of_polygon(coords[b1]):
-                    for s2 in geometry.segments_of_polygon(coords[b2]):
-                        if geometry.properly_intersect(s1, s2):
-                            out.append(f"border[{b1}] and border[{b2}] cross")
+                if (b1, b2) in witness:
+                    out.append(
+                        f"border[{b1}] and border[{b2}] cross: {witness[b1, b2]}"
+                    )
         for b1 in range(len(self.border)):
             for b2 in range(b1 + 1, len(self.border)):
                 if self.polygon_edges[b1] & self.polygon_edges[b2]:
@@ -225,6 +237,23 @@ class Instance:
             bad = {e for _, e in inside}.union(leaving)
             self._admissible = tuple(e for e in pairs if e not in bad)
         return self._admissible
+
+    def edge_index(self) -> dict[Edge, int]:
+        """Admissible pair -> its position in :meth:`admissible_pairs`: the
+        bit that stands for it in a triangulation's :meth:`Triangulation.key`."""
+        if self._edge_index is None:
+            self._edge_index = {e: i for i, e in enumerate(self.admissible_pairs())}
+        return self._edge_index
+
+    def edges_of(self, key: int) -> tuple[Edge, ...]:
+        """The sorted edge list a :meth:`Triangulation.key` stands for."""
+        pairs = self.admissible_pairs()
+        edges = []
+        while key:
+            low = key & -key
+            edges.append(pairs[low.bit_length() - 1])
+            key ^= low
+        return tuple(edges)
 
 
 def _segment_defects(inst: Instance, edges: Sequence[Edge]) -> tuple[list, list]:
@@ -288,9 +317,19 @@ class Triangulation:
     def __repr__(self):
         return f"Triangulation({len(self.edges)} edges over {self.instance!r})"
 
-    def key(self) -> tuple[Edge, ...]:
-        """Canonical identity: the sorted edge list."""
-        return tuple(sorted(self.edges))
+    def key(self) -> int:
+        """Canonical identity: an int with bit i set iff the instance's i-th
+        admissible pair is an edge; ``instance.edges_of`` decodes it.
+
+        Raises NotATriangulation for an edge that is not an admissible pair.
+        """
+        index = self.instance.edge_index()
+        try:
+            return sum(1 << index[e] for e in self.edges)
+        except KeyError as exc:
+            raise NotATriangulation(
+                f"edge {exc.args[0]} is not an admissible pair"
+            ) from None
 
     def segment(self, e: Edge) -> Segment:
         return self.instance.segment(e)

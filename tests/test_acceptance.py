@@ -57,7 +57,7 @@ def thousand_pairs():
 def heptagon_nodes():
     inst = generate_instance(GenSpec(seed=7, n_points=7))
     graph = build_flip_graph(greedy_triangulate(inst))
-    return [Triangulation(inst, key) for key in sorted(graph.nodes)]
+    return [Triangulation(inst, inst.edges_of(key)) for key in sorted(graph.nodes)]
 
 
 def test_acceptance_1_sandwich_all_octagon_pairs():
@@ -66,7 +66,7 @@ def test_acceptance_1_sandwich_all_octagon_pairs():
     inst = generate_instance(GenSpec(seed=8, n_points=8))
     graph = build_flip_graph(greedy_triangulate(inst))
     assert len(graph.nodes) == 132
-    tris = [Triangulation(inst, key) for key in graph.nodes]
+    tris = [Triangulation(inst, inst.edges_of(key)) for key in graph.nodes]
     dist = [distances_from(graph, i) for i in range(len(graph.nodes))]
     bound = intersection_upper_bound(8, 8, 0)
     assert bound == 25

@@ -216,6 +216,10 @@ def test_kernels_exact_at_coordinate_cap():
     want = [sum(row) for row in grid]
     assert sum(want) > 0
     assert kernels.crossing_matrix(a, b, kernel="numpy").tolist() == grid
+    # An array against itself takes the one-orientation-table path.
+    own = [[geometry.properly_intersect(seg(r), seg(s)) for s in a] for r in a]
+    assert any(map(any, own))
+    assert kernels.crossing_matrix(a, a, kernel="numpy").tolist() == own
     assert kernels.crossing_counts(a, b, kernel="numpy").tolist() == want
     # One row at a time against prepared segments, as the morph counts.
     target = kernels.Segments(b)
@@ -248,6 +252,7 @@ def test_kernels_empty():
         assert kernels.crossing_counts(full, empty, kernel=backend).tolist() == [0]
         assert kernels.crossing_matrix(empty, full, kernel=backend).shape == (0, 1)
         assert kernels.crossing_matrix(full, empty, kernel=backend).shape == (1, 0)
+        assert kernels.crossing_matrix(empty, empty, kernel=backend).shape == (0, 0)
 
 
 def test_int64_safe_gate():

@@ -23,6 +23,18 @@ def _edge_set(poly):
     return {(min(a, b), max(a, b)) for a, b in _segments(poly)}
 
 
+def _first_crossing(points, poly1, poly2):
+    """The first pair of properly crossing edges of poly1 and poly2, in
+    border order (poly1's edge first), as a witness; "" when there is none."""
+    for e in _segments(poly1):
+        for f in _segments(poly2):
+            seg_e = (points[e[0]], points[e[1]])
+            seg_f = (points[f[0]], points[f[1]])
+            if geometry.properly_intersect(seg_e, seg_f):
+                return f"edges {tuple(sorted(e))} and {tuple(sorted(f))} cross"
+    return ""
+
+
 def reference_violations(points, border):
     """Every violated instance invariant, in the order validation reports them.
 
@@ -45,20 +57,17 @@ def reference_violations(points, border):
             continue
         if len(set(poly)) != len(poly):
             out.append(f"border[{b}] repeats a vertex")
-        segs = _segments([points[v] for v in poly])
-        for i in range(len(segs)):
-            for j in range(i + 1, len(segs)):
-                if geometry.properly_intersect(segs[i], segs[j]):
-                    out.append(f"border[{b}] is not simple")
+        witness = _first_crossing(points, poly, poly)
+        if witness:
+            out.append(f"border[{b}] is not simple: {witness}")
     if out:
         return out
     coords = [[points[v] for v in poly] for poly in border]
     for b1 in range(len(border)):
         for b2 in range(b1 + 1, len(border)):
-            for s1 in _segments(coords[b1]):
-                for s2 in _segments(coords[b2]):
-                    if geometry.properly_intersect(s1, s2):
-                        out.append(f"border[{b1}] and border[{b2}] cross")
+            witness = _first_crossing(points, border[b1], border[b2])
+            if witness:
+                out.append(f"border[{b1}] and border[{b2}] cross: {witness}")
     for b1 in range(len(border)):
         for b2 in range(b1 + 1, len(border)):
             if _edge_set(border[b1]) & _edge_set(border[b2]):
@@ -308,4 +317,17 @@ def test_hole_nested_in_hole_on_its_vertices_is_refused():
         "hole 2 edge (4, 6) lies inside hole 1",
         "hole 2 edge (4, 8) lies inside hole 1",
         "hole 2 edge (6, 8) lies inside hole 1",
+    ]
+
+
+def test_crossings_are_reported_once_with_a_witness():
+    # A pentagram's edges cross five times and two crossing holes' six
+    # times; each polygon and each pair is named once, by its first crossing.
+    pentagram = [(0, 10), (10, 3), (6, -8), (-6, -8), (-10, 3)]
+    assert _check(pentagram, [[0, 2, 4, 1, 3]]) == [
+        "border[0] is not simple: edges (0, 2) and (1, 4) cross",
+    ]
+    points, border = CORPUS["crossing_holes"]
+    assert _check(points, border) == [
+        "border[1] and border[2] cross: edges (4, 5) and (8, 9) cross",
     ]

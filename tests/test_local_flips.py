@@ -145,7 +145,7 @@ def test_flip_graph_adjacency_matches_flip(which, holed):
     assert len(graph.nodes) == size
     non_convex = 0
     for u in range(len(graph.nodes)):
-        t = Triangulation(graph.instance, graph.nodes[u])
+        t = Triangulation(inst, inst.edges_of(graph.nodes[u]))
         expected = []
         for e in t.interior_edges():
             quad = quadrilateral_of(t, e)

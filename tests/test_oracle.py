@@ -1,9 +1,12 @@
 import itertools
 import random
+from collections import deque
+from pathlib import Path
 
 import pytest
 
-from flipdist import oracle
+from flipdist import formats, oracle
+from flipdist.cli import run as cli_run
 from flipdist.errors import FlipdistError, GraphTooLarge, InstanceTooLarge
 from flipdist.generate import GenSpec, generate_instance, random_priority
 from flipdist.oracle import (
@@ -11,7 +14,13 @@ from flipdist.oracle import (
     enumerate_triangulations_direct,
     exact_flip_distance,
 )
-from flipdist.triangulation import Instance, Triangulation, greedy_triangulate
+from flipdist.triangulation import (
+    Instance,
+    Triangulation,
+    apex_map,
+    apex_quadrilateral,
+    greedy_triangulate,
+)
 from helpers import distances_from
 
 # Triangulation counts of a convex n-gon are the Catalan numbers C(n-2).
@@ -90,22 +99,23 @@ def test_three_points_single_triangulation():
     inst = Instance([(0, 0), (5, 0), (0, 5)], [[0, 1, 2]])
     nodes = enumerate_triangulations_direct(inst)
     assert len(nodes) == 1
-    t = Triangulation(inst, nodes[0])
+    t = Triangulation(inst, inst.edges_of(nodes[0]))
     assert t.edges == inst.border_edges
 
 
 def test_graph_edges_are_single_flips(pentagon):
     graph = build_flip_graph(greedy_triangulate(pentagon))
     for u in range(len(graph.nodes)):
-        edges_u = set(graph.nodes[u])
+        edges_u = set(pentagon.edges_of(graph.nodes[u]))
         for _, v in graph.adjacency[u]:
-            edges_v = set(graph.nodes[v])
+            edges_v = set(pentagon.edges_of(graph.nodes[v]))
             assert len(edges_u - edges_v) == 1
             assert len(edges_v - edges_u) == 1
 
 
 def _all_distances_agree(graph, pairs):
-    ts = [Triangulation(graph.instance, key) for key in graph.nodes]
+    inst = graph.instance
+    ts = [Triangulation(inst, inst.edges_of(key)) for key in graph.nodes]
     for i, targets in itertools.groupby(sorted(pairs), key=lambda p: p[0]):
         dist = distances_from(graph, i)
         for _, j in targets:
@@ -161,8 +171,8 @@ def test_distance_node_cap_counts_both_sides(monkeypatch):
     # sides together discover 149 nodes before they meet.
     inst = generate_instance(GenSpec(seed=9, n_points=9))
     graph = build_flip_graph(greedy_triangulate(inst))
-    t1 = Triangulation(inst, graph.nodes[0])
-    t2 = Triangulation(inst, graph.nodes[297])
+    t1 = Triangulation(inst, inst.edges_of(graph.nodes[0]))
+    t2 = Triangulation(inst, inst.edges_of(graph.nodes[297]))
     monkeypatch.setattr(oracle, "MAX_NODES", 148)
     with pytest.raises(GraphTooLarge, match="exceeds 148 nodes"):
         exact_flip_distance(t1, t2)
@@ -195,6 +205,65 @@ def test_pruned_enumeration_matches_flip_graph(inst, count):
     nodes = enumerate_triangulations_direct(inst)
     assert nodes == sorted(build_flip_graph(greedy_triangulate(inst)).nodes)
     assert count is None or len(nodes) == count
+
+
+def _flip_graph_reference(inst):
+    """The flip-graph BFS on sorted edge tuples: each node's faces are traced
+    afresh, and each flip rebuilds the tuple with one edge replaced."""
+    start = tuple(sorted(greedy_triangulate(inst).edges))
+    nodes, index, adjacency = [start], {start: 0}, []
+    queue = deque([start])
+    while queue:
+        key = queue.popleft()
+        apexes = apex_map(Triangulation(inst, key))
+        arcs = []
+        for e in key:
+            if e in inst.border_edges:
+                continue
+            quad = apex_quadrilateral(inst.points, apexes, e)
+            if not quad.strictly_convex:
+                continue
+            neighbor = tuple(sorted(set(key) - {e} | {quad.opposite}))
+            if neighbor not in index:
+                index[neighbor] = len(nodes)
+                nodes.append(neighbor)
+                queue.append(neighbor)
+            arcs.append((e, index[neighbor]))
+        adjacency.append(arcs)
+    return nodes, adjacency
+
+
+DIFFERENTIAL_INSTANCES = {
+    "convex8": lambda: generate_instance(GenSpec(seed=8, n_points=8)),
+    "star9": lambda: generate_instance(SAMPLED["star9"]),
+    "sweep_holed10": lambda: SWEEP_HOLED,
+    # A hole sharing vertex 0 with the outer polygon.
+    "pinched": lambda: Instance(
+        [(0, 0), (10, 0), (10, 10), (0, 10), (5, 2), (6, 4)],
+        [[0, 1, 2, 3], [0, 4, 5]],
+    ),
+    # A border vertex between two collinear border edges, and three
+    # collinear interior points.
+    "collinear": lambda: Instance(
+        [(0, 0), (3, 0), (6, 0), (6, 6), (0, 6), (2, 3), (3, 3), (4, 3)],
+        [[0, 1, 2, 3, 4]],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DIFFERENTIAL_INSTANCES))
+def test_flip_graph_matches_tuple_reference(name):
+    """The search on edge bitmasks finds the reference's nodes in the same
+    order, with the same arcs, and each key is its triangulation's key."""
+    inst = DIFFERENTIAL_INSTANCES[name]()
+    graph = build_flip_graph(greedy_triangulate(inst))
+    nodes, adjacency = _flip_graph_reference(inst)
+    assert len(nodes) > 1
+    assert [inst.edges_of(k) for k in graph.nodes] == nodes
+    assert graph.adjacency == adjacency
+    assert graph.index == {k: u for u, k in enumerate(graph.nodes)}
+    for k in graph.nodes:
+        assert Triangulation(inst, inst.edges_of(k)).key() == k
 
 
 def test_distance_to_non_triangulation_unreachable(holed):
@@ -263,3 +332,19 @@ def test_distance_is_invariant_under_transforms(shape, seed):
     }
     for kind, transform in transforms.items():
         assert exact_flip_distance(*_moved(inst, pair, **transform)) == d, kind
+
+
+# `flipdist enumerate --list` output, captured for two instances; the lines
+# are the sorted edge lists of the triangulations, in sorted order.
+GOLDEN_LISTS = Path(__file__).parent / "data" / "enumerate"
+
+
+@pytest.mark.parametrize(
+    "name, inst",
+    [("sweep_holed10", SWEEP_HOLED), ("star9", generate_instance(SAMPLED["star9"]))],
+)
+def test_enumerate_list_golden(name, inst, tmp_path, capsys):
+    path = tmp_path / "inst.json"
+    path.write_bytes(formats.serialize_instance(inst))
+    assert cli_run(["enumerate", str(path), "--list"]) == 0
+    assert capsys.readouterr().out == (GOLDEN_LISTS / f"{name}.list.txt").read_text()

@@ -6,7 +6,12 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from flipdist import geometry, kernels
-from flipdist.errors import EdgeNotInTriangulation, InvariantViolation, NotFlippable
+from flipdist.errors import (
+    EdgeNotInTriangulation,
+    InvariantViolation,
+    NotATriangulation,
+    NotFlippable,
+)
 from flipdist.generate import GenSpec, generate_instance, random_priority
 from flipdist.oracle import enumerate_triangulations_direct
 from flipdist.triangulation import (
@@ -490,6 +495,19 @@ def test_validate_rejects_invalid_edge_ids(square, bad):
     assert validate(t) == [f"invalid edge {bad}"]
 
 
+def test_key_is_a_bitmask_over_admissible_pairs(square):
+    pairs = square.admissible_pairs()
+    t = Triangulation(square, square.border_edges | {(0, 2)})
+    assert t.key() == sum(1 << pairs.index(e) for e in t.edges)
+    assert square.edges_of(t.key()) == tuple(sorted(t.edges))
+    assert square.edges_of(0) == ()
+    # Any set of admissible pairs has a key, crossing diagonals included;
+    # (0, 4) is no pair of the square.
+    assert Triangulation(square, pairs).key() == (1 << len(pairs)) - 1
+    with pytest.raises(NotATriangulation, match=r"\(0, 4\) is not an admissible"):
+        Triangulation(square, square.border_edges | {(0, 4)}).key()
+
+
 def test_validate_verdict_is_cached(pentagon, monkeypatch):
     t = Triangulation(pentagon, pentagon.border_edges | {(0, 2)})
     first = validate(t)
@@ -592,4 +610,4 @@ def test_face_certificate_accepts_every_triangulation(name):
     keys = enumerate_triangulations_direct(inst)
     assert keys
     for key in keys:
-        assert _face_certificate(Triangulation(inst, key)) is not None
+        assert _face_certificate(Triangulation(inst, inst.edges_of(key))) is not None
