@@ -1,11 +1,11 @@
 """Batch kernels: proper crossings and point location.
 
-The pairwise O(m1*m2) crossing count runs once per pair of triangulations
-(the morph then updates it one flip at a time, one candidate row against
-the target's :class:`Segments` per check).  The crossing grid is the
-planarity scan of :func:`flipdist.triangulation.validate`'s full checks,
-which names its crossing pairs, the simplicity and overlap scan of the
-border polygons in ``Instance.validate``, the crossing masks of
+The pairwise O(m1*m2) crossing grid runs once per pair of triangulations:
+the morph keeps its rows as crosser masks and updates them one flip at a
+time without a kernel call.  The crossing grid is also the planarity scan
+of :func:`flipdist.triangulation.validate`'s full checks, which names its
+crossing pairs, the simplicity and overlap scan of the border polygons in
+``Instance.validate``, the crossing masks of
 :func:`flipdist.oracle.enumerate_triangulations_direct`, and the blocks of
 candidates :func:`flipdist.triangulation.greedy_triangulate` tests against
 the edges it has accepted; each audit reads the grid of its quadrilateral
@@ -101,28 +101,22 @@ def segments_array(segments: list[geometry.Segment]) -> np.ndarray:
     )
 
 
-class Segments:
-    """An (m, 4) segment array with what the numpy kernel derives from it
-    alone, computed once: its int64 gate, both endpoints of every segment as
-    one coordinate pair per column (``ex``, ``ey``: first endpoints, then
-    second), its direction (``dx``, ``dy``) and the cross product of its
-    endpoints (``k``).  The morph tests one candidate row at a time against
-    the same target segments, so it builds their ``Segments`` once.
+class _Segments:
+    """What the numpy kernel derives from an (m, 4) segment array alone:
+    both endpoints of every segment as one coordinate pair per column
+    (``ex``, ``ey``: first endpoints, then second), its direction (``dx``,
+    ``dy``) and the cross product of its endpoints (``k``).  The array must
+    pass the int64 gate.
     """
 
     def __init__(self, array: np.ndarray):
-        self.array = array
-        self.safe = _within_limit(array)
-        if self.safe:
-            rx, ry, sx, sy = array.T
-            self.ex = np.concatenate([rx, sx])
-            self.ey = np.concatenate([ry, sy])
-            self.dx = sx - rx
-            self.dy = sy - ry
-            self.k = sx * ry - sy * rx
-
-    def __len__(self) -> int:
-        return len(self.array)
+        rx, ry, sx, sy = array.T
+        self.ex = np.concatenate([rx, sx])
+        self.ey = np.concatenate([ry, sy])
+        self.dx = sx - rx
+        self.dy = sy - ry
+        self.k = sx * ry - sy * rx
+        self.m = len(array)
 
 
 class Points:
@@ -158,8 +152,8 @@ def _matrix_python(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def _matrix_numpy(a: np.ndarray, b: Segments) -> np.ndarray:
-    m = len(b)
+def _matrix_numpy(a: np.ndarray, b: _Segments) -> np.ndarray:
+    m = b.m
     out = np.zeros((len(a), m), dtype=bool)
     if m == 0:
         return out
@@ -182,12 +176,12 @@ def _matrix_numpy(a: np.ndarray, b: Segments) -> np.ndarray:
     return out
 
 
-def _self_matrix_numpy(s: Segments) -> np.ndarray:
+def _self_matrix_numpy(s: _Segments) -> np.ndarray:
     # The grid of s against itself needs one orientation table: row i holds
     # orient(r_i, s_i, e) for every endpoint e, in the expansion (and so
     # within the int64 bound) of _matrix_numpy's second table, and segments
     # i and j cross iff j's endpoints straddle i's line and i's straddle j's.
-    m = len(s)
+    m = s.m
     straddle = np.empty((m, m), dtype=bool)
     for lo in range(0, m, _ROW_BLOCK):
         rows = slice(lo, lo + _ROW_BLOCK)
@@ -199,26 +193,24 @@ def _self_matrix_numpy(s: Segments) -> np.ndarray:
 
 
 def crossing_matrix(
-    a: np.ndarray, b: np.ndarray | Segments, kernel: str | None = None
+    a: np.ndarray, b: np.ndarray, kernel: str | None = None
 ) -> np.ndarray:
     """Boolean grid: entry (i, j) is whether row j of ``b`` properly crosses
     row i of ``a``.
 
-    ``b`` is an array or, when the same segments meet many ``a``, their
-    :class:`Segments`.  An array against itself (``a`` is ``b``'s array)
-    needs one orientation table instead of two.  Exact for any coordinates
-    that fit int64: when some coordinate exceeds ``INT64_SAFE_LIMIT`` the
-    python loop runs whatever ``kernel`` asks for.
+    An array against itself (``a`` is ``b``) needs one orientation table
+    instead of two.  Exact for any coordinates that fit int64: when some
+    coordinate exceeds ``INT64_SAFE_LIMIT`` the python loop runs whatever
+    ``kernel`` asks for.
     """
-    if not isinstance(b, Segments):
-        b = Segments(b)
     if _backend(kernel) == "numpy" and int64_safe(a, b):
-        return _self_matrix_numpy(b) if a is b.array else _matrix_numpy(a, b)
-    return _matrix_python(a, b.array)
+        s = _Segments(b)
+        return _self_matrix_numpy(s) if a is b else _matrix_numpy(a, s)
+    return _matrix_python(a, b)
 
 
 def crossing_counts(
-    a: np.ndarray, b: np.ndarray | Segments, kernel: str | None = None
+    a: np.ndarray, b: np.ndarray, kernel: str | None = None
 ) -> np.ndarray:
     """Per-row counts of segments in ``b`` properly crossing each row of ``a``:
     the row sums of :func:`crossing_matrix`."""
@@ -359,10 +351,7 @@ def _within_limit(a: np.ndarray) -> bool:
     return len(a) == 0 or bool(np.abs(a).view(np.uint64).max() <= INT64_SAFE_LIMIT)
 
 
-def int64_safe(a: np.ndarray, b: np.ndarray | Segments) -> bool:
+def int64_safe(a: np.ndarray, b: np.ndarray) -> bool:
     """Whether every coordinate of ``a`` and ``b`` is within
-    ``INT64_SAFE_LIMIT``; the gate of ``b``'s :class:`Segments` is reused,
-    for ``a`` too when it is their array."""
-    if isinstance(b, Segments):
-        return b.safe and (a is b.array or _within_limit(a))
-    return _within_limit(b) and _within_limit(a)
+    ``INT64_SAFE_LIMIT``; an array against itself is read once."""
+    return _within_limit(b) and (a is b or _within_limit(a))

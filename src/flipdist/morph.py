@@ -4,15 +4,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import kernels
-from .crossings import count_pair
-from .errors import LemmaViolation
+from .errors import InvariantViolation, LemmaViolation
 from .triangulation import (
     Edge,
     MutableTriangulation,
     Quadrilateral,
     Triangulation,
+    canonical_edge,
+    flip_apexes,
     interior_edge_count,
+    require_same_instance,
+    validate,
 )
 
 
@@ -45,19 +50,66 @@ class FlipSequence:
         return state.freeze()
 
 
-def _crossing_edges(t: Triangulation, target: Triangulation) -> dict[Edge, int]:
-    """#(e, target) for each edge e of t that target crosses."""
-    return {e: c for e, c in count_pair(t, target).per_edge.items() if c}
+def _crosser_masks(
+    t1: Triangulation, t2: Triangulation
+) -> tuple[dict[Edge, int], list[int]]:
+    """The crosser masks of t1's edges against t2, and t2's vertex masks.
+
+    Bit j of a mask stands for ``t2.interior_edges()[j]``.  The first map
+    holds, for each edge of t1 that t2 crosses, the mask of the t2 edges
+    properly crossing it (one crossing grid); every other edge's mask is 0.
+    ``at[v]`` is the mask of the t2 interior edges incident to vertex v.
+    """
+    grid = kernels.crossing_matrix(t1.interior_array(), t2.interior_array())
+    rows = np.packbits(grid, axis=1, bitorder="little")
+    crossers = {
+        e: mask
+        for e, row in zip(t1.interior_edges(), rows)
+        if (mask := int.from_bytes(row.tobytes(), "little"))
+    }
+    at = [0] * t2.instance.n
+    for j, (u, v) in enumerate(t2.interior_edges()):
+        at[u] |= 1 << j
+        at[v] |= 1 << j
+    return crossers, at
 
 
 def _reducing_flip(
-    state: MutableTriangulation, counts: dict[Edge, int], target: kernels.Segments
+    state: MutableTriangulation,
+    counts: dict[Edge, int],
+    crossers: dict[Edge, int],
+    at: list[int],
 ) -> tuple[Quadrilateral, int]:
     """The first maximal edge, in canonical order, whose flip lowers its count.
 
-    Returns the edge's quadrilateral and the replacement diagonal's count.
-    Every maximal edge must sit in a strictly convex quadrilateral, and at
-    least one must qualify; either failure raises LemmaViolation.
+    ``counts`` holds the count of each crossed edge: the bit count of its
+    mask in ``crossers``.  Returns the edge's quadrilateral and the new
+    diagonal's crosser mask.  Every maximal edge must sit in a strictly
+    convex quadrilateral, and at least one must qualify; either failure
+    raises LemmaViolation.
+
+    The new diagonal's mask comes from the masks of the quadrilateral's
+    sides, with no geometry (:func:`_diagonal_mask`).  For the flip of ac
+    in the strictly convex ccw quadrilateral abcd, with X(s) the crosser
+    mask of segment s (0 for a border side):
+
+        X(bd) = (X(ab) | X(da) | at[a]) & (X(bc) | X(cd) | at[c])
+
+    Why it holds when t1 and t2 are valid triangulations.  The open
+    triangles abc and acd, the open diagonal ac and the open sides contain
+    no vertex, and no vertex lies inside an edge.  So a t2 edge f that
+    properly crosses bd passes through the open quadrilateral with both
+    ends outside it, and meets its boundary in exactly two points.  Each is
+    a proper crossing of a side or an end of f at a or c; it is not b or d,
+    where f would share an end with bd.  bd splits the quadrilateral into
+    abd and bcd, so f crosses bd iff one point lies on the chain d-a-b and
+    the other on the chain b-c-d: f is in both terms.  Conversely, an edge
+    in both terms meets each chain at a point other than b and d.  The two
+    points lie strictly on opposite sides of bd in the convex
+    quadrilateral, so the edge between them properly crosses bd; ac, which
+    is ``at[a] & at[c]`` when t2 has it, is one such edge.  t2's border
+    edges cross no admissible pair, so its interior edges are all the masks
+    need.
     """
     best = max(counts.values(), default=0)
     maximal = sorted(e for e, c in counts.items() if c == best)
@@ -67,36 +119,59 @@ def _reducing_flip(
             raise LemmaViolation(
                 f"maximal edge {e} has no strictly convex quadrilateral"
             )
-        # The new diagonal lies inside the region, so no border edge can
-        # properly cross it: ``target`` holds the target's interior edges only.
-        segment = kernels.segments_array([state.instance.segment(quad.opposite)])
-        new_count = int(kernels.crossing_counts(segment, target)[0])
-        if new_count < best:
-            return quad, new_count
+        mask = _diagonal_mask(quad, crossers, at)
+        if mask.bit_count() < best:
+            return quad, mask
     raise LemmaViolation(f"no maximal edge of {maximal} reduces crossings")
+
+
+def _diagonal_mask(
+    quad: Quadrilateral, crossers: dict[Edge, int], at: list[int]
+) -> int:
+    """The crosser mask of ``quad``'s other diagonal bd, from the masks of its
+    sides by the identity of :func:`_reducing_flip`."""
+    a, b, c, d = quad.vertices
+    get = crossers.get
+    return (
+        get(canonical_edge(a, b), 0) | get(canonical_edge(d, a), 0) | at[a]
+    ) & (get(canonical_edge(b, c), 0) | get(canonical_edge(c, d), 0) | at[c])
 
 
 def morph(t1: Triangulation, t2: Triangulation) -> FlipSequence:
     """A flip sequence from t1 to t2 of length at most their crossing total.
 
-    Each step flips the first maximal edge, in canonical order, whose flip
-    lowers its count (:func:`_reducing_flip`), so the per-step totals
-    strictly decrease to zero.  The pair is counted once (``count_pair``
-    raises InstanceMismatch for different instances); #(e, t2) depends only
-    on e and t2, so a flip changes the per-edge counts only by dropping the
-    removed edge and adding the new diagonal.
+    Raises InstanceMismatch for different instances and InvariantViolation
+    when either input is not a valid triangulation (``validate``'s verdict
+    is cached on each).  Each step flips the first maximal edge, in
+    canonical order, whose flip lowers its count (:func:`_reducing_flip`),
+    so the per-step totals strictly decrease to zero.
+
+    The pair is counted once, as one crossing grid from which each edge of
+    t1 gets the mask of the t2 edges crossing it (:func:`_crosser_masks`).
+    The crossers of an edge depend only on the edge and t2, so a flip
+    changes the masks only by dropping the removed diagonal's and adding
+    the new diagonal's, which :func:`_reducing_flip` derives from the
+    masks of its quadrilateral's sides: no step calls a kernel.
     """
-    counts = _crossing_edges(t1, t2)
+    require_same_instance(t1, t2)
+    for label, t in (("t1", t1), ("t2", t2)):
+        bad = validate(t)
+        if bad:
+            raise InvariantViolation(f"{label} is not a valid triangulation", bad)
+    crossers, at = _crosser_masks(t1, t2)
+    counts = {e: mask.bit_count() for e, mask in crossers.items()}
     total = sum(counts.values())
-    target = kernels.Segments(t2.interior_array())
     state = MutableTriangulation(t1)
     steps: list[FlipStep] = []
     while state.edges != t2.edges:
-        quad, new_count = _reducing_flip(state, counts, target)
+        quad, mask = _reducing_flip(state, counts, crossers, at)
+        new_count = mask.bit_count()
         after = total - counts.pop(quad.diagonal) + new_count
-        if new_count:
+        del crossers[quad.diagonal]
+        if mask:
             counts[quad.opposite] = new_count
-        state.flip(quad.diagonal)
+            crossers[quad.opposite] = mask
+        flip_apexes(state.apexes, quad)
         steps.append(
             FlipStep(
                 removed=quad.diagonal, added=quad.opposite, before=total, after=after

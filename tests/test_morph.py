@@ -1,24 +1,36 @@
 import random
+from pathlib import Path
 
 import pytest
 
-from flipdist.crossings import count_pair
-from flipdist.errors import InstanceMismatch
+from flipdist import kernels
+from flipdist.crossings import count_pair, quad_crossers
+from flipdist.errors import InstanceMismatch, InvariantViolation
+from flipdist.formats import parse_triangulation, serialize_sequence
 from flipdist.morph import (
     FlipSequence,
+    FlipStep,
+    _crosser_masks,
+    _diagonal_mask,
     intersection_upper_bound,
     morph,
 )
-from flipdist.generate import GenSpec
+from flipdist.generate import GenSpec, random_priority
+from flipdist.oracle import enumerate_triangulations_direct
 from flipdist.triangulation import (
     Instance,
+    MutableTriangulation,
     Triangulation,
+    apex_map,
+    apex_quadrilateral,
     canonical_edge,
     faces,
     greedy_triangulate,
     validate,
 )
 from helpers import generate_pair
+from test_oracle import DIFFERENTIAL_INSTANCES
+from test_point_location import _instances
 
 
 def test_intersection_upper_bound():
@@ -165,3 +177,151 @@ def test_relabelling_preserves_validity_and_counts(spec):
     seq = morph(m1, m2)
     assert len(seq.steps) <= got.total
     assert seq.replay() == m2
+
+
+def _invalid_hexagon(hexagon, case):
+    t = greedy_triangulate(hexagon)  # the fan of vertex 0
+    if case == "missing_edge":
+        return Triangulation(hexagon, t.edges - {(0, 3)})
+    return Triangulation(hexagon, t.edges | {(1, 3)})  # (1, 3) crosses (0, 2)
+
+
+@pytest.mark.parametrize("side", ["t1", "t2"])
+@pytest.mark.parametrize("case", ["missing_edge", "crossing_diagonals"])
+def test_morph_rejects_invalid_input(hexagon, case, side):
+    # Not a counterexample to the lemma: the input is reported instead.
+    bad = _invalid_hexagon(hexagon, case)
+    good = greedy_triangulate(hexagon, priority=lambda e: (-e[0], -e[1]))
+    pair = (bad, good) if side == "t1" else (good, bad)
+    with pytest.raises(InvariantViolation) as info:
+        morph(*pair)
+    assert str(info.value).startswith(f"{side} is not a valid triangulation: ")
+    assert info.value.violations == validate(bad) != []
+
+
+def _mask_edges(t2, mask):
+    edges = t2.interior_edges()
+    return frozenset(edges[j] for j in range(len(edges)) if mask >> j & 1)
+
+
+def _mask_instances():
+    cases = dict(_instances())
+    for name in ("convex8", "star9"):
+        cases[name] = DIFFERENTIAL_INSTANCES[name]()
+    return cases
+
+
+@pytest.mark.parametrize("name", sorted(_mask_instances()))
+def test_diagonal_mask_matches_quad_crossers(name):
+    """The new diagonal's crossers from the side masks, against geometry, on
+    every strictly convex quadrilateral of the first 20 triangulations,
+    each against each."""
+    inst = _mask_instances()[name]
+    keys = enumerate_triangulations_direct(inst)[:20]
+    ts = [Triangulation(inst, inst.edges_of(k)) for k in keys]
+    checked = shared = crossed = 0
+    for t1 in ts:
+        apexes = apex_map(t1)
+        quads = [
+            q for e in t1.interior_edges()
+            if (q := apex_quadrilateral(inst.points, apexes, e)).strictly_convex
+        ]
+        for t2 in ts:
+            crossers, at = _crosser_masks(t1, t2)
+            for quad, sets in zip(quads, quad_crossers(t1, quads, t2)):
+                assert _mask_edges(t2, crossers.get(quad.diagonal, 0)) == sets["ac"]
+                got = _mask_edges(t2, _diagonal_mask(quad, crossers, at))
+                assert got == sets["bd"], quad
+                checked += 1
+                shared += quad.diagonal in t2.edges
+                crossed += bool(got)
+    assert checked > 0 and shared > 0 and crossed > 0
+    if name != "pinched":  # it has four triangulations
+        assert len(ts) == 20
+
+
+def _morph_reference(t1, t2):
+    """The morph's steps, counting each candidate diagonal with one kernel
+    row against t2's interior edges."""
+    counts = {e: c for e, c in count_pair(t1, t2).per_edge.items() if c}
+    total = sum(counts.values())
+    state = MutableTriangulation(t1)
+    steps = []
+    while state.edges != t2.edges:
+        best = max(counts.values())
+        for e in sorted(e for e, c in counts.items() if c == best):
+            quad = state.quadrilateral(e)
+            assert quad is not None and quad.strictly_convex
+            new = int(
+                kernels.crossing_counts(
+                    kernels.segments_array([t1.segment(quad.opposite)]),
+                    t2.interior_array(),
+                )[0]
+            )
+            if new < best:
+                break
+        else:
+            pytest.fail(f"no maximal edge reduces crossings in {state.edges}")
+        after = total - counts.pop(e) + new
+        if new:
+            counts[quad.opposite] = new
+        state.flip(e)
+        steps.append(FlipStep(removed=e, added=quad.opposite, before=total, after=after))
+        total = after
+    return tuple(steps)
+
+
+def _reference_pairs():
+    for spec, name in zip(METAMORPHIC_SPECS, SPEC_IDS):
+        yield name, generate_pair(spec, spec.seed + 100)
+    for name in sorted(DIFFERENTIAL_INSTANCES):
+        inst = DIFFERENTIAL_INSTANCES[name]()
+        priorities = [None, lambda e: (-e[0], -e[1])] + [
+            random_priority(inst, seed) for seed in (1, 2, 3)
+        ]
+        ts = [greedy_triangulate(inst, priority=p) for p in priorities]
+        for i, t1 in enumerate(ts):
+            for t2 in ts[i + 1:]:
+                yield name, (t1, t2)
+                yield name, (t2, t1)
+
+
+def test_morph_matches_per_candidate_reference():
+    steps = 0
+    for name, (t1, t2) in _reference_pairs():
+        want = _morph_reference(t1, t2)
+        assert morph(t1, t2).steps == want, name
+        steps += len(want)
+    assert steps > 100
+
+
+def test_morph_makes_one_crossing_grid(monkeypatch):
+    t1, t2 = generate_pair(GenSpec(seed=3, n_points=40, interior_points=10), 103)
+    calls = []
+    crossing_matrix = kernels.crossing_matrix
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return crossing_matrix(*args, **kwargs)
+
+    monkeypatch.setattr(kernels, "crossing_matrix", counting)
+    seq = morph(t1, t2)
+    assert len(seq.steps) > 50
+    assert len(calls) == 1
+
+
+# serialize_sequence(morph(t1, t2)) for the pairs of tests/data/audit,
+# captured before the morph kept crosser masks.
+AUDIT_PAIRS = Path(__file__).parent / "data" / "audit"
+GOLDEN = Path(__file__).parent / "data" / "morph"
+
+
+@pytest.mark.parametrize("case", ["convex_interior", "holed", "star"])
+def test_morph_sequence_golden(case):
+    t1, t2 = (
+        parse_triangulation((AUDIT_PAIRS / f"{case}.{t}.json").read_bytes(), AUDIT_PAIRS)
+        for t in ("t1", "t2")
+    )
+    seq = morph(t1, t2)
+    assert seq.steps
+    assert serialize_sequence(seq) == (GOLDEN / f"{case}.seq.json").read_bytes()
