@@ -2,14 +2,17 @@
 
 Every serializer is canonical (fixed key order, sorted lists, 2-space
 indent, trailing newline), so serialize(parse(serialize(x))) == serialize(x)
-byte for byte and golden files diff cleanly.
+byte for byte and golden files diff cleanly.  The three schemas are fixed, so
+each serializer fills a template with its integers: the bytes are those of
+``json.dumps(obj, indent=2) + "\n"``, which the tests keep as the reference,
+without its pure-Python indenting encoder.
 """
 
 from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Any, Optional
+from typing import Any, Iterable, Optional
 
 from . import kernels
 from .crossings import count_pair
@@ -28,10 +31,6 @@ INSTANCE_FORMAT = "flipdist.instance"
 TRIANGULATION_FORMAT = "flipdist.triangulation"
 SEQUENCE_FORMAT = "flipdist.sequence"
 VERSION = 1
-
-
-def _dump(obj: Any) -> bytes:
-    return (json.dumps(obj, indent=2) + "\n").encode("utf-8")
 
 
 def _load(doc: bytes | str) -> Any:
@@ -74,13 +73,32 @@ def _check_format(obj: Any, expected: str, where: str) -> None:
         raise ParseError(f"unsupported version {version}", where)
 
 
-def _instance_obj(inst: Instance) -> dict:
-    return {
-        "format": INSTANCE_FORMAT,
-        "version": VERSION,
-        "points": [[x, y] for x, y in inst.points],
-        "border": [list(poly) for poly in inst.border],
-    }
+def _list(items: list[str], indent: str) -> str:
+    """Rendered JSON values as a list laid out the way ``json.dumps(indent=2)``
+    lays it out at ``indent``."""
+    if not items:
+        return "[]"
+    inner = "\n" + indent + "  "
+    return "[" + inner + ("," + inner).join(items) + "\n" + indent + "]"
+
+
+def _pairs(pairs: Iterable[tuple[int, int]], indent: str) -> str:
+    """A list of int pairs (points or edges) at ``indent``."""
+    inner = indent + "    "
+    pair = f"[\n{inner}%d,\n{inner}%d\n{indent}  ]"
+    return _list([pair % p for p in pairs], indent)
+
+
+def _instance_text(inst: Instance, indent: str) -> str:
+    inner = indent + "  "
+    border = [_list([str(v) for v in poly], inner + "  ") for poly in inst.border]
+    return (
+        f'{{\n{inner}"format": "{INSTANCE_FORMAT}",\n'
+        f'{inner}"version": {VERSION},\n'
+        f'{inner}"points": {_pairs(inst.points, inner)},\n'
+        f'{inner}"border": {_list(border, inner)}\n'
+        f"{indent}}}"
+    )
 
 
 def _parse_instance_obj(
@@ -119,17 +137,13 @@ def _parse_instance_obj(
 
 
 def serialize_instance(inst: Instance) -> bytes:
-    return _dump(_instance_obj(inst))
+    return (_instance_text(inst, "") + "\n").encode()
 
 
 def parse_instance(doc: bytes | str, known: Optional[Instance] = None) -> Instance:
     """The instance in ``doc``; ``known`` itself when it has the same points
     and border, so a command validates each instance once."""
     return _parse_instance_obj(_load(doc), "instance", known)
-
-
-def _edges_list(t: Triangulation) -> list[list[int]]:
-    return [[a, b] for a, b in sorted(t.edges)]
 
 
 def _parse_edges(obj: Any, inst: Instance, where: str) -> list[tuple[int, int]]:
@@ -174,14 +188,12 @@ def _resolve_instance(
 
 
 def serialize_triangulation(t: Triangulation) -> bytes:
-    return _dump(
-        {
-            "format": TRIANGULATION_FORMAT,
-            "version": VERSION,
-            "instance": _instance_obj(t.instance),
-            "edges": _edges_list(t),
-        }
-    )
+    return (
+        f'{{\n  "format": "{TRIANGULATION_FORMAT}",\n'
+        f'  "version": {VERSION},\n'
+        f'  "instance": {_instance_text(t.instance, "  ")},\n'
+        f'  "edges": {_pairs(sorted(t.edges), "  ")}\n}}\n'
+    ).encode()
 
 
 def parse_triangulation(
@@ -205,25 +217,27 @@ def parse_triangulation(
     return t
 
 
+# One step of a sequence, at the indent of the "steps" list's items.
+_STEP = (
+    "{\n"
+    '      "removed": [\n        %d,\n        %d\n      ],\n'
+    '      "added": [\n        %d,\n        %d\n      ],\n'
+    '      "before": %d,\n'
+    '      "after": %d\n'
+    "    }"
+)
+
+
 def serialize_sequence(seq: FlipSequence) -> bytes:
-    return _dump(
-        {
-            "format": SEQUENCE_FORMAT,
-            "version": VERSION,
-            "instance": _instance_obj(seq.start.instance),
-            "start": _edges_list(seq.start),
-            "target": _edges_list(seq.target),
-            "steps": [
-                {
-                    "removed": list(s.removed),
-                    "added": list(s.added),
-                    "before": s.before,
-                    "after": s.after,
-                }
-                for s in seq.steps
-            ],
-        }
-    )
+    steps = [_STEP % (*s.removed, *s.added, s.before, s.after) for s in seq.steps]
+    return (
+        f'{{\n  "format": "{SEQUENCE_FORMAT}",\n'
+        f'  "version": {VERSION},\n'
+        f'  "instance": {_instance_text(seq.start.instance, "  ")},\n'
+        f'  "start": {_pairs(sorted(seq.start.edges), "  ")},\n'
+        f'  "target": {_pairs(sorted(seq.target.edges), "  ")},\n'
+        f'  "steps": {_list(steps, "  ")}\n}}\n'
+    ).encode()
 
 
 def parse_sequence(

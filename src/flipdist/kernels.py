@@ -19,6 +19,11 @@ segments, and :func:`midpoint_classes`, the region class of each segment's
 midpoint by ray parity.  ``Instance.validate`` also places the midpoints
 of its holes' edges with :func:`midpoint_classes`.
 
+:func:`twice_areas`, the orientation determinant row by row, serves the
+batch face trace of :func:`flipdist.triangulation.faces` and the area sum
+of its face certificate.  It has no python backend: its callers take their
+own exact loops when the numpy kernel is not selected or the gate is off.
+
 Every kernel has two interchangeable backends:
 
 * ``numpy``  - broadcasting over fixed blocks of rows of the grid (default)
@@ -207,6 +212,15 @@ def crossing_matrix(
         s = _Segments(b)
         return _self_matrix_numpy(s) if a is b else _matrix_numpy(a, s)
     return _matrix_python(a, b)
+
+
+def twice_areas(p: np.ndarray, q: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Twice the signed area of each triangle (p[i], q[i], r[i]), the
+    determinant whose sign :func:`geometry.orient` gives, for (k, 2) int64
+    point arrays within ``INT64_SAFE_LIMIT``.  Exact: it is expanded as the
+    crossing kernel expands it, (q - p) x r - q x p."""
+    (px, py), (qx, qy), (rx, ry) = p.T, q.T, r.T
+    return (qx - px) * ry - (qy - py) * rx - (qx * py - qy * px)
 
 
 def crossing_counts(

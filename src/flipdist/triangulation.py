@@ -386,6 +386,12 @@ def angular_cmp(
     return cmp
 
 
+# Edges from which faces() traces in one batch.  The batch has a fixed numpy
+# cost of about 0.1 ms; generated convex, star and holed triangulations
+# traced either way cross over at 20-23 edges (convex n of about 11).
+_FACE_BATCH_EDGES = 22
+
+
 def faces(t: Triangulation) -> tuple[tuple[int, int, int], ...]:
     """All bounded triangular faces inside the region, as ccw vertex triples.
 
@@ -394,15 +400,62 @@ def faces(t: Triangulation) -> tuple[tuple[int, int, int], ...]:
     interior on the left.  Cycles with positive signed area are the interior
     faces.  The outer cycle comes out clockwise (negative area) and is
     dropped; each hole interior is a bounded face too, traced ccw, and is
-    recognized by its boundary polygon and dropped as well.  Not cached:
-    :func:`apex_map` is the per-triangulation cache.
+    recognized by its boundary polygon and dropped as well.  A bounded face
+    that is not a triangle raises NotATriangulation.
+
+    Each triangle (x, y, z) starts at its smallest vertex x when y < z and is
+    (z, x, y) otherwise, and the triangles are sorted by their sorted
+    triples.  From ``_FACE_BATCH_EDGES`` edges, with the numpy kernel and
+    coordinates within the int64 gate, the trace runs in one batch
+    (:func:`_faces_batch`); it falls back to the exact loop
+    (:func:`_faces_exact`) whenever it cannot prove its rotation system is
+    the exact one, so both give the same triples in the same order.  Not
+    cached: :func:`apex_map` is the per-triangulation cache.
     """
-    inst = t.instance
-    pts = inst.points
-    hole_signatures = [
+    if len(t.edges) >= _FACE_BATCH_EDGES and _numpy_ok(t.instance):
+        traced = _faces_batch(t)
+        if traced is not None:
+            return traced
+    return _faces_exact(t)
+
+
+def _numpy_ok(inst: Instance) -> bool:
+    """Whether int64 numpy may compute on ``inst``: the numpy kernel is
+    active and every coordinate is within the gate."""
+    return inst._packed.array is not None and kernels.active_kernel() == "numpy"
+
+
+def _hole_signatures(inst: Instance) -> list[tuple[frozenset, frozenset]]:
+    return [
         (frozenset(poly), edges)
         for poly, edges in zip(inst.border[1:], inst.polygon_edges[1:])
     ]
+
+
+def _is_triangle(
+    cycle: list[int], pts: Sequence[Point], holes: list[tuple[frozenset, frozenset]]
+) -> bool:
+    """Whether a traced face cycle is a triangle of the triangulation: not
+    for the outer face (area <= 0) nor a hole's interior; any other bounded
+    face that is not a triangle raises NotATriangulation."""
+    if _area2([pts[v] for v in cycle]) <= 0:
+        return False  # outer face
+    cycle_edges = frozenset(
+        canonical_edge(cycle[i], cycle[(i + 1) % len(cycle)])
+        for i in range(len(cycle))
+    )
+    if (frozenset(cycle), cycle_edges) in holes:
+        return False  # the untriangulated interior of a hole
+    if len(cycle) != 3:
+        raise NotATriangulation(f"bounded face {cycle} has {len(cycle)} vertices")
+    return True
+
+
+def _faces_exact(t: Triangulation) -> tuple[tuple[int, int, int], ...]:
+    """:func:`faces` by an exact angular sort at each vertex."""
+    inst = t.instance
+    pts = inst.points
+    holes = _hole_signatures(inst)
     adj: dict[int, list[int]] = {}
     for a, b in t.edges:
         adj.setdefault(a, []).append(b)
@@ -428,26 +481,86 @@ def faces(t: Triangulation) -> tuple[tuple[int, int, int], ...]:
                 u, v = cur
                 nbrs = order[v]
                 cur = (v, nbrs[(pos[(v, u)] - 1) % len(nbrs)])
-            area2 = 0
-            for i in range(len(cycle)):
-                p = pts[cycle[i]]
-                q = pts[cycle[(i + 1) % len(cycle)]]
-                area2 += p[0] * q[1] - q[0] * p[1]
-            if area2 <= 0:
-                continue  # outer face
-            cycle_edges = frozenset(
-                canonical_edge(cycle[i], cycle[(i + 1) % len(cycle)])
-                for i in range(len(cycle))
-            )
-            if (frozenset(cycle), cycle_edges) in hole_signatures:
-                continue  # the untriangulated interior of a hole
-            if len(cycle) != 3:
-                raise NotATriangulation(
-                    f"bounded face {cycle} has {len(cycle)} vertices"
-                )
-            result.append(tuple(cycle))
+            if _is_triangle(cycle, pts, holes):
+                result.append(tuple(cycle))
     result.sort(key=sorted)
     return tuple(result)
+
+
+def _faces_batch(t: Triangulation) -> Optional[tuple[tuple[int, int, int], ...]]:
+    """:func:`faces` from one sort of all half-edges, or None when the sort
+    is not provably the exact rotation system (or an edge id is invalid).
+
+    Half-edges are sorted by (origin, half-plane, float angle).  Each
+    adjacent pair at one origin is then checked exactly: the half-plane
+    rises, or the pair turns strictly ccw.  When every pair passes, each
+    vertex's neighbours are strictly increasing in exact angle, which is
+    the order the exact sort gives, so the faces are the exact loop's.  The
+    face after half-edge h is ``prev[twin[h]]``; a triangle is a half-edge
+    with ``next^3 = id`` and positive area, less the triangular holes.  The
+    few other cycles (outer face, other holes, a bad face) are traced in
+    Python in the exact loop's order, with its verdicts and messages.
+    """
+    inst = t.instance
+    xy = inst._packed.array
+    ends = np.array(list(t.edges), dtype=np.int64)
+    if ends.min() < 0 or ends.max() >= inst.n:
+        return None
+    m2 = 2 * len(ends)
+    # Half-edge h and h + m are twins: h goes first end -> second end.
+    origin = np.concatenate([ends[:, 0], ends[:, 1]])
+    dest = np.concatenate([ends[:, 1], ends[:, 0]])
+    dx, dy = (xy[dest] - xy[origin]).T
+    half = (dy < 0) | ((dy == 0) & (dx < 0))  # angle in [pi, 2 pi)
+    # Equal float angles fall back to vertex ids, so whether the check passes
+    # does not depend on the order in which the edge set is iterated.
+    order = np.lexsort((dest, np.arctan2(dy, dx) % (2 * np.pi), half, origin))
+    o, d, half = origin[order], dest[order], half[order]
+    same = o[1:] == o[:-1]
+    turns = kernels.twice_areas(xy[o[1:][same]], xy[d[:-1][same]], xy[d[1:][same]])
+    if not ((half[:-1][same] != half[1:][same]) | (turns > 0)).all():
+        return None
+    # In sorted positions: the twin of each half-edge, the one before it
+    # ccw around its origin, and the next half-edge of its face.
+    rank = np.empty(m2, dtype=np.int64)
+    rank[order] = np.arange(m2)
+    twin = rank[(order + m2 // 2) % m2]
+    prev = np.arange(-1, m2 - 1)
+    starts = np.flatnonzero(np.concatenate([[True], ~same]))
+    prev[starts] = np.append(starts[1:], m2) - 1
+    nxt = prev[twin]
+    nxt2 = nxt[nxt]
+    in_triangle = nxt[nxt2] == np.arange(m2)
+    rest = np.flatnonzero(~in_triangle).tolist()
+    if rest:
+        pts, holes = inst.points, _hole_signatures(inst)
+        o_l, d_l, nxt_l = o.tolist(), d.tolist(), nxt.tolist()
+        # The exact loop's order: by edge, the edge's own direction first.
+        rest.sort(key=lambda i: (*canonical_edge(o_l[i], d_l[i]), o_l[i] > d_l[i]))
+        seen: set[int] = set()
+        for i in rest:
+            if i in seen:
+                continue
+            cycle = []
+            while i not in seen:
+                seen.add(i)
+                cycle.append(o_l[i])
+                i = nxt_l[i]
+            # Not a 3-cycle, so never a triangle: this raises for a bad face.
+            _is_triangle(cycle, pts, holes)
+    # Each triangle once, from its smallest vertex x, ccw (x, y, z).
+    x, y, z = o, o[nxt], o[nxt2]
+    pick = in_triangle & (x < y) & (x < z)
+    x, y, z = x[pick], y[pick], z[pick]
+    keep = kernels.twice_areas(xy[x], xy[y], xy[z]) > 0
+    lo, hi = np.minimum(y, z), np.maximum(y, z)
+    for poly in inst.border[1:]:
+        if len(poly) == 3:
+            a, b, c = sorted(poly)
+            keep &= (x != a) | (lo != b) | (hi != c)
+    x, y, z, lo, hi = x[keep], y[keep], z[keep], lo[keep], hi[keep]
+    tri = np.where((y < z)[:, None], np.stack([x, y, z], 1), np.stack([z, x, y], 1))
+    return tuple(map(tuple, tri[np.lexsort((hi, lo, x))].tolist()))
 
 
 def apex_map(t: Triangulation) -> ApexMap:
@@ -686,6 +799,14 @@ def _face_certificate(t: Triangulation) -> Optional[ApexMap]:
     Conversely, each valid triangulation passes: its rotation system is
     sorted by exact angle, so its bounded faces are traced as its
     triangles.  Any input that fails gets the full checks.
+
+    The argument reads only what ``faces(t)`` returns, which is the same
+    tuple whichever way it was traced: the batch trace returns only when
+    its rotation system is the exact one (see :func:`_faces_batch`).  In
+    both, the face after a half-edge is a permutation of the half-edges, so
+    each directed edge bounds one traced face.  The twice-areas of 4 are
+    exact: each fits int64 under the gate, and their sum, which can pass
+    2^63 when triangles overlap, is taken over Python ints.
     """
     inst = t.instance
     if not inst.border_edges <= t.edges or any(
@@ -705,9 +826,18 @@ def _face_certificate(t: Triangulation) -> Optional[ApexMap]:
     ):
         return None
     outer, *holes = (abs(_area2(poly)) for poly in inst.border_coords())
-    pts = inst.points
-    area2 = sum(_area2([pts[a], pts[b], pts[c]]) for a, b, c in triangles)
-    return apexes if area2 == outer - sum(holes) else None
+    return apexes if _total_area2(inst, triangles) == outer - sum(holes) else None
+
+
+def _total_area2(inst: Instance, triangles: Sequence[tuple[int, int, int]]) -> int:
+    """Twice the total signed area of ``triangles``, exactly: in one batch
+    under the int64 gate, summed over Python ints."""
+    if not triangles or not _numpy_ok(inst):
+        pts = inst.points
+        return sum(_area2([pts[a], pts[b], pts[c]]) for a, b, c in triangles)
+    xy = inst._packed.array
+    x, y, z = np.array(triangles, dtype=np.int64).T
+    return sum(kernels.twice_areas(xy[x], xy[y], xy[z]).tolist())
 
 
 def _violations(t: Triangulation) -> list[str]:

@@ -1,11 +1,17 @@
 import json
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from flipdist import formats
 from flipdist.errors import InvariantViolation, ParseError
-from flipdist.morph import morph
+from flipdist.generate import GenSpec, generate_instance, random_priority
+from flipdist.geometry import COORD_LIMIT
+from flipdist.morph import FlipSequence, morph
 from flipdist.triangulation import Instance, greedy_triangulate
+
+DATA = Path(__file__).parent / "data"
 
 
 def test_instance_round_trip(square, pentagon, holed):
@@ -238,3 +244,92 @@ def test_parse_sequence_checks_each_step(hexagon, field, value, reason):
         formats.parse_sequence(json.dumps(doc))
     assert str(exc.value).startswith("invalid sequence.steps[0]: ")
     assert reason in str(exc.value)
+
+
+def _reference(obj) -> bytes:
+    """The bytes the template writer must give: the generic encoder's."""
+    return (json.dumps(obj, indent=2) + "\n").encode()
+
+
+def _instance_obj(inst):
+    return {
+        "format": "flipdist.instance",
+        "version": 1,
+        "points": [[x, y] for x, y in inst.points],
+        "border": [list(poly) for poly in inst.border],
+    }
+
+
+def _edges_obj(t):
+    return [[a, b] for a, b in sorted(t.edges)]
+
+
+@st.composite
+def _placed_instances(draw):
+    """A generated instance (convex, star or holed), scaled by a factor of
+    either sign and moved so that it touches the coordinate cap, +-2^30, or
+    stays near the origin with negative coordinates."""
+    shape = draw(st.sampled_from(["convex_gon", "random_simple_border", "with_holes"]))
+    n = draw(st.integers(8, 11))
+    holes = 1 if shape == "with_holes" else 0
+    base = generate_instance(
+        GenSpec(seed=draw(st.integers(0, 10**6)), n_points=n, shape=shape,
+                holes=holes, interior_points=draw(st.integers(0, 2)))
+    )
+    scale = draw(st.sampled_from([1, -1, 3, -500]))
+    pts = [(scale * x, scale * y) for x, y in base.points]
+    lo_x, hi_x = min(x for x, _ in pts), max(x for x, _ in pts)
+    lo_y, hi_y = min(y for _, y in pts), max(y for _, y in pts)
+    dx, dy = draw(st.sampled_from([
+        (0, 0),
+        (COORD_LIMIT - hi_x, COORD_LIMIT - hi_y),
+        (-COORD_LIMIT - lo_x, -COORD_LIMIT - lo_y),
+        (-COORD_LIMIT - lo_x, COORD_LIMIT - hi_y),
+    ]))
+    return Instance([(x + dx, y + dy) for x, y in pts], base.border)
+
+
+@settings(max_examples=60, deadline=None)
+@given(inst=_placed_instances(), seeds=st.tuples(st.integers(0, 99), st.integers(0, 99)))
+def test_writer_matches_generic_encoder(inst, seeds):
+    """Every schema's bytes equal ``json.dumps(indent=2)``'s, with negative
+    coordinates, coordinates at +-2^30, holes and a sequence of zero steps,
+    and ``serialize . parse`` is a fixpoint."""
+    t1, t2 = (greedy_triangulate(inst, priority=random_priority(inst, s)) for s in seeds)
+    data = formats.serialize_instance(inst)
+    assert data == _reference(_instance_obj(inst))
+    assert formats.serialize_instance(formats.parse_instance(data)) == data
+    data = formats.serialize_triangulation(t1)
+    assert data == _reference({
+        "format": "flipdist.triangulation",
+        "version": 1,
+        "instance": _instance_obj(inst),
+        "edges": _edges_obj(t1),
+    })
+    assert formats.serialize_triangulation(formats.parse_triangulation(data)) == data
+    for seq in (morph(t1, t2), FlipSequence(t1, t1, ())):
+        data = formats.serialize_sequence(seq)
+        assert data == _reference({
+            "format": "flipdist.sequence",
+            "version": 1,
+            "instance": _instance_obj(inst),
+            "start": _edges_obj(seq.start),
+            "target": _edges_obj(seq.target),
+            "steps": [
+                {"removed": list(s.removed), "added": list(s.added),
+                 "before": s.before, "after": s.after}
+                for s in seq.steps
+            ],
+        })
+        assert formats.serialize_sequence(formats.parse_sequence(data)) == data
+
+
+@pytest.mark.parametrize(
+    "path", sorted(p.relative_to(DATA).as_posix() for p in DATA.glob("*/*.json"))
+)
+def test_golden_files_reserialize_to_their_bytes(path):
+    data = (DATA / path).read_bytes()
+    if path.endswith(".seq.json"):
+        assert formats.serialize_sequence(formats.parse_sequence(data)) == data
+    else:
+        assert formats.serialize_triangulation(formats.parse_triangulation(data)) == data

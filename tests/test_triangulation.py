@@ -5,7 +5,7 @@ import random
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from flipdist import geometry, kernels
+from flipdist import geometry, kernels, triangulation
 from flipdist.errors import (
     EdgeNotInTriangulation,
     InvariantViolation,
@@ -311,6 +311,18 @@ def _edge_sets(inst, rng):
 
 @pytest.mark.parametrize("name", sorted(_differential_instances()))
 def test_validate_matches_reference(name):
+    _validate_case(name)
+
+
+@pytest.mark.parametrize("name", sorted(_differential_instances()))
+def test_validate_matches_reference_in_batch(name, monkeypatch):
+    """The same verdicts and messages with faces traced in one batch at
+    every size."""
+    monkeypatch.setattr(triangulation, "_FACE_BATCH_EDGES", 0)
+    _validate_case(name)
+
+
+def _validate_case(name):
     inst = _differential_instances()[name]
     assert inst.validate() == []
     rng = random.Random(name)
@@ -587,6 +599,26 @@ def _mutate(inst, edges, kind, k):
 def test_face_certificate_matches_full_check(name, seed, mutations):
     """The certificate accepts exactly the inputs the full checks pass, and
     every rejected input keeps the full checks' violation list."""
+    _certificate_case(name, seed, mutations)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    name=st.sampled_from(sorted(_certificate_instances())),
+    seed=st.integers(0, 10**6),
+    mutations=st.lists(
+        st.tuples(st.sampled_from(CERTIFICATE_MUTATIONS), st.integers(0, 10**6)),
+        max_size=3,
+    ),
+)
+def test_face_certificate_matches_full_check_in_batch(name, seed, mutations):
+    """The same, with faces traced in one batch at every size."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(triangulation, "_FACE_BATCH_EDGES", 0)
+        _certificate_case(name, seed, mutations)
+
+
+def _certificate_case(name, seed, mutations):
     inst = _certificate_instances()[name]
     edges = greedy_triangulate(inst, priority=random_priority(inst, seed)).edges
     for kind, k in mutations:
