@@ -11,6 +11,8 @@ without its pure-Python indenting encoder.
 from __future__ import annotations
 
 import json
+import operator
+from itertools import chain
 from pathlib import Path
 from typing import Any, Iterable, Optional
 
@@ -48,6 +50,22 @@ def _load(doc: bytes | str) -> Any:
 def _is_int(value: Any) -> bool:
     """A JSON integer: ``true`` and ``false`` load as bool, a subclass of int."""
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _flat_ints(entries: list, size: Optional[int] = None) -> Optional[list[int]]:
+    """The items of ``entries`` in one flat list when every entry is a list
+    (of ``size`` items, if given) of JSON integers, else None.
+
+    Each condition is one pass over a whole list; a caller that gets None
+    walks the entries again to name the first offending one.
+    """
+    if {list} >= set(map(type, entries)) and (
+        size is None or {size} >= set(map(len, entries))
+    ):
+        flat = list(chain.from_iterable(entries))
+        if {int} >= set(map(type, flat)):
+            return flat
+    return None
 
 
 def _expect(obj: Any, key: str, kind: type, where: str) -> Any:
@@ -106,29 +124,32 @@ def _parse_instance_obj(
 ) -> Instance:
     _check_format(obj, INSTANCE_FORMAT, where)
     points_raw = _expect(obj, "points", list, where)
-    points = []
-    for i, entry in enumerate(points_raw):
-        if (
-            not isinstance(entry, list)
-            or len(entry) != 2
-            or not all(_is_int(v) for v in entry)
-        ):
-            raise ParseError(
-                "point must be a pair of integers", f"{where}.points[{i}]"
-            )
-        if any(abs(v) > COORD_LIMIT for v in entry):
-            raise ParseError(
-                "coordinate magnitude exceeds 2^30", f"{where}.points[{i}]"
-            )
-        points.append((entry[0], entry[1]))
+    flat = _flat_ints(points_raw, 2)
+    if flat is None or flat and not (
+        -COORD_LIMIT <= min(flat) <= max(flat) <= COORD_LIMIT
+    ):
+        for i, entry in enumerate(points_raw):
+            if (
+                not isinstance(entry, list)
+                or len(entry) != 2
+                or not all(_is_int(v) for v in entry)
+            ):
+                raise ParseError(
+                    "point must be a pair of integers", f"{where}.points[{i}]"
+                )
+            if any(abs(v) > COORD_LIMIT for v in entry):
+                raise ParseError(
+                    "coordinate magnitude exceeds 2^30", f"{where}.points[{i}]"
+                )
+    points = list(zip(flat[::2], flat[1::2]))
     border_raw = _expect(obj, "border", list, where)
-    border = []
-    for b, poly in enumerate(border_raw):
-        if not isinstance(poly, list) or not all(_is_int(v) for v in poly):
-            raise ParseError(
-                "polygon must be a list of vertex ids", f"{where}.border[{b}]"
-            )
-        border.append(tuple(poly))
+    if _flat_ints(border_raw) is None:
+        for b, poly in enumerate(border_raw):
+            if not isinstance(poly, list) or not all(_is_int(v) for v in poly):
+                raise ParseError(
+                    "polygon must be a list of vertex ids", f"{where}.border[{b}]"
+                )
+    border = list(map(tuple, border_raw))
     if known is not None and known.points == tuple(points) and (
         known.border == tuple(border)
     ):
@@ -150,20 +171,25 @@ def _parse_edges(obj: Any, inst: Instance, where: str) -> list[tuple[int, int]]:
     edges_raw = _expect(obj, "edges", list, where) if isinstance(obj, dict) else obj
     if not isinstance(edges_raw, list):
         raise ParseError("edges must be a list", where)
-    edges = []
-    for i, entry in enumerate(edges_raw):
-        if (
-            not isinstance(entry, list)
-            or len(entry) != 2
-            or not all(_is_int(v) for v in entry)
-        ):
-            raise ParseError(
-                "edge must be a pair of vertex ids", f"{where}[{i}]"
-            )
-        a, b = entry
-        if not (0 <= a < inst.n and 0 <= b < inst.n) or a == b:
-            raise ParseError(f"edge [{a}, {b}] out of range", f"{where}[{i}]")
-        edges.append(canonical_edge(a, b))
+    flat = _flat_ints(edges_raw, 2)
+    if (
+        flat is None
+        or flat and not 0 <= min(flat) <= max(flat) < inst.n
+        or any(map(operator.eq, flat[::2], flat[1::2]))
+    ):
+        for i, entry in enumerate(edges_raw):
+            if (
+                not isinstance(entry, list)
+                or len(entry) != 2
+                or not all(_is_int(v) for v in entry)
+            ):
+                raise ParseError(
+                    "edge must be a pair of vertex ids", f"{where}[{i}]"
+                )
+            a, b = entry
+            if not (0 <= a < inst.n and 0 <= b < inst.n) or a == b:
+                raise ParseError(f"edge [{a}, {b}] out of range", f"{where}[{i}]")
+    edges = list(map(canonical_edge, flat[::2], flat[1::2]))
     if len(set(edges)) != len(edges):
         raise ParseError("duplicate edges", where)
     return edges

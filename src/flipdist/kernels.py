@@ -5,11 +5,12 @@ the morph keeps its rows as crosser masks and updates them one flip at a
 time without a kernel call.  The crossing grid is also the planarity scan
 of :func:`flipdist.triangulation.validate`'s full checks, which names its
 crossing pairs, the simplicity and overlap scan of the border polygons in
-``Instance.validate``, the crossing masks of
-:func:`flipdist.oracle.enumerate_triangulations_direct`, and the blocks of
-candidates :func:`flipdist.triangulation.greedy_triangulate` tests against
-the edges it has accepted; each audit reads the grid of its quadrilateral
-segments once, through :func:`flipdist.crossings.quad_crossers`.
+``Instance.validate``, the grid of an instance's admissible pairs that
+every search of :mod:`flipdist.oracle` reads (``Instance.crossing_grid``),
+and the blocks of candidates
+:func:`flipdist.triangulation.greedy_triangulate` tests against the edges
+it has accepted; each audit reads the grid of its quadrilateral segments
+once, through :func:`flipdist.crossings.quad_crossers`.
 
 Two point-location kernels answer whether a segment between two vertices
 is admissible (``triangulation._segment_defects``, behind

@@ -1,28 +1,44 @@
 """Ground truth at desk scale: flip-graph BFS and exhaustive enumeration.
 
-Both searches name a triangulation by its :meth:`Triangulation.key`, an int
-with bit i set iff ``inst.admissible_pairs()[i]`` is one of its edges; a
-flip is then one xor.  ``inst.edges_of(key)`` decodes a key into its sorted
-edge list.
+Every search names a triangulation by its :meth:`Triangulation.key`, an int
+with bit i set iff ``inst.admissible_pairs()[i]`` is one of its edges;
+``inst.edges_of(key)`` decodes a key into its sorted edge list.  All three
+read one crossing grid per instance, :meth:`Instance.crossing_grid`.  The
+two flip searches hold keys as rows of W = ceil(P / 64) little-endian
+uint64 words, for P admissible pairs, and expand a whole breadth-first
+level at a time.
+
+The flip rule.  Let K be a triangulation's key, j an admissible pair and
+m the set of K's edges that cross j.  If m is one edge i, then
+K - i + j is the flip of edge i, and every flip arises so, once:
+
+* (<=) K - i + j is non-crossing and has the edge count Euler's relation
+  fixes, so it is maximal, a triangulation (the fact the direct
+  enumeration rests on).  The two faces on i form the only face of K - i
+  that j can run through, so j is their quadrilateral's other diagonal.
+* (=>) A flip's new diagonal crosses only the old diagonal of its strictly
+  convex quadrilateral: it runs inside the two faces on that diagonal.
+
+So a flip is unique per edge i.  A pair already in K crosses no edge of K
+(m is empty) and drops out without a test, and so does every pair that
+crosses no admissible pair at all, border edges among them.  A level
+finds |m| for all its keys and candidates j at once, as the product of
+its keys' bits with the grid's columns; where |m| = 1, the product with
+the columns weighted by row id gives i.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass
-from typing import Iterator
+import weakref
+from functools import cached_property
 
 import numpy as np
 
-from . import kernels
-from .errors import FlipdistError, GraphTooLarge, InstanceTooLarge
+from .errors import FlipdistError, GraphTooLarge, InstanceTooLarge, NotATriangulation
 from .triangulation import (
     Edge,
     Instance,
     Triangulation,
-    apex_map,
-    apex_quadrilateral,
-    canonical_edge,
     interior_edge_count,
     require_same_instance,
     validate,
@@ -31,135 +47,187 @@ from .triangulation import (
 MAX_NODES = 10**6
 MAX_DIRECT_POINTS = 12
 
+# Cells of the (rows x 2 candidates) product a level is expanded by at a
+# time, which bounds its temporaries at any level size.
+_CELL_BLOCK = 1 << 16
 
-@dataclass
+
 class FlipGraph:
     """The graph of all triangulations reachable from a seed by single flips.
 
     ``nodes`` lists their keys in discovery order, ``index`` maps a key to
     its node id, and ``adjacency[u]`` lists ``(flipped edge, neighbour id)``
-    in edge order.
+    in edge order.  ``index`` and ``adjacency`` are built the first time
+    they are read: ``adjacency`` from the search's arc arrays, which hold
+    source id, flipped pair id and target id in (source, flipped) order.
     """
 
-    instance: Instance
-    nodes: list[int]
-    index: dict[int, int]
-    adjacency: list[list[tuple[Edge, int]]]
+    def __init__(
+        self,
+        instance: Instance,
+        nodes: list[int],
+        arcs: tuple[np.ndarray, np.ndarray, np.ndarray],
+    ):
+        self.instance = instance
+        self.nodes = nodes
+        self._arcs = arcs
+
+    @cached_property
+    def index(self) -> dict[int, int]:
+        return {k: u for u, k in enumerate(self.nodes)}
+
+    @cached_property
+    def adjacency(self) -> list[list[tuple[Edge, int]]]:
+        source, flipped, target = self._arcs
+        pairs = self.instance.admissible_pairs()
+        arcs = list(zip(map(pairs.__getitem__, flipped.tolist()), target.tolist()))
+        ends = np.cumsum(np.bincount(source, minlength=len(self.nodes))).tolist()
+        return [arcs[lo:hi] for lo, hi in zip([0] + ends[:-1], ends)]
 
 
-# A node's faces, by edge position: slot i holds sum(1 << v) over the apexes
-# v of the faces on admissible pair i, and 0 when that pair is not an edge.
-Apexes = list[int]
-# One flip, as the search applies it: the xor that turns a key into the
-# neighbour's; the flipped edge and its slot; the opposite diagonal's slot
-# and apexes; then four (side slot, apex xor) pairs.
-Flip = tuple[int, Edge, int, int, int, int, int, int, int, int, int, int, int]
+def _rows(keys: list[int], words: int) -> np.ndarray:
+    """Keys as rows of ``words`` little-endian uint64 words."""
+    raw = b"".join(k.to_bytes(8 * words, "little") for k in keys)
+    return np.frombuffer(raw, dtype="<u8").reshape(len(keys), words)
 
 
-class _Flips:
-    """The flips of one instance's triangulations, each computed once.
+def _ints(rows: np.ndarray) -> list[int]:
+    """The keys that rows of little-endian uint64 words stand for."""
+    words = rows.T.tolist()
+    keys = words[0]
+    for w in range(1, len(words)):
+        keys = [k | v << 64 * w for k, v in zip(keys, words[w])]
+    return keys
 
-    An edge and its two apexes fix the quadrilateral, so the flip of edge i
-    is memoised by (i, slot i) for the whole search, across nodes and sides.
+
+class _FlipTable:
+    """An instance's crossing grid as the searches read it, built once per
+    instance.
+
+    ``cand`` lists the pairs that cross some admissible pair, the only ones
+    a flip can add.  ``table`` holds their grid columns, then the same
+    columns with row i weighted by i: a key's bits times ``table`` give,
+    for each candidate j, |m| and the sum of the ids in m.  In float32 both
+    are exact where they are read: a count is at most P, and a sum is read
+    only where it has one term, an id below P (P < 2^24).  ``bits`` holds
+    each pair's own bit as a key row.
     """
 
     def __init__(self, inst: Instance):
-        self.pts = inst.points
-        self.pairs = inst.admissible_pairs()
-        self.index = inst.edge_index()
-        self.interior = sum(
-            1 << i for i, e in enumerate(self.pairs) if e not in inst.border_edges
+        grid = inst.crossing_grid()
+        self.pairs = len(grid)
+        self.words = -(-self.pairs // 64)
+        ids = np.arange(self.pairs)
+        self.cand = np.flatnonzero(grid.any(axis=0))
+        cols = grid[:, self.cand].astype(np.float32)
+        weighted = cols * ids[:, None].astype(np.float32)
+        self.table = np.concatenate([cols, weighted], axis=1)
+        self.bits = np.zeros((self.pairs, self.words), dtype=np.uint64)
+        self.bits[ids, ids // 64] = np.uint64(1) << (ids % 64).astype(np.uint64)
+        self.cand_bits = self.bits[self.cand]
+        # Rows of a level multiplied at a time.
+        self.step = max(1, _CELL_BLOCK // max(1, self.table.shape[1]))
+
+    def expand(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Every flip of every row of ``keys``, in (row, flipped edge) order:
+        the rows' positions, the flipped pairs' ids and the neighbours'
+        keys."""
+        c = len(self.cand)
+        found = []
+        for lo in range(0, len(keys), self.step):
+            bits = np.unpackbits(
+                keys[lo:lo + self.step].view(np.uint8),
+                axis=1, count=self.pairs, bitorder="little",
+            )
+            product = bits @ self.table
+            row, j = (product[:, :c] == 1).nonzero()
+            found.append((row + lo, j, product[:, c:][row, j]))
+        row, j, flipped = (
+            found[0] if len(found) == 1 else map(np.concatenate, zip(*found))
         )
-        self.memo: list[dict[int, Flip | tuple[()]]] = [{} for _ in self.pairs]
+        flipped = flipped.astype(np.int64)
+        order = np.argsort(row * self.pairs + flipped, kind="stable")
+        row, j, flipped = row[order], j[order], flipped[order]
+        return row, flipped, keys[row] ^ self.bits[flipped] ^ self.cand_bits[j]
 
-    def apexes(self, t: Triangulation) -> Apexes:
-        """The slots of ``t``, read from its cached apex map."""
-        slots = [0] * len(self.pairs)
-        for e, incident in apex_map(t).items():
-            slots[self.index[e]] = sum(1 << v for v in incident)
-        return slots
 
-    def expand(self, key: int, apexes: Apexes) -> Iterator[tuple[Flip, int]]:
-        """Each flip of the node ``key`` with its neighbour's key, in edge order."""
-        memo = self.memo
-        edges = key & self.interior
-        while edges:
-            low = edges & -edges
-            edges ^= low
-            i = low.bit_length() - 1
-            pair = apexes[i]
-            flip = memo[i].get(pair)
-            if flip is None:
-                flip = memo[i][pair] = self._flip(i, pair)
-            if flip:
-                yield flip, key ^ flip[0]
+# Each instance's table, a pure function of its points and border.  Keys are
+# weak, so the memo keeps no instance alive.
+_TABLES: "weakref.WeakKeyDictionary[Instance, _FlipTable]" = weakref.WeakKeyDictionary()
 
-    def _flip(self, i: int, pair: int) -> Flip | tuple[()]:
-        """The flip of edge i with apexes ``pair``; () when its quadrilateral
-        is not strictly convex."""
-        e = self.pairs[i]
-        x, y = (pair & -pair).bit_length() - 1, pair.bit_length() - 1
-        quad = apex_quadrilateral(self.pts, {e: (x, y)}, e)
-        if not quad.strictly_convex:
-            return ()
-        a, b, c, d = quad.vertices
-        index = self.index
-        j = index[quad.opposite]
-        # The ccw faces abc and acd become abd and bcd: each side trades the
-        # apex across the old diagonal for the one across the new.
-        return (
-            1 << i | 1 << j, e, i, j, 1 << a | 1 << c,
-            index[canonical_edge(a, b)], 1 << c | 1 << d,
-            index[canonical_edge(b, c)], 1 << a | 1 << d,
-            index[canonical_edge(c, d)], 1 << a | 1 << b,
-            index[canonical_edge(d, a)], 1 << c | 1 << b,
+
+def _flip_table(inst: Instance) -> _FlipTable:
+    table = _TABLES.get(inst)
+    if table is None:
+        table = _TABLES[inst] = _FlipTable(inst)
+    return table
+
+
+def _first_seen(rows: np.ndarray, known: int) -> np.ndarray:
+    """For each row from position ``known`` on, the position of the first
+    row equal to it.
+
+    Rows are sorted on their word columns; the sort is stable, so the first
+    of a run of equal rows is the earliest.
+    """
+    order = np.lexsort(rows.T)
+    ranked = rows[order]
+    starts = np.empty(len(rows), dtype=bool)
+    starts[0] = True
+    np.logical_or.reduce(ranked[1:] != ranked[:-1], axis=1, out=starts[1:])
+    first = np.empty(len(rows), dtype=np.int64)
+    first[order] = order[starts][starts.cumsum() - 1]
+    return first[known:]
+
+
+def _require_triangulation(t: Triangulation, role: str) -> None:
+    """Raise NotATriangulation unless ``t`` passes :func:`validate` (whose
+    verdict is cached): a search from a non-maximal set would run without
+    complaint."""
+    violations = validate(t)
+    if violations:
+        raise NotATriangulation(
+            f"{role} is not a triangulation: " + "; ".join(violations)
         )
-
-
-def _child(apexes: Apexes, flip: Flip) -> Apexes:
-    """A copy of ``apexes`` with ``flip`` applied."""
-    _, _, i, j, diagonal, s0, x0, s1, x1, s2, x2, s3, x3 = flip
-    child = apexes.copy()
-    child[i] = 0
-    child[j] = diagonal
-    child[s0] ^= x0
-    child[s1] ^= x1
-    child[s2] ^= x2
-    child[s3] ^= x3
-    return child
 
 
 def build_flip_graph(seed: Triangulation) -> FlipGraph:
-    """BFS closure of the seed under all legal flips.
+    """BFS closure of the seed under all legal flips, a level at a time.
 
-    The seed's slots are read from its cached apex map.  Each queued child
-    carries its own slots, derived from its parent's by one flip, and drops
-    them when dequeued, so only the frontier holds them.  Node ids are
-    assigned in discovery order.  Raises GraphTooLarge when the closure has
-    more than MAX_NODES triangulations.
+    A neighbour of a node at depth d is at depth d - 1, d or d + 1, so each
+    level's neighbours are told apart from the two levels before them only.
+    Node ids are assigned in discovery order: by level, then by the first
+    arc in (node, flipped edge) order that reaches the node.  Raises
+    NotATriangulation when the seed is not a triangulation, and
+    GraphTooLarge when the closure has more than MAX_NODES triangulations.
     """
-    flips = _Flips(seed.instance)
-    start = seed.key()
-    nodes = [start]
-    index = {start: 0}
-    adjacency: list[list[tuple[Edge, int]]] = [[]]
-    queue = deque([(0, flips.apexes(seed))])
-    while queue:
-        u, apexes = queue.popleft()
-        arcs = adjacency[u]
-        for flip, neighbor in flips.expand(nodes[u], apexes):
-            v = index.get(neighbor)
-            if v is None:
-                if len(nodes) >= MAX_NODES:
-                    raise GraphTooLarge(f"flip graph exceeds {MAX_NODES} nodes")
-                v = len(nodes)
-                index[neighbor] = v
-                nodes.append(neighbor)
-                adjacency.append([])
-                queue.append((v, _child(apexes, flip)))
-            arcs.append((flip[1], v))
+    _require_triangulation(seed, "seed")
+    inst = seed.instance
+    flips = _flip_table(inst)
+    level = _rows([seed.key()], flips.words)
+    prev = level[:0]
+    levels, arcs = [level], []
+    base, total = 0, 1  # the id of the level's first node; the nodes found
+    while len(level):
+        row, flipped, keys = flips.expand(level)
+        known = len(prev) + len(level)
+        first = _first_seen(np.concatenate([prev, level, keys]), known)
+        new = first == np.arange(known, known + len(keys))
+        count = int(np.count_nonzero(new))
+        if total + count > MAX_NODES:
+            raise GraphTooLarge(f"flip graph exceeds {MAX_NODES} nodes")
+        # Node ids by position: prev and level hold consecutive ids, and the
+        # first arcs reaching new nodes number them in arc order.
+        held = np.arange(base - len(prev), base + len(level))
+        ids = np.concatenate([held, np.cumsum(new) + (total - 1)])
+        arcs.append((row + base, flipped, ids[first]))
+        prev, level = level, keys[new]
+        levels.append(level)
+        base, total = total, total + count
     return FlipGraph(
-        instance=seed.instance, nodes=nodes, index=index, adjacency=adjacency
+        inst,
+        _ints(np.concatenate(levels)),
+        tuple(np.concatenate(part) for part in zip(*arcs)),
     )
 
 
@@ -171,11 +239,15 @@ def exact_flip_distance(t1: Triangulation, t2: Triangulation) -> int:
     frontier by one full level, t1's side on a tie.  The sides' discovered
     sets stay disjoint until they meet, and each holds every node within
     its depth of its seed; so if they have not met at depths la and lb,
-    the distance exceeds la + lb, and the first meeting found in the next
-    round, la + 1 + (the other side's depth of the node), is optimal.
-    Raises GraphTooLarge when the two sides together discover more than
-    MAX_NODES triangulations, and FlipdistError when t2 is not a
-    triangulation or a side runs out of nodes before they meet.
+    the distance exceeds la + lb, any node the next round reaches on the
+    other side is at depth lb there, and the first meeting, la + 1 + lb,
+    is optimal.  So each side keeps its last two levels only, for its own
+    dedupe (as in :func:`build_flip_graph`) and for the other side's
+    meeting test.  Raises NotATriangulation when t1 is not a triangulation,
+    GraphTooLarge when the two sides together discover more than MAX_NODES
+    triangulations, counted in arc order up to the first meeting, and
+    FlipdistError when t2 is not a triangulation or a side runs out of
+    nodes before they meet.
     """
     require_same_instance(t1, t2)
     unreachable = FlipdistError(
@@ -183,31 +255,32 @@ def exact_flip_distance(t1: Triangulation, t2: Triangulation) -> int:
     )
     if validate(t2):
         raise unreachable
+    _require_triangulation(t1, "t1")
     start, goal = t1.key(), t2.key()
     if start == goal:
         return 0
-    flips = _Flips(t1.instance)
-    seen = ({start: 0}, {goal: 0})
-    frontiers = [[(start, flips.apexes(t1))], [(goal, flips.apexes(t2))]]
-    levels = [0, 0]
-    while frontiers[0] and frontiers[1]:
-        side = 0 if len(frontiers[0]) <= len(frontiers[1]) else 1
-        mine, other = seen[side], seen[1 - side]
-        depth = levels[side] + 1
-        level: list[tuple[int, Apexes]] = []
-        for key, apexes in frontiers[side]:
-            for flip, neighbor in flips.expand(key, apexes):
-                if neighbor in other:
-                    return depth + other[neighbor]
-                if neighbor not in mine:
-                    if len(mine) + len(other) >= MAX_NODES:
-                        raise GraphTooLarge(
-                            f"flip graph exceeds {MAX_NODES} nodes"
-                        )
-                    mine[neighbor] = depth
-                    level.append((neighbor, _child(apexes, flip)))
-        frontiers[side] = level
-        levels[side] = depth
+    flips = _flip_table(t1.instance)
+    seeds = _rows([start, goal], flips.words)
+    # Each side's previous level, current level and depth.
+    sides = [[seeds[:0], seeds[:1], 0], [seeds[:0], seeds[1:], 0]]
+    total = 2
+    while len(sides[0][1]) and len(sides[1][1]):
+        side = 0 if len(sides[0][1]) <= len(sides[1][1]) else 1
+        prev, level, depth = sides[side]
+        other, other_depth = sides[1 - side][1], sides[1 - side][2]
+        _, _, keys = flips.expand(level)
+        mine = len(prev) + len(level)
+        known = mine + len(other)
+        first = _first_seen(np.concatenate([prev, level, other, keys]), known)
+        new = first == np.arange(known, known + len(keys))
+        meets = ((first >= mine) & (first < known)).nonzero()[0]
+        stop = meets[0] if len(meets) else len(keys)
+        if total + np.count_nonzero(new[:stop]) > MAX_NODES:
+            raise GraphTooLarge(f"flip graph exceeds {MAX_NODES} nodes")
+        if len(meets):
+            return depth + 1 + other_depth
+        total += int(np.count_nonzero(new))
+        sides[side] = [level, keys[new], depth + 1]
     raise unreachable
 
 
@@ -218,7 +291,7 @@ def enumerate_triangulations_direct(inst: Instance) -> list[int]:
     Enumerates every pairwise non-crossing set of admissible interior edges
     with exactly the interior edge count the Euler formula dictates; together
     with the border edges, each such set is maximal and hence a
-    triangulation.  Independent of the flip machinery.
+    triangulation.  Shares only the crossing grid with the flip searches.
     """
     if inst.n > MAX_DIRECT_POINTS:
         raise InstanceTooLarge(
@@ -229,12 +302,10 @@ def enumerate_triangulations_direct(inst: Instance) -> list[int]:
     border = sum(1 << i for i, e in enumerate(pairs) if e in inst.border_edges)
     if need == 0:
         return [border]
-    packed = kernels.segments_array([inst.segment(e) for e in pairs])
     # Bit j of crossers[i]: pairs i and j cross.
-    grid = kernels.crossing_matrix(packed, packed)
     crossers = [
         int.from_bytes(row.tobytes(), "little")
-        for row in np.packbits(grid, axis=1, bitorder="little")
+        for row in np.packbits(inst.crossing_grid(), axis=1, bitorder="little")
     ]
     results: list[int] = []
 

@@ -101,6 +101,7 @@ class Instance:
         )
         self._admissible: Optional[tuple[Edge, ...]] = None
         self._edge_index: Optional[dict[Edge, int]] = None
+        self._crossing_grid: Optional[np.ndarray] = None
         # The points packed once for the point-location kernels.
         self._packed = kernels.Points(self.points)
         violations = self.validate()
@@ -245,6 +246,16 @@ class Instance:
             self._edge_index = {e: i for i, e in enumerate(self.admissible_pairs())}
         return self._edge_index
 
+    def crossing_grid(self) -> np.ndarray:
+        """The crossing grid of the admissible pairs, computed once: entry
+        (i, j) is whether pairs i and j cross properly."""
+        if self._crossing_grid is None:
+            packed = kernels.segments_array(
+                [self.segment(e) for e in self.admissible_pairs()]
+            )
+            self._crossing_grid = kernels.crossing_matrix(packed, packed)
+        return self._crossing_grid
+
     def edges_of(self, key: int) -> tuple[Edge, ...]:
         """The sorted edge list a :meth:`Triangulation.key` stands for."""
         pairs = self.admissible_pairs()
@@ -300,6 +311,7 @@ class Triangulation:
             canonical_edge(*e) for e in edges
         )
         self._apexes: Optional[ApexMap] = None
+        self._key: Optional[int] = None
         self._violations: Optional[list[str]] = None
         self._interior_sorted: Optional[tuple[Edge, ...]] = None
         self._interior_array = None
@@ -320,16 +332,19 @@ class Triangulation:
     def key(self) -> int:
         """Canonical identity: an int with bit i set iff the instance's i-th
         admissible pair is an edge; ``instance.edges_of`` decodes it.
+        Computed once.
 
         Raises NotATriangulation for an edge that is not an admissible pair.
         """
-        index = self.instance.edge_index()
-        try:
-            return sum(1 << index[e] for e in self.edges)
-        except KeyError as exc:
-            raise NotATriangulation(
-                f"edge {exc.args[0]} is not an admissible pair"
-            ) from None
+        if self._key is None:
+            index = self.instance.edge_index()
+            try:
+                self._key = sum(1 << index[e] for e in self.edges)
+            except KeyError as exc:
+                raise NotATriangulation(
+                    f"edge {exc.args[0]} is not an admissible pair"
+                ) from None
+        return self._key
 
     def segment(self, e: Edge) -> Segment:
         return self.instance.segment(e)

@@ -7,7 +7,12 @@ import pytest
 
 from flipdist import formats, oracle
 from flipdist.cli import run as cli_run
-from flipdist.errors import FlipdistError, GraphTooLarge, InstanceTooLarge
+from flipdist.errors import (
+    FlipdistError,
+    GraphTooLarge,
+    InstanceTooLarge,
+    NotATriangulation,
+)
 from flipdist.generate import GenSpec, generate_instance, random_priority
 from flipdist.oracle import (
     build_flip_graph,
@@ -180,6 +185,27 @@ def test_distance_node_cap_counts_both_sides(monkeypatch):
     assert exact_flip_distance(t1, t2) == distances_from(graph, 0)[297] == 6
 
 
+# Pairs (0, j) of the 9-gon's flip graph, and the fewest nodes the two sides
+# discover up to their first meeting arc.  On each pair the sides find more
+# new nodes in the rest of that level, so a cap that counted the whole level
+# would refuse the smallest cap given here.
+FIRST_MEETING_NODES = {50: 21, 200: 63, 350: 116, 428: 102}
+
+
+@pytest.mark.parametrize("j", sorted(FIRST_MEETING_NODES))
+def test_distance_node_cap_stops_at_the_first_meeting(j, monkeypatch):
+    inst = generate_instance(GenSpec(seed=9, n_points=9))
+    graph = build_flip_graph(greedy_triangulate(inst))
+    t1 = Triangulation(inst, inst.edges_of(graph.nodes[0]))
+    t2 = Triangulation(inst, inst.edges_of(graph.nodes[j]))
+    cap = FIRST_MEETING_NODES[j]
+    monkeypatch.setattr(oracle, "MAX_NODES", cap - 1)
+    with pytest.raises(GraphTooLarge):
+        exact_flip_distance(t1, t2)
+    monkeypatch.setattr(oracle, "MAX_NODES", cap)
+    assert exact_flip_distance(t1, t2) == distances_from(graph, 0)[j]
+
+
 # The holed instance of the oracle_sweep benchmark: a 7-gon with a
 # triangular hole, 833 triangulations.
 SWEEP_HOLED = Instance(
@@ -233,6 +259,9 @@ def _flip_graph_reference(inst):
     return nodes, adjacency
 
 
+STAR16 = GenSpec(seed=14, n_points=16, shape="random_simple_border")
+
+
 DIFFERENTIAL_INSTANCES = {
     "convex8": lambda: generate_instance(GenSpec(seed=8, n_points=8)),
     "star9": lambda: generate_instance(SAMPLED["star9"]),
@@ -248,6 +277,8 @@ DIFFERENTIAL_INSTANCES = {
         [(0, 0), (3, 0), (6, 0), (6, 6), (0, 6), (2, 3), (3, 3), (4, 3)],
         [[0, 1, 2, 3, 4]],
     ),
+    # 68 admissible pairs, so keys take two words, and 1702 triangulations.
+    "star16": lambda: generate_instance(STAR16),
 }
 
 
@@ -264,6 +295,41 @@ def test_flip_graph_matches_tuple_reference(name):
     assert graph.index == {k: u for u, k in enumerate(graph.nodes)}
     for k in graph.nodes:
         assert Triangulation(inst, inst.edges_of(k)).key() == k
+
+
+def test_two_word_keys_distances_match_bfs():
+    """Three flippable pairs of this instance sit in the keys' second word;
+    the bidirectional search agrees with BFS distances from seeded sources."""
+    inst = generate_instance(STAR16)
+    pairs = inst.admissible_pairs()
+    assert len(pairs) > 64
+    assert len([e for e in pairs[64:] if e not in inst.border_edges]) == 3
+    graph = build_flip_graph(greedy_triangulate(inst))
+    assert len(graph.nodes) == 1702
+    assert len({key >> 64 for key in graph.nodes}) > 1  # flips reach word 2
+    rng = random.Random(16)
+    ids = range(len(graph.nodes))
+    pairs = [(i, j) for i in rng.sample(ids, 3) for j in rng.sample(ids, 40)]
+    _all_distances_agree(graph, pairs)
+
+
+def _without_an_interior_edge(inst):
+    t = greedy_triangulate(inst)
+    return t, Triangulation(inst, t.edges - {t.interior_edges()[0]})
+
+
+@pytest.mark.parametrize("name", ["convex8", "sweep_holed10", "star16"])
+def test_flip_graph_refuses_a_non_triangulation(name):
+    _, seed = _without_an_interior_edge(DIFFERENTIAL_INSTANCES[name]())
+    with pytest.raises(NotATriangulation, match="seed is not a triangulation: "):
+        build_flip_graph(seed)
+
+
+@pytest.mark.parametrize("name", ["convex8", "sweep_holed10", "star16"])
+def test_distance_refuses_a_non_triangulation_source(name):
+    t2, t1 = _without_an_interior_edge(DIFFERENTIAL_INSTANCES[name]())
+    with pytest.raises(NotATriangulation, match="t1 is not a triangulation: "):
+        exact_flip_distance(t1, t2)
 
 
 def test_distance_to_non_triangulation_unreachable(holed):
