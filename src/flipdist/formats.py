@@ -310,8 +310,7 @@ def parse_sequence(
     state = MutableTriangulation(start)
     for i, step in enumerate(steps):
         try:
-            quad = state.quadrilateral(step.removed)
-            state.flip(step.removed)
+            quad = state.flip(step.removed)
         except (EdgeNotInTriangulation, NotFlippable) as exc:
             raise InvariantViolation(
                 f"invalid sequence.steps[{i}]", [str(exc)]

@@ -27,7 +27,10 @@ own exact loops when the numpy kernel is not selected or the gate is off.
 
 Every kernel has two interchangeable backends:
 
-* ``numpy``  - broadcasting over fixed blocks of rows of the grid (default)
+* ``numpy``  - broadcasting over blocks of ``_CELL_BLOCK`` cells (default).
+  Segments cross properly iff each straddles the other's line, so a
+  crossing grid is one straddle table (:func:`_straddle`) and the
+  transpose of another, or of itself for an array against itself.
 * ``python`` - scalar loop over the exact predicates in :mod:`geometry`
 
 Select with the ``FLIPDIST_KERNEL`` environment variable; any other name
@@ -59,19 +62,15 @@ KERNEL_ENV = "FLIPDIST_KERNEL"
 KERNELS = ("numpy", "python")
 
 # With |c| <= 2^30 each coordinate difference is at most 2^31 in magnitude.
-# The numpy kernel expands orient(p, q, r) as (q - p) x r - p x q: each of its
-# three products is a difference times a coordinate, or a cross product of
-# two points, at most 2^61 in magnitude, so every intermediate value is below
-# 3 * 2^61 < 2^63 and int64 holds it.
+# Each product in :func:`_orient` is a difference times a coordinate, or a
+# cross product of two points, at most 2^61 in magnitude, so every
+# intermediate value is below 3 * 2^61 < 2^63 and int64 holds it.
 INT64_SAFE_LIMIT = geometry.COORD_LIMIT
 
-# Rows of the first array broadcast against the second at a time, which
-# bounds the size of every temporary grid.
-_ROW_BLOCK = 32
-
-# Cells of a point-location grid computed at a time: a block of rows takes
-# as many rows as fit, so the temporaries stay small at any size.
-_CELL_BLOCK = 1 << 14
+# Cells of a grid computed at a time, whatever its width.  An int64
+# temporary is then 64 KiB, below glibc's default 128 KiB mmap threshold,
+# so it is not a fresh mapping whose pages fault in on every block.
+_CELL_BLOCK = 1 << 13
 
 # The region classes, as :func:`midpoint_classes` returns them.
 _CLASS_DTYPE = "<U11"
@@ -99,30 +98,25 @@ def _backend(kernel: str | None) -> str:
 
 
 def segments_array(segments: list[geometry.Segment]) -> np.ndarray:
-    """Pack segments as an (m, 4) int64 array [ax, ay, bx, by]."""
-    if not segments:
-        return np.empty((0, 4), dtype=np.int64)
-    return np.array(
-        [(a[0], a[1], b[0], b[1]) for a, b in segments], dtype=np.int64
-    )
+    """Pack segments as an (m, 4) int64 array [ax, ay, bx, by].  Segments
+    with a coordinate beyond int64 are packed as Python ints in an object
+    array, which every kernel sends to the exact loop."""
+    rows = [(a[0], a[1], b[0], b[1]) for a, b in segments]
+    try:
+        return np.array(rows, dtype=np.int64).reshape(-1, 4)
+    except OverflowError:
+        return np.array(rows, dtype=object)
 
 
-class _Segments:
-    """What the numpy kernel derives from an (m, 4) segment array alone:
-    both endpoints of every segment as one coordinate pair per column
-    (``ex``, ``ey``: first endpoints, then second), its direction (``dx``,
-    ``dy``) and the cross product of its endpoints (``k``).  The array must
-    pass the int64 gate.
-    """
+def _line(px, py, qx, qy):
+    """The line terms of pq: direction (dx, dy) = q - p and k = q x p."""
+    return qx - px, qy - py, qx * py - qy * px
 
-    def __init__(self, array: np.ndarray):
-        rx, ry, sx, sy = array.T
-        self.ex = np.concatenate([rx, sx])
-        self.ey = np.concatenate([ry, sy])
-        self.dx = sx - rx
-        self.dy = sy - ry
-        self.k = sx * ry - sy * rx
-        self.m = len(array)
+
+def _orient(dx, dy, k, x, y):
+    """The determinant of orient(p, q, (x, y)) from pq's line terms:
+    dx (y - py) - dy (x - px) = dx y - dy x - k."""
+    return dx * y - dy * x - k
 
 
 class Points:
@@ -158,44 +152,23 @@ def _matrix_python(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def _matrix_numpy(a: np.ndarray, b: _Segments) -> np.ndarray:
-    m = b.m
-    out = np.zeros((len(a), m), dtype=bool)
-    if m == 0:
-        return out
-    for lo in range(0, len(a), _ROW_BLOCK):
-        block = a[lo:lo + _ROW_BLOCK]
-        px, py, qx, qy = (block[:, k:k + 1] for k in range(4))
-        # orient(p, q, e) for both endpoints e of every segment of b: columns
-        # j and m + j hold its endpoints r and s.
-        o12 = np.sign((qx - px) * b.ey - (qy - py) * b.ex - (qx * py - qy * px))
-        # orient(r, s, v) for both endpoints v of every row: the rows of
-        # ``ends`` are p0, q0, p1, q1, ...
-        ends = block.reshape(-1, 2)
-        o34 = np.sign(b.dx * ends[:, 1:2] - b.dy * ends[:, 0:1] - b.k)
-        o34 = o34.reshape(len(block), 2, m)
+def _straddle(lines: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    """Boolean (len(lines), len(ends)) table: entry (i, j) is whether the
+    endpoints of segment j of ``ends`` lie strictly on opposite sides of the
+    line of segment i of ``lines``.  Both arrays must pass the int64 gate."""
+    m = len(ends)
+    # One row per line, one column per endpoint: first endpoints, then second.
+    dx, dy, k = _line(*lines.T[:, :, None])
+    ex, ey = ends[:, 0::2].T.ravel(), ends[:, 1::2].T.ravel()
+    out = np.empty((len(lines), m), dtype=bool)
+    step = _rows_per_block(2 * m)
+    for lo in range(0, len(lines), step):
+        rows = slice(lo, lo + step)
         # Compare signs rather than products: the determinants themselves can
         # be near 2^62 and their products would overflow.
-        out[lo:lo + _ROW_BLOCK] = (o12[:, :m] * o12[:, m:] < 0) & (
-            o34[:, 0] * o34[:, 1] < 0
-        )
+        side = np.sign(_orient(dx[rows], dy[rows], k[rows], ex, ey))
+        out[rows] = side[:, :m] * side[:, m:] < 0
     return out
-
-
-def _self_matrix_numpy(s: _Segments) -> np.ndarray:
-    # The grid of s against itself needs one orientation table: row i holds
-    # orient(r_i, s_i, e) for every endpoint e, in the expansion (and so
-    # within the int64 bound) of _matrix_numpy's second table, and segments
-    # i and j cross iff j's endpoints straddle i's line and i's straddle j's.
-    m = s.m
-    straddle = np.empty((m, m), dtype=bool)
-    for lo in range(0, m, _ROW_BLOCK):
-        rows = slice(lo, lo + _ROW_BLOCK)
-        o = np.sign(
-            s.dx[rows, None] * s.ey - s.dy[rows, None] * s.ex - s.k[rows, None]
-        )
-        straddle[rows] = o[:, :m] * o[:, m:] < 0
-    return straddle & straddle.T
 
 
 def crossing_matrix(
@@ -204,24 +177,28 @@ def crossing_matrix(
     """Boolean grid: entry (i, j) is whether row j of ``b`` properly crosses
     row i of ``a``.
 
-    An array against itself (``a`` is ``b``) needs one orientation table
-    instead of two.  Exact for any coordinates that fit int64: when some
+    An array against itself (``a`` is ``b``) needs one straddle table
+    instead of two.  Exact for any integer coordinates: when some
     coordinate exceeds ``INT64_SAFE_LIMIT`` the python loop runs whatever
     ``kernel`` asks for.
     """
     if _backend(kernel) == "numpy" and int64_safe(a, b):
-        s = _Segments(b)
-        return _self_matrix_numpy(s) if a is b else _matrix_numpy(a, s)
+        # An empty side needs no table (greedy's first block meets one).
+        if len(a) == 0 or len(b) == 0:
+            return np.zeros((len(a), len(b)), dtype=bool)
+        if a is b:
+            own = _straddle(a, a)
+            return own & own.T
+        return _straddle(a, b) & _straddle(b, a).T
     return _matrix_python(a, b)
 
 
 def twice_areas(p: np.ndarray, q: np.ndarray, r: np.ndarray) -> np.ndarray:
     """Twice the signed area of each triangle (p[i], q[i], r[i]), the
     determinant whose sign :func:`geometry.orient` gives, for (k, 2) int64
-    point arrays within ``INT64_SAFE_LIMIT``.  Exact: it is expanded as the
-    crossing kernel expands it, (q - p) x r - q x p."""
+    point arrays within ``INT64_SAFE_LIMIT``."""
     (px, py), (qx, qy), (rx, ry) = p.T, q.T, r.T
-    return (qx - px) * ry - (qy - py) * rx - (qx * py - qy * px)
+    return _orient(*_line(px, py, qx, qy), rx, ry)
 
 
 def crossing_counts(
@@ -265,8 +242,7 @@ def _inside_numpy(points: Points, ids: np.ndarray) -> np.ndarray:
     i, j = ids[:, 0], ids[:, 1]
     ax, ay = x[i], y[i]
     dx, dy = x[j] - ax, y[j] - ay
-    # orient(a, b, p) = dx (py - ay) - dy (px - ax) is zero iff dx py - dy px
-    # equals dx ay - dy ax.  Every product is below 2^61.
+    # :func:`_orient` is 0 iff dx py - dy px equals k: one pass fewer.
     dx, dy, k = dx[:, None], dy[:, None], (dx * ay - dy * ax)[:, None]
     out = np.zeros((len(ids), len(x)), dtype=bool)
     step = _rows_per_block(len(x))
@@ -323,7 +299,7 @@ def _classes_numpy(
     v = np.concatenate([np.roll(poly, -1) for poly in polygons])
     starts = np.cumsum([0] + [len(poly) for poly in polygons[:-1]])
     ux, uy, vx, vy = pts[u, 0], pts[u, 1], pts[v, 0], pts[v, 1]
-    dx, dy, k = vx - ux, vy - uy, vx * uy - vy * ux
+    dx, dy, k = _line(ux, uy, vx, vy)
     up = np.sign(dy)
     # The edges' ends and bounding boxes, doubled like the midpoints.
     uy2, vy2 = 2 * uy, 2 * vy
@@ -336,8 +312,8 @@ def _classes_numpy(
         a, b = pts[ids[rows, 0]], pts[ids[rows, 1]]
         ax, ay, bx, by = a[:, :1], a[:, 1:], b[:, :1], b[:, 1:]
         sx, sy = ax + bx, ay + by  # the midpoint, doubled
-        det_a = dx * ay - dy * ax - k  # det(u, v, a), below 3 * 2^61
-        det_b = dx * by - dy * bx - k
+        det_a = _orient(dx, dy, k, ax, ay)  # det(u, v, a)
+        det_b = _orient(dx, dy, k, bx, by)
         sign_a, sign_b = np.sign(det_a), np.sign(det_b)
         # The sign of det_a + det_b = 2 * orient(u, v, m): where the two
         # signs do not cancel, their sum's (det_a + det_b may wrap there and
@@ -362,8 +338,12 @@ def _classes_numpy(
 
 
 def _within_limit(a: np.ndarray) -> bool:
-    # abs(-2^63) wraps to -2^63, which the unsigned view reads as 2^63.
-    return len(a) == 0 or bool(np.abs(a).view(np.uint64).max() <= INT64_SAFE_LIMIT)
+    # Only int64 arrays are safe: segments_array packs coordinates beyond
+    # int64 as Python ints.  abs(-2^63) wraps to -2^63, which the unsigned
+    # view reads as 2^63.
+    return a.dtype == np.int64 and (
+        len(a) == 0 or bool(np.abs(a).view(np.uint64).max() <= INT64_SAFE_LIMIT)
+    )
 
 
 def int64_safe(a: np.ndarray, b: np.ndarray) -> bool:

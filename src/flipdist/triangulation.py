@@ -698,11 +698,13 @@ class MutableTriangulation:
         """The quadrilateral with e as diagonal, or None for a border edge."""
         return apex_quadrilateral(self.instance.points, self.apexes, e)
 
-    def flip(self, e: Edge) -> None:
-        """Replace diagonal e with the opposite diagonal, in place."""
+    def flip(self, e: Edge) -> Quadrilateral:
+        """Replace diagonal e with the opposite diagonal, in place; return
+        the quadrilateral flipped."""
         e = canonical_edge(*e)
         quad = _require_flippable(e, self.quadrilateral(e))
         flip_apexes(self.apexes, quad)
+        return quad
 
     def freeze(self) -> Triangulation:
         """An immutable copy of the current edge set."""

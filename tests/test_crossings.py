@@ -6,6 +6,8 @@ from flipdist import geometry, kernels
 from flipdist.crossings import count_pair, count_segment, quad_crossers
 from flipdist.errors import FlipdistError, InstanceMismatch
 from flipdist.generate import GenSpec
+from flipdist.lemmas import audit_propositions
+from flipdist.morph import morph
 from flipdist.triangulation import (
     Instance,
     Triangulation,
@@ -179,6 +181,54 @@ def test_quad_crossers_exact_beyond_safe_limit():
     assert quad_crossers(t1, quads, t2) == want
 
 
+_SCALED = [(-16, -16), (16, -16), (16, 16), (-16, 16), (1, 2), (-3, 5), (7, -4)]
+
+
+def _pipeline(scale):
+    inst = Instance([(x * scale, y * scale) for x, y in _SCALED], [[0, 1, 2, 3]])
+    t1 = greedy_triangulate(inst)
+    t2 = greedy_triangulate(inst, priority=lambda e: (-e[0], -e[1]))
+    return (
+        t1.edges,
+        t2.edges,
+        morph(t1, t2).steps,
+        count_pair(t1, t2).total,
+        audit_propositions(t1, t2).format(),
+    )
+
+
+@pytest.mark.parametrize("scale", [1 << 40, 1 << 70])
+def test_pipeline_exact_at_any_scale(scale):
+    # Scaling keeps every orientation sign.  Beyond 2^30 the kernels take the
+    # exact loop; beyond int64 the segments are packed as Python ints.
+    want = _pipeline(1)
+    assert want[2] and want[3] > 0
+    assert _pipeline(scale) == want
+
+
+def _edge_cases(draw):
+    """Pairs of segment arrays, ``draw(n)`` giving n rows, at the kernels'
+    edges: row counts one below, at and one above a straddle table's block
+    for several widths, both ways round; an array against itself and
+    against an equal copy, at its own table's block size; an empty array on
+    each side."""
+    for m in (1, 7, 33):
+        b = draw(m)
+        rows = kernels._rows_per_block(2 * m)
+        for n in (rows - 1, rows, rows + 1):
+            a = draw(n)
+            yield a, b
+            yield b, a
+    own = next(n for n in range(1, 1 << 14) if kernels._rows_per_block(2 * n) <= n)
+    for n in (own - 1, own, own + 1):
+        a = draw(n)
+        yield a, a
+        yield a, a.copy()
+    empty = draw(0)
+    yield empty, b
+    yield b, empty
+    yield empty, empty
+
 
 @pytest.mark.parametrize("backend", KERNELS)
 def test_kernels_agree_on_random_segments(backend):
@@ -188,6 +238,9 @@ def test_kernels_agree_on_random_segments(backend):
     got = kernels.crossing_counts(a, b, kernel=backend)
     want = kernels.crossing_counts(a, b, kernel="python")
     assert np.array_equal(got, want)
+    for a, b in _edge_cases(lambda n: rng.integers(-500, 500, size=(n, 4))):
+        got = kernels.crossing_matrix(a, b, kernel=backend)
+        assert np.array_equal(got, kernels._matrix_python(a, b))
 
 
 @pytest.mark.parametrize("backend", KERNELS)
@@ -216,7 +269,7 @@ def test_kernels_exact_at_coordinate_cap():
     want = [sum(row) for row in grid]
     assert sum(want) > 0
     assert kernels.crossing_matrix(a, b, kernel="numpy").tolist() == grid
-    # An array against itself takes the one-orientation-table path.
+    # An array against itself takes the one-straddle-table path.
     own = [[geometry.properly_intersect(seg(r), seg(s)) for s in a] for r in a]
     assert any(map(any, own))
     assert kernels.crossing_matrix(a, a, kernel="numpy").tolist() == own
@@ -227,6 +280,9 @@ def test_kernels_exact_at_coordinate_cap():
         for i in range(len(a))
     ]
     assert rows == want
+    for a, b in _edge_cases(lambda n: rng.choice(values, size=(n, 4)).astype(np.int64)):
+        got = kernels.crossing_matrix(a, b, kernel="numpy")
+        assert np.array_equal(got, kernels._matrix_python(a, b))
 
 
 @pytest.mark.parametrize("backend", KERNELS)
