@@ -18,7 +18,9 @@ class InvariantViolation(FlipdistError):
 
     ``violations`` lists each violated invariant, located.  Constructing an
     ``Instance`` raises it as ``invalid instance``; parsing a triangulation
-    raises it as ``invalid triangulation``.
+    raises it as ``invalid triangulation``; ``require_valid``, the gate of
+    the morph, the audits and the flip searches, raises it as
+    ``{label} is not a valid triangulation``.
     """
 
     def __init__(self, message: str, violations: list[str] | None = None):
@@ -41,7 +43,8 @@ class NotFlippable(FlipdistError):
 
 
 class NotATriangulation(FlipdistError):
-    """Face extraction found a bounded region that is not a triangle."""
+    """``faces`` found a bounded face that is not a triangle, or
+    ``Triangulation.key`` an edge that is not an admissible pair."""
 
 
 class AlreadyEqual(FlipdistError):

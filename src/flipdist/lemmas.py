@@ -1,8 +1,9 @@
 """Executable audits of the structural claims the morph relies on.
 
-Each audit runs standalone over a pair of triangulations and returns an
-AuditReport; a failing check always carries a concrete witness.  Checks whose
-hypothesis never triggered are reported as skipped, never as passed.
+Each audit runs standalone over a pair of valid triangulations and returns
+an AuditReport; a failing check always carries a concrete witness.  Checks
+whose hypothesis never triggered are reported as skipped, never as passed.
+An invalid input is refused by :func:`require_valid` before any check runs.
 """
 
 from __future__ import annotations
@@ -11,9 +12,9 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from . import geometry
+from . import geometry, kernels
 from .crossings import CrossingReport, count_pair, quad_crossers
-from .errors import AlreadyEqual, InvariantViolation
+from .errors import AlreadyEqual
 from .triangulation import (
     Edge,
     Quadrilateral,
@@ -22,7 +23,7 @@ from .triangulation import (
     apex_quadrilateral,
     canonical_edge,
     require_same_instance,
-    validate,
+    require_valid,
 )
 
 PASS = "pass"
@@ -86,7 +87,7 @@ def _signed_det(p, q, r) -> int:
 
 def _quadrilaterals(
     t: Triangulation, edges: tuple[Edge, ...]
-) -> list[Quadrilateral | None]:
+) -> list[Quadrilateral]:
     pts, apexes = t.instance.points, apex_map(t)
     return [apex_quadrilateral(pts, apexes, e) for e in edges]
 
@@ -100,10 +101,8 @@ def audit_propositions(t1: Triangulation, t2: Triangulation) -> AuditReport:
     other triangulation, and shared uncrossed border edges.
     """
     require_same_instance(t1, t2)
-    for label, t in (("t1", t1), ("t2", t2)):
-        bad = validate(t)
-        if bad:
-            raise InvariantViolation(f"{label} is not a valid triangulation", bad)
+    require_valid(t1, "t1")
+    require_valid(t2, "t2")
     report = AuditReport()
     pts = t1.instance.points
     crossings = count_pair(t1, t2)
@@ -204,10 +203,16 @@ def audit_propositions(t1: Triangulation, t2: Triangulation) -> AuditReport:
         len(crossed), "edges", "no crossed edges",
     )
 
-    # P8: border edges shared and uncrossed.
+    # P8: border edges shared and uncrossed.  count_pair counts interior
+    # edges only, so the border's crossings are a grid of their own.
     border = t1.instance.border_edges
     missing = sorted((border - t1.edges) | (border - t2.edges))
-    crossed_border = [e for e in border if crossings.per_edge.get(e, 0) > 0]
+    edges = sorted(border)
+    hits = kernels.crossing_matrix(
+        kernels.segments_array([t1.segment(e) for e in edges]),
+        t2.interior_array(),
+    ).any(axis=1)
+    crossed_border = [e for e, hit in zip(edges, hits) if hit]
     report.verdict(
         "border-edges-shared", "P8",
         [f"missing={missing} crossed={crossed_border}"]
@@ -221,18 +226,18 @@ def _max_edge_crossers(
     t1: Triangulation, t2: Triangulation
 ) -> tuple[CrossingReport, list[tuple]]:
     """The crossing report of t1 against t2 and, for each maximal edge in
-    order, its quadrilateral and :func:`quad_crossers` sets (both None for a
-    border edge)."""
+    order, its quadrilateral and :func:`quad_crossers` sets.  A maximal edge
+    is crossed, so it is interior and has a quadrilateral."""
     require_same_instance(t1, t2)
+    require_valid(t1, "t1")
+    require_valid(t2, "t2")
     if t1.edges == t2.edges:
         raise AlreadyEqual("triangulations are equal; no maximal edges")
     crossings = count_pair(t1, t2)
     quads = _quadrilaterals(t1, crossings.max_edges)
-    sets = iter(quad_crossers(t1, [q for q in quads if q is not None], t2))
-    return crossings, [
-        (e, quad, None if quad is None else next(sets))
-        for e, quad in zip(crossings.max_edges, quads)
-    ]
+    return crossings, list(
+        zip(crossings.max_edges, quads, quad_crossers(t1, quads, t2))
+    )
 
 
 def audit_lemma1(t1: Triangulation, t2: Triangulation) -> AuditReport:
@@ -240,16 +245,7 @@ def audit_lemma1(t1: Triangulation, t2: Triangulation) -> AuditReport:
     _, found = _max_edge_crossers(t1, t2)
     report = AuditReport()
     for e, quad, _ in found:
-        if e in t1.instance.border_edges:
-            report.add(
-                "max-edge-not-border", "L1", FAIL, f"max edge {e} is a border edge"
-            )
-            continue
-        if quad is None:
-            report.add(
-                "max-edge-quad-exists", "L1", FAIL, f"max edge {e} has one face"
-            )
-        elif not quad.strictly_convex:
+        if not quad.strictly_convex:
             report.add(
                 "max-edge-quad-convex",
                 "L1",
@@ -289,8 +285,6 @@ def audit_lemma2(t1: Triangulation, t2: Triangulation) -> AuditReport:
     crossings, found = _max_edge_crossers(t1, t2)
     report = AuditReport()
     for e, quad, sets in found:
-        if quad is None:
-            continue
         cases = _corner_hypothesis_edges(quad, sets, t2)
         if cases:
             margin = crossings.per_edge[e] - len(sets["bd"])
@@ -312,8 +306,6 @@ def audit_lemma2_2(t1: Triangulation, t2: Triangulation) -> AuditReport:
     _, found = _max_edge_crossers(t1, t2)
     report = AuditReport()
     for e, quad, sets in found:
-        if quad is None:
-            continue
         a, _, c, _ = quad.vertices
         offenders = []
         for f in t2.edges:

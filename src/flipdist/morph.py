@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .errors import InvariantViolation, LemmaViolation
+from .errors import LemmaViolation
 from .triangulation import (
     Edge,
     MutableTriangulation,
@@ -17,7 +17,7 @@ from .triangulation import (
     flip_apexes,
     interior_edge_count,
     require_same_instance,
-    validate,
+    require_valid,
 )
 
 
@@ -83,7 +83,8 @@ def _reducing_flip(
     """The first maximal edge, in canonical order, whose flip lowers its count.
 
     ``counts`` holds the count of each crossed edge: the bit count of its
-    mask in ``crossers``.  Returns the edge's quadrilateral and the new
+    mask in ``crossers``.  A crossed edge is interior, so it has a
+    quadrilateral.  Returns the edge's quadrilateral and the new
     diagonal's crosser mask.  Every maximal edge must sit in a strictly
     convex quadrilateral, and at least one must qualify; either failure
     raises LemmaViolation.
@@ -115,7 +116,7 @@ def _reducing_flip(
     maximal = sorted(e for e, c in counts.items() if c == best)
     for e in maximal:
         quad = state.quadrilateral(e)
-        if quad is None or not quad.strictly_convex:
+        if not quad.strictly_convex:
             raise LemmaViolation(
                 f"maximal edge {e} has no strictly convex quadrilateral"
             )
@@ -140,9 +141,9 @@ def _diagonal_mask(
 def morph(t1: Triangulation, t2: Triangulation) -> FlipSequence:
     """A flip sequence from t1 to t2 of length at most their crossing total.
 
-    Raises InstanceMismatch for different instances and InvariantViolation
-    when either input is not a valid triangulation (``validate``'s verdict
-    is cached on each).  Each step flips the first maximal edge, in
+    Raises InstanceMismatch for different instances and, from
+    :func:`require_valid`, InvariantViolation when either input is not a
+    valid triangulation.  Each step flips the first maximal edge, in
     canonical order, whose flip lowers its count (:func:`_reducing_flip`),
     so the per-step totals strictly decrease to zero.
 
@@ -154,10 +155,8 @@ def morph(t1: Triangulation, t2: Triangulation) -> FlipSequence:
     masks of its quadrilateral's sides: no step calls a kernel.
     """
     require_same_instance(t1, t2)
-    for label, t in (("t1", t1), ("t2", t2)):
-        bad = validate(t)
-        if bad:
-            raise InvariantViolation(f"{label} is not a valid triangulation", bad)
+    require_valid(t1, "t1")
+    require_valid(t2, "t2")
     crossers, at = _crosser_masks(t1, t2)
     counts = {e: mask.bit_count() for e, mask in crossers.items()}
     total = sum(counts.values())

@@ -34,14 +34,14 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import FlipdistError, GraphTooLarge, InstanceTooLarge, NotATriangulation
+from .errors import FlipdistError, GraphTooLarge, InstanceTooLarge
 from .triangulation import (
     Edge,
     Instance,
     Triangulation,
     interior_edge_count,
     require_same_instance,
-    validate,
+    require_valid,
 )
 
 MAX_NODES = 10**6
@@ -55,11 +55,11 @@ _CELL_BLOCK = 1 << 16
 class FlipGraph:
     """The graph of all triangulations reachable from a seed by single flips.
 
-    ``nodes`` lists their keys in discovery order, ``index`` maps a key to
-    its node id, and ``adjacency[u]`` lists ``(flipped edge, neighbour id)``
-    in edge order.  ``index`` and ``adjacency`` are built the first time
-    they are read: ``adjacency`` from the search's arc arrays, which hold
-    source id, flipped pair id and target id in (source, flipped) order.
+    ``nodes`` lists their keys in discovery order, and ``adjacency[u]``
+    lists ``(flipped edge, neighbour id)`` in edge order.  ``adjacency`` is
+    built the first time it is read, from the search's arc arrays, which
+    hold source id, flipped pair id and target id in (source, flipped)
+    order.
     """
 
     def __init__(
@@ -71,10 +71,6 @@ class FlipGraph:
         self.instance = instance
         self.nodes = nodes
         self._arcs = arcs
-
-    @cached_property
-    def index(self) -> dict[int, int]:
-        return {k: u for u, k in enumerate(self.nodes)}
 
     @cached_property
     def adjacency(self) -> list[list[tuple[Edge, int]]]:
@@ -180,17 +176,6 @@ def _first_seen(rows: np.ndarray, known: int) -> np.ndarray:
     return first[known:]
 
 
-def _require_triangulation(t: Triangulation, role: str) -> None:
-    """Raise NotATriangulation unless ``t`` passes :func:`validate` (whose
-    verdict is cached): a search from a non-maximal set would run without
-    complaint."""
-    violations = validate(t)
-    if violations:
-        raise NotATriangulation(
-            f"{role} is not a triangulation: " + "; ".join(violations)
-        )
-
-
 def build_flip_graph(seed: Triangulation) -> FlipGraph:
     """BFS closure of the seed under all legal flips, a level at a time.
 
@@ -198,10 +183,12 @@ def build_flip_graph(seed: Triangulation) -> FlipGraph:
     level's neighbours are told apart from the two levels before them only.
     Node ids are assigned in discovery order: by level, then by the first
     arc in (node, flipped edge) order that reaches the node.  Raises
-    NotATriangulation when the seed is not a triangulation, and
-    GraphTooLarge when the closure has more than MAX_NODES triangulations.
+    InvariantViolation (:func:`require_valid`) when the seed is not a valid
+    triangulation, since a search from a non-maximal set would run without
+    complaint, and GraphTooLarge when the closure has more than MAX_NODES
+    triangulations.
     """
-    _require_triangulation(seed, "seed")
+    require_valid(seed, "seed")
     inst = seed.instance
     flips = _flip_table(inst)
     level = _rows([seed.key()], flips.words)
@@ -243,19 +230,16 @@ def exact_flip_distance(t1: Triangulation, t2: Triangulation) -> int:
     other side is at depth lb there, and the first meeting, la + 1 + lb,
     is optimal.  So each side keeps its last two levels only, for its own
     dedupe (as in :func:`build_flip_graph`) and for the other side's
-    meeting test.  Raises NotATriangulation when t1 is not a triangulation,
-    GraphTooLarge when the two sides together discover more than MAX_NODES
-    triangulations, counted in arc order up to the first meeting, and
-    FlipdistError when t2 is not a triangulation or a side runs out of
-    nodes before they meet.
+    meeting test.  Raises InvariantViolation (:func:`require_valid`) when
+    t1 or t2 is not a valid triangulation, GraphTooLarge when the two sides
+    together discover more than MAX_NODES triangulations, counted in arc
+    order up to the first meeting, and FlipdistError when a side runs out of
+    nodes before they meet, which the connected flip graph of valid
+    triangulations never lets happen.
     """
     require_same_instance(t1, t2)
-    unreachable = FlipdistError(
-        "target triangulation unreachable by flips (flip graph disconnected)"
-    )
-    if validate(t2):
-        raise unreachable
-    _require_triangulation(t1, "t1")
+    require_valid(t1, "t1")
+    require_valid(t2, "t2")
     start, goal = t1.key(), t2.key()
     if start == goal:
         return 0
@@ -281,7 +265,9 @@ def exact_flip_distance(t1: Triangulation, t2: Triangulation) -> int:
             return depth + 1 + other_depth
         total += int(np.count_nonzero(new))
         sides[side] = [level, keys[new], depth + 1]
-    raise unreachable
+    raise FlipdistError(
+        "target triangulation unreachable by flips (flip graph disconnected)"
+    )
 
 
 def enumerate_triangulations_direct(inst: Instance) -> list[int]:

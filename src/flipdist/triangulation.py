@@ -773,6 +773,18 @@ def validate(t: Triangulation) -> list[str]:
     return list(t._violations)
 
 
+def require_valid(t: Triangulation, label: str) -> None:
+    """Raise InvariantViolation, naming ``t`` by ``label`` and listing
+    :func:`validate`'s violations, unless t is a valid triangulation.
+
+    The one gate of every operation that takes triangulations: the morph,
+    the audits and the flip searches.  It reads the cached verdict.
+    """
+    violations = validate(t)
+    if violations:
+        raise InvariantViolation(f"{label} is not a valid triangulation", violations)
+
+
 def _area2(points: Sequence[Point]) -> int:
     """Twice the signed area of a polygon, exactly (the shoelace formula)."""
     return sum(

@@ -5,7 +5,7 @@ import pytest
 from flipdist import lemmas
 from flipdist.cli import run as cli_run
 from flipdist.errors import AlreadyEqual, InvariantViolation
-from flipdist.generate import GenSpec
+from flipdist.generate import GenSpec, generate_instance
 from flipdist.triangulation import Triangulation, greedy_triangulate
 from helpers import generate_pair
 
@@ -36,6 +36,22 @@ def test_propositions_reject_invalid_input(square):
     ok = greedy_triangulate(square)
     with pytest.raises(InvariantViolation):
         lemmas.audit_propositions(broken, ok)
+
+
+def test_border_edges_shared_fails_on_a_crossed_border_edge(monkeypatch):
+    """P8 computes the border's crossings itself: count_pair reports 0 for
+    every border edge.  The gate is patched out to forge a t2 with an edge
+    that crosses the border edge (5, 8)."""
+    inst = generate_instance(
+        GenSpec(seed=3, n_points=10, shape="random_simple_border")
+    )
+    t1 = greedy_triangulate(inst)
+    t2 = Triangulation(inst, t1.edges | {(0, 9)})
+    monkeypatch.setattr(lemmas, "require_valid", lambda t, label: None)
+    report = lemmas.audit_propositions(t1, t2)
+    (p8,) = [c for c in report.checks if c.name == "border-edges-shared"]
+    assert p8.status == lemmas.FAIL
+    assert p8.witness == "missing=[] crossed=[(5, 8)]"
 
 
 def test_lemma1_square_pair(square_pair):

@@ -143,6 +143,7 @@ def test_flip_graph_adjacency_matches_flip(which, holed):
     inst = holed if spec is None else generate_instance(spec)
     graph = build_flip_graph(greedy_triangulate(inst))
     assert len(graph.nodes) == size
+    index = {k: u for u, k in enumerate(graph.nodes)}
     non_convex = 0
     for u in range(len(graph.nodes)):
         t = Triangulation(inst, inst.edges_of(graph.nodes[u]))
@@ -150,7 +151,7 @@ def test_flip_graph_adjacency_matches_flip(which, holed):
         for e in t.interior_edges():
             quad = quadrilateral_of(t, e)
             if quad is not None and quad.strictly_convex:
-                expected.append((e, graph.index[flip(t, e).key()]))
+                expected.append((e, index[flip(t, e).key()]))
             else:
                 non_convex += 1
         assert graph.adjacency[u] == expected

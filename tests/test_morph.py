@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from flipdist import kernels
+from flipdist import kernels, lemmas
 from flipdist.crossings import count_pair, quad_crossers
 from flipdist.errors import InstanceMismatch, InvariantViolation
 from flipdist.formats import parse_triangulation, serialize_sequence
@@ -16,7 +16,7 @@ from flipdist.morph import (
     morph,
 )
 from flipdist.generate import GenSpec, random_priority
-from flipdist.oracle import enumerate_triangulations_direct
+from flipdist.oracle import enumerate_triangulations_direct, exact_flip_distance
 from flipdist.triangulation import (
     Instance,
     MutableTriangulation,
@@ -186,15 +186,38 @@ def _invalid_hexagon(hexagon, case):
     return Triangulation(hexagon, t.edges | {(1, 3)})  # (1, 3) crosses (0, 2)
 
 
-@pytest.mark.parametrize("side", ["t1", "t2"])
-@pytest.mark.parametrize("case", ["missing_edge", "crossing_diagonals"])
-def test_morph_rejects_invalid_input(hexagon, case, side):
-    # Not a counterexample to the lemma: the input is reported instead.
+# Every operation on a pair of triangulations refuses an invalid one through
+# the same gate, triangulation.require_valid.
+GATED = {
+    "morph": morph,
+    "audit_propositions": lemmas.audit_propositions,
+    "audit_lemma1": lemmas.audit_lemma1,
+    "audit_lemma2": lemmas.audit_lemma2,
+    "audit_lemma2_2": lemmas.audit_lemma2_2,
+    "exact_flip_distance": exact_flip_distance,
+}
+
+
+@pytest.mark.parametrize(
+    "operation, case, side",
+    [
+        # morph's ids carry no operation, so its cases keep their names.
+        pytest.param(
+            operation, case, side,
+            id=f"{case}-{side}" + ("" if operation == "morph" else f"-{operation}"),
+        )
+        for operation in GATED
+        for case in ("crossing_diagonals", "missing_edge")
+        for side in ("t1", "t2")
+    ],
+)
+def test_morph_rejects_invalid_input(hexagon, operation, case, side):
+    # Not a counterexample to the lemmas: the input is reported instead.
     bad = _invalid_hexagon(hexagon, case)
     good = greedy_triangulate(hexagon, priority=lambda e: (-e[0], -e[1]))
     pair = (bad, good) if side == "t1" else (good, bad)
     with pytest.raises(InvariantViolation) as info:
-        morph(*pair)
+        GATED[operation](*pair)
     assert str(info.value).startswith(f"{side} is not a valid triangulation: ")
     assert info.value.violations == validate(bad) != []
 

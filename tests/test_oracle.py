@@ -7,12 +7,7 @@ import pytest
 
 from flipdist import formats, oracle
 from flipdist.cli import run as cli_run
-from flipdist.errors import (
-    FlipdistError,
-    GraphTooLarge,
-    InstanceTooLarge,
-    NotATriangulation,
-)
+from flipdist.errors import GraphTooLarge, InstanceTooLarge, InvariantViolation
 from flipdist.generate import GenSpec, generate_instance, random_priority
 from flipdist.oracle import (
     build_flip_graph,
@@ -25,6 +20,7 @@ from flipdist.triangulation import (
     apex_map,
     apex_quadrilateral,
     greedy_triangulate,
+    validate,
 )
 from helpers import distances_from
 
@@ -292,7 +288,6 @@ def test_flip_graph_matches_tuple_reference(name):
     assert len(nodes) > 1
     assert [inst.edges_of(k) for k in graph.nodes] == nodes
     assert graph.adjacency == adjacency
-    assert graph.index == {k: u for u, k in enumerate(graph.nodes)}
     for k in graph.nodes:
         assert Triangulation(inst, inst.edges_of(k)).key() == k
 
@@ -321,25 +316,31 @@ def _without_an_interior_edge(inst):
 @pytest.mark.parametrize("name", ["convex8", "sweep_holed10", "star16"])
 def test_flip_graph_refuses_a_non_triangulation(name):
     _, seed = _without_an_interior_edge(DIFFERENTIAL_INSTANCES[name]())
-    with pytest.raises(NotATriangulation, match="seed is not a triangulation: "):
+    with pytest.raises(InvariantViolation) as info:
         build_flip_graph(seed)
+    assert str(info.value).startswith("seed is not a valid triangulation: ")
+    assert info.value.violations == validate(seed) != []
 
 
 @pytest.mark.parametrize("name", ["convex8", "sweep_holed10", "star16"])
 def test_distance_refuses_a_non_triangulation_source(name):
     t2, t1 = _without_an_interior_edge(DIFFERENTIAL_INSTANCES[name]())
-    with pytest.raises(NotATriangulation, match="t1 is not a triangulation: "):
+    with pytest.raises(InvariantViolation) as info:
         exact_flip_distance(t1, t2)
+    assert str(info.value).startswith("t1 is not a valid triangulation: ")
+    assert info.value.violations == validate(t1) != []
 
 
-def test_distance_to_non_triangulation_unreachable(holed):
+def test_distance_refuses_a_non_triangulation_target(holed):
     # Dyn, Goren & Rippa: the flip graph of a polygonal domain is connected,
-    # so this branch fires only when t2 is not a triangulation.
+    # so a t2 no search reaches is not a node of it: the gate names it.
     t1 = greedy_triangulate(holed)
     e = t1.interior_edges()[0]
     t2 = Triangulation(holed, t1.edges - {e})
-    with pytest.raises(FlipdistError, match="unreachable"):
+    with pytest.raises(InvariantViolation) as info:
         exact_flip_distance(t1, t2)
+    assert str(info.value).startswith("t2 is not a valid triangulation: ")
+    assert info.value.violations == validate(t2) != []
 
 
 def test_flip_graph_node_cap(monkeypatch):
