@@ -78,16 +78,13 @@ def quad_crossers(
     6 * len(quads) segments go to one :func:`kernels.crossing_matrix` call.
     """
     require_same_instance(t1, t2)
-    pts = t1.instance.points
+    inst = t1.instance
     rows = []
     for quad in quads:
-        a, b, c, d = (pts[v] for v in quad.vertices)
+        a, b, c, d = quad.vertices
         rows += [(a, b), (b, c), (c, d), (d, a), (a, c), (b, d)]
     edges = sorted(t2.edges)
-    hits = kernels.crossing_matrix(
-        kernels.segments_array(rows),
-        kernels.segments_array([t2.segment(e) for e in edges]),
-    )
+    hits = kernels.crossing_matrix(inst.segments(rows), inst.segments(edges))
     # Rows 6k .. 6k+5 are the segments of quads[k], in QUAD_SEGMENTS order.
     grid = hits.reshape(len(quads), len(QUAD_SEGMENTS), len(edges))
     return [

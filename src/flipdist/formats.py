@@ -167,10 +167,7 @@ def parse_instance(doc: bytes | str, known: Optional[Instance] = None) -> Instan
     return _parse_instance_obj(_load(doc), "instance", known)
 
 
-def _parse_edges(obj: Any, inst: Instance, where: str) -> list[tuple[int, int]]:
-    edges_raw = _expect(obj, "edges", list, where) if isinstance(obj, dict) else obj
-    if not isinstance(edges_raw, list):
-        raise ParseError("edges must be a list", where)
+def _parse_edges(edges_raw: list, inst: Instance, where: str) -> list[tuple[int, int]]:
     flat = _flat_ints(edges_raw, 2)
     if (
         flat is None
@@ -234,7 +231,8 @@ def parse_triangulation(
     obj = _load(doc)
     _check_format(obj, TRIANGULATION_FORMAT, "triangulation")
     inst = _resolve_instance(obj, "triangulation", base_dir, known)
-    edges = _parse_edges(obj, inst, "triangulation.edges")
+    where = "triangulation.edges"
+    edges = _parse_edges(_expect(obj, "edges", list, where), inst, where)
     t = Triangulation(inst, edges)
     if validate_on_load:
         violations = validate(t)
@@ -335,8 +333,7 @@ def _check_totals(
     target) off and puts #(added, target) on."""
     rows = [e for step in steps for e in (step.removed, step.added)]
     counts = kernels.crossing_counts(
-        kernels.segments_array([start.segment(e) for e in rows]),
-        target.interior_array(),
+        start.instance.segments(rows), target.interior_array()
     ).tolist()
     total = count_pair(start, target).total
     for i, step in enumerate(steps):

@@ -6,11 +6,14 @@ time without a kernel call.  The crossing grid is also the planarity scan
 of :func:`flipdist.triangulation.validate`'s full checks, which names its
 crossing pairs, the simplicity and overlap scan of the border polygons in
 ``Instance.validate``, the grid of an instance's admissible pairs that
-every search of :mod:`flipdist.oracle` reads (``Instance.crossing_grid``),
+every search of :mod:`flipdist.oracle` reads (``oracle._FlipTable``),
 and the blocks of candidates
 :func:`flipdist.triangulation.greedy_triangulate` tests against the edges
 it has accepted; each audit reads the grid of its quadrilateral segments
-once, through :func:`flipdist.crossings.quad_crossers`.
+once, through :func:`flipdist.crossings.quad_crossers`.  Every segment
+array these grids read is packed by ``Instance.segments``: vertex-id pairs
+indexed into the instance's packed points (:class:`Points`) under the
+int64 gate, the coordinates themselves beyond it.
 
 Two point-location kernels answer whether a segment between two vertices
 is admissible (``triangulation._segment_defects``, behind
@@ -120,12 +123,13 @@ def _orient(dx, dy, k, x, y):
 
 
 class Points:
-    """Vertex coordinates for the point-location kernels, packed once: the
-    tuples themselves (``coords``, for the exact loop) and, when every
-    coordinate is within ``INT64_SAFE_LIMIT``, an (n, 2) int64 ``array``
-    with its columns ``x`` and ``y`` (None otherwise, which sends every
-    kernel to the exact loop).  The gate reads the ints before packing, so
-    no value beyond int64 reaches numpy.
+    """Vertex coordinates for the point-location kernels and for
+    ``Instance.segments``, packed once: the tuples themselves (``coords``,
+    for the exact loop) and, when every coordinate is within
+    ``INT64_SAFE_LIMIT``, an (n, 2) int64 ``array`` with its columns ``x``
+    and ``y`` (None otherwise, which sends every kernel to the exact loop).
+    The gate reads the ints before packing, so no value beyond int64
+    reaches numpy.
     """
 
     def __init__(self, points: Sequence[geometry.Point]):
@@ -338,8 +342,8 @@ def _classes_numpy(
 
 
 def _within_limit(a: np.ndarray) -> bool:
-    # Only int64 arrays are safe: segments_array packs coordinates beyond
-    # int64 as Python ints.  abs(-2^63) wraps to -2^63, which the unsigned
+    # Only int64 arrays are safe: coordinates beyond int64 are packed as
+    # Python ints.  abs(-2^63) wraps to -2^63, which the unsigned
     # view reads as 2^63.
     return a.dtype == np.int64 and (
         len(a) == 0 or bool(np.abs(a).view(np.uint64).max() <= INT64_SAFE_LIMIT)

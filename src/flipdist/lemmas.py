@@ -19,9 +19,8 @@ from .triangulation import (
     Edge,
     Quadrilateral,
     Triangulation,
-    apex_map,
-    apex_quadrilateral,
     canonical_edge,
+    quadrilateral_of,
     require_same_instance,
     require_valid,
 )
@@ -85,13 +84,6 @@ def _signed_det(p, q, r) -> int:
     return (q[0] - p[0]) * (r[1] - p[1]) - (q[1] - p[1]) * (r[0] - p[0])
 
 
-def _quadrilaterals(
-    t: Triangulation, edges: tuple[Edge, ...]
-) -> list[Quadrilateral]:
-    pts, apexes = t.instance.points, apex_map(t)
-    return [apex_quadrilateral(pts, apexes, e) for e in edges]
-
-
 def audit_propositions(t1: Triangulation, t2: Triangulation) -> AuditReport:
     """Structural sanity of a pair of valid triangulations.
 
@@ -107,10 +99,20 @@ def audit_propositions(t1: Triangulation, t2: Triangulation) -> AuditReport:
     pts = t1.instance.points
     crossings = count_pair(t1, t2)
 
-    # P1: planarity of each triangulation (validated above).
-    report.add("planarity", "P1", PASS)
+    # P1: planarity of each triangulation, witnessed by the first crossing
+    # pair of its sorted edges in row-major order.
+    for label, t in (("t1", t1), ("t2", t2)):
+        edges = sorted(t.edges)
+        packed = t.instance.segments(edges)
+        grid = kernels.crossing_matrix(packed, packed)
+        if grid.any():
+            i, j = divmod(int(grid.argmax()), len(edges))
+            witness = f"{label} edges {edges[i]} and {edges[j]} cross"
+            report.add("planarity", "P1", FAIL, witness)
+    if not report.checks:
+        report.add("planarity", "P1", PASS)
 
-    quads = _quadrilaterals(t1, t1.interior_edges())
+    quads = [quadrilateral_of(t1, e) for e in t1.interior_edges()]
     crossers = quad_crossers(t1, quads, t2)
     # P2: endpoint kinds of every t2 edge entering a t1 quadrilateral: those
     # crossing a side or the diagonal ac, and the other diagonal bd when t2
@@ -209,8 +211,7 @@ def audit_propositions(t1: Triangulation, t2: Triangulation) -> AuditReport:
     missing = sorted((border - t1.edges) | (border - t2.edges))
     edges = sorted(border)
     hits = kernels.crossing_matrix(
-        kernels.segments_array([t1.segment(e) for e in edges]),
-        t2.interior_array(),
+        t1.instance.segments(edges), t2.interior_array()
     ).any(axis=1)
     crossed_border = [e for e, hit in zip(edges, hits) if hit]
     report.verdict(
@@ -222,29 +223,27 @@ def audit_propositions(t1: Triangulation, t2: Triangulation) -> AuditReport:
     return report
 
 
-def _max_edge_crossers(
+def _max_edge_quads(
     t1: Triangulation, t2: Triangulation
-) -> tuple[CrossingReport, list[tuple]]:
-    """The crossing report of t1 against t2 and, for each maximal edge in
-    order, its quadrilateral and :func:`quad_crossers` sets.  A maximal edge
-    is crossed, so it is interior and has a quadrilateral."""
+) -> tuple[CrossingReport, list[Quadrilateral]]:
+    """The crossing report of t1 against t2 and the quadrilaterals of its
+    maximal edges, in order, each with its edge as ``diagonal``.  A maximal
+    edge is crossed, so it is interior and has a quadrilateral."""
     require_same_instance(t1, t2)
     require_valid(t1, "t1")
     require_valid(t2, "t2")
     if t1.edges == t2.edges:
         raise AlreadyEqual("triangulations are equal; no maximal edges")
     crossings = count_pair(t1, t2)
-    quads = _quadrilaterals(t1, crossings.max_edges)
-    return crossings, list(
-        zip(crossings.max_edges, quads, quad_crossers(t1, quads, t2))
-    )
+    return crossings, [quadrilateral_of(t1, e) for e in crossings.max_edges]
 
 
 def audit_lemma1(t1: Triangulation, t2: Triangulation) -> AuditReport:
     """Every maximally-crossing edge sits in a strictly convex quadrilateral."""
-    _, found = _max_edge_crossers(t1, t2)
+    _, quads = _max_edge_quads(t1, t2)
     report = AuditReport()
-    for e, quad, _ in found:
+    for quad in quads:
+        e = quad.diagonal
         if not quad.strictly_convex:
             report.add(
                 "max-edge-quad-convex",
@@ -282,9 +281,10 @@ def audit_lemma2(t1: Triangulation, t2: Triangulation) -> AuditReport:
 
     Flipping e to bd replaces e's crossings by bd's, its ``bd`` set.
     """
-    crossings, found = _max_edge_crossers(t1, t2)
+    crossings, quads = _max_edge_quads(t1, t2)
     report = AuditReport()
-    for e, quad, sets in found:
+    for quad, sets in zip(quads, quad_crossers(t1, quads, t2)):
+        e = quad.diagonal
         cases = _corner_hypothesis_edges(quad, sets, t2)
         if cases:
             margin = crossings.per_edge[e] - len(sets["bd"])
@@ -303,9 +303,10 @@ def audit_lemma2(t1: Triangulation, t2: Triangulation) -> AuditReport:
 
 def audit_lemma2_2(t1: Triangulation, t2: Triangulation) -> AuditReport:
     """No t2 edge from a diagonal endpoint crosses the quadrilateral."""
-    _, found = _max_edge_crossers(t1, t2)
+    _, quads = _max_edge_quads(t1, t2)
     report = AuditReport()
-    for e, quad, sets in found:
+    for quad, sets in zip(quads, quad_crossers(t1, quads, t2)):
+        e = quad.diagonal
         a, _, c, _ = quad.vertices
         offenders = []
         for f in t2.edges:

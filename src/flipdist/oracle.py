@@ -3,7 +3,8 @@
 Every search names a triangulation by its :meth:`Triangulation.key`, an int
 with bit i set iff ``inst.admissible_pairs()[i]`` is one of its edges;
 ``inst.edges_of(key)`` decodes a key into its sorted edge list.  All three
-read one crossing grid per instance, :meth:`Instance.crossing_grid`.  The
+read one crossing grid per instance, that of its admissible pairs, which
+:class:`_FlipTable` computes and the weak memo ``_TABLES`` keeps.  The
 two flip searches hold keys as rows of W = ceil(P / 64) little-endian
 uint64 words, for P admissible pairs, and expand a whole breadth-first
 level at a time.
@@ -34,6 +35,7 @@ from functools import cached_property
 
 import numpy as np
 
+from . import kernels
 from .errors import FlipdistError, GraphTooLarge, InstanceTooLarge
 from .triangulation import (
     Edge,
@@ -100,17 +102,20 @@ class _FlipTable:
     """An instance's crossing grid as the searches read it, built once per
     instance.
 
-    ``cand`` lists the pairs that cross some admissible pair, the only ones
-    a flip can add.  ``table`` holds their grid columns, then the same
-    columns with row i weighted by i: a key's bits times ``table`` give,
-    for each candidate j, |m| and the sum of the ids in m.  In float32 both
-    are exact where they are read: a count is at most P, and a sum is read
-    only where it has one term, an id below P (P < 2^24).  ``bits`` holds
-    each pair's own bit as a key row.
+    ``grid`` is the crossing grid of the admissible pairs, one
+    :func:`kernels.crossing_matrix` call: entry (i, j) is whether pairs i
+    and j cross properly.  ``cand`` lists the pairs that cross some
+    admissible pair, the only ones a flip can add.  ``table`` holds their
+    grid columns, then the same columns with row i weighted by i: a key's
+    bits times ``table`` give, for each candidate j, |m| and the sum of the
+    ids in m.  In float32 both are exact where they are read: a count is at
+    most P, and a sum is read only where it has one term, an id below P
+    (P < 2^24).  ``bits`` holds each pair's own bit as a key row.
     """
 
     def __init__(self, inst: Instance):
-        grid = inst.crossing_grid()
+        packed = inst.segments(inst.admissible_pairs())
+        self.grid = grid = kernels.crossing_matrix(packed, packed)
         self.pairs = len(grid)
         self.words = -(-self.pairs // 64)
         ids = np.arange(self.pairs)
@@ -291,7 +296,7 @@ def enumerate_triangulations_direct(inst: Instance) -> list[int]:
     # Bit j of crossers[i]: pairs i and j cross.
     crossers = [
         int.from_bytes(row.tobytes(), "little")
-        for row in np.packbits(inst.crossing_grid(), axis=1, bitorder="little")
+        for row in np.packbits(_flip_table(inst).grid, axis=1, bitorder="little")
     ]
     results: list[int] = []
 

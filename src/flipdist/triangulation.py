@@ -101,8 +101,7 @@ class Instance:
         )
         self._admissible: Optional[tuple[Edge, ...]] = None
         self._edge_index: Optional[dict[Edge, int]] = None
-        self._crossing_grid: Optional[np.ndarray] = None
-        # The points packed once for the point-location kernels.
+        # The points packed once for the kernels (see :meth:`segments`).
         self._packed = kernels.Points(self.points)
         violations = self.validate()
         if violations:
@@ -126,6 +125,16 @@ class Instance:
 
     def segment(self, e: Edge) -> Segment:
         return (self.points[e[0]], self.points[e[1]])
+
+    def segments(self, edges: Sequence[Edge]) -> np.ndarray:
+        """The segments of ``edges``, vertex-id pairs, packed as the crossing
+        kernels read them: an (m, 4) array [ax, ay, bx, by].  Under the int64
+        gate its rows index the packed points; beyond it the coordinates
+        themselves are packed, as Python ints past int64."""
+        if self._packed.array is None:
+            return kernels.segments_array([self.segment(e) for e in edges])
+        ids = np.array(edges, dtype=np.int64).reshape(-1, 2)
+        return self._packed.array[ids].reshape(-1, 4)
 
     @property
     def is_pinched(self) -> bool:
@@ -155,7 +164,7 @@ class Instance:
                 for k, v in enumerate(poly):
                     sides.append(canonical_edge(v, poly[(k + 1) % len(poly)]))
                     owner.append(b)
-        segs = kernels.segments_array([self.segment(e) for e in sides])
+        segs = self.segments(sides)
         # The first crossing of each pair of polygons, by owner ids, in
         # row-major order: within one polygon it names the earlier edge first.
         witness: dict[tuple[int, int], str] = {}
@@ -230,8 +239,7 @@ class Instance:
         if self._admissible is None:
             pairs = [(i, j) for i in range(self.n) for j in range(i + 1, self.n)]
             crossing = kernels.crossing_matrix(
-                kernels.segments_array([self.segment(e) for e in pairs]),
-                kernels.segments_array([self.segment(e) for e in self.border_edges]),
+                self.segments(pairs), self.segments(sorted(self.border_edges))
             ).any(axis=1)
             pairs = [e for e, c in zip(pairs, crossing) if not c]
             inside, leaving = _segment_defects(self, pairs)
@@ -245,16 +253,6 @@ class Instance:
         if self._edge_index is None:
             self._edge_index = {e: i for i, e in enumerate(self.admissible_pairs())}
         return self._edge_index
-
-    def crossing_grid(self) -> np.ndarray:
-        """The crossing grid of the admissible pairs, computed once: entry
-        (i, j) is whether pairs i and j cross properly."""
-        if self._crossing_grid is None:
-            packed = kernels.segments_array(
-                [self.segment(e) for e in self.admissible_pairs()]
-            )
-            self._crossing_grid = kernels.crossing_matrix(packed, packed)
-        return self._crossing_grid
 
     def edges_of(self, key: int) -> tuple[Edge, ...]:
         """The sorted edge list a :meth:`Triangulation.key` stands for."""
@@ -359,9 +357,7 @@ class Triangulation:
     def interior_array(self):
         """Interior-edge coordinates packed for the batch kernels."""
         if self._interior_array is None:
-            self._interior_array = kernels.segments_array(
-                [self.segment(e) for e in self.interior_edges()]
-            )
+            self._interior_array = self.instance.segments(self.interior_edges())
         return self._interior_array
 
 
@@ -732,7 +728,7 @@ def greedy_triangulate(
     """
     candidates = [e for e in inst.admissible_pairs() if e not in inst.border_edges]
     candidates.sort(key=priority if priority is not None else lambda e: e)
-    segs = kernels.segments_array([inst.segment(e) for e in candidates])
+    segs = inst.segments(candidates)
     accepted = segs[:0]
     chosen = set(inst.border_edges)
     for lo in range(0, len(candidates), _GREEDY_BLOCK):
@@ -877,7 +873,7 @@ def _violations(t: Triangulation) -> list[str]:
         if e[0] < 0 or e[1] >= inst.n or e[0] == e[1]:
             out.append(f"invalid edge {e}")
             return out
-    packed = kernels.segments_array([inst.segment(e) for e in edges])
+    packed = inst.segments(edges)
     crossing = np.triu(kernels.crossing_matrix(packed, packed))
     for i, j in zip(*np.nonzero(crossing)):  # row-major: i, then j
         out.append(f"edges {edges[i]} and {edges[j]} cross")
@@ -889,9 +885,7 @@ def _violations(t: Triangulation) -> list[str]:
     if not out and actual == expected:
         return out
     candidates = sorted(set(inst.admissible_pairs()) - t.edges)
-    blocked = kernels.crossing_matrix(
-        kernels.segments_array([inst.segment(e) for e in candidates]), packed
-    ).any(axis=1)
+    blocked = kernels.crossing_matrix(inst.segments(candidates), packed).any(axis=1)
     for cand, hit in zip(candidates, blocked):
         if not hit:
             out.append(f"not maximal: edge {cand} could be added")

@@ -72,6 +72,18 @@ def test_validate_parse_error(tmp_path, capsys):
     assert "parse error" in capsys.readouterr().err
 
 
+def test_dangling_instance_path_is_a_located_parse_error(files, capsys):
+    tmp, _, f1, f2 = files
+    doc = json.loads(f1.read_bytes())
+    del doc["instance"]
+    doc["instance_path"] = "missing.json"
+    f1.write_text(json.dumps(doc))
+    assert run(["count", str(f1), str(f2)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("parse error: triangulation.instance_path: ")
+    assert str(tmp / "missing.json") in err
+
+
 def test_missing_file(tmp_path, capsys):
     assert run(["validate", str(tmp_path / "nope.json")]) == 1
     assert "error" in capsys.readouterr().err

@@ -184,6 +184,18 @@ def test_quad_crossers_exact_beyond_safe_limit():
 _SCALED = [(-16, -16), (16, -16), (16, 16), (-16, 16), (1, 2), (-3, 5), (7, -4)]
 
 
+@pytest.mark.parametrize("scale", [1, 1 << 40, 1 << 70])
+def test_instance_segments_equal_packed_coordinates(scale):
+    """Under the int64 gate Instance.segments indexes the packed points,
+    beyond it it packs the coordinates; both give segments_array's array."""
+    inst = Instance([(x * scale, y * scale) for x, y in _SCALED], [[0, 1, 2, 3]])
+    edges = [(0, 2), (4, 6), (1, 5), (3, 4)]
+    want = kernels.segments_array([inst.segment(e) for e in edges])
+    got = inst.segments(edges)
+    assert got.dtype == want.dtype and got.tolist() == want.tolist()
+    assert inst.segments([]).shape == (0, 4)
+
+
 def _pipeline(scale):
     inst = Instance([(x * scale, y * scale) for x, y in _SCALED], [[0, 1, 2, 3]])
     t1 = greedy_triangulate(inst)

@@ -163,6 +163,52 @@ def test_parse_sequence_rejects_broken_chain(hexagon):
         formats.parse_sequence(json.dumps(doc))
 
 
+def test_parse_sequence_rejects_a_dropped_last_step(hexagon):
+    """Without its last step a sequence still chains and decreases, but
+    ends above zero crossings."""
+    t1 = greedy_triangulate(hexagon)
+    t2 = greedy_triangulate(hexagon, priority=lambda e: (-e[0], -e[1]))
+    doc = json.loads(formats.serialize_sequence(morph(t1, t2)))
+    assert len(doc["steps"]) >= 2
+    del doc["steps"][-1]
+    with pytest.raises(InvariantViolation) as exc:
+        formats.parse_sequence(json.dumps(doc))
+    assert str(exc.value) == "last step does not reach zero crossings"
+
+
+def _instance_by_path(doc, path):
+    """``doc`` with its embedded instance replaced by ``path``, or by
+    nothing when ``path`` is None."""
+    del doc["instance"]
+    if path is not None:
+        doc["instance_path"] = path
+    return json.dumps(doc).encode()
+
+
+@pytest.mark.parametrize(
+    "make, location, message",
+    [
+        (lambda doc: b"\xff" + json.dumps(doc).encode(), "document",
+         "can't decode byte 0xff"),
+        (lambda doc: json.dumps([doc]).encode(), "triangulation",
+         "expected an object"),
+        (lambda doc: _instance_by_path(doc, "missing.json"),
+         "triangulation.instance_path", "No such file or directory"),
+        (lambda doc: _instance_by_path(doc, None), "triangulation",
+         "missing field 'instance' or 'instance_path'"),
+    ],
+    ids=["non-utf8", "top-level-array", "dangling-instance-path", "no-instance"],
+)
+def test_parse_triangulation_refuses_document(
+    square, tmp_path, make, location, message
+):
+    doc = json.loads(formats.serialize_triangulation(greedy_triangulate(square)))
+    with pytest.raises(ParseError) as exc:
+        formats.parse_triangulation(make(doc), base_dir=tmp_path)
+    assert exc.value.location == location
+    assert message in str(exc.value)
+
+
 def _set(doc, path, value):
     *parents, last = path
     for key in parents:

@@ -41,7 +41,8 @@ def test_propositions_reject_invalid_input(square):
 def test_border_edges_shared_fails_on_a_crossed_border_edge(monkeypatch):
     """P8 computes the border's crossings itself: count_pair reports 0 for
     every border edge.  The gate is patched out to forge a t2 with an edge
-    that crosses the border edge (5, 8)."""
+    that crosses the border edge (5, 8).  P1 checks each triangulation's
+    planarity itself too, and names t2's first crossing pair."""
     inst = generate_instance(
         GenSpec(seed=3, n_points=10, shape="random_simple_border")
     )
@@ -49,6 +50,9 @@ def test_border_edges_shared_fails_on_a_crossed_border_edge(monkeypatch):
     t2 = Triangulation(inst, t1.edges | {(0, 9)})
     monkeypatch.setattr(lemmas, "require_valid", lambda t, label: None)
     report = lemmas.audit_propositions(t1, t2)
+    (p1,) = [c for c in report.checks if c.name == "planarity"]
+    assert p1.status == lemmas.FAIL
+    assert p1.witness == "t2 edges (0, 9) and (5, 8) cross"
     (p8,) = [c for c in report.checks if c.name == "border-edges-shared"]
     assert p8.status == lemmas.FAIL
     assert p8.witness == "missing=[] crossed=[(5, 8)]"
