@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import re
 import sys
 from pathlib import Path
 
@@ -70,7 +71,7 @@ def _cmd_triangulate(args) -> int:
         t = greedy_triangulate(inst)
     else:
         kind, _, seed = args.priority.partition(":")
-        if kind != "random" or not seed.lstrip("-").isdigit():
+        if kind != "random" or not re.fullmatch(r"-?[0-9]+", seed):
             print(
                 f"invalid --priority '{args.priority}' (use lex or random:SEED)",
                 file=sys.stderr,

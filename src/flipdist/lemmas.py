@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from . import geometry, kernels
 from .crossings import CrossingReport, count_pair, quad_crossers
@@ -141,13 +140,15 @@ def audit_propositions(t1: Triangulation, t2: Triangulation) -> AuditReport:
                 p2_failures.append(
                     f"edge {e} endpoint kinds {kinds} in quad {quad.vertices}"
                 )
-        for f, g in itertools.combinations(entering, 2):
-            p3_checked += 1
-            p3_failures += [
-                f"edges {f},{g} meet at {v} inside quad {quad.vertices}"
-                for v in set(f) & set(g)
-                if kind[v] == "inside"
-            ]
+        p3_checked += len(entering) * (len(entering) - 1) // 2
+        # Two entering edges can meet inside only at an inside endpoint.
+        if "inside" in kind.values():
+            for f, g in itertools.combinations(entering, 2):
+                p3_failures += [
+                    f"edges {f},{g} meet at {v} inside quad {quad.vertices}"
+                    for v in set(f) & set(g)
+                    if kind[v] == "inside"
+                ]
     report.verdict(
         "no-vertex-inside-quad", "P2", p2_failures, p2_checked, "edges",
         "no crossing edges",
@@ -165,14 +166,15 @@ def audit_propositions(t1: Triangulation, t2: Triangulation) -> AuditReport:
             continue
         for endpoint, far in ((e[0], e[1]), (e[1], e[0])):
             p, q = pts[endpoint], pts[far]
-
-            def param(f: Edge) -> Fraction:
+            # Crosser gh meets pq at |dp| / (|dp| + |dq|) of the way from p, dp
+            # and dq being det(g, h, p) and det(g, h, q): each fraction is < 1.
+            nearest, num, den = None, 1, 1
+            for f in sets["ac"]:
                 g, h = t2.segment(f)
-                dp = _signed_det(g, h, p)
-                dq = _signed_det(g, h, q)
-                return Fraction(dp, dp - dq)
-
-            nearest = min(sets["ac"], key=param)
+                dp = abs(_signed_det(g, h, p))
+                f_den = dp + abs(_signed_det(g, h, q))
+                if dp * den < num * f_den:
+                    nearest, num, den = f, dp, f_den
             checked += 1
             failures += [
                 f"edge {e}: nearest crosser {nearest} to vertex "

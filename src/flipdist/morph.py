@@ -76,18 +76,19 @@ def _crosser_masks(
 
 def _reducing_flip(
     state: MutableTriangulation,
-    counts: dict[Edge, int],
+    maximal: list[Edge],
+    best: int,
     crossers: dict[Edge, int],
     at: list[int],
-) -> tuple[Quadrilateral, int]:
+) -> tuple[int, Quadrilateral, int]:
     """The first maximal edge, in canonical order, whose flip lowers its count.
 
-    ``counts`` holds the count of each crossed edge: the bit count of its
-    mask in ``crossers``.  A crossed edge is interior, so it has a
-    quadrilateral.  Returns the edge's quadrilateral and the new
-    diagonal's crosser mask.  Every maximal edge must sit in a strictly
-    convex quadrilateral, and at least one must qualify; either failure
-    raises LemmaViolation.
+    ``maximal`` lists, sorted, the crossed edges whose count (the bit count
+    of their mask in ``crossers``) is the maximum ``best``.  A crossed edge
+    is interior, so it has a quadrilateral.  Returns the edge's index in
+    ``maximal``, its quadrilateral and the new diagonal's crosser mask.
+    Every maximal edge must sit in a strictly convex quadrilateral, and at
+    least one must qualify; either failure raises LemmaViolation.
 
     The new diagonal's mask comes from the masks of the quadrilateral's
     sides, with no geometry (:func:`_diagonal_mask`).  For the flip of ac
@@ -112,9 +113,7 @@ def _reducing_flip(
     edges cross no admissible pair, so its interior edges are all the masks
     need.
     """
-    best = max(counts.values(), default=0)
-    maximal = sorted(e for e, c in counts.items() if c == best)
-    for e in maximal:
+    for i, e in enumerate(maximal):
         quad = state.quadrilateral(e)
         if not quad.strictly_convex:
             raise LemmaViolation(
@@ -122,7 +121,7 @@ def _reducing_flip(
             )
         mask = _diagonal_mask(quad, crossers, at)
         if mask.bit_count() < best:
-            return quad, mask
+            return i, quad, mask
     raise LemmaViolation(f"no maximal edge of {maximal} reduces crossings")
 
 
@@ -153,28 +152,45 @@ def morph(t1: Triangulation, t2: Triangulation) -> FlipSequence:
     changes the masks only by dropping the removed diagonal's and adding
     the new diagonal's, which :func:`_reducing_flip` derives from the
     masks of its quadrilateral's sides: no step calls a kernel.
+
+    A step costs sorting the k maximal edges plus amortised O(1) upkeep of
+    buckets holding the crossed edges by count (Dial, CACM 1969): a flip
+    swaps an edge of the maximal count for one of strictly smaller count
+    and changes no other count, so the maximum never rises, and each bucket
+    is sorted once, when the falling pointer reaches it.  Every state has
+    as many edges as t2, so it equals t2 when none of its edges is missing
+    from t2: a number that two lookups per flip keep current.
     """
     require_same_instance(t1, t2)
     require_valid(t1, "t1")
     require_valid(t2, "t2")
     crossers, at = _crosser_masks(t1, t2)
-    counts = {e: mask.bit_count() for e, mask in crossers.items()}
-    total = sum(counts.values())
+    # Counts run up to the number of t2's interior edges; the pointer starts
+    # above them, at an empty bucket.
+    buckets: list[list[Edge]] = [[] for _ in range(len(t2.interior_edges()) + 2)]
+    for e, mask in crossers.items():
+        buckets[mask.bit_count()].append(e)
+    total = sum(c * len(bucket) for c, bucket in enumerate(buckets))
+    best = len(buckets) - 1
     state = MutableTriangulation(t1)
+    target = t2.edges
+    missing = len(t1.edges - target)
     steps: list[FlipStep] = []
-    while state.edges != t2.edges:
-        quad, mask = _reducing_flip(state, counts, crossers, at)
+    while missing:
+        while best and not buckets[best]:
+            best -= 1
+            buckets[best].sort()
+        maximal = buckets[best]
+        i, quad, mask = _reducing_flip(state, maximal, best, crossers, at)
+        del maximal[i]
         new_count = mask.bit_count()
-        after = total - counts.pop(quad.diagonal) + new_count
+        after = total - best + new_count
         del crossers[quad.diagonal]
         if mask:
-            counts[quad.opposite] = new_count
+            buckets[new_count].append(quad.opposite)
             crossers[quad.opposite] = mask
         flip_apexes(state.apexes, quad)
-        steps.append(
-            FlipStep(
-                removed=quad.diagonal, added=quad.opposite, before=total, after=after
-            )
-        )
+        missing += (quad.opposite not in target) - (quad.diagonal not in target)
+        steps.append(FlipStep(quad.diagonal, quad.opposite, total, after))
         total = after
     return FlipSequence(start=t1, target=t2, steps=tuple(steps))

@@ -653,9 +653,13 @@ def flip(t: Triangulation, e: Edge) -> Triangulation:
 
 
 def _replace_apex(apexes: ApexMap, e: Edge, old: int, new: int) -> None:
-    pair = apexes[e]
-    i = pair.index(old)
-    apexes[e] = pair[:i] + (new,) + pair[i + 1:]
+    pair = apexes[e]  # one apex for a border edge, two for an interior one
+    if len(pair) == 1:
+        apexes[e] = (new,)
+    elif pair[0] == old:
+        apexes[e] = (new, pair[1])
+    else:
+        apexes[e] = (pair[0], new)
 
 
 def flip_apexes(apexes: ApexMap, quad: Quadrilateral) -> None:

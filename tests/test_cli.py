@@ -95,8 +95,10 @@ def test_triangulate(files, tmp_path, capsys):
     assert run(["triangulate", str(inst), "-o", str(out)]) == 0
     t = formats.parse_triangulation(out.read_bytes())
     assert len(t.edges) > 0
-    # bad priority syntax
-    assert run(["triangulate", str(inst), "--priority", "bogus"]) == 2
+    # bad priority syntax: a seed is an optional "-" and ASCII digits
+    for bad in ("bogus", "random:--5", "random:\u00b2"):
+        assert run(["triangulate", str(inst), "--priority", bad]) == 2
+        assert f"invalid --priority '{bad}'" in capsys.readouterr().err
 
 
 def test_triangulate_random_priority(files, tmp_path):

@@ -1,3 +1,4 @@
+import importlib
 import random
 from pathlib import Path
 
@@ -5,7 +6,7 @@ import pytest
 
 from flipdist import kernels, lemmas
 from flipdist.crossings import count_pair, quad_crossers
-from flipdist.errors import InstanceMismatch, InvariantViolation
+from flipdist.errors import InstanceMismatch, InvariantViolation, LemmaViolation
 from flipdist.formats import parse_triangulation, serialize_sequence
 from flipdist.morph import (
     FlipSequence,
@@ -31,6 +32,9 @@ from flipdist.triangulation import (
 from helpers import generate_pair
 from test_oracle import DIFFERENTIAL_INSTANCES
 from test_point_location import _instances
+
+# The module, for patching: the package exports the function under its name.
+MORPH = importlib.import_module("flipdist.morph")
 
 
 def test_intersection_upper_bound():
@@ -265,11 +269,11 @@ def test_diagonal_mask_matches_quad_crossers(name):
 
 def _morph_reference(t1, t2):
     """The morph's steps, counting each candidate diagonal with one kernel
-    row against t2's interior edges."""
+    row against t2's interior edges, and the maximal count at each step."""
     counts = {e: c for e, c in count_pair(t1, t2).per_edge.items() if c}
     total = sum(counts.values())
     state = MutableTriangulation(t1)
-    steps = []
+    steps, maxima = [], []
     while state.edges != t2.edges:
         best = max(counts.values())
         for e in sorted(e for e, c in counts.items() if c == best):
@@ -290,8 +294,9 @@ def _morph_reference(t1, t2):
             counts[quad.opposite] = new
         state.flip(e)
         steps.append(FlipStep(removed=e, added=quad.opposite, before=total, after=after))
+        maxima.append(best)
         total = after
-    return tuple(steps)
+    return tuple(steps), maxima
 
 
 def _reference_pairs():
@@ -307,15 +312,99 @@ def _reference_pairs():
             for t2 in ts[i + 1:]:
                 yield name, (t1, t2)
                 yield name, (t2, t1)
+    # Pairs of the sizes the morph_large benchmark runs, and a holed one.
+    specs = [
+        GenSpec(seed=seed, n_points=n, interior_points=n // 4)
+        for n in (40, 48, 56, 64)
+        for seed in (1, 2, 3)
+    ]
+    specs.append(GenSpec(seed=4, n_points=24, shape="with_holes", holes=3))
+    for spec in specs:
+        t1, t2 = generate_pair(spec, spec.seed + 100)
+        yield f"{spec.shape} n={spec.n_points}", (t1, t2)
+        yield f"{spec.shape} n={spec.n_points}", (t2, t1)
 
 
 def test_morph_matches_per_candidate_reference():
-    steps = 0
+    steps = drops = 0
     for name, (t1, t2) in _reference_pairs():
-        want = _morph_reference(t1, t2)
+        want, maxima = _morph_reference(t1, t2)
         assert morph(t1, t2).steps == want, name
         steps += len(want)
+        # The maximum skips a count: the morph's pointer passes an empty bucket.
+        drops += sum(a - b >= 2 for a, b in zip(maxima, maxima[1:]))
     assert steps > 100
+    assert drops > 0
+
+
+def _hexagon_fans(hexagon):
+    """The fans of vertices 0 and 3.  t1's maximal edges are (0, 2) and
+    (0, 4), each crossed once, and the morph flips them in that order."""
+    t1 = greedy_triangulate(hexagon)  # the fan of vertex 0
+    t2 = Triangulation(hexagon, hexagon.border_edges | {(0, 3), (1, 3), (3, 5)})
+    assert morph(t1, t2).steps == (
+        FlipStep((0, 2), (1, 3), 2, 1), FlipStep((0, 4), (3, 5), 1, 0)
+    )
+    return t1, t2
+
+
+def _own_mask(quad, crossers, at):
+    """A forged new diagonal, crossed by what crosses the removed one."""
+    return crossers[quad.diagonal]
+
+
+def test_morph_takes_the_next_maximal_edge(hexagon, monkeypatch):
+    """When the first maximal edge's flip does not lower its count, the
+    morph flips the second maximal edge instead."""
+    t1, t2 = _hexagon_fans(hexagon)
+    forged = iter([_own_mask])
+
+    def first_not_reducing(quad, crossers, at):
+        return next(forged, _diagonal_mask)(quad, crossers, at)
+
+    monkeypatch.setattr(MORPH, "_diagonal_mask", first_not_reducing)
+    seq = morph(t1, t2)
+    assert seq.steps == (
+        FlipStep((0, 4), (3, 5), 2, 1), FlipStep((0, 2), (1, 3), 1, 0)
+    )
+    assert seq.replay() == t2
+
+
+def _not_convex(self, e, quadrilateral=MutableTriangulation.quadrilateral):
+    return quadrilateral(self, e)._replace(strictly_convex=False)
+
+
+def _no_crossers(t1, t2):
+    return {}, _crosser_masks(t1, t2)[1]
+
+
+@pytest.mark.parametrize(
+    "target, name, forged, message",
+    [
+        pytest.param(
+            MORPH, "_diagonal_mask", _own_mask,
+            "no maximal edge of [(0, 2), (0, 4)] reduces crossings",
+            id="none_reduces",
+        ),
+        pytest.param(
+            MutableTriangulation, "quadrilateral", _not_convex,
+            "maximal edge (0, 2) has no strictly convex quadrilateral",
+            id="not_convex",
+        ),
+        # The total reads 0 before the edge sets agree.
+        pytest.param(
+            MORPH, "_crosser_masks", _no_crossers,
+            "no maximal edge of [] reduces crossings",
+            id="zero_total",
+        ),
+    ],
+)
+def test_morph_refusals(hexagon, monkeypatch, target, name, forged, message):
+    t1, t2 = _hexagon_fans(hexagon)
+    monkeypatch.setattr(target, name, forged)
+    with pytest.raises(LemmaViolation) as info:
+        morph(t1, t2)
+    assert str(info.value) == message
 
 
 def test_morph_makes_one_crossing_grid(monkeypatch):
