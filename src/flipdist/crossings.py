@@ -13,6 +13,7 @@ from .triangulation import (
     Edge,
     Quadrilateral,
     Triangulation,
+    canonical_edge,
     require_same_instance,
 )
 
@@ -69,28 +70,28 @@ def count_segment(s: Segment, t: Triangulation) -> int:
 
 def quad_crossers(
     t1: Triangulation, quads: Sequence[Quadrilateral], t2: Triangulation
-) -> list[dict[str, frozenset[Edge]]]:
-    """For each quadrilateral of t1, the t2 edges properly crossing each of
-    its sides ``ab``, ``bc``, ``cd``, ``da``, its diagonal ``ac`` and the
-    other diagonal ``bd``.
+) -> np.ndarray:
+    """Which t2 edges properly cross the segments of each quadrilateral of
+    t1, as a boolean (len(quads), 6, |t2.edges|) grid.
 
-    Every edge of t2 is tested, border edges included.  All
-    6 * len(quads) segments go to one :func:`kernels.crossing_matrix` call.
+    Entry (k, s, j) is whether the j-th edge of ``sorted(t2.edges)`` crosses
+    the segment ``QUAD_SEGMENTS[s]`` of ``quads[k]``: its sides ``ab``,
+    ``bc``, ``cd``, ``da``, its diagonal ``ac`` and the other diagonal
+    ``bd``.  Every edge of t2 is tested, border edges included.  The
+    distinct segments go to one :func:`kernels.crossing_matrix` call:
+    adjacent quadrilaterals share sides, so there are about half as many as
+    the 6 * len(quads) rows.
     """
     require_same_instance(t1, t2)
     inst = t1.instance
+    segment_row: dict[Edge, int] = {}
     rows = []
     for quad in quads:
         a, b, c, d = quad.vertices
-        rows += [(a, b), (b, c), (c, d), (d, a), (a, c), (b, d)]
+        for u, v in ((a, b), (b, c), (c, d), (d, a), (a, c), (b, d)):
+            rows.append(segment_row.setdefault(canonical_edge(u, v), len(segment_row)))
     edges = sorted(t2.edges)
-    hits = kernels.crossing_matrix(inst.segments(rows), inst.segments(edges))
-    # Rows 6k .. 6k+5 are the segments of quads[k], in QUAD_SEGMENTS order.
-    grid = hits.reshape(len(quads), len(QUAD_SEGMENTS), len(edges))
-    return [
-        {
-            name: frozenset(edges[j] for j in np.flatnonzero(row).tolist())
-            for name, row in zip(QUAD_SEGMENTS, block)
-        }
-        for block in grid
-    ]
+    hits = kernels.crossing_matrix(
+        inst.segments(list(segment_row)), inst.segments(edges)
+    )
+    return hits[rows].reshape(len(quads), len(QUAD_SEGMENTS), len(edges))

@@ -9,8 +9,8 @@ crossing pairs, the simplicity and overlap scan of the border polygons in
 every search of :mod:`flipdist.oracle` reads (``oracle._FlipTable``),
 and the blocks of candidates
 :func:`flipdist.triangulation.greedy_triangulate` tests against the edges
-it has accepted; each audit reads the grid of its quadrilateral segments
-once, through :func:`flipdist.crossings.quad_crossers`.  Every segment
+it has accepted; the audits of one pair share one grid of their
+quadrilateral segments, from :func:`flipdist.crossings.quad_crossers`.  Every segment
 array these grids read is packed by ``Instance.segments``: vertex-id pairs
 indexed into the instance's packed points (:class:`Points`) under the
 int64 gate, the coordinates themselves beyond it.

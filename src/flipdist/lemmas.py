@@ -4,15 +4,26 @@ Each audit runs standalone over a pair of valid triangulations and returns
 an AuditReport; a failing check always carries a concrete witness.  Checks
 whose hypothesis never triggered are reported as skipped, never as passed.
 An invalid input is refused by :func:`require_valid` before any check runs.
+
+The four audits of one pair share a record of what they all read, each
+part built on first read: the :func:`count_pair` report, t1's
+quadrilaterals and one :func:`quad_crossers` grid over them.  A weak memo
+keyed on t1 keeps each t1's last record, so the audits of one pair count
+its crossings and build its quadrilateral grid once.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
+import weakref
 from dataclasses import dataclass, field
+from functools import cached_property
 
-from . import geometry, kernels
-from .crossings import CrossingReport, count_pair, quad_crossers
+import numpy as np
+
+from . import kernels
+from .crossings import QUAD_SEGMENTS, CrossingReport, count_pair, quad_crossers
 from .errors import AlreadyEqual
 from .triangulation import (
     Edge,
@@ -83,6 +94,93 @@ def _signed_det(p, q, r) -> int:
     return (q[0] - p[0]) * (r[1] - p[1]) - (q[1] - p[1]) * (r[0] - p[0])
 
 
+def _inside_quad(p, a, b, c, d) -> bool:
+    """Whether p lies strictly inside the quadrilateral abcd whose faces abc
+    and acd are ccw: in the open abc, in the open acd or on the open
+    diagonal ac.  The two triangles lie on opposite sides of ac (b on its
+    right, d on its left), so their union is the simple polygon abcd.
+
+    A point a + t(c - a) of the line ac is strictly left of ab iff t > 0
+    and of bc iff t < 1, so abc's two outer sides also place the points of
+    that line: exactly those of the open diagonal are inside."""
+    if _signed_det(a, c, p) > 0:
+        return _signed_det(c, d, p) > 0 and _signed_det(d, a, p) > 0
+    return _signed_det(a, b, p) > 0 and _signed_det(b, c, p) > 0
+
+
+class _PairRecord:
+    """What the four audits share about one pair (t1, t2), each part built
+    on first read.  It holds both triangulations weakly, so the memo that
+    keeps it keeps neither alive."""
+
+    def __init__(self, t1: Triangulation, t2: Triangulation):
+        self.t1 = weakref.ref(t1)
+        self.t2 = weakref.ref(t2)
+
+    @cached_property
+    def crossings(self) -> CrossingReport:
+        return count_pair(self.t1(), self.t2())
+
+    @cached_property
+    def quads(self) -> list[Quadrilateral]:
+        """t1's quadrilaterals, one per interior edge, in sorted edge order."""
+        t1 = self.t1()
+        return [quadrilateral_of(t1, e) for e in t1.interior_edges()]
+
+    @cached_property
+    def columns(self) -> list[Edge]:
+        """t2's edges in the order of the grid's columns."""
+        return sorted(self.t2().edges)
+
+    @cached_property
+    def grid(self) -> np.ndarray:
+        """:func:`quad_crossers` of every quadrilateral of ``quads``."""
+        return quad_crossers(self.t1(), self.quads, self.t2())
+
+    @cached_property
+    def max_rows(self) -> list[int]:
+        """The positions in ``quads`` of t1's maximal edges, in order.  A
+        maximal edge is crossed, so it is interior and has a row."""
+        interior = self.t1().interior_edges()
+        return [bisect.bisect_left(interior, e) for e in self.crossings.max_edges]
+
+    @cached_property
+    def max_sets(self) -> list[dict[str, frozenset[Edge]]]:
+        """For each maximal edge, the t2 edges crossing each segment of its
+        quadrilateral, by the names of ``QUAD_SEGMENTS``."""
+        decoded = (_row_edges(self.grid[k], self.columns) for k in self.max_rows)
+        return [dict(zip(QUAD_SEGMENTS, map(frozenset, d))) for d in decoded]
+
+
+def _row_edges(mask: np.ndarray, columns: list[Edge]) -> list[list[Edge]]:
+    """For each row of a boolean (rows, len(columns)) mask, the columns set
+    in it, in order: one ``nonzero`` over the whole mask."""
+    out: list[list[Edge]] = [[] for _ in range(len(mask))]
+    for i, j in zip(*(ix.tolist() for ix in np.nonzero(mask))):
+        out[i].append(columns[j])
+    return out
+
+
+# The record of each t1's last audited pair.  Like ``oracle._TABLES`` it
+# holds its keys weakly, and the record holds t1 weakly too, so an entry
+# goes with its key.
+_RECORDS: "weakref.WeakKeyDictionary[Triangulation, _PairRecord]" = (
+    weakref.WeakKeyDictionary()
+)
+
+
+def _record(t1: Triangulation, t2: Triangulation) -> _PairRecord:
+    """The gate every audit runs, then the pair's shared record."""
+    require_same_instance(t1, t2)
+    require_valid(t1, "t1")
+    require_valid(t2, "t2")
+    record = _RECORDS.get(t1)
+    # The memo finds an equal t1 too; the record must be of these objects.
+    if record is None or record.t1() is not t1 or record.t2() is not t2:
+        record = _RECORDS[t1] = _PairRecord(t1, t2)
+    return record
+
+
 def audit_propositions(t1: Triangulation, t2: Triangulation) -> AuditReport:
     """Structural sanity of a pair of valid triangulations.
 
@@ -91,12 +189,10 @@ def audit_propositions(t1: Triangulation, t2: Triangulation) -> AuditReport:
     adjacency, equality iff zero crossings, crossed edges absent from the
     other triangulation, and shared uncrossed border edges.
     """
-    require_same_instance(t1, t2)
-    require_valid(t1, "t1")
-    require_valid(t2, "t2")
+    record = _record(t1, t2)
     report = AuditReport()
     pts = t1.instance.points
-    crossings = count_pair(t1, t2)
+    crossings = record.crossings
 
     # P1: planarity of each triangulation, witnessed by the first crossing
     # pair of its sorted edges in row-major order.
@@ -111,28 +207,25 @@ def audit_propositions(t1: Triangulation, t2: Triangulation) -> AuditReport:
     if not report.checks:
         report.add("planarity", "P1", PASS)
 
-    quads = [quadrilateral_of(t1, e) for e in t1.interior_edges()]
-    crossers = quad_crossers(t1, quads, t2)
     # P2: endpoint kinds of every t2 edge entering a t1 quadrilateral: those
-    # crossing a side or the diagonal ac, and the other diagonal bd when t2
-    # has it.  (An edge crossing bd need not enter: ac itself crosses it.)
+    # crossing a side or the diagonal ac (the grid's first five rows), and
+    # the other diagonal bd when t2 has it.  (An edge crossing bd need not
+    # enter: ac itself crosses it.)
     # P3: two entering edges never meet strictly inside the quadrilateral.
+    quads, columns = record.quads, record.columns
+    enters = record.grid[:, : QUAD_SEGMENTS.index("bd")].any(axis=1)
+    for k, quad in enumerate(quads):
+        if quad.opposite in t2.edges:
+            enters[k, bisect.bisect_left(columns, quad.opposite)] = True
     p2_failures, p3_failures = [], []
     p2_checked = p3_checked = 0
-    for quad, sets in zip(quads, crossers):
-        hit = set().union(*(sets[s] for s in ("ab", "bc", "cd", "da", "ac")))
-        if quad.opposite in t2.edges:
-            hit.add(quad.opposite)
-        entering = sorted(hit)
-        # abc and acd are ccw faces, so abcd is a simple polygon whose open
-        # interior is the two open triangles and the open diagonal ac.
-        polygon = [[pts[v] for v in quad.vertices]]
+    for quad, edges in zip(quads, _row_edges(enters, columns)):
+        corners = [pts[v] for v in quad.vertices]
         kind = {v: "corner" for v in quad.vertices}
-        for v in {v for e in entering for v in e} - kind.keys():
-            inside = geometry.point_in_region(pts[v], polygon) == geometry.INSIDE
-            kind[v] = "inside" if inside else "outside"
-        p2_checked += len(entering)
-        for e in entering:
+        for v in {v for e in edges for v in e} - kind.keys():
+            kind[v] = "inside" if _inside_quad(pts[v], *corners) else "outside"
+        p2_checked += len(edges)
+        for e in edges:
             kinds = [kind[v] for v in e]
             if e != quad.opposite and (
                 "inside" in kinds or kinds == ["corner", "corner"]
@@ -140,10 +233,10 @@ def audit_propositions(t1: Triangulation, t2: Triangulation) -> AuditReport:
                 p2_failures.append(
                     f"edge {e} endpoint kinds {kinds} in quad {quad.vertices}"
                 )
-        p3_checked += len(entering) * (len(entering) - 1) // 2
+        p3_checked += len(edges) * (len(edges) - 1) // 2
         # Two entering edges can meet inside only at an inside endpoint.
         if "inside" in kind.values():
-            for f, g in itertools.combinations(entering, 2):
+            for f, g in itertools.combinations(edges, 2):
                 p3_failures += [
                     f"edges {f},{g} meet at {v} inside quad {quad.vertices}"
                     for v in set(f) & set(g)
@@ -159,18 +252,19 @@ def audit_propositions(t1: Triangulation, t2: Triangulation) -> AuditReport:
     )
 
     # P4: the crossing edge nearest to an endpoint has both ends adjacent
-    # to that endpoint in t2.
+    # to that endpoint in t2.  Its crossers are the grid's ``ac`` row.
     failures, checked = [], 0
-    for e, sets in zip(t1.interior_edges(), crossers):
+    ac_rows = record.grid[:, QUAD_SEGMENTS.index("ac")]
+    for e, crossers in zip(t1.interior_edges(), _row_edges(ac_rows, columns)):
         if crossings.per_edge[e] == 0:
             continue
+        segments = [(f, pts[f[0]], pts[f[1]]) for f in crossers]
         for endpoint, far in ((e[0], e[1]), (e[1], e[0])):
             p, q = pts[endpoint], pts[far]
             # Crosser gh meets pq at |dp| / (|dp| + |dq|) of the way from p, dp
             # and dq being det(g, h, p) and det(g, h, q): each fraction is < 1.
             nearest, num, den = None, 1, 1
-            for f in sets["ac"]:
-                g, h = t2.segment(f)
+            for f, g, h in segments:
                 dp = abs(_signed_det(g, h, p))
                 f_den = dp + abs(_signed_det(g, h, q))
                 if dp * den < num * f_den:
@@ -225,26 +319,21 @@ def audit_propositions(t1: Triangulation, t2: Triangulation) -> AuditReport:
     return report
 
 
-def _max_edge_quads(
-    t1: Triangulation, t2: Triangulation
-) -> tuple[CrossingReport, list[Quadrilateral]]:
-    """The crossing report of t1 against t2 and the quadrilaterals of its
-    maximal edges, in order, each with its edge as ``diagonal``.  A maximal
-    edge is crossed, so it is interior and has a quadrilateral."""
-    require_same_instance(t1, t2)
-    require_valid(t1, "t1")
-    require_valid(t2, "t2")
+def _lemma_record(t1: Triangulation, t2: Triangulation) -> _PairRecord:
+    """The pair's record, once the gate has passed; the lemma audits refuse
+    an equal pair, which has no maximal edges."""
+    record = _record(t1, t2)
     if t1.edges == t2.edges:
         raise AlreadyEqual("triangulations are equal; no maximal edges")
-    crossings = count_pair(t1, t2)
-    return crossings, [quadrilateral_of(t1, e) for e in crossings.max_edges]
+    return record
 
 
 def audit_lemma1(t1: Triangulation, t2: Triangulation) -> AuditReport:
     """Every maximally-crossing edge sits in a strictly convex quadrilateral."""
-    _, quads = _max_edge_quads(t1, t2)
+    record = _lemma_record(t1, t2)
     report = AuditReport()
-    for quad in quads:
+    for k in record.max_rows:
+        quad = record.quads[k]
         e = quad.diagonal
         if not quad.strictly_convex:
             report.add(
@@ -283,13 +372,14 @@ def audit_lemma2(t1: Triangulation, t2: Triangulation) -> AuditReport:
 
     Flipping e to bd replaces e's crossings by bd's, its ``bd`` set.
     """
-    crossings, quads = _max_edge_quads(t1, t2)
+    record = _lemma_record(t1, t2)
     report = AuditReport()
-    for quad, sets in zip(quads, quad_crossers(t1, quads, t2)):
+    for k, sets in zip(record.max_rows, record.max_sets):
+        quad = record.quads[k]
         e = quad.diagonal
         cases = _corner_hypothesis_edges(quad, sets, t2)
         if cases:
-            margin = crossings.per_edge[e] - len(sets["bd"])
+            margin = record.crossings.per_edge[e] - len(sets["bd"])
             report.add(
                 "corner-crosser-forces-decrease",
                 "L2",
@@ -305,9 +395,10 @@ def audit_lemma2(t1: Triangulation, t2: Triangulation) -> AuditReport:
 
 def audit_lemma2_2(t1: Triangulation, t2: Triangulation) -> AuditReport:
     """No t2 edge from a diagonal endpoint crosses the quadrilateral."""
-    _, quads = _max_edge_quads(t1, t2)
+    record = _lemma_record(t1, t2)
     report = AuditReport()
-    for quad, sets in zip(quads, quad_crossers(t1, quads, t2)):
+    for k, sets in zip(record.max_rows, record.max_sets):
+        quad = record.quads[k]
         e = quad.diagonal
         a, _, c, _ = quad.vertices
         offenders = []

@@ -2,6 +2,7 @@
 
 from collections import deque
 
+from flipdist.crossings import QUAD_SEGMENTS
 from flipdist.generate import GenSpec, generate_instance, random_priority
 from flipdist.oracle import FlipGraph
 from flipdist.triangulation import Triangulation, greedy_triangulate
@@ -19,6 +20,19 @@ def generate_pair(
     t1 = greedy_triangulate(inst, priority=random_priority(inst, spec.seed))
     t2 = greedy_triangulate(inst, priority=random_priority(inst, seed2))
     return t1, t2
+
+
+def quad_crosser_sets(grid, t2: Triangulation) -> list[dict]:
+    """``quad_crossers``' grid as one dict per quadrilateral: for each name
+    of ``QUAD_SEGMENTS``, the frozenset of t2 edges crossing that segment."""
+    edges = sorted(t2.edges)
+    return [
+        {
+            name: frozenset(e for e, hit in zip(edges, row) if hit)
+            for name, row in zip(QUAD_SEGMENTS, block)
+        }
+        for block in grid
+    ]
 
 
 def distances_from(graph: FlipGraph, start: int) -> list[int]:

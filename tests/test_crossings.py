@@ -14,7 +14,7 @@ from flipdist.triangulation import (
     greedy_triangulate,
     quadrilateral_of,
 )
-from helpers import generate_pair
+from helpers import generate_pair, quad_crosser_sets
 
 KERNELS = ["python", "numpy"]
 
@@ -109,18 +109,18 @@ def test_quad_crossers_square(square_pair):
     quad = quadrilateral_of(t1, (0, 2))
     assert quad.opposite in t2.edges
     assert quad.diagonal not in t2.edges
-    [sets] = quad_crossers(t1, [quad], t2)
+    [sets] = quad_crosser_sets(quad_crossers(t1, [quad], t2), t2)
     assert sets["ac"] == {(1, 3)}
     # bd is t2's own diagonal, which does not cross itself; in t1 ac does.
     assert sets["bd"] == frozenset()
     assert all(sets[s] == frozenset() for s in ("ab", "bc", "cd", "da"))
-    [own] = quad_crossers(t1, [quad], t1)
+    [own] = quad_crosser_sets(quad_crossers(t1, [quad], t1), t1)
     assert own["bd"] == {(0, 2)} and own["ac"] == frozenset()
 
 
 def test_quad_crossers_no_quads_and_mismatch(square_pair, pentagon):
     t1, t2 = square_pair
-    assert quad_crossers(t1, [], t2) == []
+    assert quad_crossers(t1, [], t2).shape == (0, 6, len(t2.edges))
     with pytest.raises(InstanceMismatch):
         quad_crossers(t1, _all_quads(t1), greedy_triangulate(pentagon))
 
@@ -161,7 +161,7 @@ def test_quad_crossers_match_scalar_definition(backend, spec, seed2):
     quads = _all_quads(t1)
     with pytest.MonkeyPatch.context() as mp:
         mp.setenv(kernels.KERNEL_ENV, backend)
-        got = quad_crossers(t1, quads, t2)
+        got = quad_crosser_sets(quad_crossers(t1, quads, t2), t2)
     assert got == [_scalar_quad_crossers(t1, q, t2) for q in quads]
 
 
@@ -178,7 +178,7 @@ def test_quad_crossers_exact_beyond_safe_limit():
     quads = _all_quads(t1)
     want = [_scalar_quad_crossers(t1, q, t2) for q in quads]
     assert any(sets["ac"] for sets in want) and any(sets["bd"] for sets in want)
-    assert quad_crossers(t1, quads, t2) == want
+    assert quad_crosser_sets(quad_crossers(t1, quads, t2), t2) == want
 
 
 _SCALED = [(-16, -16), (16, -16), (16, 16), (-16, 16), (1, 2), (-3, 5), (7, -4)]

@@ -1,12 +1,15 @@
+import gc
+import weakref
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from flipdist import lemmas
+from flipdist import cli, crossings, formats, geometry, kernels, lemmas
 from flipdist.cli import run as cli_run
 from flipdist.errors import AlreadyEqual, InvariantViolation
-from flipdist.generate import GenSpec, generate_instance
-from flipdist.triangulation import Triangulation, greedy_triangulate
+from flipdist.generate import GenSpec, generate_instance, random_priority
+from flipdist.triangulation import Instance, Triangulation, greedy_triangulate
 from helpers import generate_pair
 
 
@@ -166,3 +169,145 @@ def test_audit_output_golden(case, capsys):
     t1, t2 = (str(GOLDEN / f"{case}.{t}.json") for t in ("t1", "t2"))
     assert cli_run(["audit", t1, t2]) == 0
     assert capsys.readouterr().out == want
+
+
+AUDITS = (
+    lemmas.audit_propositions,
+    lemmas.audit_lemma1,
+    lemmas.audit_lemma2,
+    lemmas.audit_lemma2_2,
+)
+
+
+def _fresh_report(audit, t1, t2):
+    """The audit of fresh copies of t1 and t2 under an empty memo, so that
+    no record made before can be read."""
+    copies = [Triangulation(t.instance, t.edges) for t in (t1, t2)]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lemmas, "_RECORDS", weakref.WeakKeyDictionary())
+        return audit(*copies)
+
+
+def test_pair_record_is_of_the_pair():
+    """The audits of one t1 against two t2 in turn, in the CLI's order and
+    in reverse, and after an equal copy of t1, each equal the audit of
+    fresh copies.  The memo keeps no t1 alive."""
+    inst = generate_instance(GenSpec(seed=1, n_points=12, interior_points=3))
+    t1, t2a, t2b = (
+        greedy_triangulate(inst, priority=random_priority(inst, s))
+        for s in (1, 2, 3)
+    )
+    want = {
+        (t2, audit): _fresh_report(audit, t1, t2)
+        for t2 in (t2a, t2b)
+        for audit in AUDITS
+    }
+    # Each audit differs between the two t2, so a record of the wrong pair
+    # shows in every one.
+    assert all(want[t2a, a].format() != want[t2b, a].format() for a in AUDITS)
+    for order in (AUDITS, AUDITS[::-1]):
+        for t2 in (t2a, t2b):
+            for audit in order:
+                assert audit(t1, t2) == want[t2, audit], (audit.__name__, order)
+    # An equal copy of t1 finds t1's entry in the memo; once the copy is
+    # gone, the record it left there is not read.
+    lemmas.audit_propositions(t1, t2a)
+    copy = Triangulation(inst, t1.edges)
+    lemmas.audit_propositions(copy, t2b)
+    del copy
+    gc.collect()
+    for audit in AUDITS:
+        assert audit(t1, t2b) == want[t2b, audit], audit.__name__
+    key = weakref.ref(t1)
+    del t1
+    gc.collect()
+    assert key() is None
+
+
+def test_audit_counts_the_pair_once(monkeypatch, capsys):
+    """One `flipdist audit` of a non-equal pair makes one count_pair call
+    and six crossing grids: the instance's border scan at load, then
+    count_pair's, P1's two, the quadrilateral grid and P8's."""
+    grids, counts = [], []
+    crossing_matrix = kernels.crossing_matrix
+
+    def counting_grid(*args, **kwargs):
+        grids.append(args)
+        return crossing_matrix(*args, **kwargs)
+
+    def counting_pair(*args, **kwargs):
+        counts.append(args)
+        return crossings.count_pair(*args, **kwargs)
+
+    monkeypatch.setattr(kernels, "crossing_matrix", counting_grid)
+    for module in (cli, formats, lemmas):
+        monkeypatch.setattr(module, "count_pair", counting_pair)
+    t1, t2 = (str(GOLDEN / f"convex_interior.{t}.json") for t in ("t1", "t2"))
+    assert cli_run(["audit", t1, t2]) == 0
+    assert "# lemma2.2" in capsys.readouterr().out
+    assert len(counts) == 1
+    assert len(grids) == 6
+
+
+def test_vertex_and_meeting_inside_quad_fail(monkeypatch):
+    """P2 and P3 on a forged t1 that leaves the interior point 6 isolated:
+    t2's edges at 6 enter t1's quadrilaterals and meet at 6 inside them."""
+    inst = Instance(
+        [(0, 0), (6, 0), (9, 5), (6, 10), (0, 10), (-3, 5), (2, 4)],
+        [[0, 1, 2, 3, 4, 5]],
+    )
+    t1 = Triangulation(inst, inst.border_edges | {(0, 2), (0, 3), (0, 4)})
+    t2 = greedy_triangulate(inst, priority=lambda e: (-e[0], -e[1]))
+    monkeypatch.setattr(lemmas, "require_valid", lambda t, label: None)
+    report = lemmas.audit_propositions(t1, t2)
+    failed = [(c.rule, c.witness) for c in report.checks if c.status == lemmas.FAIL]
+    assert failed == [
+        ("P2", "edge (1, 6) endpoint kinds ['outside', 'inside'] in quad (0, 2, 3, 4)"),
+        ("P2", "edge (2, 6) endpoint kinds ['corner', 'inside'] in quad (0, 2, 3, 4)"),
+        ("P2", "edge (5, 6) endpoint kinds ['outside', 'inside'] in quad (0, 2, 3, 4)"),
+        ("P2", "edge (1, 6) endpoint kinds ['outside', 'inside'] in quad (0, 3, 4, 5)"),
+        ("P2", "edge (2, 6) endpoint kinds ['outside', 'inside'] in quad (0, 3, 4, 5)"),
+        ("P2", "edge (5, 6) endpoint kinds ['corner', 'inside'] in quad (0, 3, 4, 5)"),
+        ("P3", "edges (1, 6),(2, 6) meet at 6 inside quad (0, 2, 3, 4)"),
+        ("P3", "edges (1, 6),(5, 6) meet at 6 inside quad (0, 2, 3, 4)"),
+        ("P3", "edges (2, 6),(5, 6) meet at 6 inside quad (0, 2, 3, 4)"),
+        ("P3", "edges (1, 6),(2, 6) meet at 6 inside quad (0, 3, 4, 5)"),
+        ("P3", "edges (1, 6),(5, 6) meet at 6 inside quad (0, 3, 4, 5)"),
+        ("P3", "edges (2, 6),(5, 6) meet at 6 inside quad (0, 3, 4, 5)"),
+    ]
+
+
+# Corners are multiples of 4, so a point a quarter of the way along a side
+# or the diagonal is a lattice point: small ones, and ones near ±2^30.
+_CORNER = st.tuples(
+    *[st.integers(-3, 3) | st.sampled_from([-(1 << 28), 1 << 28])] * 2
+).map(lambda p: (4 * p[0], 4 * p[1]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(quad=st.tuples(*[_CORNER] * 4), data=st.data())
+@example(quad=((0, 0), (8, 0), (8, 8), (0, 8)), data=None)  # convex
+@example(quad=((0, 0), (8, -8), (4, 0), (8, 8)), data=None)  # reflex at c
+def test_inside_quad_matches_point_in_region(quad, data):
+    """The two-triangle test agrees with point_in_region on the polygon
+    abcd, at its corners, along its sides, along the diagonal ac and its
+    extension, and elsewhere."""
+    a, b, c, d = quad
+    # abc and acd are ccw faces when b is right of ac and d left of it.
+    if geometry.orient(a, c, b) > 0 > geometry.orient(a, c, d):
+        b, d = d, b
+    if not geometry.orient(a, c, b) < 0 < geometry.orient(a, c, d):
+        return
+    candidates = [
+        (u[0] + t * (v[0] - u[0]) // 4, u[1] + t * (v[1] - u[1]) // 4)
+        for u, v in ((a, b), (b, c), (c, d), (d, a), (a, c))
+        for t in range(-4, 9)
+    ]
+    candidates += [(x, y) for x in range(-9, 10, 3) for y in range(-9, 10, 3)]
+    if data is not None:
+        candidates.append(data.draw(_CORNER, label="p"))
+        small = st.integers(-14, 14)
+        candidates.append(data.draw(st.tuples(small, small), label="small p"))
+    for p in candidates:
+        want = geometry.point_in_region(p, [list(quad)]) == geometry.INSIDE
+        assert lemmas._inside_quad(p, a, b, c, d) == want, p

@@ -29,7 +29,7 @@ from flipdist.triangulation import (
     greedy_triangulate,
     validate,
 )
-from helpers import generate_pair
+from helpers import generate_pair, quad_crosser_sets
 from test_oracle import DIFFERENTIAL_INSTANCES
 from test_point_location import _instances
 
@@ -255,7 +255,8 @@ def test_diagonal_mask_matches_quad_crossers(name):
         ]
         for t2 in ts:
             crossers, at = _crosser_masks(t1, t2)
-            for quad, sets in zip(quads, quad_crossers(t1, quads, t2)):
+            grid = quad_crossers(t1, quads, t2)
+            for quad, sets in zip(quads, quad_crosser_sets(grid, t2)):
                 assert _mask_edges(t2, crossers.get(quad.diagonal, 0)) == sets["ac"]
                 got = _mask_edges(t2, _diagonal_mask(quad, crossers, at))
                 assert got == sets["bd"], quad
