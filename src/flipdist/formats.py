@@ -175,21 +175,26 @@ def _parse_edges(edges_raw: list, inst: Instance, where: str) -> list[tuple[int,
         or any(map(operator.eq, flat[::2], flat[1::2]))
     ):
         for i, entry in enumerate(edges_raw):
-            if (
-                not isinstance(entry, list)
-                or len(entry) != 2
-                or not all(_is_int(v) for v in entry)
-            ):
-                raise ParseError(
-                    "edge must be a pair of vertex ids", f"{where}[{i}]"
-                )
-            a, b = entry
-            if not (0 <= a < inst.n and 0 <= b < inst.n) or a == b:
-                raise ParseError(f"edge [{a}, {b}] out of range", f"{where}[{i}]")
+            _parse_edge(entry, inst, f"{where}[{i}]")
     edges = list(map(canonical_edge, flat[::2], flat[1::2]))
     if len(set(edges)) != len(edges):
         raise ParseError("duplicate edges", where)
     return edges
+
+
+def _parse_edge(entry: Any, inst: Instance, where: str) -> tuple[int, int]:
+    """The edge ``entry`` names, canonical; a ParseError located at ``where``
+    unless it is a pair of distinct vertex ids of ``inst``."""
+    if (
+        not isinstance(entry, list)
+        or len(entry) != 2
+        or not all(_is_int(v) for v in entry)
+    ):
+        raise ParseError("edge must be a pair of vertex ids", where)
+    a, b = entry
+    if not (0 <= a < inst.n and 0 <= b < inst.n) or a == b:
+        raise ParseError(f"edge [{a}, {b}] out of range", where)
+    return canonical_edge(a, b)
 
 
 def _resolve_instance(
@@ -283,10 +288,10 @@ def parse_sequence(
     steps = []
     for i, entry in enumerate(steps_raw):
         where = f"sequence.steps[{i}]"
-        removed = _parse_edges(
-            [_expect(entry, "removed", list, where)], inst, where
-        )[0]
-        added = _parse_edges([_expect(entry, "added", list, where)], inst, where)[0]
+        removed, added = (
+            _parse_edge(_expect(entry, key, list, where), inst, f"{where}.{key}")
+            for key in ("removed", "added")
+        )
         before = _expect(entry, "before", int, where)
         after = _expect(entry, "after", int, where)
         steps.append(FlipStep(removed=removed, added=added, before=before, after=after))

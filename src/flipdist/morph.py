@@ -3,18 +3,22 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from . import kernels
 from .errors import LemmaViolation
+from .geometry import Point
 from .triangulation import (
+    ApexMap,
     Edge,
     MutableTriangulation,
-    Quadrilateral,
+    Sides,
     Triangulation,
-    canonical_edge,
-    flip_apexes,
+    _read_quadrilateral,
+    _rewrite_apexes,
+    apex_map,
     interior_edge_count,
     require_same_instance,
     require_valid,
@@ -26,8 +30,7 @@ def intersection_upper_bound(n: int, n_b: int, h: int) -> int:
     return interior_edge_count(n, n_b, h) ** 2
 
 
-@dataclass(frozen=True)
-class FlipStep:
+class FlipStep(NamedTuple):
     removed: Edge
     added: Edge
     before: int
@@ -75,20 +78,23 @@ def _crosser_masks(
 
 
 def _reducing_flip(
-    state: MutableTriangulation,
+    pts: Sequence[Point],
+    apexes: ApexMap,
     maximal: list[Edge],
     best: int,
     crossers: dict[Edge, int],
     at: list[int],
-) -> tuple[int, Quadrilateral, int]:
+) -> tuple[int, int, int, Sides, int]:
     """The first maximal edge, in canonical order, whose flip lowers its count.
 
     ``maximal`` lists, sorted, the crossed edges whose count (the bit count
     of their mask in ``crossers``) is the maximum ``best``.  A crossed edge
-    is interior, so it has a quadrilateral.  Returns the edge's index in
-    ``maximal``, its quadrilateral and the new diagonal's crosser mask.
-    Every maximal edge must sit in a strictly convex quadrilateral, and at
-    least one must qualify; either failure raises LemmaViolation.
+    is interior, so it has a quadrilateral abcd in the state's apex map.
+    Returns the edge's index in ``maximal``, b, d and the canonical sides
+    of its quadrilateral (see :func:`_read_quadrilateral`) and the new
+    diagonal's crosser mask.  Every maximal edge must sit in a strictly
+    convex quadrilateral, and at least one must qualify; either failure
+    raises LemmaViolation.
 
     The new diagonal's mask comes from the masks of the quadrilateral's
     sides, with no geometry (:func:`_diagonal_mask`).  For the flip of ac
@@ -114,27 +120,27 @@ def _reducing_flip(
     need.
     """
     for i, e in enumerate(maximal):
-        quad = state.quadrilateral(e)
-        if not quad.strictly_convex:
+        b, d, strictly_convex, sides = _read_quadrilateral(pts, apexes, e)
+        if not strictly_convex:
             raise LemmaViolation(
                 f"maximal edge {e} has no strictly convex quadrilateral"
             )
-        mask = _diagonal_mask(quad, crossers, at)
+        mask = _diagonal_mask(e, sides, crossers, at)
         if mask.bit_count() < best:
-            return i, quad, mask
+            return i, b, d, sides, mask
     raise LemmaViolation(f"no maximal edge of {maximal} reduces crossings")
 
 
 def _diagonal_mask(
-    quad: Quadrilateral, crossers: dict[Edge, int], at: list[int]
+    e: Edge, sides: Sides, crossers: dict[Edge, int], at: list[int]
 ) -> int:
-    """The crosser mask of ``quad``'s other diagonal bd, from the masks of its
-    sides by the identity of :func:`_reducing_flip`."""
-    a, b, c, d = quad.vertices
+    """The crosser mask of the other diagonal bd of the quadrilateral abcd
+    around e = (a, c), from the masks of its canonical sides ab, bc, cd, da
+    by the identity of :func:`_reducing_flip`."""
+    a, c = e
+    ab, bc, cd, da = sides
     get = crossers.get
-    return (
-        get(canonical_edge(a, b), 0) | get(canonical_edge(d, a), 0) | at[a]
-    ) & (get(canonical_edge(b, c), 0) | get(canonical_edge(c, d), 0) | at[c])
+    return (get(ab, 0) | get(da, 0) | at[a]) & (get(bc, 0) | get(cd, 0) | at[c])
 
 
 def morph(t1: Triangulation, t2: Triangulation) -> FlipSequence:
@@ -157,9 +163,14 @@ def morph(t1: Triangulation, t2: Triangulation) -> FlipSequence:
     buckets holding the crossed edges by count (Dial, CACM 1969): a flip
     swaps an edge of the maximal count for one of strictly smaller count
     and changes no other count, so the maximum never rises, and each bucket
-    is sorted once, when the falling pointer reaches it.  Every state has
-    as many edges as t2, so it equals t2 when none of its edges is missing
-    from t2: a number that two lookups per flip keep current.
+    is sorted once, when the falling pointer reaches it.  Each candidate's
+    quadrilateral is read once, on plain ints (:func:`_read_quadrilateral`:
+    three ``orient`` calls and its four canonical sides), and the flipped
+    one's sides serve both the mask identity and the in-place rewrite of
+    its two faces (:func:`_rewrite_apexes`): no side key is computed twice.
+    Every state has as many edges as t2, so it equals t2 when none of its
+    edges is missing from t2: a number that two lookups per flip keep
+    current.
     """
     require_same_instance(t1, t2)
     require_valid(t1, "t1")
@@ -172,7 +183,8 @@ def morph(t1: Triangulation, t2: Triangulation) -> FlipSequence:
         buckets[mask.bit_count()].append(e)
     total = sum(c * len(bucket) for c, bucket in enumerate(buckets))
     best = len(buckets) - 1
-    state = MutableTriangulation(t1)
+    pts = t1.instance.points
+    apexes = dict(apex_map(t1))  # the state, flipped in place
     target = t2.edges
     missing = len(t1.edges - target)
     steps: list[FlipStep] = []
@@ -181,16 +193,17 @@ def morph(t1: Triangulation, t2: Triangulation) -> FlipSequence:
             best -= 1
             buckets[best].sort()
         maximal = buckets[best]
-        i, quad, mask = _reducing_flip(state, maximal, best, crossers, at)
-        del maximal[i]
+        i, b, d, sides, mask = _reducing_flip(pts, apexes, maximal, best, crossers, at)
+        removed = maximal.pop(i)
         new_count = mask.bit_count()
         after = total - best + new_count
-        del crossers[quad.diagonal]
+        del crossers[removed]
+        a, c = removed
+        added = _rewrite_apexes(apexes, a, b, c, d, sides)
         if mask:
-            buckets[new_count].append(quad.opposite)
-            crossers[quad.opposite] = mask
-        flip_apexes(state.apexes, quad)
-        missing += (quad.opposite not in target) - (quad.diagonal not in target)
-        steps.append(FlipStep(quad.diagonal, quad.opposite, total, after))
+            buckets[new_count].append(added)
+            crossers[added] = mask
+        missing += (added not in target) - (removed not in target)
+        steps.append(FlipStep(removed, added, total, after))
         total = after
     return FlipSequence(start=t1, target=t2, steps=tuple(steps))

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import functools
 import operator
+from itertools import chain
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -21,6 +22,8 @@ from .geometry import INSIDE, OUTSIDE, Point, Segment
 Edge = tuple[int, int]
 # Edge -> the third vertex of each face incident to it (see apex_map).
 ApexMap = dict[Edge, tuple[int, ...]]
+# The sides ab, bc, cd, da of a quadrilateral abcd, each a canonical edge.
+Sides = tuple[Edge, Edge, Edge, Edge]
 
 
 def canonical_edge(i: int, j: int) -> Edge:
@@ -421,7 +424,8 @@ def faces(t: Triangulation) -> tuple[tuple[int, int, int], ...]:
     (:func:`_faces_batch`); it falls back to the exact loop
     (:func:`_faces_exact`) whenever it cannot prove its rotation system is
     the exact one, so both give the same triples in the same order.  Not
-    cached: :func:`apex_map` is the per-triangulation cache.
+    cached: :func:`apex_map` is the per-triangulation cache, which
+    :func:`_apexes_of` builds from these triangles.
     """
     if len(t.edges) >= _FACE_BATCH_EDGES and _numpy_ok(t.instance):
         traced = _faces_batch(t)
@@ -514,10 +518,11 @@ def _faces_batch(t: Triangulation) -> Optional[tuple[tuple[int, int, int], ...]]
     """
     inst = t.instance
     xy = inst._packed.array
-    ends = np.array(list(t.edges), dtype=np.int64)
+    m = len(t.edges)
+    ends = np.fromiter(chain.from_iterable(t.edges), np.int64, 2 * m).reshape(m, 2)
     if ends.min() < 0 or ends.max() >= inst.n:
         return None
-    m2 = 2 * len(ends)
+    m2 = 2 * m
     # Half-edge h and h + m are twins: h goes first end -> second end.
     origin = np.concatenate([ends[:, 0], ends[:, 1]])
     dest = np.concatenate([ends[:, 1], ends[:, 0]])
@@ -580,7 +585,8 @@ def apex_map(t: Triangulation) -> ApexMap:
     A face is determined by an edge and its apex, so this is the edge ->
     incident-faces map: one apex for a border edge, two for an interior one.
     Every edge bounds a face, so the keys are t's edges.  Faces are traced
-    once per triangulation; callers must not mutate the shared map.
+    once per triangulation and turned into the map by :func:`_apexes_of`;
+    callers must not mutate the shared map.
     """
     if t._apexes is None:
         t._apexes = _apexes_of(faces(t))
@@ -588,11 +594,22 @@ def apex_map(t: Triangulation) -> ApexMap:
 
 
 def _apexes_of(triangles: Iterable[tuple[int, int, int]]) -> ApexMap:
+    """The edge -> apex map of ``triangles``.  Every side's key needs the
+    comparison: a triangle from :func:`faces` starts at its smallest vertex
+    only when y < z."""
     apexes: ApexMap = {}
+    get = apexes.get
+    # Each half-edge bounds one traced face, so an edge has at most two apexes.
     for a, b, c in triangles:
-        for u, v, w in ((a, b, c), (b, c, a), (c, a, b)):
-            e = canonical_edge(u, v)
-            apexes[e] = apexes.get(e, ()) + (w,)
+        ab = (a, b) if a < b else (b, a)
+        bc = (b, c) if b < c else (c, b)
+        ca = (a, c) if a < c else (c, a)
+        old = get(ab)
+        apexes[ab] = (c,) if old is None else (old[0], c)
+        old = get(bc)
+        apexes[bc] = (a,) if old is None else (old[0], a)
+        old = get(ca)
+        apexes[ca] = (b,) if old is None else (old[0], b)
     return apexes
 
 
@@ -602,7 +619,8 @@ def apex_quadrilateral(
     """The quadrilateral with e as diagonal, read from an edge -> apex map.
 
     Every edge of a triangulation bounds a face, so the map's keys are its
-    edges.  None for a border edge.
+    edges.  None for a border edge.  A wrapper over
+    :func:`_read_quadrilateral`, which takes canonical edges only.
     """
     e = canonical_edge(*e)
     incident = apexes.get(e)
@@ -610,25 +628,38 @@ def apex_quadrilateral(
         raise EdgeNotInTriangulation(f"edge {e} not in triangulation")
     if len(incident) < 2:
         return None
+    b, d, strictly_convex, _ = _read_quadrilateral(pts, apexes, e)
+    return Quadrilateral(
+        diagonal=e,
+        opposite=canonical_edge(b, d),
+        strictly_convex=strictly_convex,
+        vertices=(e[0], b, e[1], d),  # ccw boundary order
+    )
+
+
+def _read_quadrilateral(
+    pts: Sequence[Point], apexes: ApexMap, e: Edge
+) -> tuple[int, int, bool, Sides]:
+    """b, d, strict convexity and the canonical sides ab, bc, cd, da of the
+    ccw quadrilateral abcd around the canonical interior edge e = (a, c):
+    the one reading of a quadrilateral, on plain ints."""
     a, c = e
-    x, y = incident
-    if geometry.orient(pts[a], pts[c], pts[x]) < 0:
+    x, y = apexes[e]
+    pa, pc = pts[a], pts[c]
+    if geometry.orient(pa, pc, pts[x]) < 0:
         b, d = x, y
     else:
         b, d = y, x
     # The faces abc and acd are non-degenerate, so b and d lie strictly on
     # opposite sides of ac; the quadrilateral is strictly convex iff a and c
     # lie strictly on opposite sides of bd too, i.e. the diagonals cross.
-    strictly_convex = (
-        geometry.orient(pts[b], pts[d], pts[a])
-        * geometry.orient(pts[b], pts[d], pts[c])
-        < 0
-    )
-    return Quadrilateral(
-        diagonal=e,
-        opposite=canonical_edge(b, d),
-        strictly_convex=strictly_convex,
-        vertices=(a, b, c, d),  # ccw boundary order
+    pb, pd = pts[b], pts[d]
+    strictly_convex = geometry.orient(pb, pd, pa) * geometry.orient(pb, pd, pc) < 0
+    return b, d, strictly_convex, (
+        (a, b) if a < b else (b, a),
+        (b, c) if b < c else (c, b),
+        (c, d) if c < d else (d, c),
+        (a, d) if a < d else (d, a),
     )
 
 
@@ -652,29 +683,37 @@ def flip(t: Triangulation, e: Edge) -> Triangulation:
     return Triangulation(t.instance, (t.edges - {e}) | {quad.opposite})
 
 
-def _replace_apex(apexes: ApexMap, e: Edge, old: int, new: int) -> None:
-    pair = apexes[e]  # one apex for a border edge, two for an interior one
-    if len(pair) == 1:
-        apexes[e] = (new,)
-    elif pair[0] == old:
-        apexes[e] = (new, pair[1])
-    else:
-        apexes[e] = (pair[0], new)
-
-
 def flip_apexes(apexes: ApexMap, quad: Quadrilateral) -> None:
-    """Rewrite an apex map in place for the flip of ``quad``'s diagonal.
-
-    The ccw faces abc and acd become abd and bcd: the four sides of the
-    quadrilateral change one apex each, the diagonal is replaced.
-    """
+    """Rewrite an apex map in place for the flip of ``quad``'s diagonal: a
+    wrapper over :func:`_rewrite_apexes`."""
     a, b, c, d = quad.vertices
-    _replace_apex(apexes, canonical_edge(a, b), c, d)
-    _replace_apex(apexes, canonical_edge(b, c), a, d)
-    _replace_apex(apexes, canonical_edge(c, d), a, b)
-    _replace_apex(apexes, canonical_edge(d, a), c, b)
-    del apexes[quad.diagonal]
-    apexes[quad.opposite] = (a, c)
+    ab, bc = canonical_edge(a, b), canonical_edge(b, c)
+    cd, da = canonical_edge(c, d), canonical_edge(d, a)
+    _rewrite_apexes(apexes, a, b, c, d, (ab, bc, cd, da))
+
+
+def _rewrite_apexes(
+    apexes: ApexMap, a: int, b: int, c: int, d: int, sides: Sides
+) -> Edge:
+    """Rewrite an apex map in place for the flip of the canonical edge
+    (a, c) in the ccw quadrilateral abcd with canonical ``sides`` ab, bc,
+    cd, da; return bd, canonical.  The faces abc and acd become abd and
+    bcd: each side trades one apex, and bd replaces ac.
+    """
+    ab, bc, cd, da = sides
+    # One apex for a border side, two for an interior one.
+    p = apexes[ab]
+    apexes[ab] = (d,) if len(p) == 1 else (d, p[1]) if p[0] == c else (p[0], d)
+    p = apexes[bc]
+    apexes[bc] = (d,) if len(p) == 1 else (d, p[1]) if p[0] == a else (p[0], d)
+    p = apexes[cd]
+    apexes[cd] = (b,) if len(p) == 1 else (b, p[1]) if p[0] == a else (p[0], b)
+    p = apexes[da]
+    apexes[da] = (b,) if len(p) == 1 else (b, p[1]) if p[0] == c else (p[0], b)
+    del apexes[(a, c)]
+    bd = (b, d) if b < d else (d, b)
+    apexes[bd] = (a, c)
+    return bd
 
 
 class MutableTriangulation:

@@ -258,16 +258,30 @@ def test_parse_triangulation_rejects_bool_edge(square):
 
 
 @pytest.mark.parametrize(
-    "field, value",
-    [("before", True), ("after", False), ("removed", [True, 2]), ("added", [True, 3])],
-    ids=["before", "after", "removed", "added"],
+    "field, value, location",
+    [
+        ("before", True, "sequence.steps[0]"),
+        ("after", False, "sequence.steps[0]"),
+        ("removed", [True, 2], "sequence.steps[0].removed"),
+        ("added", [True, 3], "sequence.steps[0].added"),
+        ("removed", [0, 99], "sequence.steps[0].removed"),
+        ("added", [0, 99], "sequence.steps[0].added"),
+        ("removed", [1, 1], "sequence.steps[0].removed"),
+        ("added", [1, 1], "sequence.steps[0].added"),
+    ],
+    ids=[
+        "before", "after", "removed", "added",
+        "removed-out-of-range", "added-out-of-range", "removed-loop", "added-loop",
+    ],
 )
-def test_parse_sequence_rejects_bools(square_pair, field, value):
+def test_parse_sequence_rejects_bools(square_pair, field, value, location):
     doc = json.loads(formats.serialize_sequence(morph(*square_pair)))
     doc["steps"][0][field] = value
     with pytest.raises(ParseError) as exc:
         formats.parse_sequence(json.dumps(doc))
-    assert exc.value.location.startswith("sequence.steps[0]")
+    assert exc.value.location == location
+    if value in ([0, 99], [1, 1]):
+        assert str(exc.value) == f"{location}: edge {value} out of range"
 
 
 @pytest.mark.parametrize(

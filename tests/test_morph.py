@@ -22,6 +22,7 @@ from flipdist.triangulation import (
     Instance,
     MutableTriangulation,
     Triangulation,
+    _read_quadrilateral,
     apex_map,
     apex_quadrilateral,
     canonical_edge,
@@ -253,12 +254,21 @@ def test_diagonal_mask_matches_quad_crossers(name):
             q for e in t1.interior_edges()
             if (q := apex_quadrilateral(inst.points, apexes, e)).strictly_convex
         ]
+        sides = []
+        for quad in quads:
+            a, b, c, d = quad.vertices
+            sides.append(tuple(
+                canonical_edge(u, v) for u, v in ((a, b), (b, c), (c, d), (d, a))
+            ))
+            # The morph reads the same quadrilateral as plain ints.
+            read = _read_quadrilateral(inst.points, apexes, quad.diagonal)
+            assert read == (b, d, True, sides[-1])
         for t2 in ts:
             crossers, at = _crosser_masks(t1, t2)
             grid = quad_crossers(t1, quads, t2)
-            for quad, sets in zip(quads, quad_crosser_sets(grid, t2)):
+            for quad, s, sets in zip(quads, sides, quad_crosser_sets(grid, t2)):
                 assert _mask_edges(t2, crossers.get(quad.diagonal, 0)) == sets["ac"]
-                got = _mask_edges(t2, _diagonal_mask(quad, crossers, at))
+                got = _mask_edges(t2, _diagonal_mask(quad.diagonal, s, crossers, at))
                 assert got == sets["bd"], quad
                 checked += 1
                 shared += quad.diagonal in t2.edges
@@ -349,9 +359,9 @@ def _hexagon_fans(hexagon):
     return t1, t2
 
 
-def _own_mask(quad, crossers, at):
+def _own_mask(e, sides, crossers, at):
     """A forged new diagonal, crossed by what crosses the removed one."""
-    return crossers[quad.diagonal]
+    return crossers[e]
 
 
 def test_morph_takes_the_next_maximal_edge(hexagon, monkeypatch):
@@ -360,8 +370,8 @@ def test_morph_takes_the_next_maximal_edge(hexagon, monkeypatch):
     t1, t2 = _hexagon_fans(hexagon)
     forged = iter([_own_mask])
 
-    def first_not_reducing(quad, crossers, at):
-        return next(forged, _diagonal_mask)(quad, crossers, at)
+    def first_not_reducing(e, sides, crossers, at):
+        return next(forged, _diagonal_mask)(e, sides, crossers, at)
 
     monkeypatch.setattr(MORPH, "_diagonal_mask", first_not_reducing)
     seq = morph(t1, t2)
@@ -371,8 +381,9 @@ def test_morph_takes_the_next_maximal_edge(hexagon, monkeypatch):
     assert seq.replay() == t2
 
 
-def _not_convex(self, e, quadrilateral=MutableTriangulation.quadrilateral):
-    return quadrilateral(self, e)._replace(strictly_convex=False)
+def _not_convex(pts, apexes, e, read=MORPH._read_quadrilateral):
+    b, d, _, sides = read(pts, apexes, e)
+    return b, d, False, sides
 
 
 def _no_crossers(t1, t2):
@@ -388,7 +399,7 @@ def _no_crossers(t1, t2):
             id="none_reduces",
         ),
         pytest.param(
-            MutableTriangulation, "quadrilateral", _not_convex,
+            MORPH, "_read_quadrilateral", _not_convex,
             "maximal edge (0, 2) has no strictly convex quadrilateral",
             id="not_convex",
         ),

@@ -356,17 +356,22 @@ def _with_diagonal_02(pts):
 
 
 @settings(max_examples=300, deadline=None)
-@given(points=QUADS, swap=st.booleans())
-@example(points=[(0, 0), (1, -1), (2, 1), (-1, 1)], swap=False)  # collinear at 0
-@example(points=[(2, 1), (4, 0), (2, 4), (0, 0)], swap=True)  # reflex at 0
+@given(points=QUADS, swap=st.booleans(), reverse=st.booleans())
+# Collinear at 0, then reflex at 0.
+@example(points=[(0, 0), (1, -1), (2, 1), (-1, 1)], swap=False, reverse=False)
+@example(points=[(2, 1), (4, 0), (2, 4), (0, 0)], swap=True, reverse=True)
 @example(
-    points=[(0, 0), (2**30, -(2**30)), (2**30, 2**30), (-(2**30), 2**30)], swap=False
+    points=[(0, 0), (2**30, -(2**30)), (2**30, 2**30), (-(2**30), 2**30)],
+    swap=False,
+    reverse=False,
 )
-def test_strict_convexity_matches_four_corners(points, swap):
+def test_strict_convexity_matches_four_corners(points, swap, reverse):
     # Faces 0-1-2 and 0-2-3 around the diagonal 0-2, both non-degenerate.
     pts = _with_diagonal_02(points)
     assume(pts is not None)
-    quad = apex_quadrilateral(pts, {(0, 2): (3, 1) if swap else (1, 3)}, (0, 2))
+    apexes = {(0, 2): (3, 1) if swap else (1, 3)}
+    quad = apex_quadrilateral(pts, apexes, (2, 0) if reverse else (0, 2))
+    assert quad.diagonal == (0, 2)
     ring = (0, 1, 2, 3) if geometry.orient(pts[0], pts[2], pts[1]) < 0 else (0, 3, 2, 1)
     assert quad.vertices == ring
     corners = [pts[v] for v in ring]
