@@ -1,4 +1,13 @@
-"""Seeded random instances and triangulation priorities."""
+"""Seeded random instances and triangulation priorities.
+
+A spec's draws come from one ``random.Random(seed)``, and each draw is
+accepted or rejected by exact integer tests, so the same spec always gives
+the same bytes.  Star borders and interior points reject a draw that makes
+three points collinear: :func:`_direction` reduces the direction from a
+point to each other point by its gcd and sign, so that three points are
+collinear exactly when two directions from one of them repeat, O(n) per
+drawn point.
+"""
 
 from __future__ import annotations
 
@@ -38,14 +47,30 @@ class GenSpec:
             raise InfeasibleSpec("interior_points must be >= 0")
 
 
+def _direction(p: geometry.Point, q: geometry.Point) -> tuple[int, int]:
+    """The direction from p to q reduced by its gcd, with its sign fixed so
+    that opposite directions agree: two points q, r give the same reduced
+    direction from p iff p, q and r are collinear.  p and q must differ."""
+    dx, dy = q[0] - p[0], q[1] - p[1]
+    g = math.gcd(dx, dy)
+    if dx < 0 or dx == 0 and dy < 0:
+        g = -g
+    return dx // g, dy // g
+
+
+def _collinear_with_two(p: geometry.Point, others: list[geometry.Point]) -> bool:
+    """Whether p is collinear with two of ``others``, distinct points that
+    all differ from p: exact int work, one reduced direction per point."""
+    seen = {_direction(p, q) for q in others}
+    return len(seen) < len(others)
+
+
 def _no_three_collinear(points: list[geometry.Point]) -> bool:
-    n = len(points)
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(j + 1, n):
-                if geometry.orient(points[i], points[j], points[k]) == 0:
-                    return False
-    return True
+    """Whether no three of ``points``, which are distinct, are collinear: a
+    collinear triple i < j < k repeats a direction from i."""
+    return not any(
+        _collinear_with_two(p, points[i + 1:]) for i, p in enumerate(points)
+    )
 
 
 def _convex_ring(rng: random.Random, n: int) -> list[geometry.Point] | None:
@@ -105,11 +130,7 @@ def _sample_interior(
                 continue
             if geometry.point_in_region(p, coords) != geometry.INSIDE:
                 continue
-            if any(
-                geometry.orient(universe[i], universe[j], p) == 0
-                for i in range(len(universe))
-                for j in range(i + 1, len(universe))
-            ):
+            if _collinear_with_two(p, universe):
                 continue
             added.append(p)
             break

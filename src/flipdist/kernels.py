@@ -8,20 +8,25 @@ crossing pairs, the simplicity and overlap scan of the border polygons in
 ``Instance.validate``, the grid of an instance's admissible pairs that
 every search of :mod:`flipdist.oracle` reads (``oracle._FlipTable``),
 and the blocks of candidates
-:func:`flipdist.triangulation.greedy_triangulate` tests against the edges
-it has accepted; the audits of one pair share one grid of their
-quadrilateral segments, from :func:`flipdist.crossings.quad_crossers`.  Every segment
+:func:`flipdist.triangulation.greedy_triangulate` tests against themselves,
+then against the later candidates; the audits of one pair share one grid
+of their quadrilateral segments, from
+:func:`flipdist.crossings.quad_crossers`.  Every segment
 array these grids read is packed by ``Instance.segments``: vertex-id pairs
 indexed into the instance's packed points (:class:`Points`) under the
 int64 gate, the coordinates themselves beyond it.
 
-Two point-location kernels answer whether a segment between two vertices
-is admissible (``triangulation._segment_defects``, behind
-``Instance.validate``, ``Instance.admissible_pairs`` and ``validate``'s
-full checks): :func:`vertices_inside`, the grid of vertices strictly inside
-segments, and :func:`midpoint_classes`, the region class of each segment's
-midpoint by ray parity.  ``Instance.validate`` also places the midpoints
-of its holes' edges with :func:`midpoint_classes`.
+Three point-location kernels answer whether a segment between two
+vertices is admissible.  :func:`vertices_inside`, the grid of vertices
+strictly inside segments, serves every caller
+(``triangulation._segment_defects`` and ``Instance.admissible_pairs``).
+``Instance.admissible_pairs`` adds :func:`enters_region`, whether a segment
+leaves an endpoint into the region: two or three orientation signs per
+segment.  Only the messages that name a midpoint's class read
+:func:`midpoint_classes`, the region class of each segment's midpoint by
+ray parity: "leaves the region" in ``validate``'s full checks (through
+``triangulation._segment_defects``) and the rules of ``Instance.validate``
+for holes that share a vertex with another polygon.
 
 :func:`twice_areas`, the orientation determinant row by row, serves the
 batch face trace of :func:`flipdist.triangulation.faces` and the area sum
@@ -266,6 +271,75 @@ def _inside_numpy(points: Points, ids: np.ndarray) -> np.ndarray:
             & ((ends.min(axis=1) <= p) & (p <= ends.max(axis=1))).all(axis=1)
         )
         out[r[keep], c[keep]] = True
+    return out
+
+
+def enters_region(
+    points: Points,
+    ids: np.ndarray,
+    polygons: Sequence[Sequence[int]],
+) -> np.ndarray:
+    """Whether each segment of ``ids`` (an (m, 2) array of vertex ids) leaves
+    its first endpoint into the region that ``polygons`` bound: always when
+    ``ids[r, 0]`` is on no polygon, and otherwise when point ``ids[r, 1]``
+    lies strictly inside the region's corner at ``ids[r, 0]`` on every
+    polygon through it.
+
+    Each polygon is listed with the region on its left (the outer one ccw,
+    each hole cw).  The corner at v between its neighbours a (before v) and
+    b (after v) is the open wedge swept ccw from ray vb to ray va: a point q
+    is inside it iff q is left of vb and right of va where a, v, b turn
+    left or go straight (the wedge is at most a half-plane), and iff either
+    holds where they turn right (a reflex corner).
+    """
+    if active_kernel() == "numpy" and points.array is not None:
+        return _enters_numpy(points, ids, polygons)
+    corners: dict[int, list[tuple[int, int]]] = {}
+    for poly in polygons:
+        for k, v in enumerate(poly):
+            corners.setdefault(v, []).append((poly[k - 1], poly[(k + 1) % len(poly)]))
+    coords = points.coords
+
+    def enters(v: int, q: int) -> bool:
+        pv, pq = coords[v], coords[q]
+        for a, b in corners.get(v, ()):
+            left_of_b = geometry.orient(pv, coords[b], pq) > 0
+            right_of_a = geometry.orient(pv, coords[a], pq) < 0
+            if geometry.orient(coords[a], pv, coords[b]) < 0:
+                inside = left_of_b or right_of_a
+            else:
+                inside = left_of_b and right_of_a
+            if not inside:
+                return False
+        return True
+
+    return np.array([enters(v, q) for v, q in ids.tolist()], dtype=bool)
+
+
+def _enters_numpy(
+    points: Points, ids: np.ndarray, polygons: Sequence[Sequence[int]]
+) -> np.ndarray:
+    x, y = points.x, points.y
+    out = np.ones(len(ids), dtype=bool)
+    before, after = np.zeros(len(x), dtype=np.int64), np.zeros(len(x), dtype=np.int64)
+    reflex = np.zeros(len(x), dtype=bool)
+    # One pass per polygon over the rows that start on it: a pinched vertex
+    # is on several.
+    for poly in polygons:
+        vs = np.asarray(poly)
+        on = np.zeros(len(x), dtype=bool)
+        on[vs] = True
+        k = np.arange(len(vs))
+        a, b = vs[k - 1], vs[(k + 1) % len(vs)]
+        before[vs], after[vs] = a, b
+        reflex[vs] = _orient(*_line(x[a], y[a], x[vs], y[vs]), x[b], y[b]) < 0
+        rows = np.flatnonzero(on[ids[:, 0]])
+        v, q = ids[rows, 0], ids[rows, 1]
+        a, b = before[v], after[v]
+        vx, vy, qx, qy = x[v], y[v], x[q], y[q]
+        left_of_b = _orient(*_line(vx, vy, x[b], y[b]), qx, qy) > 0
+        right_of_a = _orient(*_line(vx, vy, x[a], y[a]), qx, qy) < 0
+        out[rows] &= np.where(reflex[v], left_of_b | right_of_a, left_of_b & right_of_a)
     return out
 
 

@@ -237,17 +237,49 @@ class Instance:
         return out
 
     def admissible_pairs(self) -> tuple[Edge, ...]:
-        """All vertex pairs whose open segment can be a triangulation edge:
-        those with no :func:`_segment_defects` that cross no border edge."""
+        """All vertex pairs whose open segment can be a triangulation edge,
+        sorted: those with no :func:`_segment_defects` that cross no border
+        edge.
+
+        Computed without midpoints: a pair qualifies when it crosses no
+        border edge, no vertex lies inside it, and it is a border edge or
+        leaves one endpoint into the region (:func:`kernels.enters_region`,
+        two or three orientation signs per pair).  Why that suffices: the
+        open segment of such a pair misses the border.  It contains no
+        vertex, so it meets no border edge at an endpoint; a touch inside
+        both segments off their common line would be a proper crossing; on
+        their common line, the open segment is not the border edge itself,
+        so one of its ends would lie inside the border edge, which the
+        instance forbids.  So the open segment lies in the open region or
+        wholly outside it, and its points near an endpoint v decide which.
+        A vertex on no polygon lies strictly inside the region (the
+        instance's point rules), so these points are in it.  At a border
+        vertex only the edges at v come near, and the segment leaves v along
+        none of them (that would put a vertex inside one of the two), so
+        these points are in the region iff the segment's direction lies
+        strictly inside the region's corner at v on every polygon through
+        v: inside the outer polygon and outside each hole there.
+        """
         if self._admissible is None:
-            pairs = [(i, j) for i in range(self.n) for j in range(i + 1, self.n)]
+            ids = np.stack(np.triu_indices(self.n, 1), axis=1)
             crossing = kernels.crossing_matrix(
-                self.segments(pairs), self.segments(sorted(self.border_edges))
+                self.segments(ids), self.segments(sorted(self.border_edges))
             ).any(axis=1)
-            pairs = [e for e, c in zip(pairs, crossing) if not c]
-            inside, leaving = _segment_defects(self, pairs)
-            bad = {e for _, e in inside}.union(leaving)
-            self._admissible = tuple(e for e in pairs if e not in bad)
+            ids = ids[~crossing]
+            ids = ids[~kernels.vertices_inside(self._packed, ids).any(axis=1)]
+            table = np.zeros((self.n, self.n), dtype=bool)
+            table[tuple(np.array(sorted(self.border_edges)).T)] = True
+            border = table[ids[:, 0], ids[:, 1]]
+            # Each polygon with the region on its left: the outer one ccw,
+            # each hole cw.
+            region = [
+                poly if (_area2(coords) > 0) == (b == 0) else poly[::-1]
+                for b, (poly, coords) in enumerate(
+                    zip(self.border, self.border_coords())
+                )
+            ]
+            keep = border | kernels.enters_region(self._packed, ids, region)
+            self._admissible = tuple(map(tuple, ids[keep].tolist()))
         return self._admissible
 
     def edge_index(self) -> dict[Edge, int]:
@@ -623,10 +655,7 @@ def apex_quadrilateral(
     :func:`_read_quadrilateral`, which takes canonical edges only.
     """
     e = canonical_edge(*e)
-    incident = apexes.get(e)
-    if incident is None:
-        raise EdgeNotInTriangulation(f"edge {e} not in triangulation")
-    if len(incident) < 2:
+    if len(_incident(apexes, e)) < 2:
         return None
     b, d, strictly_convex, _ = _read_quadrilateral(pts, apexes, e)
     return Quadrilateral(
@@ -635,6 +664,15 @@ def apex_quadrilateral(
         strictly_convex=strictly_convex,
         vertices=(e[0], b, e[1], d),  # ccw boundary order
     )
+
+
+def _incident(apexes: ApexMap, e: Edge) -> tuple[int, ...]:
+    """The apexes of the canonical edge e: one for a border edge, two for an
+    interior one."""
+    incident = apexes.get(e)
+    if incident is None:
+        raise EdgeNotInTriangulation(f"edge {e} not in triangulation")
+    return incident
 
 
 def _read_quadrilateral(
@@ -683,15 +721,6 @@ def flip(t: Triangulation, e: Edge) -> Triangulation:
     return Triangulation(t.instance, (t.edges - {e}) | {quad.opposite})
 
 
-def flip_apexes(apexes: ApexMap, quad: Quadrilateral) -> None:
-    """Rewrite an apex map in place for the flip of ``quad``'s diagonal: a
-    wrapper over :func:`_rewrite_apexes`."""
-    a, b, c, d = quad.vertices
-    ab, bc = canonical_edge(a, b), canonical_edge(b, c)
-    cd, da = canonical_edge(c, d), canonical_edge(d, a)
-    _rewrite_apexes(apexes, a, b, c, d, (ab, bc, cd, da))
-
-
 def _rewrite_apexes(
     apexes: ApexMap, a: int, b: int, c: int, d: int, sides: Sides
 ) -> Edge:
@@ -733,25 +762,32 @@ class MutableTriangulation:
         """The current edge set: every edge bounds a face."""
         return self.apexes.keys()
 
-    def quadrilateral(self, e: Edge) -> Optional[Quadrilateral]:
-        """The quadrilateral with e as diagonal, or None for a border edge."""
-        return apex_quadrilateral(self.instance.points, self.apexes, e)
-
     def flip(self, e: Edge) -> Quadrilateral:
         """Replace diagonal e with the opposite diagonal, in place; return
         the quadrilateral flipped."""
         e = canonical_edge(*e)
-        quad = _require_flippable(e, self.quadrilateral(e))
-        flip_apexes(self.apexes, quad)
-        return quad
+        apexes = self.apexes
+        if len(_incident(apexes, e)) < 2:
+            raise NotFlippable(f"edge {e} is a border edge")
+        b, d, strictly_convex, sides = _read_quadrilateral(
+            self.instance.points, apexes, e
+        )
+        if not strictly_convex:
+            raise NotFlippable(f"quadrilateral of {e} is not strictly convex")
+        a, c = e
+        bd = _rewrite_apexes(apexes, a, b, c, d, sides)
+        return Quadrilateral(
+            diagonal=e, opposite=bd, strictly_convex=True, vertices=(a, b, c, d)
+        )
 
     def freeze(self) -> Triangulation:
         """An immutable copy of the current edge set."""
         return Triangulation(self.instance, self.edges)
 
 
-# Candidates greedy_triangulate tests at a time: a block meets the accepted
-# edges in one crossing grid and itself in another, never all candidates.
+# Candidates greedy_triangulate decides at a time: a block meets itself in
+# one crossing grid, and the edges it accepts meet the later candidates in
+# another, never all candidates.
 _GREEDY_BLOCK = 64
 
 
@@ -765,30 +801,33 @@ def greedy_triangulate(
     it crosses no accepted edge.  An admissible pair never crosses a border
     edge, so only the accepted interior edges are tested.  The default
     priority is lexicographic on (min id, max id), which makes the output
-    deterministic.  Candidates are taken in blocks, in order: one crossing
-    grid against the edges accepted before the block and one within it
-    decide each block.
+    deterministic.  Candidates are taken in blocks of ``_GREEDY_BLOCK``, in
+    order, and eliminated forward: every candidate left crosses no edge
+    accepted so far, so the crossing grid of a block against itself decides
+    it, and one grid of the later candidates against the edges the block
+    accepted drops those that cross one.
     """
     candidates = [e for e in inst.admissible_pairs() if e not in inst.border_edges]
     candidates.sort(key=priority if priority is not None else lambda e: e)
     segs = inst.segments(candidates)
-    accepted = segs[:0]
     chosen = set(inst.border_edges)
-    for lo in range(0, len(candidates), _GREEDY_BLOCK):
-        block = segs[lo:lo + _GREEDY_BLOCK]
-        # The block's candidates that cross no accepted edge, in order; one
-        # is accepted iff it crosses none accepted before it in the block.
-        free = lo + np.flatnonzero(~kernels.crossing_matrix(block, accepted).any(axis=1))
-        block = segs[free]
-        within = kernels.crossing_matrix(block, block)
+    # The candidates, in order, that cross no edge accepted so far.
+    alive = np.arange(len(candidates))
+    while len(alive):
+        block, alive = alive[:_GREEDY_BLOCK], alive[_GREEDY_BLOCK:]
+        # One is accepted iff it crosses none accepted before it in the block.
+        own = segs[block]
+        within = kernels.crossing_matrix(own, own)
         blocked = np.zeros(len(block), dtype=bool)
         taken = []
         for i in range(len(block)):
             if not blocked[i]:
                 taken.append(i)
                 blocked |= within[i]
-        chosen.update(candidates[k] for k in free[taken].tolist())
-        accepted = np.concatenate([accepted, block[taken]])
+        chosen.update(candidates[k] for k in block[taken].tolist())
+        if len(alive):
+            crossed = kernels.crossing_matrix(segs[alive], own[taken]).any(axis=1)
+            alive = alive[~crossed]
     return Triangulation(inst, chosen)
 
 

@@ -16,6 +16,7 @@ from flipdist.oracle import build_flip_graph
 from flipdist.triangulation import (
     MutableTriangulation,
     Triangulation,
+    apex_quadrilateral,
     canonical_edge,
     faces,
     flip,
@@ -82,7 +83,7 @@ def test_local_flips_match_frozen_faces(spec, data):
         legal = []
         for e in sorted(frozen.edges):
             quad = quadrilateral_of(frozen, e)
-            assert state.quadrilateral(e) == quad
+            assert apex_quadrilateral(inst.points, state.apexes, e) == quad
             if quad is not None and quad.strictly_convex:
                 legal.append(e)
         if not legal:

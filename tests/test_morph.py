@@ -288,7 +288,7 @@ def _morph_reference(t1, t2):
     while state.edges != t2.edges:
         best = max(counts.values())
         for e in sorted(e for e, c in counts.items() if c == best):
-            quad = state.quadrilateral(e)
+            quad = apex_quadrilateral(t1.instance.points, state.apexes, e)
             assert quad is not None and quad.strictly_convex
             new = int(
                 kernels.crossing_counts(

@@ -444,10 +444,64 @@ def _admissibility_instances():
     return cases
 
 
-@pytest.mark.parametrize("name", sorted(_admissibility_instances()))
-def test_admissible_pairs_match_reference(name):
-    inst = _admissibility_instances()[name]
-    assert inst.admissible_pairs() == _admissible_reference(inst)
+# About 30 blocks of greedy_triangulate's candidates.
+_INTERIOR_64 = GenSpec(seed=1, n_points=64, interior_points=16)
+
+
+def _wedge_instances():
+    """Corners that the endpoint-wedge test of ``admissible_pairs`` must
+    read right, beyond those of :func:`_admissibility_instances`."""
+    pinched = Instance(
+        [(0, 0), (10, 0), (10, 5), (10, 10), (0, 10), (6, 3), (6, 7), (2, 5),
+         (8, 8), (3, 2), (3, 8), (9, 1), (4, 5)],
+        [[0, 1, 2, 3, 4], [2, 6, 12, 5]],
+    )
+    huge = 1 << 61
+    cases = {
+        # A hole pinched to the outer polygon at (10, 5), a straight corner of
+        # the outer polygon: the region there is a half-plane less the hole's
+        # corner, which the hole's chord (2, 12) enters.
+        "hole_pinched_to_outer": pinched,
+        # A reflex corner at (4, 4), whose region corner is wider than a
+        # half-plane, and a straight one at (4, 0).
+        "reflex_and_straight": Instance(
+            [(0, 0), (4, 0), (8, 0), (8, 8), (4, 4), (0, 8), (1, 5), (4, 2),
+             (6, 1), (2, 1), (7, 5)],
+            [[0, 1, 2, 3, 4, 5]],
+        ),
+        # The pinched hole scaled past int64: every kernel takes its exact loop.
+        "beyond_int64_pinched": Instance(
+            [(x * huge, y * huge) for x, y in pinched.points], pinched.border
+        ),
+        "interior_64": generate_instance(_INTERIOR_64),
+    }
+    for seed, (n, holes, interior) in enumerate(
+        ((14, 0, 2), (22, 0, 4), (30, 0, 6), (14, 1, 2), (20, 2, 3), (30, 3, 5))
+    ):
+        shape = "with_holes" if holes else "random_simple_border"
+        cases[f"{shape}_n{n}"] = generate_instance(
+            GenSpec(seed=seed, n_points=n, shape=shape, holes=holes,
+                    interior_points=interior)
+        )
+    return cases
+
+
+@functools.cache
+def _admissible_cases():
+    """Built once: the test below reads each instance's points and border
+    only, so no cached admissible pairs carry from one backend to another."""
+    return {**_admissibility_instances(), **_wedge_instances()}
+
+
+@pytest.mark.parametrize("name", sorted(_admissible_cases()))
+def test_admissible_pairs_match_reference(name, monkeypatch):
+    inst = _admissible_cases()[name]
+    expected = _admissible_reference(inst)
+    for backend in kernels.KERNELS:
+        monkeypatch.setenv(kernels.KERNEL_ENV, backend)
+        # A fresh instance: admissible pairs are cached on the instance.
+        fresh = Instance(inst.points, inst.border)
+        assert fresh.admissible_pairs() == expected
 
 
 def _greedy_reference(inst, priority):
@@ -480,6 +534,8 @@ def _greedy_instances():
     cases["holed_26"] = generate_instance(
         GenSpec(seed=8, n_points=26, shape="with_holes", holes=2)
     )
+    # About 30 blocks of candidates: forward elimination runs across many.
+    cases["interior_64"] = generate_instance(_INTERIOR_64)
     # Beyond the int64 gate: the blocks take the exact loop.
     cases["beyond_int64_limit"] = Instance(
         [(-big, -big), (0, -big), (big, -big), (big, big), (-big, big), (1, 7),
@@ -501,7 +557,7 @@ def test_greedy_matches_one_at_a_time(name, backend, monkeypatch):
         t = greedy_triangulate(inst, priority=priority)
         assert t.edges == _greedy_reference(inst, priority)
         assert validate(t) == []
-    if name.endswith(("_24", "_26", "_30")):
+    if name.endswith(("_24", "_26", "_30", "_64")):
         candidates = set(inst.admissible_pairs()) - inst.border_edges
         assert len(candidates) > 2 * _GREEDY_BLOCK
 
