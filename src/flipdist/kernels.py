@@ -16,17 +16,16 @@ array these grids read is packed by ``Instance.segments``: vertex-id pairs
 indexed into the instance's packed points (:class:`Points`) under the
 int64 gate, the coordinates themselves beyond it.
 
-Three point-location kernels answer whether a segment between two
-vertices is admissible.  :func:`vertices_inside`, the grid of vertices
-strictly inside segments, serves every caller
-(``triangulation._segment_defects`` and ``Instance.admissible_pairs``).
-``Instance.admissible_pairs`` adds :func:`enters_region`, whether a segment
-leaves an endpoint into the region: two or three orientation signs per
-segment.  Only the messages that name a midpoint's class read
-:func:`midpoint_classes`, the region class of each segment's midpoint by
-ray parity: "leaves the region" in ``validate``'s full checks (through
-``triangulation._segment_defects``) and the rules of ``Instance.validate``
-for holes that share a vertex with another polygon.
+Two point-location kernels answer whether a segment between two vertices
+is admissible.  :func:`vertices_inside`, the grid of vertices strictly
+inside segments, serves every caller (``triangulation._segment_defects``
+and ``Instance.admissible_pairs``).  ``Instance.admissible_pairs`` adds
+:func:`enters_region`, whether a segment leaves an endpoint into the
+region: two or three orientation signs per segment.  The messages that
+name a midpoint's class, "leaves the region" in ``validate``'s full checks
+and the rules of ``Instance.validate`` for holes that share a vertex with
+another polygon, call the exact :func:`geometry.midpoint_in_region` on
+their segments: only invalid input reaches them.
 
 :func:`twice_areas`, the orientation determinant row by row, serves the
 batch face trace of :func:`flipdist.triangulation.faces` and the area sum
@@ -45,15 +44,9 @@ Select with the ``FLIPDIST_KERNEL`` environment variable; any other name
 raises :class:`~flipdist.errors.FlipdistError`.  The numpy backend is only
 used when every coordinate satisfies ``|c| <= INT64_SAFE_LIMIT``; beyond
 that, each kernel takes the exact python loop whatever backend is asked
-for, so no sign is ever lost to overflow.
-
-The midpoint kernel does not double coordinates to make the midpoint m of
-ab integral: doubled coordinates reach 2^31 and their products 2^64.  It
-uses 2 * orient(u, v, m) = det(u, v, a) + det(u, v, b) instead.  Each det
-fits int64 (see ``INT64_SAFE_LIMIT``).  Where their signs do not cancel,
-they give the sign of the sum; where they cancel, the sum is at most the
-larger magnitude, so it fits too.  The straddle and box tests compare ``2 * y``
-with ``ay + by``, both at most 2^31 in magnitude.
+for, so no sign is ever lost to overflow.  :meth:`Points.use_numpy` makes
+that choice for the point-location kernels and for the face trace and its
+area sum.
 """
 
 from __future__ import annotations
@@ -79,9 +72,6 @@ INT64_SAFE_LIMIT = geometry.COORD_LIMIT
 # temporary is then 64 KiB, below glibc's default 128 KiB mmap threshold,
 # so it is not a fresh mapping whose pages fault in on every block.
 _CELL_BLOCK = 1 << 13
-
-# The region classes, as :func:`midpoint_classes` returns them.
-_CLASS_DTYPE = "<U11"
 
 
 def active_kernel() -> str:
@@ -148,6 +138,12 @@ class Points:
         )
         if self.array is not None:
             self.x, self.y = self.array.T.copy()
+
+    def use_numpy(self) -> bool:
+        """Whether int64 numpy computes on these points: the numpy kernel is
+        active (an unknown ``FLIPDIST_KERNEL`` raises here, on every path)
+        and every coordinate is within the gate."""
+        return active_kernel() == "numpy" and self.array is not None
 
 
 def _matrix_python(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -222,15 +218,13 @@ def _rows_per_block(cols: int) -> int:
     return max(1, _CELL_BLOCK // max(cols, 1))
 
 
-def vertices_inside(
-    points: Points, ids: np.ndarray, kernel: str | None = None
-) -> np.ndarray:
+def vertices_inside(points: Points, ids: np.ndarray) -> np.ndarray:
     """Boolean (m, n) grid: entry (i, k) is whether point k lies strictly
     inside the segment from point ``ids[i, 0]`` to point ``ids[i, 1]``.
 
     ``ids`` is an (m, 2) array of vertex ids; the points must be distinct.
     """
-    if _backend(kernel) == "numpy" and points.array is not None:
+    if points.use_numpy():
         return _inside_numpy(points, ids)
     coords = points.coords
     return np.array(
@@ -292,7 +286,7 @@ def enters_region(
     left or go straight (the wedge is at most a half-plane), and iff either
     holds where they turn right (a reflex corner).
     """
-    if active_kernel() == "numpy" and points.array is not None:
+    if points.use_numpy():
         return _enters_numpy(points, ids, polygons)
     corners: dict[int, list[tuple[int, int]]] = {}
     for poly in polygons:
@@ -340,78 +334,6 @@ def _enters_numpy(
         left_of_b = _orient(*_line(vx, vy, x[b], y[b]), qx, qy) > 0
         right_of_a = _orient(*_line(vx, vy, x[a], y[a]), qx, qy) < 0
         out[rows] &= np.where(reflex[v], left_of_b | right_of_a, left_of_b & right_of_a)
-    return out
-
-
-def midpoint_classes(
-    points: Points,
-    ids: np.ndarray,
-    polygons: Sequence[Sequence[int]],
-    kernel: str | None = None,
-) -> np.ndarray:
-    """:func:`geometry.midpoint_in_region` of every segment of ``ids`` (an
-    (m, 2) array of vertex ids) against the region that ``polygons`` bound
-    (vertex-id polygons: the outer one, then holes), as an array of
-    ``INSIDE``, ``ON_BOUNDARY`` and ``OUTSIDE``.  A row ``(k, k)`` classifies
-    point k itself.
-    """
-    if _backend(kernel) == "numpy" and points.array is not None:
-        return _classes_numpy(points.array, ids, polygons)
-    coords = points.coords
-    border = [[coords[v] for v in poly] for poly in polygons]
-    return np.array(
-        [
-            geometry.midpoint_in_region((coords[i], coords[j]), border)
-            for i, j in ids.tolist()
-        ],
-        dtype=_CLASS_DTYPE,
-    )
-
-
-def _classes_numpy(
-    pts: np.ndarray, ids: np.ndarray, polygons: Sequence[Sequence[int]]
-) -> np.ndarray:
-    # The edges (u, v) of every polygon, polygon after polygon; ``starts``
-    # holds the index of each polygon's first edge.
-    u = np.concatenate([np.asarray(poly) for poly in polygons])
-    v = np.concatenate([np.roll(poly, -1) for poly in polygons])
-    starts = np.cumsum([0] + [len(poly) for poly in polygons[:-1]])
-    ux, uy, vx, vy = pts[u, 0], pts[u, 1], pts[v, 0], pts[v, 1]
-    dx, dy, k = _line(ux, uy, vx, vy)
-    up = np.sign(dy)
-    # The edges' ends and bounding boxes, doubled like the midpoints.
-    uy2, vy2 = 2 * uy, 2 * vy
-    lo_x, hi_x = 2 * np.minimum(ux, vx), 2 * np.maximum(ux, vx)
-    lo_y, hi_y = np.minimum(uy2, vy2), np.maximum(uy2, vy2)
-    out = np.empty(len(ids), dtype=_CLASS_DTYPE)
-    step = _rows_per_block(len(u))
-    for lo in range(0, len(ids), step):
-        rows = slice(lo, lo + step)
-        a, b = pts[ids[rows, 0]], pts[ids[rows, 1]]
-        ax, ay, bx, by = a[:, :1], a[:, 1:], b[:, :1], b[:, 1:]
-        sx, sy = ax + bx, ay + by  # the midpoint, doubled
-        det_a = _orient(dx, dy, k, ax, ay)  # det(u, v, a)
-        det_b = _orient(dx, dy, k, bx, by)
-        sign_a, sign_b = np.sign(det_a), np.sign(det_b)
-        # The sign of det_a + det_b = 2 * orient(u, v, m): where the two
-        # signs do not cancel, their sum's (det_a + det_b may wrap there and
-        # is not used); where they cancel, opposite or both 0, the sum fits.
-        side = np.where(sign_a == -sign_b, np.sign(det_a + det_b), sign_a + sign_b)
-        # The half-open rule of geometry.ray_crossing_parity: an edge counts
-        # when it straddles m's height, lower end inclusive, and m is left of
-        # it directed upwards.
-        crosses = ((uy2 > sy) != (vy2 > sy)) & (side * up > 0)
-        on_edge = (
-            (side == 0)
-            & (lo_x <= sx) & (sx <= hi_x) & (lo_y <= sy) & (sy <= hi_y)
-        ).any(axis=1)
-        odd = np.logical_xor.reduceat(crosses, starts, axis=1)
-        inside = odd[:, 0] & ~odd[:, 1:].any(axis=1)
-        out[rows] = np.where(
-            on_edge,
-            geometry.ON_BOUNDARY,
-            np.where(inside, geometry.INSIDE, geometry.OUTSIDE),
-        )
     return out
 
 

@@ -225,10 +225,8 @@ class Instance:
             for b2 in range(len(self.border)):
                 if b2 == b or not set(self.border[b]) & set(self.border[b2]):
                     continue
-                where = kernels.midpoint_classes(
-                    self._packed, np.array(edges), [self.border[b2]]
-                )
-                for e, w in zip(edges, where):
+                for e in edges:
+                    w = geometry.midpoint_in_region(self.segment(e), [coords[b2]])
                     if b2 == 0 and w == OUTSIDE:
                         out.append(f"hole {b} edge {e} is outside the outer border")
                     elif b2 > 0 and w == INSIDE:
@@ -303,18 +301,23 @@ class Instance:
 def _segment_defects(inst: Instance, edges: Sequence[Edge]) -> tuple[list, list]:
     """Why the segments of ``edges`` are not admissible, in edge order.
 
-    ``(k, e)`` for every vertex k strictly inside a segment e, and every
-    non-border e whose midpoint is not inside the region.  A segment free of
-    both that crosses no border edge is admissible.
+    ``(k, e)`` for every vertex k strictly inside a segment e, from one
+    :func:`kernels.vertices_inside` grid, and every non-border e whose
+    midpoint :func:`geometry.midpoint_in_region` does not place inside the
+    region.  A segment free of both that crosses no border edge is
+    admissible.  ``Instance.validate`` passes only border edges, so only
+    ``validate``'s full checks, which a valid triangulation never reaches,
+    place a midpoint.
     """
     ids = np.array(edges, dtype=np.int64).reshape(-1, 2)
     rows, ks = np.nonzero(kernels.vertices_inside(inst._packed, ids))
     inside = [(k, edges[i]) for i, k in zip(rows.tolist(), ks.tolist())]
-    free = [i for i, e in enumerate(edges) if e not in inst.border_edges]
-    leaving: list[Edge] = []
-    if free:
-        where = kernels.midpoint_classes(inst._packed, ids[free], inst.border)
-        leaving = [edges[i] for i, w in zip(free, where) if w != INSIDE]
+    coords = inst.border_coords()
+    leaving = [
+        e for e in edges
+        if e not in inst.border_edges
+        and geometry.midpoint_in_region(inst.segment(e), coords) != INSIDE
+    ]
     return inside, leaving
 
 
@@ -459,17 +462,11 @@ def faces(t: Triangulation) -> tuple[tuple[int, int, int], ...]:
     cached: :func:`apex_map` is the per-triangulation cache, which
     :func:`_apexes_of` builds from these triangles.
     """
-    if len(t.edges) >= _FACE_BATCH_EDGES and _numpy_ok(t.instance):
+    if t.instance._packed.use_numpy() and len(t.edges) >= _FACE_BATCH_EDGES:
         traced = _faces_batch(t)
         if traced is not None:
             return traced
     return _faces_exact(t)
-
-
-def _numpy_ok(inst: Instance) -> bool:
-    """Whether int64 numpy may compute on ``inst``: the numpy kernel is
-    active and every coordinate is within the gate."""
-    return inst._packed.array is not None and kernels.active_kernel() == "numpy"
 
 
 def _hole_signatures(inst: Instance) -> list[tuple[frozenset, frozenset]]:
@@ -939,7 +936,7 @@ def _face_certificate(t: Triangulation) -> Optional[ApexMap]:
 def _total_area2(inst: Instance, triangles: Sequence[tuple[int, int, int]]) -> int:
     """Twice the total signed area of ``triangles``, exactly: in one batch
     under the int64 gate, summed over Python ints."""
-    if not triangles or not _numpy_ok(inst):
+    if not triangles or not inst._packed.use_numpy():
         pts = inst.points
         return sum(_area2([pts[a], pts[b], pts[c]]) for a, b, c in triangles)
     xy = inst._packed.array

@@ -347,23 +347,25 @@ def test_active_kernel_env(monkeypatch):
     assert kernels.active_kernel() == "numpy"
     monkeypatch.delenv(kernels.KERNEL_ENV)
     assert kernels.active_kernel() == "numpy"
-    # An unknown name is refused, by the env and by the argument alike.
+    # An unknown name is refused: by the env on every path, whether or not
+    # the points pass the int64 gate, and by crossing_matrix's argument.
     seg = kernels.segments_array([((0, 0), (1, 1))])
-    monkeypatch.setenv(kernels.KERNEL_ENV, "pyhton")
-    with pytest.raises(FlipdistError, match="'pyhton'"):
-        kernels.active_kernel()
-    with pytest.raises(FlipdistError, match="'pyhton'"):
-        kernels.crossing_matrix(seg, seg)
-    monkeypatch.delenv(kernels.KERNEL_ENV)
-    points = kernels.Points([(0, 0), (2, 0), (0, 2)])
     ids = np.array([[0, 1]])
-    for call in (
-        lambda k: kernels.crossing_matrix(seg, seg, kernel=k),
-        lambda k: kernels.vertices_inside(points, ids, kernel=k),
-        lambda k: kernels.midpoint_classes(points, ids, [[0, 1, 2]], kernel=k),
-    ):
-        with pytest.raises(FlipdistError, match="'bogus'"):
-            call("bogus")
+    monkeypatch.setenv(kernels.KERNEL_ENV, "pyhton")
+    for coords in ([(0, 0), (2, 0), (0, 2)], [(0, 0), (1 << 31, 0), (0, 2)]):
+        points = kernels.Points(coords)
+        for call in (
+            kernels.active_kernel,
+            lambda: kernels.crossing_matrix(seg, seg),
+            points.use_numpy,
+            lambda: kernels.vertices_inside(points, ids),
+            lambda: kernels.enters_region(points, ids, [[0, 1, 2]]),
+        ):
+            with pytest.raises(FlipdistError, match="'pyhton'"):
+                call()
+    monkeypatch.delenv(kernels.KERNEL_ENV)
+    with pytest.raises(FlipdistError, match="'bogus'"):
+        kernels.crossing_matrix(seg, seg, kernel="bogus")
 
 
 def test_count_pair_near_coordinate_cap():

@@ -1,10 +1,9 @@
-"""The point-location kernels against the exact scalar predicates.
+"""The vertex-in-segment kernel against the exact scalar predicate.
 
 ``kernels.vertices_inside`` must equal ``geometry.point_on_open_segment``
-for every vertex other than a segment's ends, and
-``kernels.midpoint_classes`` must equal ``geometry.midpoint_in_region``, on
-both backends, at the int64 gate's limit (the numpy path) and beyond it
-(the exact loop).
+for every vertex other than a segment's ends, on both backends (chosen by
+``FLIPDIST_KERNEL``), at the int64 gate's limit (the numpy path) and beyond
+it (the exact loop).
 """
 
 import numpy as np
@@ -15,7 +14,6 @@ from flipdist import geometry, kernels
 from flipdist.generate import GenSpec, generate_instance
 from flipdist.triangulation import Instance
 
-KERNELS = ["python", "numpy"]
 LIMIT = kernels.INT64_SAFE_LIMIT
 BEYOND = 1 << 31
 
@@ -31,34 +29,22 @@ def _inside_reference(coords, ids):
     ]
 
 
-def _classes_reference(coords, ids, polygons):
-    border = [[coords[v] for v in poly] for poly in polygons]
-    return [
-        geometry.midpoint_in_region((coords[i], coords[j]), border)
-        for i, j in ids
-    ]
-
-
-def _check(coords, ids, polygons):
-    """Both kernels on both backends equal the references; returns them."""
+def _check(coords, ids):
+    """The kernel on both backends equals the reference; returns it."""
     points = kernels.Points(coords)
     beyond = max(abs(c) for p in coords for c in p) > LIMIT
     assert (points.array is None) == beyond
     segments = [(i, j) for i, j in ids if i != j]
     inside = _inside_reference(coords, segments)
-    classes = _classes_reference(coords, ids, polygons)
-    for backend in KERNELS:
-        got = kernels.vertices_inside(
-            points, np.array(segments, dtype=np.int64).reshape(-1, 2), kernel=backend
-        )
+    for backend in kernels.KERNELS:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setenv(kernels.KERNEL_ENV, backend)
+            got = kernels.vertices_inside(
+                points, np.array(segments, dtype=np.int64).reshape(-1, 2)
+            )
         assert got.shape == (len(segments), len(coords))
         assert got.tolist() == inside
-        got = kernels.midpoint_classes(
-            points, np.array(ids, dtype=np.int64).reshape(-1, 2), polygons,
-            kernel=backend,
-        )
-        assert got.tolist() == classes
-    return inside, classes
+    return inside
 
 
 SMALL = st.integers(-4, 4)
@@ -68,25 +54,15 @@ PAST_CAP = st.sampled_from([-BEYOND, -LIMIT, -1, 0, 1, LIMIT, BEYOND])
 
 @st.composite
 def _configurations(draw):
-    """Distinct points on a coarse grid, so that collinear points, vertices
-    on segments, midpoints on edges and rays through vertices are common;
-    segments (and rows (k, k), which classify point k); polygons of distinct
-    ids that may share vertices, cross or nest."""
+    """Distinct points on a coarse grid, so that collinear points and
+    vertices on segments are common, and segments between them."""
     coord = draw(st.sampled_from([SMALL, AT_CAP, PAST_CAP]))
     coords = draw(
         st.lists(st.tuples(coord, coord), min_size=3, max_size=9, unique=True)
     )
-    n = len(coords)
-    vertex = st.integers(0, n - 1)
+    vertex = st.integers(0, len(coords) - 1)
     ids = draw(st.lists(st.tuples(vertex, vertex), min_size=1, max_size=20))
-    polygons = draw(
-        st.lists(
-            st.lists(vertex, min_size=3, max_size=n, unique=True),
-            min_size=1,
-            max_size=3,
-        )
-    )
-    return coords, ids, polygons
+    return coords, ids
 
 
 DIAMOND = [(5, 0), (10, 5), (5, 10), (0, 5)]
@@ -94,20 +70,11 @@ DIAMOND = [(5, 0), (10, 5), (5, 10), (0, 5)]
 
 @settings(max_examples=400, deadline=None)
 @given(_configurations())
-# A collinear border run: vertex 1 inside segment 0-2, whose midpoint is on
-# the border; 3-4's midpoint is outside.
-@example(([(0, 0), (3, 0), (6, 0), (6, 6), (0, 6)], [(0, 2), (3, 4), (1, 3)],
-          [[0, 1, 2, 3, 4]]))
-# Rays through the diamond's vertices 1 and 3, from inside and outside.
-@example((DIAMOND + [(2, 4), (2, 6), (-3, 4), (-3, 6)],
-          [(4, 5), (6, 7), (4, 4), (6, 6), (0, 2)], [[0, 1, 2, 3]]))
+# A collinear border run: vertex 1 inside segment 0-2.
+@example(([(0, 0), (3, 0), (6, 0), (6, 6), (0, 6)], [(0, 2), (3, 4), (1, 3)]))
 # Axis-parallel and diagonal segments through vertices at the cap.
 @example(([(-LIMIT, -LIMIT), (0, -LIMIT), (LIMIT, -LIMIT), (LIMIT, LIMIT),
-           (0, 0)], [(0, 2), (0, 3), (1, 2), (4, 4)], [[0, 2, 3]]))
-# det(u, v, a) = det(u, v, b) = 2^62 against the downward edge 0-1, so
-# their sum, 2^63, does not fit int64: only their signs may decide.
-@example(([(-LIMIT, LIMIT), (-LIMIT, -LIMIT), (0, 0), (LIMIT, 0), (LIMIT, 1)],
-          [(3, 4)], [[0, 1, 2]]))
+           (0, 0)], [(0, 2), (0, 3), (1, 2), (4, 4)]))
 def test_kernels_match_scalar_predicates(config):
     _check(*config)
 
@@ -149,16 +116,13 @@ def _instances():
 @pytest.mark.parametrize("one_row_blocks", [False, True])
 @pytest.mark.parametrize("name", sorted(_instances()))
 def test_kernels_on_instances(name, one_row_blocks, monkeypatch):
-    """Every vertex pair and every vertex against the instance's region, in
-    the kernels' usual blocks and one grid row at a time."""
+    """Every vertex pair of the instance, in the kernel's usual blocks and
+    one grid row at a time."""
     if one_row_blocks:
         monkeypatch.setattr(kernels, "_CELL_BLOCK", 1)
     inst = _instances()[name]
     n = inst.n
-    ids = [(i, j) for i in range(n) for j in range(i, n)]
-    inside, classes = _check(list(inst.points), ids, inst.border)
-    assert {geometry.INSIDE, geometry.ON_BOUNDARY} <= set(classes)
-    if name in ("holed", "coords_2^30", "coords_2^31"):
-        assert geometry.OUTSIDE in classes
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    inside = _check(list(inst.points), pairs)
     if name in ("collinear", "coords_2^30", "coords_2^31"):
         assert any(map(any, inside))

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from flipdist import geometry, kernels, triangulation
+from flipdist.crossings import count_pair
 from flipdist.errors import (
     EdgeNotInTriangulation,
     InvariantViolation,
@@ -13,7 +14,14 @@ from flipdist.errors import (
     NotFlippable,
 )
 from flipdist.generate import GenSpec, generate_instance, random_priority
-from flipdist.oracle import enumerate_triangulations_direct
+from flipdist.lemmas import (
+    audit_lemma1,
+    audit_lemma2,
+    audit_lemma2_2,
+    audit_propositions,
+)
+from flipdist.morph import morph
+from flipdist.oracle import enumerate_triangulations_direct, exact_flip_distance
 from flipdist.triangulation import (
     _GREEDY_BLOCK,
     Instance,
@@ -309,8 +317,21 @@ def _edge_sets(inst, rng):
     yield inst.border_edges | {e for e in admissible if rng.random() < 0.4}
 
 
-@pytest.mark.parametrize("name", sorted(_differential_instances()))
-def test_validate_matches_reference(name):
+@pytest.mark.parametrize(
+    "name, backend",
+    [
+        # The default numpy backend's cases keep the instance's plain name.
+        pytest.param(
+            name, backend, id=name if backend == "numpy" else f"{name}-{backend}"
+        )
+        for backend in kernels.KERNELS
+        for name in sorted(_differential_instances())
+    ],
+)
+def test_validate_matches_reference(name, backend, monkeypatch):
+    """The full checks' exact midpoints, with each backend's crossing grid
+    and vertices_inside."""
+    monkeypatch.setenv(kernels.KERNEL_ENV, backend)
     _validate_case(name)
 
 
@@ -320,6 +341,46 @@ def test_validate_matches_reference_in_batch(name, monkeypatch):
     every size."""
     monkeypatch.setattr(triangulation, "_FACE_BATCH_EDGES", 0)
     _validate_case(name)
+
+
+@pytest.mark.parametrize("face_batch", [None, 0])
+@pytest.mark.parametrize("backend", kernels.KERNELS)
+def test_valid_input_places_no_midpoint(backend, face_batch, monkeypatch):
+    """Building generated instances, their admissible pairs and greedy
+    triangulations, and validating, counting, morphing, auditing and
+    searching valid triangulations never place a midpoint: only invalid
+    input, and holes that share a vertex, reach the exact predicate."""
+
+    def refuse(*args):
+        raise AssertionError("midpoint_in_region called")
+
+    monkeypatch.setenv(kernels.KERNEL_ENV, backend)
+    if face_batch is not None:
+        monkeypatch.setattr(triangulation, "_FACE_BATCH_EDGES", face_batch)
+    monkeypatch.setattr(geometry, "midpoint_in_region", refuse)
+    specs = [
+        GenSpec(seed=1, n_points=14, interior_points=4),
+        GenSpec(seed=2, n_points=14, shape="random_simple_border", interior_points=3),
+        GenSpec(seed=3, n_points=16, shape="with_holes", holes=2, interior_points=3),
+    ]
+    for spec in specs:
+        inst = generate_instance(spec)
+        assert inst.admissible_pairs()
+        t1 = greedy_triangulate(inst)
+        t2 = greedy_triangulate(inst, priority=random_priority(inst, spec.seed))
+        assert validate(t1) == validate(t2) == []
+        count_pair(t1, t2)
+        morph(t1, t2)
+        for audit in (audit_propositions, audit_lemma1, audit_lemma2, audit_lemma2_2):
+            audit(t1, t2)
+    small = generate_instance(GenSpec(seed=4, n_points=8, interior_points=1))
+    t1 = greedy_triangulate(small)
+    t2 = greedy_triangulate(small, priority=random_priority(small, 4))
+    exact_flip_distance(t1, t2)
+    # The patch is live: the full checks of an invalid set place midpoints.
+    gone = t1.interior_edges()[0]
+    with pytest.raises(AssertionError, match="midpoint_in_region"):
+        validate(Triangulation(small, t1.edges - {gone}))
 
 
 def _validate_case(name):
