@@ -27,11 +27,6 @@ and the rules of ``Instance.validate`` for holes that share a vertex with
 another polygon, call the exact :func:`geometry.midpoint_in_region` on
 their segments: only invalid input reaches them.
 
-:func:`twice_areas`, the orientation determinant row by row, serves the
-batch face trace of :func:`flipdist.triangulation.faces` and the area sum
-of its face certificate.  It has no python backend: its callers take their
-own exact loops when the numpy kernel is not selected or the gate is off.
-
 Every kernel has two interchangeable backends:
 
 * ``numpy``  - broadcasting over blocks of ``_CELL_BLOCK`` cells (default).
@@ -45,8 +40,9 @@ raises :class:`~flipdist.errors.FlipdistError`.  The numpy backend is only
 used when every coordinate satisfies ``|c| <= INT64_SAFE_LIMIT``; beyond
 that, each kernel takes the exact python loop whatever backend is asked
 for, so no sign is ever lost to overflow.  :meth:`Points.use_numpy` makes
-that choice for the point-location kernels and for the face trace and its
-area sum.
+that choice for the point-location kernels and for the batch face trace of
+:func:`flipdist.triangulation.faces` and its face certificate, whose turn
+tests and twice-areas are int64 cross products of half-edge directions.
 """
 
 from __future__ import annotations
@@ -196,14 +192,6 @@ def crossing_matrix(
             return own & own.T
         return _straddle(a, b) & _straddle(b, a).T
     return _matrix_python(a, b)
-
-
-def twice_areas(p: np.ndarray, q: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """Twice the signed area of each triangle (p[i], q[i], r[i]), the
-    determinant whose sign :func:`geometry.orient` gives, for (k, 2) int64
-    point arrays within ``INT64_SAFE_LIMIT``."""
-    (px, py), (qx, qy), (rx, ry) = p.T, q.T, r.T
-    return _orient(*_line(px, py, qx, qy), rx, ry)
 
 
 def crossing_counts(

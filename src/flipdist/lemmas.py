@@ -196,10 +196,11 @@ def audit_propositions(t1: Triangulation, t2: Triangulation) -> AuditReport:
 
     # P1: planarity of each triangulation, witnessed by the first crossing
     # pair of its sorted edges in row-major order.
+    grids = {}
     for label, t in (("t1", t1), ("t2", t2)):
         edges = sorted(t.edges)
         packed = t.instance.segments(edges)
-        grid = kernels.crossing_matrix(packed, packed)
+        grid = grids[label] = kernels.crossing_matrix(packed, packed)
         if grid.any():
             i, j = divmod(int(grid.argmax()), len(edges))
             witness = f"{label} edges {edges[i]} and {edges[j]} cross"
@@ -302,14 +303,14 @@ def audit_propositions(t1: Triangulation, t2: Triangulation) -> AuditReport:
     )
 
     # P8: border edges shared and uncrossed.  count_pair counts interior
-    # edges only, so the border's crossings are a grid of their own.
+    # edges only.  The gate puts every border edge in t2, so the rows of
+    # P1's t2 grid hold their crossings (no border edge crosses another).
     border = t1.instance.border_edges
     missing = sorted((border - t1.edges) | (border - t2.edges))
-    edges = sorted(border)
-    hits = kernels.crossing_matrix(
-        t1.instance.segments(edges), t2.interior_array()
-    ).any(axis=1)
-    crossed_border = [e for e, hit in zip(edges, hits) if hit]
+    crossed_border = [
+        e for e, hit in zip(sorted(t2.edges), grids["t2"].any(axis=1).tolist())
+        if hit and e in border
+    ]
     report.verdict(
         "border-edges-shared", "P8",
         [f"missing={missing} crossed={crossed_border}"]

@@ -23,9 +23,9 @@ K - i + j is the flip of edge i, and every flip arises so, once:
 So a flip is unique per edge i.  A pair already in K crosses no edge of K
 (m is empty) and drops out without a test, and so does every pair that
 crosses no admissible pair at all, border edges among them.  A level
-finds |m| for all its keys and candidates j at once, as the product of
-its keys' bits with the grid's columns; where |m| = 1, the product with
-the columns weighted by row id gives i.
+finds |m| for all its keys and candidates j at once: the grid's column j
+is held as key words, so m is K & column j and |m| its bit count; where
+|m| = 1, the position of the lone bit is i.
 """
 
 from __future__ import annotations
@@ -49,8 +49,9 @@ from .triangulation import (
 MAX_NODES = 10**6
 MAX_DIRECT_POINTS = 12
 
-# Cells of the (rows x 2 candidates) product a level is expanded by at a
-# time, which bounds its temporaries at any level size.
+# Cells of the (rows x candidates) grid of |m| a level is expanded by at a
+# time, which bounds its temporaries at any level size: one uint64 word and
+# one bit count per cell for each key word.
 _CELL_BLOCK = 1 << 16
 
 
@@ -105,12 +106,10 @@ class _FlipTable:
     ``grid`` is the crossing grid of the admissible pairs, one
     :func:`kernels.crossing_matrix` call: entry (i, j) is whether pairs i
     and j cross properly.  ``cand`` lists the pairs that cross some
-    admissible pair, the only ones a flip can add.  ``table`` holds their
-    grid columns, then the same columns with row i weighted by i: a key's
-    bits times ``table`` give, for each candidate j, |m| and the sum of the
-    ids in m.  In float32 both are exact where they are read: a count is at
-    most P, and a sum is read only where it has one term, an id below P
-    (P < 2^24).  ``bits`` holds each pair's own bit as a key row.
+    admissible pair, the only ones a flip can add.  ``cols`` holds their
+    grid columns as keys, word by word: ``cols[w, j]`` is word w of the key
+    whose bit i is set iff pairs i and cand[j] cross.  ``bits`` holds each
+    pair's own bit as a key row.
     """
 
     def __init__(self, inst: Instance):
@@ -120,33 +119,41 @@ class _FlipTable:
         self.words = -(-self.pairs // 64)
         ids = np.arange(self.pairs)
         self.cand = np.flatnonzero(grid.any(axis=0))
-        cols = grid[:, self.cand].astype(np.float32)
-        weighted = cols * ids[:, None].astype(np.float32)
-        self.table = np.concatenate([cols, weighted], axis=1)
+        columns = np.zeros((len(self.cand), 8 * self.words), dtype=np.uint8)
+        columns[:, : -(-self.pairs // 8)] = np.packbits(
+            grid[:, self.cand].T, axis=1, bitorder="little"
+        )
+        self.cols = columns.view("<u8").T.copy()
         self.bits = np.zeros((self.pairs, self.words), dtype=np.uint64)
         self.bits[ids, ids // 64] = np.uint64(1) << (ids % 64).astype(np.uint64)
         self.cand_bits = self.bits[self.cand]
-        # Rows of a level multiplied at a time.
-        self.step = max(1, _CELL_BLOCK // max(1, self.table.shape[1]))
+        # Rows of a level expanded at a time.
+        self.step = max(1, _CELL_BLOCK // max(1, len(self.cand)))
 
     def expand(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Every flip of every row of ``keys``, in (row, flipped edge) order:
         the rows' positions, the flipped pairs' ids and the neighbours'
         keys."""
-        c = len(self.cand)
         found = []
         for lo in range(0, len(keys), self.step):
-            bits = np.unpackbits(
-                keys[lo:lo + self.step].view(np.uint8),
-                axis=1, count=self.pairs, bitorder="little",
-            )
-            product = bits @ self.table
-            row, j = (product[:, :c] == 1).nonzero()
-            found.append((row + lo, j, product[:, c:][row, j]))
+            block = keys[lo:lo + self.step]
+            # |m| for each row and candidate, one pass per key word.  It is at
+            # most a triangulation's edge count, far below 2^16.
+            crossed = np.zeros((len(block), len(self.cand)), dtype=np.uint16)
+            for w in range(self.words):
+                crossed += np.bitwise_count(block[:, w, None] & self.cols[w])
+            row, j = (crossed == 1).nonzero()
+            # Where |m| = 1, i is 64 w plus the bit count of m_w - 1 in the
+            # one word w where m is nonzero; in the others that count is 64.
+            flipped = np.zeros(len(row), dtype=np.int64)
+            for w in range(self.words):
+                m_w = block[row, w] & self.cols[w, j]
+                below = np.bitwise_count(m_w - np.uint64(1)).astype(np.int64)
+                flipped += np.where(below < 64, below + 64 * w, 0)
+            found.append((row + lo, j, flipped))
         row, j, flipped = (
             found[0] if len(found) == 1 else map(np.concatenate, zip(*found))
         )
-        flipped = flipped.astype(np.int64)
         order = np.argsort(row * self.pairs + flipped, kind="stable")
         row, j, flipped = row[order], j[order], flipped[order]
         return row, flipped, keys[row] ^ self.bits[flipped] ^ self.cand_bits[j]

@@ -5,7 +5,7 @@ from __future__ import annotations
 import functools
 import operator
 from itertools import chain
-from typing import Callable, Iterable, NamedTuple, Optional, Sequence
+from typing import Callable, Collection, Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -125,6 +125,12 @@ class Instance:
 
     def border_coords(self) -> list[list[Point]]:
         return [[self.points[v] for v in poly] for poly in self.border]
+
+    @functools.cached_property
+    def region_area2(self) -> int:
+        """Twice the region's area, exactly: |outer| - sum |hole|."""
+        outer, *holes = (abs(_area2(poly)) for poly in self.border_coords())
+        return outer - sum(holes)
 
     def segment(self, e: Edge) -> Segment:
         return (self.points[e[0]], self.points[e[1]])
@@ -347,6 +353,8 @@ class Triangulation:
             canonical_edge(*e) for e in edges
         )
         self._apexes: Optional[ApexMap] = None
+        # The triangles whose face certificate validate accepted.
+        self._triangles: Optional[np.ndarray] = None
         self._key: Optional[int] = None
         self._violations: Optional[list[str]] = None
         self._interior_sorted: Optional[tuple[Edge, ...]] = None
@@ -459,8 +467,7 @@ def faces(t: Triangulation) -> tuple[tuple[int, int, int], ...]:
     (:func:`_faces_batch`); it falls back to the exact loop
     (:func:`_faces_exact`) whenever it cannot prove its rotation system is
     the exact one, so both give the same triples in the same order.  Not
-    cached: :func:`apex_map` is the per-triangulation cache, which
-    :func:`_apexes_of` builds from these triangles.
+    cached: :func:`apex_map` is the per-triangulation cache.
     """
     if t.instance._packed.use_numpy() and len(t.edges) >= _FACE_BATCH_EDGES:
         traced = _faces_batch(t)
@@ -531,55 +538,32 @@ def _faces_exact(t: Triangulation) -> tuple[tuple[int, int, int], ...]:
     return tuple(result)
 
 
-def _faces_batch(t: Triangulation) -> Optional[tuple[tuple[int, int, int], ...]]:
-    """:func:`faces` from one sort of all half-edges, or None when the sort
-    is not provably the exact rotation system (or an edge id is invalid).
+def _edge_ends(edges: Collection[Edge]) -> np.ndarray:
+    """``edges`` as an (m, 2) int64 array, in iteration order."""
+    m = len(edges)
+    return np.fromiter(chain.from_iterable(edges), np.int64, 2 * m).reshape(m, 2)
 
-    Half-edges are sorted by (origin, half-plane, float angle).  Each
-    adjacent pair at one origin is then checked exactly: the half-plane
-    rises, or the pair turns strictly ccw.  When every pair passes, each
-    vertex's neighbours are strictly increasing in exact angle, which is
-    the order the exact sort gives, so the faces are the exact loop's.  The
-    face after half-edge h is ``prev[twin[h]]``; a triangle is a half-edge
-    with ``next^3 = id`` and positive area, less the triangular holes.  The
-    few other cycles (outer face, other holes, a bad face) are traced in
-    Python in the exact loop's order, with its verdicts and messages.
+
+def _faces_batch(t: Triangulation) -> Optional[tuple[tuple[int, int, int], ...]]:
+    """:func:`faces` from one batch trace (:func:`_batch_trace`), or None
+    when its sort is not provably the exact rotation system (or an edge id
+    is invalid).  The few cycles that are not triangles (outer face, other
+    holes, a bad face) are traced in Python in the exact loop's order, with
+    its verdicts and messages.
     """
     inst = t.instance
-    xy = inst._packed.array
-    m = len(t.edges)
-    ends = np.fromiter(chain.from_iterable(t.edges), np.int64, 2 * m).reshape(m, 2)
+    ends = _edge_ends(t.edges)
     if ends.min() < 0 or ends.max() >= inst.n:
         return None
-    m2 = 2 * m
-    # Half-edge h and h + m are twins: h goes first end -> second end.
-    origin = np.concatenate([ends[:, 0], ends[:, 1]])
-    dest = np.concatenate([ends[:, 1], ends[:, 0]])
-    dx, dy = (xy[dest] - xy[origin]).T
-    half = (dy < 0) | ((dy == 0) & (dx < 0))  # angle in [pi, 2 pi)
-    # Equal float angles fall back to vertex ids, so whether the check passes
-    # does not depend on the order in which the edge set is iterated.
-    order = np.lexsort((dest, np.arctan2(dy, dx) % (2 * np.pi), half, origin))
-    o, d, half = origin[order], dest[order], half[order]
-    same = o[1:] == o[:-1]
-    turns = kernels.twice_areas(xy[o[1:][same]], xy[d[:-1][same]], xy[d[1:][same]])
-    if not ((half[:-1][same] != half[1:][same]) | (turns > 0)).all():
+    traced = _batch_trace(inst, ends)
+    if traced is None:
         return None
-    # In sorted positions: the twin of each half-edge, the one before it
-    # ccw around its origin, and the next half-edge of its face.
-    rank = np.empty(m2, dtype=np.int64)
-    rank[order] = np.arange(m2)
-    twin = rank[(order + m2 // 2) % m2]
-    prev = np.arange(-1, m2 - 1)
-    starts = np.flatnonzero(np.concatenate([[True], ~same]))
-    prev[starts] = np.append(starts[1:], m2) - 1
-    nxt = prev[twin]
-    nxt2 = nxt[nxt]
-    in_triangle = nxt[nxt2] == np.arange(m2)
-    rest = np.flatnonzero(~in_triangle).tolist()
+    o, nxt, _, rows, _ = traced
+    rest = np.flatnonzero(nxt[nxt[nxt]] != np.arange(len(nxt))).tolist()
     if rest:
         pts, holes = inst.points, _hole_signatures(inst)
-        o_l, d_l, nxt_l = o.tolist(), d.tolist(), nxt.tolist()
+        o_l, nxt_l = o.tolist(), nxt.tolist()
+        d_l = o[nxt].tolist()
         # The exact loop's order: by edge, the edge's own direction first.
         rest.sort(key=lambda i: (*canonical_edge(o_l[i], d_l[i]), o_l[i] > d_l[i]))
         seen: set[int] = set()
@@ -593,19 +577,83 @@ def _faces_batch(t: Triangulation) -> Optional[tuple[tuple[int, int, int], ...]]
                 i = nxt_l[i]
             # Not a 3-cycle, so never a triangle: this raises for a bad face.
             _is_triangle(cycle, pts, holes)
-    # Each triangle once, from its smallest vertex x, ccw (x, y, z).
-    x, y, z = o, o[nxt], o[nxt2]
-    pick = in_triangle & (x < y) & (x < z)
-    x, y, z = x[pick], y[pick], z[pick]
-    keep = kernels.twice_areas(xy[x], xy[y], xy[z]) > 0
-    lo, hi = np.minimum(y, z), np.maximum(y, z)
+    return _face_tuple(o[rows])
+
+
+def _batch_trace(inst: Instance, ends: np.ndarray) -> Optional[tuple]:
+    """The faces of the edges ``ends``, an (m, 2) array of valid vertex ids,
+    from one sort of all half-edges; None when the sort is not provably the
+    exact rotation system.
+
+    Half-edge h < m runs from the first end of edge h to the second, and
+    h + m is its twin.  Half-edges are sorted by (origin, half-plane, float
+    angle).  Each adjacent pair at one origin is then checked exactly: the
+    half-plane rises, or the pair turns strictly ccw.  When every pair
+    passes, each vertex's neighbours are strictly increasing in exact
+    angle, which is the order the exact sort gives, so the faces are the
+    exact loop's.  The face after half-edge h is ``prev[twin[h]]``, a
+    permutation of the half-edges.  Its triangles are its 3-cycles of
+    positive area, less the triangular holes.
+
+    Returns, by sorted position, each half-edge's origin, the position of
+    the next half-edge of its face and the half-edge's own number h; then a
+    (k, 3) array of the positions of each triangle's half-edges, ccw from
+    its smallest vertex, and the k twice-areas.
+
+    Both the turn tests and the twice-areas are exact in int64.  Under the
+    gate a direction's coordinates are at most 2^31 in magnitude, so a
+    product of two is at most 2^62.  A turn test compares two products.  A
+    twice-area is the difference of two, whose true value is at most 2^62
+    too (a triangle in the gate's square of side 2^31 has at most half its
+    area), so int64's wrapping arithmetic gives it exactly.
+    """
+    points = inst._packed
+    m2 = 2 * len(ends)
+    tail, head = ends[:, 0], ends[:, 1]
+    ex, ey = points.x[head] - points.x[tail], points.y[head] - points.y[tail]
+    origin, dest = np.concatenate([tail, head]), np.concatenate([head, tail])
+    dx, dy = np.concatenate([ex, -ex]), np.concatenate([ey, -ey])
+    lower = (dy < 0) | ((dy == 0) & (dx < 0))  # angle in [pi, 2 pi)
+    # Equal float angles fall back to vertex ids, so whether the check passes
+    # does not depend on the order in which the edge set is iterated.
+    order = np.lexsort((dest, np.arctan2(dy, dx) % (2 * np.pi), lower, origin))
+    o, dx, dy, lower = origin[order], dx[order], dy[order], lower[order]
+    new = o[1:] != o[:-1]
+    ccw = dx[:-1] * dy[1:] > dy[:-1] * dx[1:]
+    if not (new | (lower[:-1] != lower[1:]) | ccw).all():
+        return None
+    # In sorted positions: the twin of each half-edge, the one before it
+    # ccw around its origin, and the next half-edge of its face.
+    rank = np.empty(m2, dtype=np.int64)
+    rank[order] = np.arange(m2)
+    twin = rank[(order + m2 // 2) % m2]
+    prev = np.arange(-1, m2 - 1)
+    starts = np.flatnonzero(np.concatenate([[True], new]))
+    prev[starts] = np.append(starts[1:], m2) - 1
+    nxt = prev[twin]
+    nxt2 = nxt[nxt]
+    # Each 3-cycle once, from its smallest vertex x, ccw (x, y, z).
+    y, z = o[nxt], o[nxt2]
+    first = np.flatnonzero((nxt[nxt2] == np.arange(m2)) & (o < y) & (o < z))
+    second = nxt[first]
+    dets = dx[first] * dy[second] - dy[first] * dx[second]
+    keep = dets > 0
+    x, lo, hi = o[first], np.minimum(y, z)[first], np.maximum(y, z)[first]
     for poly in inst.border[1:]:
         if len(poly) == 3:
             a, b, c = sorted(poly)
             keep &= (x != a) | (lo != b) | (hi != c)
-    x, y, z, lo, hi = x[keep], y[keep], z[keep], lo[keep], hi[keep]
-    tri = np.where((y < z)[:, None], np.stack([x, y, z], 1), np.stack([z, x, y], 1))
-    return tuple(map(tuple, tri[np.lexsort((hi, lo, x))].tolist()))
+    rows = np.stack([first, second, nxt2[first]], 1)
+    return o, nxt, order, rows[keep], dets[keep]
+
+
+def _face_tuple(triangles: np.ndarray) -> tuple[tuple[int, int, int], ...]:
+    """:func:`faces`' tuple of the rows (x, y, z) of ``triangles``, each ccw
+    from its smallest vertex x."""
+    x, y, z = triangles.T
+    lo, hi = np.minimum(y, z), np.maximum(y, z)
+    rotated = np.where((y < z)[:, None], triangles, triangles[:, [2, 0, 1]])
+    return tuple(map(tuple, rotated[np.lexsort((hi, lo, x))].tolist()))
 
 
 def apex_map(t: Triangulation) -> ApexMap:
@@ -613,12 +661,15 @@ def apex_map(t: Triangulation) -> ApexMap:
 
     A face is determined by an edge and its apex, so this is the edge ->
     incident-faces map: one apex for a border edge, two for an interior one.
-    Every edge bounds a face, so the keys are t's edges.  Faces are traced
-    once per triangulation and turned into the map by :func:`_apexes_of`;
-    callers must not mutate the shared map.
+    Every edge bounds a face, so the keys are t's edges.  Built by
+    :func:`_apexes_of` the first time it is read: from the triangles that
+    :func:`validate` accepted, without a second trace, or else from
+    :func:`faces`.  Either way the triangles come in ``faces(t)``'s order,
+    so the map is the same.  Callers must not mutate the shared map.
     """
     if t._apexes is None:
-        t._apexes = _apexes_of(faces(t))
+        accepted = t._triangles
+        t._apexes = _apexes_of(faces(t) if accepted is None else _face_tuple(accepted))
     return t._apexes
 
 
@@ -831,20 +882,17 @@ def greedy_triangulate(
 def validate(t: Triangulation) -> list[str]:
     """Every violated triangulation invariant; empty means valid.
 
-    A valid triangulation costs one :func:`faces` trace: it is accepted by
-    the face certificate of :func:`_face_certificate`, whose edge -> apex
-    map becomes ``t``'s cached :func:`apex_map`.  Any other set gets the full
-    checks of :func:`_violations`, so each violation names its edges.  The
-    verdict is cached on ``t``; each call returns a fresh list.
+    A valid triangulation costs one trace of its faces: it is accepted by
+    the face certificate of :func:`_face_certificate`, whose triangles are
+    kept on ``t`` for :func:`apex_map` to read if anything asks for it.
+    Any other set gets the full checks of :func:`_violations`, so each
+    violation names its edges.  The verdict is cached on ``t``; each call
+    returns a fresh list.
     """
     if t._violations is None:
-        apexes = _face_certificate(t)
-        if apexes is None:
-            t._violations = _violations(t)
-        else:
-            t._violations = []
-            if t._apexes is None:
-                t._apexes = apexes
+        triangles = _face_certificate(t)
+        t._violations = _violations(t) if triangles is None else []
+        t._triangles = triangles
     return list(t._violations)
 
 
@@ -867,28 +915,32 @@ def _area2(points: Sequence[Point]) -> int:
     )
 
 
-def _face_certificate(t: Triangulation) -> Optional[ApexMap]:
-    """t's edge -> apex map when its faces prove it valid, else None.
+def _face_certificate(t: Triangulation) -> Optional[np.ndarray]:
+    """t's triangles, as rows ccw from their smallest vertex, when they
+    prove it valid, else None.
 
-    The certificate, at the cost of one :func:`faces` trace:
+    The certificate, at the cost of one trace of t's faces:
 
     1. every border edge is in t and every edge id is valid;
-    2. ``faces(t)`` traces exactly ``2n - n_b - 2 + 2h`` ccw triangles, the
-       face count Euler's relation gives (see :func:`interior_edge_count`);
-    3. in their apex map every border edge has one apex, every other edge two;
+    2. the trace has exactly ``2n - n_b - 2 + 2h`` triangles, the face count
+       Euler's relation gives (see :func:`interior_edge_count`): its ccw
+       3-cycles, less the triangular holes;
+    3. every border edge is a side of one of them, every other edge of two;
     4. twice their total area equals twice the region's, |outer| - sum |hole|.
 
     Why it suffices.  For a point p on no edge let D(p) be the number of
-    traced triangles containing p.  A traced triangle lies left of each of
-    its directed sides, and each directed edge bounds one traced face, so an
-    edge with two apexes has a triangle on each side and D does not change
-    across it; across a border edge D changes by 1.  The instance's border
-    edges meet only at endpoints, so along any path D changes parity exactly
-    where the number of border polygons containing p does.  Both are 0 far
-    away, so D is odd, hence at least 1, wherever p is in the region (inside
-    the outer polygon and in no hole): D >= [region].  The region's area is
-    the integral of [outer] - sum [hole] <= [region], so 4 makes D = [region]
-    almost everywhere: the triangles tile the region once.  Then
+    triangles containing p.  A triangle lies left of each of its directed
+    sides, and the face after a half-edge is a permutation of the
+    half-edges, so each directed edge bounds at most one triangle.  An edge
+    that is a side of two thus has a triangle on each side, and D does not
+    change across it; across a border edge D changes by 1.  The instance's
+    border edges meet only at endpoints, so along any path D changes parity
+    exactly where the number of border polygons containing p does.  Both
+    are 0 far away, so D is odd, hence at least 1, wherever p is in the
+    region (inside the outer polygon and in no hole): D >= [region].  The
+    region's area is the integral of [outer] - sum [hole] <= [region], so 4
+    makes D = [region] almost everywhere: the triangles tile the region
+    once.  Then
     * no two edges cross: near the crossing their triangles would overlap;
     * no vertex k with an edge lies inside an edge e: e is not a border
       edge (the instance forbids that), so e's two triangles cover a disc
@@ -904,44 +956,59 @@ def _face_certificate(t: Triangulation) -> Optional[ApexMap]:
     sorted by exact angle, so its bounded faces are traced as its
     triangles.  Any input that fails gets the full checks.
 
-    The argument reads only what ``faces(t)`` returns, which is the same
-    tuple whichever way it was traced: the batch trace returns only when
-    its rotation system is the exact one (see :func:`_faces_batch`).  In
-    both, the face after a half-edge is a permutation of the half-edges, so
-    each directed edge bounds one traced face.  The twice-areas of 4 are
-    exact: each fits int64 under the gate, and their sum, which can pass
-    2^63 when triangles overlap, is taken over Python ints.
+    The argument reads the triangles alone: their count, how many bound
+    each edge, and their twice-areas.  The outer face, the holes and any
+    face that is not a triangle are cycles with no triangle's half-edge,
+    and nothing in it asks about them, so they are not traced.  Under the
+    numpy kernel and the int64 gate one :func:`_batch_trace` gives the
+    three at once: the triangles' half-edges are positions in its arrays,
+    which number each edge (border edges first), so incidence is one
+    ``bincount``.  When the kernel is python, beyond the gate, or when the
+    batch cannot prove its sort exact, :func:`_faces_exact`'s triangles
+    feed the same checks, and a bad face it raises for is a failed
+    certificate.  Both trace the exact rotation system, so both find the
+    triangles of ``faces(t)``.  The twice-areas of 4 are exact: each fits
+    int64 under the gate, and their sum, which can pass 2^63 when triangles
+    overlap, is taken over Python ints.
     """
     inst = t.instance
-    if not inst.border_edges <= t.edges or any(
-        not 0 <= a < b < inst.n for a, b in t.edges
-    ):
+    if not inst.border_edges <= t.edges:
         return None
+    # Border edges first: edge i bounds one triangle if i < border, else two.
+    edges = (*inst.border_edges, *t.interior_edges())
+    border = len(inst.border_edges)
     try:
-        triangles = faces(t)
-    except NotATriangulation:
+        ends = _edge_ends(edges)
+    except OverflowError:  # an id beyond int64, so out of range
         return None
-    if len(triangles) != 2 * inst.n - inst.n_b - 2 + 2 * inst.h:
+    if ends.min() < 0 or ends.max() >= inst.n or (ends[:, 0] == ends[:, 1]).any():
         return None
-    apexes = _apexes_of(triangles)
-    if len(apexes) != len(t.edges) or any(
-        len(incident) != (1 if e in inst.border_edges else 2)
-        for e, incident in apexes.items()
-    ):
-        return None
-    outer, *holes = (abs(_area2(poly)) for poly in inst.border_coords())
-    return apexes if _total_area2(inst, triangles) == outer - sum(holes) else None
-
-
-def _total_area2(inst: Instance, triangles: Sequence[tuple[int, int, int]]) -> int:
-    """Twice the total signed area of ``triangles``, exactly: in one batch
-    under the int64 gate, summed over Python ints."""
-    if not triangles or not inst._packed.use_numpy():
+    traced = _batch_trace(inst, ends) if inst._packed.use_numpy() else None
+    if traced is not None:
+        o, _, half, rows, dets = traced
+        triangles, sides, dets = o[rows], half[rows] % len(edges), dets.tolist()
+    else:
+        try:
+            found = _faces_exact(t)
+        except NotATriangulation:
+            return None
+        # Each ccw from its smallest vertex: faces() gives (z, x, y) when z > x.
+        found = [(a, b, c) if a < b else (b, c, a) for a, b, c in found]
+        triangles = np.array(found, dtype=np.int64).reshape(-1, 3)
+        index = {e: i for i, e in enumerate(edges)}
+        sides = [
+            index[canonical_edge(u, v)]
+            for a, b, c in found
+            for u, v in ((a, b), (b, c), (c, a))
+        ]
         pts = inst.points
-        return sum(_area2([pts[a], pts[b], pts[c]]) for a, b, c in triangles)
-    xy = inst._packed.array
-    x, y, z = np.array(triangles, dtype=np.int64).T
-    return sum(kernels.twice_areas(xy[x], xy[y], xy[z]).tolist())
+        dets = [_area2([pts[a], pts[b], pts[c]]) for a, b, c in found]
+    if len(dets) != 2 * inst.n - inst.n_b - 2 + 2 * inst.h:
+        return None
+    incidence = np.bincount(np.ravel(sides), minlength=len(edges))
+    if (incidence[:border] != 1).any() or (incidence[border:] != 2).any():
+        return None
+    return triangles if sum(dets) == inst.region_area2 else None
 
 
 def _violations(t: Triangulation) -> list[str]:

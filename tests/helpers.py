@@ -1,7 +1,9 @@
-"""Seeded triangulation pairs and flip-graph distances for the tests."""
+"""Seeded triangulation pairs, flip-graph distances and face-trace counters
+for the tests."""
 
-from collections import deque
+from collections import Counter, deque
 
+from flipdist import triangulation
 from flipdist.crossings import QUAD_SEGMENTS
 from flipdist.generate import GenSpec, generate_instance, random_priority
 from flipdist.oracle import FlipGraph
@@ -46,3 +48,24 @@ def distances_from(graph: FlipGraph, start: int) -> list[int]:
                 dist[v] = dist[u] + 1
                 queue.append(v)
     return dist
+
+
+def count_traces(monkeypatch) -> Counter:
+    """Counters of the two face traces, live while ``monkeypatch`` is:
+    ``batch`` and ``fallback`` for batch traces that returned and that gave
+    up, ``exact`` for runs of the exact loop."""
+    counts: Counter = Counter()
+    batch_trace, faces_exact = triangulation._batch_trace, triangulation._faces_exact
+
+    def batch(inst, ends):
+        out = batch_trace(inst, ends)
+        counts["batch" if out is not None else "fallback"] += 1
+        return out
+
+    def exact(t):
+        counts["exact"] += 1
+        return faces_exact(t)
+
+    monkeypatch.setattr(triangulation, "_batch_trace", batch)
+    monkeypatch.setattr(triangulation, "_faces_exact", exact)
+    return counts

@@ -4,9 +4,11 @@ from pathlib import Path
 
 import pytest
 
-from flipdist import cli, formats
+from flipdist import cli, formats, kernels, triangulation
 from flipdist.cli import run
+from flipdist.generate import GenSpec
 from flipdist.triangulation import Instance, Triangulation, greedy_triangulate
+from helpers import count_traces, generate_pair
 
 
 @pytest.fixture
@@ -126,6 +128,29 @@ def test_morph(files, tmp_path, capsys):
     assert "steps=" in out and "crossings=" in out and "bound=" in out
     seq = formats.parse_sequence(seq_file.read_bytes())
     assert seq.replay().edges == seq.target.edges
+
+
+@pytest.mark.parametrize("backend", kernels.KERNELS)
+def test_morph_traces_each_input_once(tmp_path, monkeypatch, backend):
+    """``morph t1 t2`` traces the faces of each input once, when validate
+    accepts it, and builds the apex map of t1 alone: t2's is never read."""
+    t1, t2 = generate_pair(GenSpec(seed=3, n_points=24, interior_points=6), 4)
+    f1, f2 = tmp_path / "t1.json", tmp_path / "t2.json"
+    f1.write_bytes(formats.serialize_triangulation(t1))
+    f2.write_bytes(formats.serialize_triangulation(t2))
+    monkeypatch.setenv(kernels.KERNEL_ENV, backend)
+    traces = count_traces(monkeypatch)
+    built = []
+    apexes_of = triangulation._apexes_of
+
+    def counting(triangles):
+        built.append(apexes_of(triangles))
+        return built[-1]
+
+    monkeypatch.setattr(triangulation, "_apexes_of", counting)
+    assert run(["morph", str(f1), str(f2), "-o", str(tmp_path / "seq.json")]) == 0
+    assert traces == {"batch" if backend == "numpy" else "exact": 2}
+    assert [apexes.keys() for apexes in built] == [t1.edges]
 
 
 def test_distance(files, capsys):

@@ -29,11 +29,11 @@ from flipdist.triangulation import (
     validate,
 )
 
+from helpers import count_traces
 from test_point_location import LIMIT, _instances
 from test_triangulation import CERTIFICATE_MUTATIONS, _mutate
 
 EXACT = triangulation._faces_exact
-BATCH = triangulation._faces_batch
 
 
 def _tie_star():
@@ -75,24 +75,10 @@ def _trace_instances():
 
 
 def _count_paths(monkeypatch, batch_from=0):
-    """Counters of the two paths: ``batch`` and ``fallback`` for batch traces
-    that returned and that gave up, ``exact`` for runs of the exact loop.
-    The batch is tried from ``batch_from`` edges."""
-    counts = collections.Counter()
-
-    def batch(t):
-        out = BATCH(t)
-        counts["batch" if out is not None else "fallback"] += 1
-        return out
-
-    def exact(t):
-        counts["exact"] += 1
-        return EXACT(t)
-
+    """:func:`helpers.count_traces`, with the batch tried from ``batch_from``
+    edges."""
     monkeypatch.setattr(triangulation, "_FACE_BATCH_EDGES", batch_from)
-    monkeypatch.setattr(triangulation, "_faces_batch", batch)
-    monkeypatch.setattr(triangulation, "_faces_exact", exact)
-    return counts
+    return count_traces(monkeypatch)
 
 
 def _outcome(trace, t):

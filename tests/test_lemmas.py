@@ -226,8 +226,8 @@ def test_pair_record_is_of_the_pair():
 
 def test_audit_counts_the_pair_once(monkeypatch, capsys):
     """One `flipdist audit` of a non-equal pair makes one count_pair call
-    and six crossing grids: the instance's border scan at load, then
-    count_pair's, P1's two, the quadrilateral grid and P8's."""
+    and five crossing grids: the instance's border scan at load, then
+    count_pair's, P1's two and the quadrilateral grid.  P8 reads P1's."""
     grids, counts = [], []
     crossing_matrix = kernels.crossing_matrix
 
@@ -246,7 +246,7 @@ def test_audit_counts_the_pair_once(monkeypatch, capsys):
     assert cli_run(["audit", t1, t2]) == 0
     assert "# lemma2.2" in capsys.readouterr().out
     assert len(counts) == 1
-    assert len(grids) == 6
+    assert len(grids) == 5
 
 
 def test_vertex_and_meeting_inside_quad_fail(monkeypatch):

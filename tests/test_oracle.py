@@ -19,7 +19,9 @@ from flipdist.triangulation import (
     Triangulation,
     apex_map,
     apex_quadrilateral,
+    flip,
     greedy_triangulate,
+    quadrilateral_of,
     validate,
 )
 from helpers import distances_from
@@ -306,6 +308,24 @@ def test_two_word_keys_distances_match_bfs():
     ids = range(len(graph.nodes))
     pairs = [(i, j) for i in rng.sample(ids, 3) for j in rng.sample(ids, 40)]
     _all_distances_agree(graph, pairs)
+
+
+def test_many_word_keys_expand_every_flip():
+    """With 325 admissible pairs keys take six words.  One expansion of a
+    triangulation finds exactly its flips, removing and adding pairs past
+    the first four words, where a pair's id no longer fits a byte."""
+    inst = generate_instance(GenSpec(seed=26, n_points=26))
+    t = greedy_triangulate(inst, priority=random_priority(inst, 26))
+    flips = oracle._flip_table(inst)
+    assert flips.words == 6
+    _, flipped, keys = flips.expand(oracle._rows([t.key()], flips.words))
+    index = inst.edge_index()
+    quads = [quadrilateral_of(t, e) for e in t.interior_edges()]
+    convex = [q for q in quads if q.strictly_convex]
+    want = {index[q.diagonal]: flip(t, q.diagonal).key() for q in convex}
+    assert dict(zip(flipped.tolist(), oracle._ints(keys))) == want
+    assert max(want) >= 256
+    assert max(index[q.opposite] for q in convex) >= 256
 
 
 def _without_an_interior_edge(inst):
