@@ -19,8 +19,8 @@ class InvariantViolation(FlipdistError):
     ``violations`` lists each violated invariant, located.  Constructing an
     ``Instance`` raises it as ``invalid instance``; parsing a triangulation
     raises it as ``invalid triangulation``; ``require_valid``, the gate of
-    the morph, the audits and the flip searches, raises it as
-    ``{label} is not a valid triangulation``.
+    the morph, the audits, the flip searches and the readers of faces,
+    raises it as ``{label} is not a valid triangulation``.
     """
 
     def __init__(self, message: str, violations: list[str] | None = None):
@@ -43,8 +43,7 @@ class NotFlippable(FlipdistError):
 
 
 class NotATriangulation(FlipdistError):
-    """``faces`` found a bounded face that is not a triangle, or
-    ``Triangulation.key`` an edge that is not an admissible pair."""
+    """``Triangulation.key`` found an edge that is not an admissible pair."""
 
 
 class AlreadyEqual(FlipdistError):

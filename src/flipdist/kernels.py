@@ -41,8 +41,8 @@ used when every coordinate satisfies ``|c| <= INT64_SAFE_LIMIT``; beyond
 that, each kernel takes the exact python loop whatever backend is asked
 for, so no sign is ever lost to overflow.  :meth:`Points.use_numpy` makes
 that choice for the point-location kernels and for the batch face trace of
-:func:`flipdist.triangulation.faces` and its face certificate, whose turn
-tests and twice-areas are int64 cross products of half-edge directions.
+the face certificate in :mod:`flipdist.triangulation`, whose turn tests and
+twice-areas are int64 cross products of half-edge directions.
 """
 
 from __future__ import annotations

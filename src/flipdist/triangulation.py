@@ -443,99 +443,68 @@ def angular_cmp(
     return cmp
 
 
-# Edges from which faces() traces in one batch.  The batch has a fixed numpy
-# cost of about 0.1 ms; generated convex, star and holed triangulations
-# traced either way cross over at 20-23 edges (convex n of about 11).
-_FACE_BATCH_EDGES = 22
-
-
 def faces(t: Triangulation) -> tuple[tuple[int, int, int], ...]:
-    """All bounded triangular faces inside the region, as ccw vertex triples.
-
-    Traces the rotation system: around each vertex, neighbours are sorted by
-    exact angle; following predecessor links walks every face with its
-    interior on the left.  Cycles with positive signed area are the interior
-    faces.  The outer cycle comes out clockwise (negative area) and is
-    dropped; each hole interior is a bounded face too, traced ccw, and is
-    recognized by its boundary polygon and dropped as well.  A bounded face
-    that is not a triangle raises NotATriangulation.
+    """All triangles of t, as ccw vertex triples: the triangles whose face
+    certificate :func:`validate` accepted (:func:`_face_certificate`), read
+    without a second trace.  Raises InvariantViolation (:func:`require_valid`)
+    unless t is a valid triangulation.
 
     Each triangle (x, y, z) starts at its smallest vertex x when y < z and is
     (z, x, y) otherwise, and the triangles are sorted by their sorted
-    triples.  From ``_FACE_BATCH_EDGES`` edges, with the numpy kernel and
-    coordinates within the int64 gate, the trace runs in one batch
-    (:func:`_faces_batch`); it falls back to the exact loop
-    (:func:`_faces_exact`) whenever it cannot prove its rotation system is
-    the exact one, so both give the same triples in the same order.  Not
-    cached: :func:`apex_map` is the per-triangulation cache.
+    triples.  Not cached: :func:`apex_map` is the per-triangulation cache.
     """
-    if t.instance._packed.use_numpy() and len(t.edges) >= _FACE_BATCH_EDGES:
-        traced = _faces_batch(t)
-        if traced is not None:
-            return traced
-    return _faces_exact(t)
+    return _face_tuple(_accepted_triangles(t))
 
 
-def _hole_signatures(inst: Instance) -> list[tuple[frozenset, frozenset]]:
-    return [
-        (frozenset(poly), edges)
-        for poly, edges in zip(inst.border[1:], inst.polygon_edges[1:])
-    ]
+def _faces_exact(t: Triangulation) -> np.ndarray:
+    """t's triangles by an exact angular sort at each vertex, as rows
+    (x, y, z) ccw from their smallest vertex x, in no particular order.
 
-
-def _is_triangle(
-    cycle: list[int], pts: Sequence[Point], holes: list[tuple[frozenset, frozenset]]
-) -> bool:
-    """Whether a traced face cycle is a triangle of the triangulation: not
-    for the outer face (area <= 0) nor a hole's interior; any other bounded
-    face that is not a triangle raises NotATriangulation."""
-    if _area2([pts[v] for v in cycle]) <= 0:
-        return False  # outer face
-    cycle_edges = frozenset(
-        canonical_edge(cycle[i], cycle[(i + 1) % len(cycle)])
-        for i in range(len(cycle))
-    )
-    if (frozenset(cycle), cycle_edges) in holes:
-        return False  # the untriangulated interior of a hole
-    if len(cycle) != 3:
-        raise NotATriangulation(f"bounded face {cycle} has {len(cycle)} vertices")
-    return True
-
-
-def _faces_exact(t: Triangulation) -> tuple[tuple[int, int, int], ...]:
-    """:func:`faces` by an exact angular sort at each vertex."""
-    inst = t.instance
-    pts = inst.points
-    holes = _hole_signatures(inst)
+    Traces the rotation system: around each vertex its neighbours sorted by
+    exact angle, and the face after half-edge u->v is v->w for the neighbour
+    w just before u around v.  The triangles are the 3-cycles of that
+    permutation that :func:`_kept` keeps.  The edge ids must be valid.
+    """
+    pts = t.instance.points
     adj: dict[int, list[int]] = {}
     for a, b in t.edges:
         adj.setdefault(a, []).append(b)
         adj.setdefault(b, []).append(a)
-    order: dict[int, list[int]] = {}
     pos: dict[tuple[int, int], int] = {}
     for v, nbrs in adj.items():
         nbrs.sort(key=functools.cmp_to_key(angular_cmp(pts[v], pts)))
-        order[v] = nbrs
         for idx, u in enumerate(nbrs):
             pos[(v, u)] = idx
-    result: list[tuple[int, int, int]] = []
-    seen: set[tuple[int, int]] = set()
-    for a, b in sorted(t.edges):
-        for start in ((a, b), (b, a)):
-            if start in seen:
-                continue
-            cycle = []
-            cur = start
-            while cur not in seen:
-                seen.add(cur)
-                cycle.append(cur[0])
-                u, v = cur
-                nbrs = order[v]
-                cur = (v, nbrs[(pos[(v, u)] - 1) % len(nbrs)])
-            if _is_triangle(cycle, pts, holes):
-                result.append(tuple(cycle))
-    result.sort(key=sorted)
-    return tuple(result)
+
+    def after(u: int, v: int) -> int:
+        nbrs = adj[v]
+        return nbrs[pos[(v, u)] - 1]
+
+    # Each 3-cycle once, from its half-edge x -> y out of its smallest vertex.
+    cycles = []
+    for x, y in t.edges:
+        z = after(x, y)
+        if x < z and after(y, z) == x and after(z, x) == y:
+            cycles.append((x, y, z))
+    found = np.array(cycles, dtype=np.int64).reshape(-1, 3)
+    positive = np.array(
+        [_area2([pts[x], pts[y], pts[z]]) > 0 for x, y, z in cycles], dtype=bool
+    )
+    return found[_kept(t.instance, found, positive)]
+
+
+def _kept(inst: Instance, cycles: np.ndarray, positive: np.ndarray) -> np.ndarray:
+    """Which face 3-cycles, rows (x, y, z) ccw from their smallest vertex x,
+    are triangles: those of positive area, less the interiors of the
+    triangular holes."""
+    x, y, z = cycles.T
+    lo, hi = np.minimum(y, z), np.maximum(y, z)
+    keep = positive.copy()
+    for poly in inst.border[1:]:
+        if len(poly) == 3:
+            a, b, c = sorted(poly)
+            keep &= (x != a) | (lo != b) | (hi != c)
+    return keep
 
 
 def _edge_ends(edges: Collection[Edge]) -> np.ndarray:
@@ -544,61 +513,24 @@ def _edge_ends(edges: Collection[Edge]) -> np.ndarray:
     return np.fromiter(chain.from_iterable(edges), np.int64, 2 * m).reshape(m, 2)
 
 
-def _faces_batch(t: Triangulation) -> Optional[tuple[tuple[int, int, int], ...]]:
-    """:func:`faces` from one batch trace (:func:`_batch_trace`), or None
-    when its sort is not provably the exact rotation system (or an edge id
-    is invalid).  The few cycles that are not triangles (outer face, other
-    holes, a bad face) are traced in Python in the exact loop's order, with
-    its verdicts and messages.
-    """
-    inst = t.instance
-    ends = _edge_ends(t.edges)
-    if ends.min() < 0 or ends.max() >= inst.n:
-        return None
-    traced = _batch_trace(inst, ends)
-    if traced is None:
-        return None
-    o, nxt, _, rows, _ = traced
-    rest = np.flatnonzero(nxt[nxt[nxt]] != np.arange(len(nxt))).tolist()
-    if rest:
-        pts, holes = inst.points, _hole_signatures(inst)
-        o_l, nxt_l = o.tolist(), nxt.tolist()
-        d_l = o[nxt].tolist()
-        # The exact loop's order: by edge, the edge's own direction first.
-        rest.sort(key=lambda i: (*canonical_edge(o_l[i], d_l[i]), o_l[i] > d_l[i]))
-        seen: set[int] = set()
-        for i in rest:
-            if i in seen:
-                continue
-            cycle = []
-            while i not in seen:
-                seen.add(i)
-                cycle.append(o_l[i])
-                i = nxt_l[i]
-            # Not a 3-cycle, so never a triangle: this raises for a bad face.
-            _is_triangle(cycle, pts, holes)
-    return _face_tuple(o[rows])
-
-
 def _batch_trace(inst: Instance, ends: np.ndarray) -> Optional[tuple]:
-    """The faces of the edges ``ends``, an (m, 2) array of valid vertex ids,
-    from one sort of all half-edges; None when the sort is not provably the
-    exact rotation system.
+    """The triangles of the edges ``ends``, an (m, 2) array of valid vertex
+    ids, from one sort of all half-edges; None when the sort is not provably
+    the exact rotation system.
 
     Half-edge h < m runs from the first end of edge h to the second, and
     h + m is its twin.  Half-edges are sorted by (origin, half-plane, float
     angle).  Each adjacent pair at one origin is then checked exactly: the
     half-plane rises, or the pair turns strictly ccw.  When every pair
     passes, each vertex's neighbours are strictly increasing in exact
-    angle, which is the order the exact sort gives, so the faces are the
-    exact loop's.  The face after half-edge h is ``prev[twin[h]]``, a
-    permutation of the half-edges.  Its triangles are its 3-cycles of
-    positive area, less the triangular holes.
+    angle, which is the order the exact sort gives, so the faces are
+    :func:`_faces_exact`'s.  The face after half-edge h is
+    ``prev[twin[h]]``, a permutation of the half-edges.  Its triangles are
+    the 3-cycles that :func:`_kept` keeps.
 
-    Returns, by sorted position, each half-edge's origin, the position of
-    the next half-edge of its face and the half-edge's own number h; then a
-    (k, 3) array of the positions of each triangle's half-edges, ccw from
-    its smallest vertex, and the k twice-areas.
+    Returns, by sorted position, each half-edge's origin and its own number
+    h; then a (k, 3) array of the positions of each triangle's half-edges,
+    ccw from its smallest vertex, and the k twice-areas.
 
     Both the turn tests and the twice-areas are exact in int64.  Under the
     gate a direction's coordinates are at most 2^31 in magnitude, so a
@@ -637,14 +569,9 @@ def _batch_trace(inst: Instance, ends: np.ndarray) -> Optional[tuple]:
     first = np.flatnonzero((nxt[nxt2] == np.arange(m2)) & (o < y) & (o < z))
     second = nxt[first]
     dets = dx[first] * dy[second] - dy[first] * dx[second]
-    keep = dets > 0
-    x, lo, hi = o[first], np.minimum(y, z)[first], np.maximum(y, z)[first]
-    for poly in inst.border[1:]:
-        if len(poly) == 3:
-            a, b, c = sorted(poly)
-            keep &= (x != a) | (lo != b) | (hi != c)
     rows = np.stack([first, second, nxt2[first]], 1)
-    return o, nxt, order, rows[keep], dets[keep]
+    keep = _kept(inst, o[rows], dets > 0)
+    return o, order, rows[keep], dets[keep]
 
 
 def _face_tuple(triangles: np.ndarray) -> tuple[tuple[int, int, int], ...]:
@@ -656,20 +583,29 @@ def _face_tuple(triangles: np.ndarray) -> tuple[tuple[int, int, int], ...]:
     return tuple(map(tuple, rotated[np.lexsort((hi, lo, x))].tolist()))
 
 
+def _accepted_triangles(t: Triangulation) -> np.ndarray:
+    """The triangles whose face certificate :func:`validate` accepted for t,
+    the one source of face data; raises InvariantViolation
+    (:func:`require_valid`) unless t is a valid triangulation.  Validates t
+    only when it has not been accepted yet, so t is traced once."""
+    if t._triangles is None:
+        require_valid(t, "t")
+    return t._triangles
+
+
 def apex_map(t: Triangulation) -> ApexMap:
     """Edge -> the third vertex of each face incident to it, cached on t.
 
     A face is determined by an edge and its apex, so this is the edge ->
     incident-faces map: one apex for a border edge, two for an interior one.
     Every edge bounds a face, so the keys are t's edges.  Built by
-    :func:`_apexes_of` the first time it is read: from the triangles that
-    :func:`validate` accepted, without a second trace, or else from
-    :func:`faces`.  Either way the triangles come in ``faces(t)``'s order,
-    so the map is the same.  Callers must not mutate the shared map.
+    :func:`_apexes_of` the first time it is read, from the triangles that
+    :func:`validate` accepted, in ``faces(t)``'s order, without a second
+    trace.  Raises InvariantViolation unless t is a valid triangulation.
+    Callers must not mutate the shared map.
     """
     if t._apexes is None:
-        accepted = t._triangles
-        t._apexes = _apexes_of(faces(t) if accepted is None else _face_tuple(accepted))
+        t._apexes = _apexes_of(_face_tuple(_accepted_triangles(t)))
     return t._apexes
 
 
@@ -749,14 +685,6 @@ def _read_quadrilateral(
     )
 
 
-def _require_flippable(e: Edge, quad: Optional[Quadrilateral]) -> Quadrilateral:
-    if quad is None:
-        raise NotFlippable(f"edge {e} is a border edge")
-    if not quad.strictly_convex:
-        raise NotFlippable(f"quadrilateral of {e} is not strictly convex")
-    return quad
-
-
 def quadrilateral_of(t: Triangulation, e: Edge) -> Optional[Quadrilateral]:
     """The quadrilateral with e as diagonal, or None for a border edge."""
     return apex_quadrilateral(t.instance.points, apex_map(t), e)
@@ -764,9 +692,9 @@ def quadrilateral_of(t: Triangulation, e: Edge) -> Optional[Quadrilateral]:
 
 def flip(t: Triangulation, e: Edge) -> Triangulation:
     """Replace diagonal e with the opposite diagonal of its quadrilateral."""
-    e = canonical_edge(*e)
-    quad = _require_flippable(e, quadrilateral_of(t, e))
-    return Triangulation(t.instance, (t.edges - {e}) | {quad.opposite})
+    state = MutableTriangulation(t)
+    state.flip(e)
+    return state.freeze()
 
 
 def _rewrite_apexes(
@@ -796,9 +724,9 @@ def _rewrite_apexes(
 class MutableTriangulation:
     """A triangulation that flips in place, in O(1) per flip.
 
-    Holds a copy of ``apex_map(t)``; each flip rewrites the two faces of its
-    quadrilateral and touches only the five edges they contain, where
-    :func:`flip` builds a new triangulation whose faces are traced again.
+    Holds a copy of ``apex_map(t)``, so t must be valid; each flip rewrites
+    the two faces of its quadrilateral and touches only the five edges they
+    contain.  :func:`flip` is one such flip, frozen.
     """
 
     def __init__(self, t: Triangulation):
@@ -901,7 +829,8 @@ def require_valid(t: Triangulation, label: str) -> None:
     :func:`validate`'s violations, unless t is a valid triangulation.
 
     The one gate of every operation that takes triangulations: the morph,
-    the audits and the flip searches.  It reads the cached verdict.
+    the audits, the flip searches and the readers of faces (:func:`faces`,
+    :func:`apex_map`).  It reads the cached verdict.
     """
     violations = validate(t)
     if violations:
@@ -965,9 +894,10 @@ def _face_certificate(t: Triangulation) -> Optional[np.ndarray]:
     which number each edge (border edges first), so incidence is one
     ``bincount``.  When the kernel is python, beyond the gate, or when the
     batch cannot prove its sort exact, :func:`_faces_exact`'s triangles
-    feed the same checks, and a bad face it raises for is a failed
-    certificate.  Both trace the exact rotation system, so both find the
-    triangles of ``faces(t)``.  The twice-areas of 4 are exact: each fits
+    feed the same checks.  Both trace the exact rotation system and keep
+    its 3-cycles by one rule (:func:`_kept`), so both find the same
+    triangles.  The accepted ones are the only face data of t: ``faces``
+    and ``apex_map`` read them.  The twice-areas of 4 are exact: each fits
     int64 under the gate, and their sum, which can pass 2^63 when triangles
     overlap, is taken over Python ints.
     """
@@ -985,16 +915,11 @@ def _face_certificate(t: Triangulation) -> Optional[np.ndarray]:
         return None
     traced = _batch_trace(inst, ends) if inst._packed.use_numpy() else None
     if traced is not None:
-        o, _, half, rows, dets = traced
+        o, half, rows, dets = traced
         triangles, sides, dets = o[rows], half[rows] % len(edges), dets.tolist()
     else:
-        try:
-            found = _faces_exact(t)
-        except NotATriangulation:
-            return None
-        # Each ccw from its smallest vertex: faces() gives (z, x, y) when z > x.
-        found = [(a, b, c) if a < b else (b, c, a) for a, b, c in found]
-        triangles = np.array(found, dtype=np.int64).reshape(-1, 3)
+        triangles = _faces_exact(t)
+        found = triangles.tolist()
         index = {e: i for i, e in enumerate(edges)}
         sides = [
             index[canonical_edge(u, v)]

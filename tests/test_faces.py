@@ -1,13 +1,14 @@
-"""The batch face trace against the exact loop.
+"""The batch rotation sort against the exact comparator.
 
-From ``_FACE_BATCH_EDGES`` edges, ``faces`` sorts all half-edges at once by
-float angle, checks the sort exactly, and falls back to the exact angular
-sort when the check fails, when a coordinate is beyond the int64 gate, or
-under ``FLIPDIST_KERNEL=python``.  Both paths must give the same triangles
-in the same order, or the same NotATriangulation, on valid triangulations
-and on corrupted edge sets, and ``validate`` must keep every verdict and
-message.  Counters on both paths show which one ran, so no test here can
-pass on the exact loop alone.
+A triangulation's faces are traced once, by its face certificate.  Under
+the numpy kernel and the int64 gate the trace sorts all half-edges at once
+by float angle and checks the sort exactly (``_batch_trace``); when that
+check fails, beyond the gate, or under ``FLIPDIST_KERNEL=python``, it sorts
+each vertex's neighbours with the exact comparator (``_faces_exact``).
+Both must find the same triangles, on valid triangulations and on
+corrupted edge sets, and ``validate`` must keep every verdict and message.
+Counters on both paths show which one ran, so no test here can pass on the
+exact loop alone.
 """
 
 import collections
@@ -16,13 +17,14 @@ import random
 
 import pytest
 
-from flipdist import kernels, triangulation
-from flipdist.errors import NotATriangulation
+from flipdist import geometry, kernels, triangulation
 from flipdist.generate import GenSpec, generate_instance, random_priority
 from flipdist.triangulation import (
     Instance,
     Triangulation,
+    _edge_ends,
     _face_certificate,
+    _face_tuple,
     _violations as _full_checks,
     faces,
     greedy_triangulate,
@@ -33,7 +35,28 @@ from helpers import count_traces
 from test_point_location import LIMIT, _instances
 from test_triangulation import CERTIFICATE_MUTATIONS, _mutate
 
+# Bound before any test patches them, so calling these counts nothing.
 EXACT = triangulation._faces_exact
+BATCH = triangulation._batch_trace
+
+
+def _exact(t):
+    """The exact loop's triangles in :func:`faces`' order, each checked to
+    have positive area."""
+    found = EXACT(t)
+    pts = t.instance.points
+    assert all(geometry.orient(*(pts[v] for v in row)) > 0 for row in found.tolist())
+    return _face_tuple(found)
+
+
+def _batch(t):
+    """The batch trace's triangles in :func:`faces`' order, or None when it
+    cannot prove its sort exact."""
+    traced = BATCH(t.instance, _edge_ends(sorted(t.edges)))
+    if traced is None:
+        return None
+    o, _, rows, _ = traced
+    return _face_tuple(o[rows])
 
 
 def _tie_star():
@@ -71,52 +94,48 @@ def _trace_instances():
         [(0, 0), (10, 0), (10, 10), (0, 10), (4, 4), (6, 4), (5, 6)],
         [[0, 1, 2, 3], [4, 5, 6]],
     )
+    # A triangular outer polygon, whose outer face is a clockwise 3-cycle of
+    # every triangulation.
+    cases["triangle"] = Instance(
+        [(0, 0), (12, 0), (0, 12), (3, 3), (5, 2), (2, 6)], [[0, 1, 2]]
+    )
     return cases
-
-
-def _count_paths(monkeypatch, batch_from=0):
-    """:func:`helpers.count_traces`, with the batch tried from ``batch_from``
-    edges."""
-    monkeypatch.setattr(triangulation, "_FACE_BATCH_EDGES", batch_from)
-    return count_traces(monkeypatch)
-
-
-def _outcome(trace, t):
-    try:
-        return trace(t)
-    except NotATriangulation as exc:
-        return f"NotATriangulation: {exc}"
 
 
 @pytest.mark.parametrize("name", sorted(_trace_instances()))
 def test_batch_matches_exact_loop(name, monkeypatch):
-    """Same triangles in the same order, or the same error, and the same
-    ``validate`` verdict as the full checks, on seeded triangulations and
-    on every kind of corruption of them."""
+    """Same triangles, and the same ``validate`` verdict as the full checks,
+    on seeded triangulations and on every kind of corruption of them."""
     inst = _trace_instances()[name]
     gated = inst._packed.array is not None
-    counts = _count_paths(monkeypatch)
+    counts = count_traces(monkeypatch)
     rng = random.Random(name)
+    compared = 0
     for _ in range(3):
         t = greedy_triangulate(inst, priority=random_priority(inst, rng.randrange(10**6)))
         before = counts.copy()
-        assert faces(t) == EXACT(t)
-        # A valid triangulation within the gate never falls back.
+        assert faces(t) == _exact(t)
+        # A valid triangulation within the gate never falls back, and is
+        # traced once, by validate.
         ran = "batch" if gated else "exact"
         assert counts - before == collections.Counter({ran: 1})
         for kind in CERTIFICATE_MUTATIONS:
             u = Triangulation(inst, _mutate(inst, t.edges, kind, rng.randrange(10**6)))
-            assert _outcome(faces, u) == _outcome(EXACT, u)
+            if gated:
+                batch = _batch(u)
+                assert batch in (None, _exact(u))
+                compared += batch is not None
             full = _full_checks(u)
             assert (_face_certificate(u) is not None) == (full == [])
             assert validate(u) == full
-    assert gated or counts["batch"] + counts["fallback"] == 0
+    assert compared if gated else counts["batch"] + counts["fallback"] == 0
 
 
 def test_float_angle_tie_falls_back(monkeypatch):
     t = _tie_star()
-    counts = _count_paths(monkeypatch)
-    assert faces(t) == EXACT(t)
+    assert _batch(t) is None
+    counts = count_traces(monkeypatch)
+    assert faces(t) == _exact(t)
     assert counts == {"fallback": 1, "exact": 1}
     assert validate(Triangulation(t.instance, t.edges)) == []
 
@@ -124,28 +143,25 @@ def test_float_angle_tie_falls_back(monkeypatch):
 def test_beyond_the_gate_takes_the_exact_loop(monkeypatch):
     inst = _trace_instances()["coords_2^31"]
     assert inst._packed.array is None
-    counts = _count_paths(monkeypatch)
+    counts = count_traces(monkeypatch)
     t = greedy_triangulate(inst)
-    assert faces(t) == EXACT(t)
+    assert faces(t) == _exact(t)
     assert counts == {"exact": 1}
 
 
 def test_python_kernel_takes_the_exact_loop(monkeypatch):
     t = greedy_triangulate(_trace_instances()["convex_64"])
     want = faces(t)
-    counts = _count_paths(monkeypatch)
+    counts = count_traces(monkeypatch)
     monkeypatch.setenv(kernels.KERNEL_ENV, "python")
-    assert faces(t) == want
+    assert faces(Triangulation(t.instance, t.edges)) == want
     assert counts == {"exact": 1}
 
 
-def test_size_constant_selects_the_path(monkeypatch):
-    small = greedy_triangulate(_trace_instances()["triangular_hole"])
-    large = greedy_triangulate(_trace_instances()["convex_64"])
-    batch_from = triangulation._FACE_BATCH_EDGES
-    assert len(small.edges) < batch_from <= len(large.edges)
-    counts = _count_paths(monkeypatch, batch_from)
-    faces(small)
-    assert counts == {"exact": 1}
-    faces(large)
-    assert counts == {"exact": 1, "batch": 1}
+def test_exact_loop_keeps_no_degenerate_cycle():
+    """Three collinear vertices joined pairwise, apart from the border: each
+    has two neighbours, so the trace walks the path 5-6-7 as two 3-cycles of
+    zero area, neither of them a triangle."""
+    inst = _trace_instances()["collinear"]
+    t = Triangulation(inst, inst.border_edges | {(5, 6), (6, 7), (5, 7)})
+    assert _exact(t) == ()

@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from flipdist import cli, crossings, formats, geometry, kernels, lemmas
+from flipdist import cli, crossings, formats, geometry, kernels, lemmas, triangulation
 from flipdist.cli import run as cli_run
 from flipdist.errors import AlreadyEqual, InvariantViolation
 from flipdist.generate import GenSpec, generate_instance, random_priority
@@ -257,6 +257,10 @@ def test_vertex_and_meeting_inside_quad_fail(monkeypatch):
         [[0, 1, 2, 3, 4, 5]],
     )
     t1 = Triangulation(inst, inst.border_edges | {(0, 2), (0, 3), (0, 4)})
+    # Forged past the gate: t1's apex map read off its exact face trace.
+    t1._apexes = triangulation._apexes_of(
+        triangulation._face_tuple(triangulation._faces_exact(t1))
+    )
     t2 = greedy_triangulate(inst, priority=lambda e: (-e[0], -e[1]))
     monkeypatch.setattr(lemmas, "require_valid", lambda t, label: None)
     report = lemmas.audit_propositions(t1, t2)

@@ -5,7 +5,7 @@ import random
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from flipdist import geometry, kernels, triangulation
+from flipdist import geometry, kernels
 from flipdist.crossings import count_pair
 from flipdist.errors import (
     EdgeNotInTriangulation,
@@ -25,6 +25,7 @@ from flipdist.oracle import enumerate_triangulations_direct, exact_flip_distance
 from flipdist.triangulation import (
     _GREEDY_BLOCK,
     Instance,
+    MutableTriangulation,
     Triangulation,
     _face_certificate,
     _violations as _full_checks,
@@ -213,6 +214,49 @@ def test_dart_not_flippable(dart):
         flip(t, (1, 3))
 
 
+# Edge sets over a square that are no triangulations, and an edge of each:
+# two border edges missing; the diagonal (0, 2) through the centre vertex 4;
+# the diagonal (1, 3) with the vertex 4 left isolated.
+_SQUARE = [(0, 0), (10, 0), (10, 10), (0, 10)]
+_SQUARE_BORDER = [(0, 1), (1, 2), (2, 3), (0, 3)]
+_NOT_TRIANGULATIONS = {
+    "missing_border": (_SQUARE, [(0, 1), (1, 2), (0, 2)], (0, 2)),
+    "vertex_on_diagonal": (_SQUARE + [(5, 5)], _SQUARE_BORDER + [(0, 2)], (0, 2)),
+    "isolated_vertex": (_SQUARE + [(2, 1)], _SQUARE_BORDER + [(1, 3)], (1, 3)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_NOT_TRIANGULATIONS))
+def test_face_readers_refuse_invalid_input(name):
+    """Every reader of faces refuses an edge set that is no triangulation,
+    listing validate's violations, rather than read faces off it."""
+    points, edges, e = _NOT_TRIANGULATIONS[name]
+    inst = Instance(points, [[0, 1, 2, 3]])
+    readers = [
+        faces,
+        apex_map,
+        lambda t: quadrilateral_of(t, e),
+        lambda t: flip(t, e),
+        MutableTriangulation,
+    ]
+    for read in readers:
+        t = Triangulation(inst, edges)
+        with pytest.raises(InvariantViolation, match="not a valid triangulation") as exc:
+            read(t)
+        assert exc.value.violations == validate(t) != []
+
+
+def test_face_readers_trace_a_validated_input_once(monkeypatch):
+    """faces and apex_map read the triangles validate accepted: no trace."""
+    inst = generate_instance(GenSpec(seed=1, n_points=40, interior_points=10))
+    t = greedy_triangulate(inst)
+    assert validate(t) == []
+    traces = count_traces(monkeypatch)
+    assert faces(t)
+    assert apex_map(t)
+    assert traces == {}
+
+
 def test_edge_count_invariant(square, pentagon, hexagon, dart, holed):
     for inst in (square, pentagon, hexagon, dart, holed):
         t = greedy_triangulate(inst)
@@ -336,17 +380,8 @@ def test_validate_matches_reference(name, backend, monkeypatch):
     _validate_case(name)
 
 
-@pytest.mark.parametrize("name", sorted(_differential_instances()))
-def test_validate_matches_reference_in_batch(name, monkeypatch):
-    """The same verdicts and messages with faces traced in one batch at
-    every size."""
-    monkeypatch.setattr(triangulation, "_FACE_BATCH_EDGES", 0)
-    _validate_case(name)
-
-
-@pytest.mark.parametrize("face_batch", [None, 0])
 @pytest.mark.parametrize("backend", kernels.KERNELS)
-def test_valid_input_places_no_midpoint(backend, face_batch, monkeypatch):
+def test_valid_input_places_no_midpoint(backend, monkeypatch):
     """Building generated instances, their admissible pairs and greedy
     triangulations, and validating, counting, morphing, auditing and
     searching valid triangulations never place a midpoint: only invalid
@@ -356,8 +391,6 @@ def test_valid_input_places_no_midpoint(backend, face_batch, monkeypatch):
         raise AssertionError("midpoint_in_region called")
 
     monkeypatch.setenv(kernels.KERNEL_ENV, backend)
-    if face_batch is not None:
-        monkeypatch.setattr(triangulation, "_FACE_BATCH_EDGES", face_batch)
     monkeypatch.setattr(geometry, "midpoint_in_region", refuse)
     specs = [
         GenSpec(seed=1, n_points=14, interior_points=4),
@@ -727,24 +760,6 @@ def test_face_certificate_matches_full_check(backend, name, seed, mutations):
     exact loop does."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setenv(kernels.KERNEL_ENV, backend)
-        _certificate_case(patch, name, seed, mutations)
-
-
-@pytest.mark.parametrize("backend", kernels.KERNELS)
-@settings(max_examples=300, deadline=None)
-@given(
-    name=st.sampled_from(sorted(_certificate_instances())),
-    seed=st.integers(0, 10**6),
-    mutations=st.lists(
-        st.tuples(st.sampled_from(CERTIFICATE_MUTATIONS), st.integers(0, 10**6)),
-        max_size=3,
-    ),
-)
-def test_face_certificate_matches_full_check_in_batch(backend, name, seed, mutations):
-    """The same, with ``faces`` traced in one batch at every size."""
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setenv(kernels.KERNEL_ENV, backend)
-        patch.setattr(triangulation, "_FACE_BATCH_EDGES", 0)
         _certificate_case(patch, name, seed, mutations)
 
 
