@@ -1,31 +1,34 @@
-"""Batch kernels: proper crossings and point location.
+"""Batch kernels: proper crossings, orientation signs and point location.
 
 The pairwise O(m1*m2) crossing grid runs once per pair of triangulations:
 the morph keeps its rows as crosser masks and updates them one flip at a
 time without a kernel call.  The crossing grid is also the planarity scan
 of :func:`flipdist.triangulation.validate`'s full checks, which names its
-crossing pairs, the simplicity and overlap scan of the border polygons in
-``Instance.validate``, the grid of an instance's admissible pairs that
-every search of :mod:`flipdist.oracle` reads (``oracle._FlipTable``),
-and the blocks of candidates
-:func:`flipdist.triangulation.greedy_triangulate` tests against themselves,
-then against the later candidates; the audits of one pair share one grid
-of their quadrilateral segments, from
-:func:`flipdist.crossings.quad_crossers`.  Every segment
-array these grids read is packed by ``Instance.segments``: vertex-id pairs
-indexed into the instance's packed points (:class:`Points`) under the
-int64 gate, the coordinates themselves beyond it.
+crossing pairs, the grid of an instance's admissible pairs that every
+search of :mod:`flipdist.oracle` reads (``oracle._FlipTable``), and the
+blocks of candidates :func:`flipdist.triangulation.greedy_triangulate`
+tests against themselves, then against the later candidates; the audits
+of one pair share one grid of their quadrilateral segments, from
+:func:`flipdist.crossings.quad_crossers`.  Every segment array these grids
+read is packed by ``Instance.segments``: vertex-id pairs indexed into the
+instance's packed points (:class:`Points`) under the int64 gate, the
+coordinates themselves beyond it.
 
-Two point-location kernels answer whether a segment between two vertices
-is admissible.  :func:`vertices_inside`, the grid of vertices strictly
-inside segments, serves every caller (``triangulation._segment_defects``
-and ``Instance.admissible_pairs``).  ``Instance.admissible_pairs`` adds
-:func:`enters_region`, whether a segment leaves an endpoint into the
-region: two or three orientation signs per segment.  The messages that
-name a midpoint's class, "leaves the region" in ``validate``'s full checks
-and the rules of ``Instance.validate`` for holes that share a vertex with
-another polygon, call the exact :func:`geometry.midpoint_in_region` on
-their segments: only invalid input reaches them.
+:func:`orientation_signs` is the table of signs of vertices against lines
+through two vertices.  ``Instance.validate`` builds one per instance, the
+sign of every vertex against the line of every directed border edge, and
+reads from it the border crossings, the vertices on border edges and the
+ray parity of every point.  ``Instance.admissible_pairs`` reads the same
+table for the corners at a pair's ends and the border edges a pair could
+cross, and builds one more, of its pair lines against the vertices, in row
+blocks: its zeros are the vertices inside a pair.  Every reader works on
+signs only, so it is exact whichever path built the table.
+:func:`vertices_inside`, the grid of vertices strictly inside segments,
+serves ``validate``'s full checks.  The messages that name a midpoint's
+class, "leaves the region" in those checks and the rules of
+``Instance.validate`` for holes that share a vertex with another polygon,
+call the exact :func:`geometry.midpoint_in_region` on their segments: only
+invalid input or pinched holes reach them.
 
 Every kernel has two interchangeable backends:
 
@@ -40,9 +43,9 @@ raises :class:`~flipdist.errors.FlipdistError`.  The numpy backend is only
 used when every coordinate satisfies ``|c| <= INT64_SAFE_LIMIT``; beyond
 that, each kernel takes the exact python loop whatever backend is asked
 for, so no sign is ever lost to overflow.  :meth:`Points.use_numpy` makes
-that choice for the point-location kernels and for the batch face trace of
-the face certificate in :mod:`flipdist.triangulation`, whose turn tests and
-twice-areas are int64 cross products of half-edge directions.
+that choice for the sign tables, for point location and for the batch face
+trace of the face certificate in :mod:`flipdist.triangulation`, whose turn
+tests and twice-areas are int64 cross products of half-edge directions.
 """
 
 from __future__ import annotations
@@ -114,7 +117,7 @@ def _orient(dx, dy, k, x, y):
 
 
 class Points:
-    """Vertex coordinates for the point-location kernels and for
+    """Vertex coordinates for the sign and point-location kernels and for
     ``Instance.segments``, packed once: the tuples themselves (``coords``,
     for the exact loop) and, when every coordinate is within
     ``INT64_SAFE_LIMIT``, an (n, 2) int64 ``array`` with its columns ``x``
@@ -256,73 +259,26 @@ def _inside_numpy(points: Points, ids: np.ndarray) -> np.ndarray:
     return out
 
 
-def enters_region(
-    points: Points,
-    ids: np.ndarray,
-    polygons: Sequence[Sequence[int]],
-) -> np.ndarray:
-    """Whether each segment of ``ids`` (an (m, 2) array of vertex ids) leaves
-    its first endpoint into the region that ``polygons`` bound: always when
-    ``ids[r, 0]`` is on no polygon, and otherwise when point ``ids[r, 1]``
-    lies strictly inside the region's corner at ``ids[r, 0]`` on every
-    polygon through it.
+def orientation_signs(points: Points, ends: np.ndarray) -> np.ndarray:
+    """int8 (m, n) table: entry (i, k) is the sign of orient(a, b, point k)
+    for the line from a = point ``ends[i, 0]`` to b = point ``ends[i, 1]``.
 
-    Each polygon is listed with the region on its left (the outer one ccw,
-    each hole cw).  The corner at v between its neighbours a (before v) and
-    b (after v) is the open wedge swept ccw from ray vb to ray va: a point q
-    is inside it iff q is left of vb and right of va where a, v, b turn
-    left or go straight (the wedge is at most a half-plane), and iff either
-    holds where they turn right (a reflex corner).
+    One int64 broadcast when :meth:`Points.use_numpy` says so, the exact
+    :func:`geometry.orient` loop otherwise: both give the same table.
     """
     if points.use_numpy():
-        return _enters_numpy(points, ids, polygons)
-    corners: dict[int, list[tuple[int, int]]] = {}
-    for poly in polygons:
-        for k, v in enumerate(poly):
-            corners.setdefault(v, []).append((poly[k - 1], poly[(k + 1) % len(poly)]))
+        x, y = points.x, points.y
+        a, b = ends[:, 0], ends[:, 1]
+        dx, dy, k = (t[:, None] for t in _line(x[a], y[a], x[b], y[b]))
+        return np.sign(_orient(dx, dy, k, x, y)).astype(np.int8)
     coords = points.coords
-
-    def enters(v: int, q: int) -> bool:
-        pv, pq = coords[v], coords[q]
-        for a, b in corners.get(v, ()):
-            left_of_b = geometry.orient(pv, coords[b], pq) > 0
-            right_of_a = geometry.orient(pv, coords[a], pq) < 0
-            if geometry.orient(coords[a], pv, coords[b]) < 0:
-                inside = left_of_b or right_of_a
-            else:
-                inside = left_of_b and right_of_a
-            if not inside:
-                return False
-        return True
-
-    return np.array([enters(v, q) for v, q in ids.tolist()], dtype=bool)
-
-
-def _enters_numpy(
-    points: Points, ids: np.ndarray, polygons: Sequence[Sequence[int]]
-) -> np.ndarray:
-    x, y = points.x, points.y
-    out = np.ones(len(ids), dtype=bool)
-    before, after = np.zeros(len(x), dtype=np.int64), np.zeros(len(x), dtype=np.int64)
-    reflex = np.zeros(len(x), dtype=bool)
-    # One pass per polygon over the rows that start on it: a pinched vertex
-    # is on several.
-    for poly in polygons:
-        vs = np.asarray(poly)
-        on = np.zeros(len(x), dtype=bool)
-        on[vs] = True
-        k = np.arange(len(vs))
-        a, b = vs[k - 1], vs[(k + 1) % len(vs)]
-        before[vs], after[vs] = a, b
-        reflex[vs] = _orient(*_line(x[a], y[a], x[vs], y[vs]), x[b], y[b]) < 0
-        rows = np.flatnonzero(on[ids[:, 0]])
-        v, q = ids[rows, 0], ids[rows, 1]
-        a, b = before[v], after[v]
-        vx, vy, qx, qy = x[v], y[v], x[q], y[q]
-        left_of_b = _orient(*_line(vx, vy, x[b], y[b]), qx, qy) > 0
-        right_of_a = _orient(*_line(vx, vy, x[a], y[a]), qx, qy) < 0
-        out[rows] &= np.where(reflex[v], left_of_b | right_of_a, left_of_b & right_of_a)
-    return out
+    return np.array(
+        [
+            [geometry.orient(coords[i], coords[j], p) for p in coords]
+            for i, j in ends.tolist()
+        ],
+        dtype=np.int8,
+    ).reshape(len(ends), len(coords))
 
 
 def _within_limit(a: np.ndarray) -> bool:

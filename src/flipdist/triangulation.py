@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import functools
 import operator
-from itertools import chain
+from itertools import accumulate, chain
 from typing import Callable, Collection, Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -58,6 +58,45 @@ def _as_ints(values, size: Optional[int] = None) -> Optional[tuple]:
     return out if size is None or len(out) == size else None
 
 
+def _exact_ints(points: tuple, border: tuple) -> Optional[tuple]:
+    """``points`` and ``border`` as tuples of tuples when every point is a
+    tuple or list of two exact ints and every polygon a tuple or list of
+    exact ints (a bool is not one), else None: :func:`_coerced`'s fast path,
+    which recognises by type alone the input that needs no coercion."""
+    if not (
+        {*map(type, points), *map(type, border)} <= {tuple, list}
+        and {*map(len, points)} <= {2}
+    ):
+        return None
+    points, border = tuple(map(tuple, points)), tuple(map(tuple, border))
+    values = chain(chain.from_iterable(points), chain.from_iterable(border))
+    return (points, border) if {*map(type, values)} <= {int} else None
+
+
+def _coerced(points, border) -> tuple:
+    """``points`` and ``border`` as tuples of tuples, with every coordinate
+    and id an exact int (numpy integers too); raises InvariantViolation
+    naming each point and polygon that is not one."""
+    points, border = tuple(points), tuple(border)
+    exact = _exact_ints(points, border)
+    if exact is not None:
+        return exact
+    pairs = [_as_ints(p, 2) for p in points]
+    polygons = [_as_ints(poly) for poly in border]
+    malformed = [
+        f"point {i} is not a pair of integers" if p is None
+        else f"point {i} has a non-integer coordinate"
+        for i, p in enumerate(pairs) if p is None or None in p
+    ] + [
+        f"border[{b}] is not a list of vertex ids" if poly is None
+        else f"border[{b}] has a non-integer vertex id"
+        for b, poly in enumerate(polygons) if poly is None or None in poly
+    ]
+    if malformed:
+        raise InvariantViolation("invalid instance", malformed)
+    return tuple(pairs), tuple(polygons)
+
+
 class Instance:
     """A point set with border constraints: an outer polygon plus holes.
 
@@ -73,21 +112,9 @@ class Instance:
         points: Sequence[Point],
         border: Sequence[Sequence[int]],
     ):
-        pairs = [_as_ints(p, 2) for p in points]
-        polygons = [_as_ints(poly) for poly in border]
-        malformed = [
-            f"point {i} is not a pair of integers" if p is None
-            else f"point {i} has a non-integer coordinate"
-            for i, p in enumerate(pairs) if p is None or None in p
-        ] + [
-            f"border[{b}] is not a list of vertex ids" if poly is None
-            else f"border[{b}] has a non-integer vertex id"
-            for b, poly in enumerate(polygons) if poly is None or None in poly
-        ]
-        if malformed:
-            raise InvariantViolation("invalid instance", malformed)
-        self.points: tuple[Point, ...] = tuple(pairs)
-        self.border: tuple[tuple[int, ...], ...] = tuple(polygons)
+        points, border = _coerced(points, border)
+        self.points: tuple[Point, ...] = points
+        self.border: tuple[tuple[int, ...], ...] = border
         self.n = len(self.points)
         self.n_b = sum(len(poly) for poly in self.border)
         self.h = len(self.border) - 1
@@ -104,8 +131,10 @@ class Instance:
         )
         self._admissible: Optional[tuple[Edge, ...]] = None
         self._edge_index: Optional[dict[Edge, int]] = None
-        # The points packed once for the kernels (see :meth:`segments`).
+        # The points packed once for the kernels (see :meth:`segments`), and
+        # the sign table that :meth:`validate` builds from them.
         self._packed = kernels.Points(self.points)
+        self._signs: Optional[np.ndarray] = None
         violations = self.validate()
         if violations:
             raise InvariantViolation("invalid instance", violations)
@@ -157,27 +186,41 @@ class Instance:
         return False
 
     def validate(self) -> list[str]:
-        """All violated instance invariants, empty when valid."""
+        """All violated instance invariants, empty when valid.
+
+        Builds the instance's sign table, which :meth:`admissible_pairs`
+        reads too: the sign of every vertex against the line of every
+        directed edge of the polygons with valid ids, in border order
+        (:func:`kernels.orientation_signs`, int8).  The border crossings,
+        the vertices on border edges and the ray parity that places every
+        other point are read off it.
+        """
         out: list[str] = []
         if len(set(self.points)) != self.n:
             out.append("duplicate points")
         if not self.border:
             out.append("no outer border polygon")
             return out
-        # One crossing grid of the edges of every polygon with valid ids, in
-        # border order.  Consecutive edges share a vertex, so they never cross
-        # properly and need no mask.
-        sides, owner = [], []
-        for b, poly in enumerate(self.border):
-            if len(poly) >= 3 and all(0 <= v < self.n for v in poly):
-                for k, v in enumerate(poly):
-                    sides.append(canonical_edge(v, poly[(k + 1) % len(poly)]))
-                    owner.append(b)
-        segs = self.segments(sides)
-        # The first crossing of each pair of polygons, by owner ids, in
-        # row-major order: within one polygon it names the earlier edge first.
+        # The sign table: rows are the directed edges of every polygon with
+        # valid ids, in border order.
+        valid = [
+            b for b, poly in enumerate(self.border)
+            if len(poly) >= 3 and 0 <= min(poly) and max(poly) < self.n
+        ]
+        ends = _directed_edges([self.border[b] for b in valid])
+        signs = self._signs = kernels.orientation_signs(self._packed, ends)
+        tails, heads = ends.T
+        sides = [canonical_edge(a, b) for a, b in ends.tolist()]
+        owner = [b for b in valid for _ in self.border[b]]
+        # Two edges cross properly iff the ends of each lie strictly on
+        # opposite sides of the other's line.  Consecutive edges share a
+        # vertex, so they never do and need no mask.  The first crossing of
+        # each pair of polygons, by owner ids, in row-major order: within one
+        # polygon it names the earlier edge first.
+        straddle = signs[:, tails] * signs[:, heads] < 0
+        rows, cols = np.nonzero(straddle & straddle.T)
         witness: dict[tuple[int, int], str] = {}
-        for i, j in np.argwhere(kernels.crossing_matrix(segs, segs)).tolist():
+        for i, j in zip(rows.tolist(), cols.tolist()):
             witness.setdefault(
                 (owner[i], owner[j]), f"edges {sides[i]} and {sides[j]} cross"
             )
@@ -185,7 +228,7 @@ class Instance:
             if len(poly) < 3:
                 out.append(f"border[{b}] has fewer than 3 vertices")
                 continue
-            if any(v < 0 or v >= self.n for v in poly):
+            if b not in valid:
                 out.append(f"border[{b}] has out-of-range vertex ids")
                 continue
             if len(set(poly)) != len(poly):
@@ -194,7 +237,6 @@ class Instance:
                 out.append(f"border[{b}] is not simple: {witness[b, b]}")
         if out:
             return out
-        coords = self.border_coords()
         # Polygons must not overlap: no crossings, no shared edges.
         for b1 in range(len(self.border)):
             for b2 in range(b1 + 1, len(self.border)):
@@ -206,20 +248,34 @@ class Instance:
             for b2 in range(b1 + 1, len(self.border)):
                 if self.polygon_edges[b1] & self.polygon_edges[b2]:
                     out.append(f"border[{b1}] and border[{b2}] share an edge")
-        # Point containment rules.  Point k is on polygon b's boundary when it
-        # is one of b's corners (the points are distinct) or the border-edge
-        # scan hits it on one of b's edges; otherwise ray parity places it.
-        hits, _ = _segment_defects(self, sorted(self.border_edges))
+        # Point containment rules.  The points are distinct and every polygon
+        # has rows.  Point k is on polygon b's boundary when it is one of b's
+        # corners or lies inside one of b's edges: a zero sign other than the
+        # row's own ends, which a count rules out on a typical instance, that
+        # the exact in-segment test confirms.
+        found: set[tuple[Edge, int]] = set()
+        zero = signs == 0
+        if np.count_nonzero(zero) > 2 * len(signs):
+            for r, k in np.argwhere(zero).tolist():
+                e = sides[r]
+                if k not in e and geometry.point_on_open_segment(
+                    self.points[k], self.segment(e)
+                ):
+                    found.add((e, k))
+        hits = [(k, e) for e, k in sorted(found)]
+        corners = [set(poly) for poly in self.border]
         on = [
-            set(poly) | {k for k, e in hits if e in edges}
-            for poly, edges in zip(self.border, self.polygon_edges)
+            corners[b] | {k for k, e in hits if e in edges}
+            for b, edges in enumerate(self.polygon_edges)
         ]
-        for k, p in enumerate(self.points):
-            if k not in on[0] and not geometry.ray_crossing_parity(p, coords[0]):
+        # Otherwise ray parity places it.
+        parity = _ray_parities(self, ends)
+        for k in np.flatnonzero(~parity[0]).tolist():
+            if k not in on[0]:
                 out.append(f"point {k} lies strictly outside the outer border")
         for b in range(1, len(self.border)):
-            for k, p in enumerate(self.points):
-                if k not in on[b] and geometry.ray_crossing_parity(p, coords[b]):
+            for k in np.flatnonzero(parity[b]).tolist():
+                if k not in on[b]:
                     out.append(f"point {k} lies strictly inside hole {b}")
             # A hole that shares vertices with the outer polygon can lie in
             # a notch outside it, and one that shares vertices with another
@@ -227,12 +283,12 @@ class Instance:
             # no crossing edge.  Without a shared vertex neither can: the
             # hole would have a vertex outside the outer polygon, or inside
             # the other hole or on its edges.
-            edges = sorted(self.polygon_edges[b])
             for b2 in range(len(self.border)):
-                if b2 == b or not set(self.border[b]) & set(self.border[b2]):
+                if b2 == b or corners[b].isdisjoint(corners[b2]):
                     continue
-                for e in edges:
-                    w = geometry.midpoint_in_region(self.segment(e), [coords[b2]])
+                coords = [self.points[v] for v in self.border[b2]]
+                for e in sorted(self.polygon_edges[b]):
+                    w = geometry.midpoint_in_region(self.segment(e), [coords])
                     if b2 == 0 and w == OUTSIDE:
                         out.append(f"hole {b} edge {e} is outside the outer border")
                     elif b2 > 0 and w == INSIDE:
@@ -242,47 +298,58 @@ class Instance:
 
     def admissible_pairs(self) -> tuple[Edge, ...]:
         """All vertex pairs whose open segment can be a triangulation edge,
-        sorted: those with no :func:`_segment_defects` that cross no border
-        edge.
+        sorted: those that cross no border edge, hold no vertex strictly
+        inside, and are border edges or have their midpoint strictly inside
+        the region.
 
-        Computed without midpoints: a pair qualifies when it crosses no
-        border edge, no vertex lies inside it, and it is a border edge or
-        leaves one endpoint into the region (:func:`kernels.enters_region`,
-        two or three orientation signs per pair).  Why that suffices: the
-        open segment of such a pair misses the border.  It contains no
-        vertex, so it meets no border edge at an endpoint; a touch inside
-        both segments off their common line would be a proper crossing; on
-        their common line, the open segment is not the border edge itself,
-        so one of its ends would lie inside the border edge, which the
-        instance forbids.  So the open segment lies in the open region or
-        wholly outside it, and its points near an endpoint v decide which.
-        A vertex on no polygon lies strictly inside the region (the
-        instance's point rules), so these points are in it.  At a border
-        vertex only the edges at v come near, and the segment leaves v along
-        none of them (that would put a vertex inside one of the two), so
-        these points are in the region iff the segment's direction lies
-        strictly inside the region's corner at v on every polygon through
-        v: inside the outer polygon and outside each hole there.
+        Every border edge qualifies in a valid instance.  Any other pair is
+        read off signs alone, from the instance's sign table S (the sign of
+        every vertex against the line of every directed border edge, built by
+        :meth:`validate`) and one table of the pair's line against every
+        vertex, in three filters:
+
+        1. It leaves both endpoints into the region.  A vertex on no polygon
+           lies strictly inside the region (the instance's point rules), so
+           every direction leaves it into the region.  At a border vertex v
+           the direction to q must lie strictly inside the region's corner at
+           v on every polygon through v (a pinched vertex has one corner per
+           polygon).  With each row of S signed so that the region is on its
+           left, let a -> v and v -> b be the corner's rows: q is inside iff
+           it is left of both rows at a convex or straight corner, and left
+           of either at a reflex one, where the row a -> v is negative at b.
+        2. It crosses no border edge.  A proper crossing needs the pair's
+           ends strictly on opposite sides of the edge's line, so an edge
+           with no vertex strictly on one side of its line cannot be
+           crossed, and only the others are tested: a pair crosses edge ab
+           iff its ends have opposite signs in ab's row of S and a and b
+           have opposite signs against the pair's line.  A convex instance
+           without holes tests none.
+        3. No vertex lies inside it: one that does is a zero of the pair's
+           line other than its own ends, in its bounding box.
+
+        Why 1 replaces the midpoint: the open segment of a pair that passes
+        2 and 3 misses the border.  It contains no vertex, so it meets no
+        border edge at an endpoint; a touch inside both segments off their
+        common line would be a proper crossing; on their common line, the
+        open segment is not the border edge itself, so one of its ends would
+        lie inside the border edge, which the instance forbids.  So the open
+        segment lies in the open region or wholly outside it, and its points
+        near either endpoint decide which: near v only the border edges at v
+        come near, and the segment leaves v along none of them (that would
+        put a vertex inside one of the two).  Every filter changes the order
+        of work, not the result, and each reads signs only, so the pairs are
+        exact on both kernels.
         """
         if self._admissible is None:
+            ends = _directed_edges(self.border)
             ids = np.stack(np.triu_indices(self.n, 1), axis=1)
-            crossing = kernels.crossing_matrix(
-                self.segments(ids), self.segments(sorted(self.border_edges))
-            ).any(axis=1)
-            ids = ids[~crossing]
-            ids = ids[~kernels.vertices_inside(self._packed, ids).any(axis=1)]
             table = np.zeros((self.n, self.n), dtype=bool)
-            table[tuple(np.array(sorted(self.border_edges)).T)] = True
-            border = table[ids[:, 0], ids[:, 1]]
-            # Each polygon with the region on its left: the outer one ccw,
-            # each hole cw.
-            region = [
-                poly if (_area2(coords) > 0) == (b == 0) else poly[::-1]
-                for b, (poly, coords) in enumerate(
-                    zip(self.border, self.border_coords())
-                )
-            ]
-            keep = border | kernels.enters_region(self._packed, ids, region)
+            table[tuple(ends.T)] = table[tuple(ends.T[::-1])] = True
+            keep = table[tuple(ids.T)]
+            others = np.flatnonzero(~keep)
+            others = others[_leaves_into_region(self, ends, ids[others])]
+            others = others[~_crosses_or_holds(self, ends, ids[others])]
+            keep[others] = True
             self._admissible = tuple(map(tuple, ids[keep].tolist()))
         return self._admissible
 
@@ -304,27 +371,123 @@ class Instance:
         return tuple(edges)
 
 
-def _segment_defects(inst: Instance, edges: Sequence[Edge]) -> tuple[list, list]:
-    """Why the segments of ``edges`` are not admissible, in edge order.
+def _directed_edges(polygons: Sequence[Sequence[int]]) -> np.ndarray:
+    """The directed edges of ``polygons``, whose ids must be valid, in
+    border order: an (m, 2) int64 array of tail and head ids."""
+    tails = [v for poly in polygons for v in poly]
+    heads = [v for poly in polygons for v in (*poly[1:], *poly[:1])]
+    return np.array([tails, heads], dtype=np.int64).T.reshape(-1, 2)
 
-    ``(k, e)`` for every vertex k strictly inside a segment e, from one
-    :func:`kernels.vertices_inside` grid, and every non-border e whose
-    midpoint :func:`geometry.midpoint_in_region` does not place inside the
-    region.  A segment free of both that crosses no border edge is
-    admissible.  ``Instance.validate`` passes only border edges, so only
-    ``validate``'s full checks, which a valid triangulation never reaches,
-    place a midpoint.
+
+def _ray_parities(inst: Instance, ends: np.ndarray) -> np.ndarray:
+    """Boolean (polygons, n) table: entry (b, k) is
+    ``geometry.ray_crossing_parity(point k, polygon b)``, read off the sign
+    table of the directed edges ``ends`` of every polygon.
+
+    The half-open rule of that predicate: a rightward ray from p crosses
+    edge ab iff exactly one of a and b lies above p and p is strictly left
+    of the edge directed upwards, whose sign is the row's when b is the one
+    above and the opposite one otherwise.
     """
-    ids = np.array(edges, dtype=np.int64).reshape(-1, 2)
-    rows, ks = np.nonzero(kernels.vertices_inside(inst._packed, ids))
-    inside = [(k, edges[i]) for i, k in zip(rows.tolist(), ks.tolist())]
-    coords = inst.border_coords()
-    leaving = [
-        e for e in edges
-        if e not in inst.border_edges
-        and geometry.midpoint_in_region(inst.segment(e), coords) != INSIDE
-    ]
-    return inside, leaving
+    signs, y = inst._signs, _exact_coords(inst)[:, 1]
+    tail_above, head_above = (y[v][:, None] > y for v in ends.T)
+    crossed = (tail_above != head_above) & np.where(head_above, signs > 0, signs < 0)
+    starts = list(accumulate(map(len, inst.border[:-1]), initial=0))
+    return np.logical_xor.reduceat(crossed, starts, axis=0)
+
+
+def _exact_coords(inst: Instance) -> np.ndarray:
+    """The points as an (n, 2) array whose comparisons are exact: the packed
+    int64 one under the gate, Python ints beyond it."""
+    packed = inst._packed.array
+    if packed is not None:
+        return packed
+    return np.array(inst.points, dtype=object).reshape(-1, 2)
+
+
+def _leaves_into_region(
+    inst: Instance, ends: np.ndarray, pairs: np.ndarray
+) -> np.ndarray:
+    """Whether each pair of vertex ids leaves both of its ends into the
+    region: filter 1 of :meth:`Instance.admissible_pairs`, read off the sign
+    table of the directed border edges ``ends``."""
+    n, sizes = inst.n, [len(poly) for poly in inst.border]
+    # Each row signed with the region on its left: the outer polygon ccw,
+    # each hole cw.
+    left = np.repeat(
+        [
+            1 if (_area2(coords) > 0) == (b == 0) else -1
+            for b, coords in enumerate(inst.border_coords())
+        ],
+        sizes,
+    ).astype(np.int8)
+    region = inst._signs * left[:, None]
+    # The corner at the tail v of each row lies between the rows a -> v and
+    # v -> b of its polygon, directed region-wise.  q is inside it iff q is
+    # left of both rows, or of either at a reflex corner: where a -> v is
+    # negative at b.
+    row = np.arange(len(ends))
+    position = np.concatenate([np.arange(k) for k in sizes])
+    before = row - position + (position - 1) % np.repeat(sizes, sizes)
+    into, out = np.where(left > 0, before, row), np.where(left > 0, row, before)
+    reflex = region[into, np.where(left > 0, ends[out, 1], ends[out, 0])] < 0
+    left_of_in, left_of_out = region[into] > 0, region[out] > 0
+    inside = np.where(
+        reflex[:, None], left_of_in | left_of_out, left_of_in & left_of_out
+    )
+    # Entry (v, q): whether the direction from v to q is inside every corner
+    # at v, one per polygon through v; a vertex on no polygon has none.
+    enters = np.ones((n, n), dtype=bool)
+    corner = ends[:, 0]
+    enters[corner] = inside
+    pinched = np.bincount(corner, minlength=n)[corner] > 1
+    if pinched.any():
+        np.logical_and.at(enters, corner[pinched], inside[pinched])
+    p, q = pairs.T
+    return enters[p, q] & enters[q, p]
+
+
+def _crosses_or_holds(
+    inst: Instance, ends: np.ndarray, pairs: np.ndarray
+) -> np.ndarray:
+    """Whether each pair of vertex ids crosses a border edge or holds a
+    vertex strictly inside: filters 2 and 3 of
+    :meth:`Instance.admissible_pairs`, read off the sign table, whose rows
+    are the directed border edges ``ends``, and one pair-line x vertex sign
+    table built in row blocks."""
+    crossable = _crossable(inst._signs)
+    edge_signs, (a, b) = inst._signs[crossable], ends[crossable].T
+    xy = _exact_coords(inst)
+    out = np.zeros(len(pairs), dtype=bool)
+    step = kernels._rows_per_block(inst.n)
+    for lo in range(0, len(pairs), step):
+        block = pairs[lo:lo + step]
+        p, q = block.T
+        line = kernels.orientation_signs(inst._packed, block)
+        bad = out[lo:lo + step]
+        if len(crossable):
+            bad |= (
+                (line[:, a] * line[:, b] < 0)
+                & (edge_signs[:, p] * edge_signs[:, q] < 0).T
+            ).any(axis=1)
+        zero = line == 0
+        # Both ends of a pair are on its line; usually no other vertex is.
+        if np.count_nonzero(zero) > 2 * len(block):
+            r, k = np.nonzero(zero)
+            other = (k != p[r]) & (k != q[r])
+            r, k = r[other], k[other]
+            # On the line, such a vertex is inside iff it is in the bounding
+            # box: the points are distinct.
+            box, at = xy[block[r]], xy[k]
+            inside = (box.min(axis=1) <= at) & (at <= box.max(axis=1))
+            bad[r[inside.all(axis=1)]] = True
+    return out
+
+
+def _crossable(signs: np.ndarray) -> np.ndarray:
+    """The rows of a sign table whose line has a vertex strictly on each
+    side: the only border edges that a vertex pair can cross properly."""
+    return np.flatnonzero((signs > 0).any(axis=1) & (signs < 0).any(axis=1))
 
 
 class Quadrilateral(NamedTuple):
@@ -353,8 +516,10 @@ class Triangulation:
             canonical_edge(*e) for e in edges
         )
         self._apexes: Optional[ApexMap] = None
-        # The triangles whose face certificate validate accepted.
+        # The triangles whose face certificate validate accepted, and the
+        # ids of their sides (see _face_certificate).
         self._triangles: Optional[np.ndarray] = None
+        self._sides: Optional[np.ndarray] = None
         self._key: Optional[int] = None
         self._violations: Optional[list[str]] = None
         self._interior_sorted: Optional[tuple[Edge, ...]] = None
@@ -456,9 +621,10 @@ def faces(t: Triangulation) -> tuple[tuple[int, int, int], ...]:
     return _face_tuple(_accepted_triangles(t))
 
 
-def _faces_exact(t: Triangulation) -> np.ndarray:
+def _faces_exact(t: Triangulation) -> tuple[np.ndarray, list[int]]:
     """t's triangles by an exact angular sort at each vertex, as rows
-    (x, y, z) ccw from their smallest vertex x, in no particular order.
+    (x, y, z) ccw from their smallest vertex x, in no particular order, and
+    their twice-areas, as Python ints.
 
     Traces the rotation system: around each vertex its neighbours sorted by
     exact angle, and the face after half-edge u->v is v->w for the neighbour
@@ -487,10 +653,9 @@ def _faces_exact(t: Triangulation) -> np.ndarray:
         if x < z and after(y, z) == x and after(z, x) == y:
             cycles.append((x, y, z))
     found = np.array(cycles, dtype=np.int64).reshape(-1, 3)
-    positive = np.array(
-        [_area2([pts[x], pts[y], pts[z]]) > 0 for x, y, z in cycles], dtype=bool
-    )
-    return found[_kept(t.instance, found, positive)]
+    areas = [_area2([pts[x], pts[y], pts[z]]) for x, y, z in cycles]
+    keep = _kept(t.instance, found, np.array([a > 0 for a in areas], dtype=bool))
+    return found[keep], [a for a, k in zip(areas, keep.tolist()) if k]
 
 
 def _kept(inst: Instance, cycles: np.ndarray, positive: np.ndarray) -> np.ndarray:
@@ -505,6 +670,12 @@ def _kept(inst: Instance, cycles: np.ndarray, positive: np.ndarray) -> np.ndarra
             a, b, c = sorted(poly)
             keep &= (x != a) | (lo != b) | (hi != c)
     return keep
+
+
+def _numbered_edges(t: Triangulation) -> tuple[Edge, ...]:
+    """t's edges as the face certificate numbers them: border edges first,
+    so edge i bounds one triangle if i < len(border edges), else two."""
+    return (*t.instance.border_edges, *t.interior_edges())
 
 
 def _edge_ends(edges: Collection[Edge]) -> np.ndarray:
@@ -605,28 +776,32 @@ def apex_map(t: Triangulation) -> ApexMap:
     Callers must not mutate the shared map.
     """
     if t._apexes is None:
-        t._apexes = _apexes_of(_face_tuple(_accepted_triangles(t)))
+        triangles = _accepted_triangles(t)
+        t._apexes = _apexes_of(
+            triangles, t._sides, _numbered_edges(t), len(t.instance.border_edges)
+        )
     return t._apexes
 
 
-def _apexes_of(triangles: Iterable[tuple[int, int, int]]) -> ApexMap:
-    """The edge -> apex map of ``triangles``.  Every side's key needs the
-    comparison: a triangle from :func:`faces` starts at its smallest vertex
-    only when y < z."""
-    apexes: ApexMap = {}
-    get = apexes.get
-    # Each half-edge bounds one traced face, so an edge has at most two apexes.
-    for a, b, c in triangles:
-        ab = (a, b) if a < b else (b, a)
-        bc = (b, c) if b < c else (c, b)
-        ca = (a, c) if a < c else (c, a)
-        old = get(ab)
-        apexes[ab] = (c,) if old is None else (old[0], c)
-        old = get(bc)
-        apexes[bc] = (a,) if old is None else (old[0], a)
-        old = get(ca)
-        apexes[ca] = (b,) if old is None else (old[0], b)
-    return apexes
+def _apexes_of(
+    triangles: np.ndarray, sides: np.ndarray, edges: Sequence[Edge], border: int
+) -> ApexMap:
+    """The edge -> apex map of accepted triangles: rows (x, y, z) ccw from
+    their smallest vertex x, whose sides xy, yz and zx are the ``edges`` that
+    ``sides`` numbers, the first ``border`` of them border edges.  Each edge
+    is a side of one triangle if it is a border edge and of two otherwise,
+    and lists their apexes in ``faces(t)``' order: one stable sort of the
+    sides' ids, visited in that order."""
+    x, y, z = triangles.T
+    order = np.lexsort((np.maximum(y, z), np.minimum(y, z), x))
+    # faces(t) lists (x, y, z) when y < z and (z, x, y) otherwise.
+    listed = (y < z)[order, None]
+    ids, rows = sides[order], triangles[order]
+    ids = np.where(listed, ids, ids[:, [2, 0, 1]]).ravel()
+    apexes = np.where(listed, rows[:, [2, 0, 1]], rows[:, [1, 2, 0]]).ravel()
+    apexes = apexes[np.argsort(ids, kind="stable")].tolist()
+    two = zip(apexes[border::2], apexes[border + 1::2])
+    return dict(zip(edges, [*((a,) for a in apexes[:border]), *two]))
 
 
 def apex_quadrilateral(
@@ -818,9 +993,12 @@ def validate(t: Triangulation) -> list[str]:
     returns a fresh list.
     """
     if t._violations is None:
-        triangles = _face_certificate(t)
-        t._violations = _violations(t) if triangles is None else []
-        t._triangles = triangles
+        certificate = _face_certificate(t)
+        if certificate is None:
+            t._violations = _violations(t)
+        else:
+            t._violations = []
+            t._triangles, t._sides = certificate
     return list(t._violations)
 
 
@@ -844,9 +1022,10 @@ def _area2(points: Sequence[Point]) -> int:
     )
 
 
-def _face_certificate(t: Triangulation) -> Optional[np.ndarray]:
-    """t's triangles, as rows ccw from their smallest vertex, when they
-    prove it valid, else None.
+def _face_certificate(t: Triangulation) -> Optional[tuple[np.ndarray, np.ndarray]]:
+    """t's triangles, as rows (x, y, z) ccw from their smallest vertex x,
+    and the ids of their sides xy, yz and zx in :func:`_numbered_edges`,
+    when they prove t valid, else None.
 
     The certificate, at the cost of one trace of t's faces:
 
@@ -894,18 +1073,18 @@ def _face_certificate(t: Triangulation) -> Optional[np.ndarray]:
     which number each edge (border edges first), so incidence is one
     ``bincount``.  When the kernel is python, beyond the gate, or when the
     batch cannot prove its sort exact, :func:`_faces_exact`'s triangles
-    feed the same checks.  Both trace the exact rotation system and keep
-    its 3-cycles by one rule (:func:`_kept`), so both find the same
-    triangles.  The accepted ones are the only face data of t: ``faces``
-    and ``apex_map`` read them.  The twice-areas of 4 are exact: each fits
+    and the twice-areas it tested them by feed the same checks.  Both trace
+    the exact rotation system and keep its 3-cycles by one rule
+    (:func:`_kept`), so both find the same triangles.  The accepted ones and
+    their sides' ids are the only face data of t: ``faces`` and
+    ``apex_map`` read them.  The twice-areas of 4 are exact: each fits
     int64 under the gate, and their sum, which can pass 2^63 when triangles
     overlap, is taken over Python ints.
     """
     inst = t.instance
     if not inst.border_edges <= t.edges:
         return None
-    # Border edges first: edge i bounds one triangle if i < border, else two.
-    edges = (*inst.border_edges, *t.interior_edges())
+    edges = _numbered_edges(t)
     border = len(inst.border_edges)
     try:
         ends = _edge_ends(edges)
@@ -918,22 +1097,22 @@ def _face_certificate(t: Triangulation) -> Optional[np.ndarray]:
         o, half, rows, dets = traced
         triangles, sides, dets = o[rows], half[rows] % len(edges), dets.tolist()
     else:
-        triangles = _faces_exact(t)
-        found = triangles.tolist()
+        triangles, dets = _faces_exact(t)
         index = {e: i for i, e in enumerate(edges)}
-        sides = [
-            index[canonical_edge(u, v)]
-            for a, b, c in found
-            for u, v in ((a, b), (b, c), (c, a))
-        ]
-        pts = inst.points
-        dets = [_area2([pts[a], pts[b], pts[c]]) for a, b, c in found]
+        sides = np.array(
+            [
+                index[canonical_edge(u, v)]
+                for a, b, c in triangles.tolist()
+                for u, v in ((a, b), (b, c), (c, a))
+            ],
+            dtype=np.int64,
+        ).reshape(-1, 3)
     if len(dets) != 2 * inst.n - inst.n_b - 2 + 2 * inst.h:
         return None
-    incidence = np.bincount(np.ravel(sides), minlength=len(edges))
+    incidence = np.bincount(sides.ravel(), minlength=len(edges))
     if (incidence[:border] != 1).any() or (incidence[border:] != 2).any():
         return None
-    return triangles if sum(dets) == inst.region_area2 else None
+    return (triangles, sides) if sum(dets) == inst.region_area2 else None
 
 
 def _violations(t: Triangulation) -> list[str]:
@@ -948,9 +1127,18 @@ def _violations(t: Triangulation) -> list[str]:
     crossing = np.triu(kernels.crossing_matrix(packed, packed))
     for i, j in zip(*np.nonzero(crossing)):  # row-major: i, then j
         out.append(f"edges {edges[i]} and {edges[j]} cross")
-    inside, leaving = _segment_defects(inst, edges)
-    out += [f"vertex {k} lies inside edge {e}" for k, e in inside]
-    out += [f"edge {e} leaves the region" for e in leaving]
+    rows, ks = np.nonzero(kernels.vertices_inside(inst._packed, _edge_ends(edges)))
+    out += [
+        f"vertex {k} lies inside edge {edges[i]}"
+        for i, k in zip(rows.tolist(), ks.tolist())
+    ]
+    coords = inst.border_coords()
+    out += [
+        f"edge {e} leaves the region"
+        for e in edges
+        if e not in inst.border_edges
+        and geometry.midpoint_in_region(inst.segment(e), coords) != INSIDE
+    ]
     expected = interior_edge_count(inst.n, inst.n_b, inst.h)
     actual = len(t.edges - inst.border_edges)
     if not out and actual == expected:

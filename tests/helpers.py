@@ -7,7 +7,7 @@ from flipdist import triangulation
 from flipdist.crossings import QUAD_SEGMENTS
 from flipdist.generate import GenSpec, generate_instance, random_priority
 from flipdist.oracle import FlipGraph
-from flipdist.triangulation import Triangulation, greedy_triangulate
+from flipdist.triangulation import Triangulation, canonical_edge, greedy_triangulate
 
 
 def generate_pair(
@@ -22,6 +22,18 @@ def generate_pair(
     t1 = greedy_triangulate(inst, priority=random_priority(inst, spec.seed))
     t2 = greedy_triangulate(inst, priority=random_priority(inst, seed2))
     return t1, t2
+
+
+def apexes_in_order(triangles) -> dict:
+    """The edge -> apex map of ``triangles``, ccw vertex triples: each
+    edge's apexes in the order of its triangles.  Over ``faces(t)`` it is
+    ``apex_map(t)``, apex order included."""
+    apexes: dict = {}
+    for a, b, c in triangles:
+        for u, v, apex in ((a, b, c), (b, c, a), (c, a, b)):
+            e = canonical_edge(u, v)
+            apexes[e] = apexes.get(e, ()) + (apex,)
+    return apexes
 
 
 def quad_crosser_sets(grid, t2: Triangulation) -> list[dict]:

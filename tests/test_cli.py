@@ -143,8 +143,8 @@ def test_morph_traces_each_input_once(tmp_path, monkeypatch, backend):
     built = []
     apexes_of = triangulation._apexes_of
 
-    def counting(triangles):
-        built.append(apexes_of(triangles))
+    def counting(*args):
+        built.append(apexes_of(*args))
         return built[-1]
 
     monkeypatch.setattr(triangulation, "_apexes_of", counting)

@@ -348,7 +348,8 @@ def test_active_kernel_env(monkeypatch):
     monkeypatch.delenv(kernels.KERNEL_ENV)
     assert kernels.active_kernel() == "numpy"
     # An unknown name is refused: by the env on every path, whether or not
-    # the points pass the int64 gate, and by crossing_matrix's argument.
+    # the points pass the int64 gate (building an instance reads it), and by
+    # crossing_matrix's argument.
     seg = kernels.segments_array([((0, 0), (1, 1))])
     ids = np.array([[0, 1]])
     monkeypatch.setenv(kernels.KERNEL_ENV, "pyhton")
@@ -359,7 +360,7 @@ def test_active_kernel_env(monkeypatch):
             lambda: kernels.crossing_matrix(seg, seg),
             points.use_numpy,
             lambda: kernels.vertices_inside(points, ids),
-            lambda: kernels.enters_region(points, ids, [[0, 1, 2]]),
+            lambda: Instance(coords, [[0, 1, 2]]),
         ):
             with pytest.raises(FlipdistError, match="'pyhton'"):
                 call()

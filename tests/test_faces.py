@@ -43,7 +43,7 @@ BATCH = triangulation._batch_trace
 def _exact(t):
     """The exact loop's triangles in :func:`faces`' order, each checked to
     have positive area."""
-    found = EXACT(t)
+    found, _ = EXACT(t)
     pts = t.instance.points
     assert all(geometry.orient(*(pts[v] for v in row)) > 0 for row in found.tolist())
     return _face_tuple(found)

@@ -3,16 +3,19 @@
 The violations ``Instance(...)`` raises are compared with a scalar
 reference written out below: the instance checks as plain loops over the
 exact predicates, each computed on its own (edge sets per polygon pair, the
-ray-parity and boundary tests inlined for holes).
+ray-parity and boundary tests inlined for holes).  The comparisons run
+under both kernels, set through ``FLIPDIST_KERNEL``: the instance's sign
+table has a batch path and an exact one.
 """
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from flipdist import geometry
+from flipdist import geometry, kernels
 from flipdist.errors import InvariantViolation
-from flipdist.triangulation import Instance
+from flipdist.generate import GenSpec, generate_instance
+from flipdist.triangulation import Instance, _directed_edges, _ray_parities
 
 
 def _segments(poly):
@@ -215,9 +218,11 @@ VALID = {"pinched", "collinear", "coords_2^31", "holed_valid"}
 
 
 @pytest.mark.parametrize("name", sorted(CORPUS))
-def test_instance_violations_match_reference(name):
+def test_instance_violations_match_reference(name, monkeypatch):
     points, border = CORPUS[name]
-    assert bool(_check(points, border)) == (name not in VALID)
+    for backend in kernels.KERNELS:
+        monkeypatch.setenv(kernels.KERNEL_ENV, backend)
+        assert bool(_check(points, border)) == (name not in VALID)
 
 
 # Small grids, so that repeated, collinear and on-edge points are common.
@@ -244,7 +249,10 @@ def _raw_instances(draw):
 @settings(max_examples=300, deadline=None)
 @given(_raw_instances())
 def test_random_instances_match_reference(raw):
-    _check(*raw)
+    for backend in kernels.KERNELS:
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setenv(kernels.KERNEL_ENV, backend)
+            _check(*raw)
 
 
 @pytest.mark.parametrize(
@@ -279,6 +287,20 @@ def test_random_instances_match_reference(raw):
                 "point 3 is not a pair of integers",
             ],
         ),
+        # A bool alone, or a bare int for a polygon, is refused as well.
+        (
+            [(0, 0), (1, 0), (0, True)],
+            [[0, 1, 2]],
+            ["point 2 has a non-integer coordinate"],
+        ),
+        (
+            [(0, 0), (1, 0), (0, 1)],
+            [[False, 1, 2], 0],
+            [
+                "border[0] has a non-integer vertex id",
+                "border[1] is not a list of vertex ids",
+            ],
+        ),
         # Refused before any geometric check: points 0 and 3 coincide.
         (
             [(0, 0), (1, 0), (0, 1), (0, 0)],
@@ -291,10 +313,12 @@ def test_random_instances_match_reference(raw):
         ),
     ],
 )
-def test_non_integers_are_refused(points, border, violations):
-    with pytest.raises(InvariantViolation) as exc:
-        Instance(points, border)
-    assert exc.value.violations == violations
+def test_non_integers_are_refused(points, border, violations, monkeypatch):
+    for backend in kernels.KERNELS:
+        monkeypatch.setenv(kernels.KERNEL_ENV, backend)
+        with pytest.raises(InvariantViolation) as exc:
+            Instance(points, border)
+        assert exc.value.violations == violations
 
 
 def test_numpy_integers_are_stored_as_int():
@@ -331,3 +355,45 @@ def test_crossings_are_reported_once_with_a_witness():
     assert _check(points, border) == [
         "border[1] and border[2] cross: edges (4, 5) and (8, 9) cross",
     ]
+
+
+def test_ray_parities_match_the_predicate(monkeypatch):
+    """The parity table the point rules read equals the exact ray cast for
+    every point and polygon, boundary points too, where the half-open rule
+    decides: under both kernels and beyond the int64 gate."""
+    generated = [
+        generate_instance(GenSpec(seed=1, n_points=24, shape="random_simple_border",
+                                  interior_points=4)),
+        generate_instance(GenSpec(seed=2, n_points=24, shape="with_holes", holes=2,
+                                  interior_points=4)),
+    ]
+    cases = [CORPUS[name] for name in sorted(VALID)]
+    cases += [(inst.points, inst.border) for inst in generated]
+    for backend in kernels.KERNELS:
+        monkeypatch.setenv(kernels.KERNEL_ENV, backend)
+        for points, border in cases:
+            inst = Instance(points, border)
+            got = _ray_parities(inst, _directed_edges(inst.border))
+            assert got.tolist() == [
+                [geometry.ray_crossing_parity(p, poly) for p in inst.points]
+                for poly in inst.border_coords()
+            ]
+
+
+def test_instance_reads_its_sign_table(monkeypatch):
+    """Under the numpy kernel, building a holed instance and listing its
+    admissible pairs read the instance's sign table alone: no crossing grid,
+    no vertex-inside grid and no ray cast."""
+    holed = generate_instance(
+        GenSpec(seed=2, n_points=40, shape="with_holes", holes=3, interior_points=6)
+    )
+
+    def refused(*args, **kwargs):
+        raise AssertionError("called")
+
+    monkeypatch.setenv(kernels.KERNEL_ENV, "numpy")
+    monkeypatch.setattr(kernels, "crossing_matrix", refused)
+    monkeypatch.setattr(kernels, "vertices_inside", refused)
+    monkeypatch.setattr(geometry, "ray_crossing_parity", refused)
+    inst = Instance(holed.points, holed.border)
+    assert len(inst.admissible_pairs()) > len(inst.border_edges)

@@ -10,7 +10,7 @@ from flipdist.cli import run as cli_run
 from flipdist.errors import AlreadyEqual, InvariantViolation
 from flipdist.generate import GenSpec, generate_instance, random_priority
 from flipdist.triangulation import Instance, Triangulation, greedy_triangulate
-from helpers import generate_pair
+from helpers import apexes_in_order, generate_pair
 
 
 def test_propositions_square_pair(square_pair):
@@ -226,8 +226,8 @@ def test_pair_record_is_of_the_pair():
 
 def test_audit_counts_the_pair_once(monkeypatch, capsys):
     """One `flipdist audit` of a non-equal pair makes one count_pair call
-    and five crossing grids: the instance's border scan at load, then
-    count_pair's, P1's two and the quadrilateral grid.  P8 reads P1's."""
+    and four crossing grids: count_pair's, P1's two and the quadrilateral
+    grid.  P8 reads P1's, and loading the instance makes none."""
     grids, counts = [], []
     crossing_matrix = kernels.crossing_matrix
 
@@ -246,7 +246,7 @@ def test_audit_counts_the_pair_once(monkeypatch, capsys):
     assert cli_run(["audit", t1, t2]) == 0
     assert "# lemma2.2" in capsys.readouterr().out
     assert len(counts) == 1
-    assert len(grids) == 5
+    assert len(grids) == 4
 
 
 def test_vertex_and_meeting_inside_quad_fail(monkeypatch):
@@ -258,8 +258,8 @@ def test_vertex_and_meeting_inside_quad_fail(monkeypatch):
     )
     t1 = Triangulation(inst, inst.border_edges | {(0, 2), (0, 3), (0, 4)})
     # Forged past the gate: t1's apex map read off its exact face trace.
-    t1._apexes = triangulation._apexes_of(
-        triangulation._face_tuple(triangulation._faces_exact(t1))
+    t1._apexes = apexes_in_order(
+        triangulation._face_tuple(triangulation._faces_exact(t1)[0])
     )
     t2 = greedy_triangulate(inst, priority=lambda e: (-e[0], -e[1]))
     monkeypatch.setattr(lemmas, "require_valid", lambda t, label: None)

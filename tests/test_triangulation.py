@@ -27,6 +27,7 @@ from flipdist.triangulation import (
     Instance,
     MutableTriangulation,
     Triangulation,
+    _crossable,
     _face_certificate,
     _violations as _full_checks,
     apex_map,
@@ -39,7 +40,7 @@ from flipdist.triangulation import (
     quadrilateral_of,
     validate,
 )
-from helpers import count_traces
+from helpers import apexes_in_order, count_traces
 
 
 def test_interior_edge_count_formula():
@@ -569,9 +570,13 @@ def _wedge_instances():
             [(x * huge, y * huge) for x, y in pinched.points], pinched.border
         ),
         "interior_64": generate_instance(_INTERIOR_64),
+        "convex_24": generate_instance(GenSpec(seed=5, n_points=24)),
     }
+    # Up to n=64: several row blocks of the pair-line table, star borders
+    # with reflex corners and crossable edges, and holes.
     for seed, (n, holes, interior) in enumerate(
-        ((14, 0, 2), (22, 0, 4), (30, 0, 6), (14, 1, 2), (20, 2, 3), (30, 3, 5))
+        ((14, 0, 2), (22, 0, 4), (30, 0, 6), (14, 1, 2), (20, 2, 3), (30, 3, 5),
+         (48, 0, 8), (40, 3, 6), (64, 0, 10), (64, 3, 8))
     ):
         shape = "with_holes" if holes else "random_simple_border"
         cases[f"{shape}_n{n}"] = generate_instance(
@@ -597,6 +602,23 @@ def test_admissible_pairs_match_reference(name, monkeypatch):
         # A fresh instance: admissible pairs are cached on the instance.
         fresh = Instance(inst.points, inst.border)
         assert fresh.admissible_pairs() == expected
+
+
+def test_crossable_edges_have_vertices_on_both_sides():
+    """admissible_pairs tests only the border edges whose line has a vertex
+    strictly on each side: none of a convex polygon, listed either way."""
+    square = [(0, 0), (4, 0), (4, 4), (0, 4), (1, 2)]
+    for border in ([[0, 1, 2, 3]], [[3, 2, 1, 0]]):
+        assert _crossable(Instance(square, border)._signs).tolist() == []
+    for name, inst in _admissible_cases().items():
+        pts = inst.points
+        ends = [(poly[k], poly[(k + 1) % len(poly)]) for poly in inst.border
+                for k in range(len(poly))]
+        expected = [
+            r for r, (a, b) in enumerate(ends)
+            if {geometry.orient(pts[a], pts[b], p) for p in pts} >= {-1, 1}
+        ]
+        assert _crossable(inst._signs).tolist() == expected, name
 
 
 def _greedy_reference(inst, priority):
@@ -775,11 +797,13 @@ def _certificate_case(patch, name, seed, mutations):
     assert validate(t) == full
     if not full:
         # The apex map is built from the triangles validate accepted, with
-        # no second trace, and is the map a fresh trace gives.
+        # no second trace, and is the map a fresh trace gives: each edge's
+        # apexes in the order of faces(t).
         traces = count_traces(patch)
         apexes = apex_map(t)
         assert traces == {}
         assert apexes == apex_map(Triangulation(inst, edges))
+        assert apexes == apexes_in_order(faces(t))
 
 
 @pytest.mark.parametrize("name", ["pinched", "two_holes_pinched", "collinear"])
