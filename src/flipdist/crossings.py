@@ -13,7 +13,7 @@ from .triangulation import (
     Edge,
     Quadrilateral,
     Triangulation,
-    canonical_edge,
+    edge_signs,
     require_same_instance,
 )
 
@@ -37,17 +37,27 @@ class CrossingReport:
     max_edges: tuple[Edge, ...]
 
 
+def interior_crossings(t1: Triangulation, t2: Triangulation) -> np.ndarray:
+    """Boolean grid: entry (i, j) is whether ``t2.interior_edges()[j]``
+    properly crosses ``t1.interior_edges()[i]``, gathered from the interior
+    rows of the two triangulations' sign tables (:func:`edge_signs`)."""
+    s1, s2 = edge_signs(t1), edge_signs(t2)
+    return kernels.segment_crossings(
+        t1.instance._packed,
+        s1.interior_ends, s2.interior_ends, s1.interior_signs, s2.interior_signs,
+    )
+
+
 def count_pair(t1: Triangulation, t2: Triangulation) -> CrossingReport:
-    """The crossing report of t1 against t2.
+    """The crossing report of t1 against t2: the row sums of
+    :func:`interior_crossings`.
 
     Only interior edges can cross: border edges belong to both
     triangulations, and crossing one would break planarity.
     """
     require_same_instance(t1, t2)
     per_edge: dict[Edge, int] = {e: 0 for e in sorted(t1.edges)}
-    counts = kernels.crossing_counts(
-        t1.interior_array(), t2.interior_array()
-    ).tolist()
+    counts = interior_crossings(t1, t2).sum(axis=1).tolist()
     for e, c in zip(t1.interior_edges(), counts):
         per_edge[e] = c
     total = sum(counts)
@@ -61,11 +71,29 @@ def count_pair(t1: Triangulation, t2: Triangulation) -> CrossingReport:
     return CrossingReport(total=total, per_edge=per_edge, max_edges=max_edges)
 
 
+def count_edges(edges: Sequence[Edge], t: Triangulation) -> list[int]:
+    """For each vertex pair of ``edges``, the number of t's interior edges
+    properly crossing it, gathered from the interior rows of t's sign
+    table."""
+    table = edge_signs(t)
+    ends = np.array(edges, dtype=np.int64).reshape(-1, 2)
+    return kernels.segment_crossings(
+        t.instance._packed, ends, table.interior_ends, None, table.interior_signs
+    ).sum(axis=1).tolist()
+
+
 def count_segment(s: Segment, t: Triangulation) -> int:
     """Crossings of an arbitrary segment with t, no region checks."""
     return sum(
         geometry.properly_intersect(s, t.segment(e)) for e in t.edges
     )
+
+
+def _quad_ends(quads: Sequence[Quadrilateral]) -> np.ndarray:
+    """The segments ``QUAD_SEGMENTS`` of each quadrilateral abcd, directed
+    as named: an int64 (len(quads), 6, 2) array of vertex ids."""
+    corners = np.array([q.vertices for q in quads], dtype=np.int64).reshape(-1, 4)
+    return corners[:, [0, 1, 1, 2, 2, 3, 3, 0, 0, 2, 1, 3]].reshape(-1, 6, 2)
 
 
 def quad_crossers(
@@ -78,20 +106,51 @@ def quad_crossers(
     the segment ``QUAD_SEGMENTS[s]`` of ``quads[k]``: its sides ``ab``,
     ``bc``, ``cd``, ``da``, its diagonal ``ac`` and the other diagonal
     ``bd``.  Every edge of t2 is tested, border edges included.  The
-    distinct segments go to one :func:`kernels.crossing_matrix` call:
-    adjacent quadrilaterals share sides, so there are about half as many as
-    the 6 * len(quads) rows.
+    segments go to one :func:`kernels.segment_crossings` call.  The sides
+    and ``ac`` are edges of t1, so their signs are rows of t1's sign table;
+    only the ``bd`` diagonals need new rows.  t2's lines read its own
+    table.
     """
     require_same_instance(t1, t2)
     inst = t1.instance
-    segment_row: dict[Edge, int] = {}
-    rows = []
-    for quad in quads:
-        a, b, c, d = quad.vertices
-        for u, v in ((a, b), (b, c), (c, d), (d, a), (a, c), (b, d)):
-            rows.append(segment_row.setdefault(canonical_edge(u, v), len(segment_row)))
-    edges = sorted(t2.edges)
-    hits = kernels.crossing_matrix(
-        inst.segments(list(segment_row)), inst.segments(edges)
+    s1, s2 = edge_signs(t1), edge_signs(t2)
+    ends = _quad_ends(quads)
+    tails, heads = ends[..., 0], ends[..., 1]
+    low, high = np.minimum(tails, heads), np.maximum(tails, heads)
+    signs = np.empty((len(quads), len(QUAD_SEGMENTS), inst.n), dtype=np.int8)
+    signs[:, :5] = s1.signs[np.searchsorted(s1.codes, low[:, :5] * inst.n + high[:, :5])]
+    signs[:, 5] = kernels.orientation_signs(inst._packed, ends[:, 5])
+    hits = kernels.segment_crossings(
+        inst._packed, ends.reshape(-1, 2), s2.ends,
+        signs.reshape(-1, inst.n), s2.signs,
     )
-    return hits[rows].reshape(len(quads), len(QUAD_SEGMENTS), len(edges))
+    return hits.reshape(len(quads), len(QUAD_SEGMENTS), len(s2.ends))
+
+
+def inside_quads(t1: Triangulation, quads: Sequence[Quadrilateral]) -> np.ndarray:
+    """Boolean (len(quads), n) grid: entry (k, v) is whether vertex v lies
+    strictly inside ``quads[k]``, a quadrilateral abcd of t1 whose faces
+    abc and acd are ccw: in the open abc, in the open acd or on the open
+    diagonal ac.
+
+    The two triangles lie on opposite sides of ac (b on its right, d on
+    its left), so their union is the simple polygon abcd.  A point
+    a + t(c - a) of the line ac is strictly left of ab iff t > 0 and of bc
+    iff t < 1, so abc's two outer sides also place the points of that
+    line: exactly those of the open diagonal are inside.  So v is inside
+    iff it is strictly left of cd and da when it is strictly left of ac,
+    and strictly left of ab and bc otherwise.  All five segments are edges
+    of t1, so each answer is a sign in a row of t1's sign table, read with
+    its sign reversed where the segment runs from its larger id to its
+    smaller.
+    """
+    table = edge_signs(t1)
+    ends = _quad_ends(quads)[:, :5]
+    tails, heads = ends[..., 0], ends[..., 1]
+    rows = np.searchsorted(
+        table.codes, np.minimum(tails, heads) * t1.instance.n + np.maximum(tails, heads)
+    )
+    signs = table.signs[rows]
+    left = np.where((tails < heads)[..., None], signs > 0, signs < 0)
+    ab, bc, cd, da, ac = left.transpose(1, 0, 2)
+    return np.where(ac, cd & da, ab & bc)

@@ -16,8 +16,7 @@ from itertools import chain
 from pathlib import Path
 from typing import Any, Iterable, Optional
 
-from . import kernels
-from .crossings import count_pair
+from .crossings import count_edges, count_pair
 from .errors import EdgeNotInTriangulation, InvariantViolation, NotFlippable, ParseError
 from .geometry import COORD_LIMIT
 from .morph import FlipSequence, FlipStep
@@ -337,9 +336,7 @@ def _check_totals(
     first ``before`` is #(start, target), and each flip takes #(removed,
     target) off and puts #(added, target) on."""
     rows = [e for step in steps for e in (step.removed, step.added)]
-    counts = kernels.crossing_counts(
-        start.instance.segments(rows), target.interior_array()
-    ).tolist()
+    counts = count_edges(rows, target)
     total = count_pair(start, target).total
     for i, step in enumerate(steps):
         after = total - counts[2 * i] + counts[2 * i + 1]

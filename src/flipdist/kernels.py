@@ -71,6 +71,8 @@ INT64_SAFE_LIMIT = geometry.COORD_LIMIT
 # temporary is then 64 KiB, below glibc's default 128 KiB mmap threshold,
 # so it is not a fresh mapping whose pages fault in on every block.
 _CELL_BLOCK = 1 << 13
+# Cells of a gather of int8 signs at a time: the same 64 KiB per temporary.
+_GATHER_BLOCK = 8 * _CELL_BLOCK
 
 
 def active_kernel() -> str:
@@ -205,8 +207,8 @@ def crossing_counts(
     return crossing_matrix(a, b, kernel).sum(axis=1)
 
 
-def _rows_per_block(cols: int) -> int:
-    return max(1, _CELL_BLOCK // max(cols, 1))
+def _rows_per_block(cols: int, cells: int | None = None) -> int:
+    return max(1, (cells or _CELL_BLOCK) // max(cols, 1))
 
 
 def vertices_inside(points: Points, ids: np.ndarray) -> np.ndarray:
@@ -259,26 +261,96 @@ def _inside_numpy(points: Points, ids: np.ndarray) -> np.ndarray:
     return out
 
 
-def orientation_signs(points: Points, ends: np.ndarray) -> np.ndarray:
-    """int8 (m, n) table: entry (i, k) is the sign of orient(a, b, point k)
-    for the line from a = point ``ends[i, 0]`` to b = point ``ends[i, 1]``.
+def orientation_signs(
+    points: Points, ends: np.ndarray, columns: np.ndarray | None = None
+) -> np.ndarray:
+    """int8 (m, k) table: entry (i, c) is the sign of orient(a, b, point
+    ``columns[c]``) for the line from a = point ``ends[i, 0]`` to b = point
+    ``ends[i, 1]``; ``columns`` defaults to every vertex.
 
-    One int64 broadcast when :meth:`Points.use_numpy` says so, the exact
-    :func:`geometry.orient` loop otherwise: both give the same table.
+    int64 broadcasts over row blocks of ``_CELL_BLOCK`` cells when
+    :meth:`Points.use_numpy` says so, the exact :func:`geometry.orient` loop
+    otherwise: both give the same table.
     """
     if points.use_numpy():
         x, y = points.x, points.y
         a, b = ends[:, 0], ends[:, 1]
         dx, dy, k = (t[:, None] for t in _line(x[a], y[a], x[b], y[b]))
-        return np.sign(_orient(dx, dy, k, x, y)).astype(np.int8)
+        if columns is not None:
+            x, y = x[columns], y[columns]
+        step = _rows_per_block(len(x))
+        if len(ends) <= step:
+            return np.sign(_orient(dx, dy, k, x, y)).astype(np.int8)
+        out = np.empty((len(ends), len(x)), dtype=np.int8)
+        for lo in range(0, len(ends), step):
+            rows = slice(lo, lo + step)
+            out[rows] = np.sign(_orient(dx[rows], dy[rows], k[rows], x, y))
+        return out
     coords = points.coords
+    targets = coords if columns is None else [coords[c] for c in columns.tolist()]
     return np.array(
         [
-            [geometry.orient(coords[i], coords[j], p) for p in coords]
+            [geometry.orient(coords[i], coords[j], p) for p in targets]
             for i, j in ends.tolist()
         ],
         dtype=np.int8,
-    ).reshape(len(ends), len(coords))
+    ).reshape(len(ends), len(targets))
+
+
+def segment_crossings(
+    points: Points,
+    a: np.ndarray,
+    b: np.ndarray,
+    a_signs: np.ndarray | None = None,
+    b_signs: np.ndarray | None = None,
+) -> np.ndarray:
+    """Boolean grid: entry (i, j) is whether segment j of ``b`` properly
+    crosses segment i of ``a``, both (m, 2) arrays of vertex ids.
+
+    Two segments cross properly iff the ends of each lie strictly on
+    opposite sides of the other's line.  So the grid is the straddle table
+    of a's lines over b's ends ANDed with the transpose of b's over a's,
+    and each straddle table is a gather of one sign table: the signs of
+    one side's lines at the other side's distinct endpoints
+    (:func:`orientation_signs`), read at each segment's two ends.  An array
+    against itself (``a is b``) needs its one table.  ``a_signs``, when
+    given, is the table of a's lines against every vertex,
+    ``orientation_signs(points, a)``, which a caller may keep for many
+    grids; likewise ``b_signs``.
+
+    Exact on both backends: the gathers read signs only, and the int64
+    gate of :class:`Points` decides how each sign is computed.  With at
+    most 2m distinct endpoints for m segments, the tables never make more
+    orientation tests than four determinants per cell would.
+    """
+    if a is b:
+        own = _straddles(points, a, a, a_signs)
+        return own & own.T
+    return _straddles(points, a, b, a_signs) & _straddles(points, b, a, b_signs).T
+
+
+def _straddles(
+    points: Points, lines: np.ndarray, segs: np.ndarray, signs: np.ndarray | None
+) -> np.ndarray:
+    """Boolean (len(lines), len(segs)) table: entry (i, j) is whether the
+    ends of segment j lie strictly on opposite sides of line i, gathered
+    from ``signs``, the table of the lines against every vertex, or else
+    from one built against the segments' distinct endpoints."""
+    if signs is None:
+        present = np.zeros(len(points.coords), dtype=bool)
+        present[segs] = True
+        # Column c of the table is the c-th endpoint present, in id order.
+        signs = orientation_signs(points, lines, np.flatnonzero(present))
+        segs = (np.cumsum(present) - 1)[segs]
+    tails, heads = segs[:, 0], segs[:, 1]
+    step = _rows_per_block(len(segs), _GATHER_BLOCK)
+    if len(lines) <= step:
+        return signs[:, tails] * signs[:, heads] < 0
+    out = np.empty((len(lines), len(segs)), dtype=bool)
+    for lo in range(0, len(lines), step):
+        block = signs[lo:lo + step]
+        np.less(block[:, tails] * block[:, heads], 0, out=out[lo:lo + step])
+    return out
 
 
 def _within_limit(a: np.ndarray) -> bool:

@@ -23,13 +23,20 @@ from functools import cached_property
 import numpy as np
 
 from . import kernels
-from .crossings import QUAD_SEGMENTS, CrossingReport, count_pair, quad_crossers
+from .crossings import (
+    QUAD_SEGMENTS,
+    CrossingReport,
+    count_pair,
+    inside_quads,
+    quad_crossers,
+)
 from .errors import AlreadyEqual
 from .triangulation import (
     Edge,
     Quadrilateral,
     Triangulation,
     canonical_edge,
+    edge_signs,
     quadrilateral_of,
     require_same_instance,
     require_valid,
@@ -92,20 +99,6 @@ class AuditReport:
 
 def _signed_det(p, q, r) -> int:
     return (q[0] - p[0]) * (r[1] - p[1]) - (q[1] - p[1]) * (r[0] - p[0])
-
-
-def _inside_quad(p, a, b, c, d) -> bool:
-    """Whether p lies strictly inside the quadrilateral abcd whose faces abc
-    and acd are ccw: in the open abc, in the open acd or on the open
-    diagonal ac.  The two triangles lie on opposite sides of ac (b on its
-    right, d on its left), so their union is the simple polygon abcd.
-
-    A point a + t(c - a) of the line ac is strictly left of ab iff t > 0
-    and of bc iff t < 1, so abc's two outer sides also place the points of
-    that line: exactly those of the open diagonal are inside."""
-    if _signed_det(a, c, p) > 0:
-        return _signed_det(c, d, p) > 0 and _signed_det(d, a, p) > 0
-    return _signed_det(a, b, p) > 0 and _signed_det(b, c, p) > 0
 
 
 class _PairRecord:
@@ -199,8 +192,10 @@ def audit_propositions(t1: Triangulation, t2: Triangulation) -> AuditReport:
     grids = {}
     for label, t in (("t1", t1), ("t2", t2)):
         edges = sorted(t.edges)
-        packed = t.instance.segments(edges)
-        grid = grids[label] = kernels.crossing_matrix(packed, packed)
+        table = edge_signs(t)
+        grid = grids[label] = kernels.segment_crossings(
+            t.instance._packed, table.ends, table.ends, table.signs, table.signs
+        )
         if grid.any():
             i, j = divmod(int(grid.argmax()), len(edges))
             witness = f"{label} edges {edges[i]} and {edges[j]} cross"
@@ -218,13 +213,13 @@ def audit_propositions(t1: Triangulation, t2: Triangulation) -> AuditReport:
     for k, quad in enumerate(quads):
         if quad.opposite in t2.edges:
             enters[k, bisect.bisect_left(columns, quad.opposite)] = True
+    inside = inside_quads(t1, quads)
     p2_failures, p3_failures = [], []
     p2_checked = p3_checked = 0
-    for quad, edges in zip(quads, _row_edges(enters, columns)):
-        corners = [pts[v] for v in quad.vertices]
+    for k, (quad, edges) in enumerate(zip(quads, _row_edges(enters, columns))):
         kind = {v: "corner" for v in quad.vertices}
         for v in {v for e in edges for v in e} - kind.keys():
-            kind[v] = "inside" if _inside_quad(pts[v], *corners) else "outside"
+            kind[v] = "inside" if inside[k, v] else "outside"
         p2_checked += len(edges)
         for e in edges:
             kinds = [kind[v] for v in e]

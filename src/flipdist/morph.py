@@ -7,7 +7,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from . import kernels
+from .crossings import interior_crossings
 from .errors import LemmaViolation
 from .geometry import Point
 from .triangulation import (
@@ -60,10 +60,11 @@ def _crosser_masks(
 
     Bit j of a mask stands for ``t2.interior_edges()[j]``.  The first map
     holds, for each edge of t1 that t2 crosses, the mask of the t2 edges
-    properly crossing it (one crossing grid); every other edge's mask is 0.
+    properly crossing it (one crossing grid, :func:`interior_crossings`);
+    every other edge's mask is 0.
     ``at[v]`` is the mask of the t2 interior edges incident to vertex v.
     """
-    grid = kernels.crossing_matrix(t1.interior_array(), t2.interior_array())
+    grid = interior_crossings(t1, t2)
     rows = np.packbits(grid, axis=1, bitorder="little")
     crossers = {
         e: mask

@@ -104,7 +104,7 @@ class _FlipTable:
     instance.
 
     ``grid`` is the crossing grid of the admissible pairs, one
-    :func:`kernels.crossing_matrix` call: entry (i, j) is whether pairs i
+    :func:`kernels.segment_crossings` call: entry (i, j) is whether pairs i
     and j cross properly.  ``cand`` lists the pairs that cross some
     admissible pair, the only ones a flip can add.  ``cols`` holds their
     grid columns as keys, word by word: ``cols[w, j]`` is word w of the key
@@ -113,8 +113,8 @@ class _FlipTable:
     """
 
     def __init__(self, inst: Instance):
-        packed = inst.segments(inst.admissible_pairs())
-        self.grid = grid = kernels.crossing_matrix(packed, packed)
+        ends = np.array(inst.admissible_pairs(), dtype=np.int64).reshape(-1, 2)
+        self.grid = grid = kernels.segment_crossings(inst._packed, ends, ends)
         self.pairs = len(grid)
         self.words = -(-self.pairs // 64)
         ids = np.arange(self.pairs)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import functools
 import operator
-from itertools import accumulate, chain
+from itertools import accumulate, chain, pairwise
 from typing import Callable, Collection, Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -118,17 +118,28 @@ class Instance:
         self.n = len(self.points)
         self.n_b = sum(len(poly) for poly in self.border)
         self.h = len(self.border) - 1
-        # The edges of each border polygon, in border order.
+        # The polygons with valid ids, whose directed edges, in border order,
+        # are the rows of the sign table (see :meth:`validate`), and those
+        # edges canonical, from one pass: the edges of each such polygon.
+        # validate reports the other polygons, and an instance with one is
+        # refused before anything reads their edges.
+        self._valid = [
+            b for b, poly in enumerate(self.border)
+            if len(poly) >= 3 and 0 <= min(poly) and max(poly) < self.n
+        ]
+        self._ends = _directed_edges([self.border[b] for b in self._valid])
+        self._sides: list[Edge] = [
+            (a, b) if a < b else (b, a) for a, b in self._ends.tolist()
+        ]
+        starts = accumulate((len(self.border[b]) for b in self._valid), initial=0)
+        edges = {
+            b: frozenset(self._sides[lo:hi])
+            for b, (lo, hi) in zip(self._valid, pairwise(starts))
+        }
         self.polygon_edges: tuple[frozenset[Edge], ...] = tuple(
-            frozenset(
-                canonical_edge(poly[k], poly[(k + 1) % len(poly)])
-                for k in range(len(poly))
-            )
-            for poly in self.border
+            edges.get(b, frozenset()) for b in range(len(self.border))
         )
-        self.border_edges: frozenset[Edge] = frozenset().union(
-            *self.polygon_edges
-        )
+        self.border_edges: frozenset[Edge] = frozenset(self._sides)
         self._admissible: Optional[tuple[Edge, ...]] = None
         self._edge_index: Optional[dict[Edge, int]] = None
         # The points packed once for the kernels (see :meth:`segments`), and
@@ -154,6 +165,23 @@ class Instance:
 
     def border_coords(self) -> list[list[Point]]:
         return [[self.points[v] for v in poly] for poly in self.border]
+
+    @functools.cached_property
+    def _border_rows(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The border edges, sorted, as the rows of every triangulation's
+        sign table (:class:`EdgeSigns`) read them: their (u, v) ids, their
+        codes u * n + v, and their rows of the instance's sign table, whose
+        signs are reversed where the border runs from v to u."""
+        tails, heads = self._ends.T
+        low, high = np.minimum(tails, heads), np.maximum(tails, heads)
+        codes = low * self.n + high
+        order = np.argsort(codes, kind="stable")
+        forward = np.where(tails < heads, 1, -1).astype(np.int8)[order, None]
+        return (
+            np.stack([low[order], high[order]], axis=1),
+            codes[order],
+            self._signs[order] * forward,
+        )
 
     @functools.cached_property
     def region_area2(self) -> int:
@@ -203,14 +231,9 @@ class Instance:
             return out
         # The sign table: rows are the directed edges of every polygon with
         # valid ids, in border order.
-        valid = [
-            b for b, poly in enumerate(self.border)
-            if len(poly) >= 3 and 0 <= min(poly) and max(poly) < self.n
-        ]
-        ends = _directed_edges([self.border[b] for b in valid])
+        valid, ends, sides = self._valid, self._ends, self._sides
         signs = self._signs = kernels.orientation_signs(self._packed, ends)
         tails, heads = ends.T
-        sides = [canonical_edge(a, b) for a, b in ends.tolist()]
         owner = [b for b in valid for _ in self.border[b]]
         # Two edges cross properly iff the ends of each lie strictly on
         # opposite sides of the other's line.  Consecutive edges share a
@@ -341,7 +364,7 @@ class Instance:
         exact on both kernels.
         """
         if self._admissible is None:
-            ends = _directed_edges(self.border)
+            ends = self._ends
             ids = np.stack(np.triu_indices(self.n, 1), axis=1)
             table = np.zeros((self.n, self.n), dtype=bool)
             table[tuple(ends.T)] = table[tuple(ends.T[::-1])] = True
@@ -524,6 +547,7 @@ class Triangulation:
         self._violations: Optional[list[str]] = None
         self._interior_sorted: Optional[tuple[Edge, ...]] = None
         self._interior_array = None
+        self._table: Optional[EdgeSigns] = None
 
     def __eq__(self, other):
         return (
@@ -570,6 +594,66 @@ class Triangulation:
         if self._interior_array is None:
             self._interior_array = self.instance.segments(self.interior_edges())
         return self._interior_array
+
+
+class EdgeSigns:
+    """A triangulation's sign table: the int8 sign of every vertex against
+    the line of each of its edges, directed from its smaller id to its
+    larger (:func:`kernels.orientation_signs`).  Built by :func:`edge_signs`.
+
+    ``interior_ends``, the triangulation's sorted interior edges as an
+    (m, 2) int64 array of vertex ids, and ``interior_signs``, their rows,
+    are built at once: :func:`crossings.count_pair` and the morph read only
+    them.  The border rows are the instance's (``Instance._border_rows``),
+    computed once per instance.  ``ends``, ``codes`` (u * n + v) and
+    ``signs`` merge both into the rows of the sorted edges, when first
+    read; they are the triangulation's rows only when it has every border
+    edge, as every valid triangulation does.
+    """
+
+    def __init__(self, inst: Instance, interior: Sequence[Edge]):
+        self.instance = inst
+        self.interior_ends = _edge_ends(interior)
+        self.interior_signs = kernels.orientation_signs(
+            inst._packed, self.interior_ends
+        )
+
+    @functools.cached_property
+    def _merged(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        ends, codes, signs = self.instance._border_rows
+        inner = self.interior_ends[:, 0] * self.instance.n + self.interior_ends[:, 1]
+        order = np.argsort(np.concatenate([inner, codes]), kind="stable")
+        return tuple(
+            np.concatenate(parts)[order]
+            for parts in (
+                (self.interior_ends, ends),
+                (inner, codes),
+                (self.interior_signs, signs),
+            )
+        )
+
+    @property
+    def ends(self) -> np.ndarray:
+        return self._merged[0]
+
+    @property
+    def codes(self) -> np.ndarray:
+        return self._merged[1]
+
+    @property
+    def signs(self) -> np.ndarray:
+        return self._merged[2]
+
+
+def edge_signs(t: Triangulation) -> EdgeSigns:
+    """t's sign table (:class:`EdgeSigns`), built on first read and cached
+    on t, like :func:`apex_map`.  Every pair question about t gathers its
+    crossings from it (:func:`kernels.segment_crossings`): ``count_pair``,
+    the morph's crosser masks and the audits.  t's edge ids must be valid.
+    """
+    if t._table is None:
+        t._table = EdgeSigns(t.instance, t.interior_edges())
+    return t._table
 
 
 def require_same_instance(t1: Triangulation, t2: Triangulation) -> None:
@@ -960,15 +1044,15 @@ def greedy_triangulate(
     """
     candidates = [e for e in inst.admissible_pairs() if e not in inst.border_edges]
     candidates.sort(key=priority if priority is not None else lambda e: e)
-    segs = inst.segments(candidates)
+    ends = _edge_ends(candidates)
     chosen = set(inst.border_edges)
     # The candidates, in order, that cross no edge accepted so far.
     alive = np.arange(len(candidates))
     while len(alive):
         block, alive = alive[:_GREEDY_BLOCK], alive[_GREEDY_BLOCK:]
         # One is accepted iff it crosses none accepted before it in the block.
-        own = segs[block]
-        within = kernels.crossing_matrix(own, own)
+        own = ends[block]
+        within = kernels.segment_crossings(inst._packed, own, own)
         blocked = np.zeros(len(block), dtype=bool)
         taken = []
         for i in range(len(block)):
@@ -977,7 +1061,9 @@ def greedy_triangulate(
                 blocked |= within[i]
         chosen.update(candidates[k] for k in block[taken].tolist())
         if len(alive):
-            crossed = kernels.crossing_matrix(segs[alive], own[taken]).any(axis=1)
+            crossed = kernels.segment_crossings(
+                inst._packed, ends[alive], own[taken]
+            ).any(axis=1)
             alive = alive[~crossed]
     return Triangulation(inst, chosen)
 
@@ -1123,11 +1209,11 @@ def _violations(t: Triangulation) -> list[str]:
         if e[0] < 0 or e[1] >= inst.n or e[0] == e[1]:
             out.append(f"invalid edge {e}")
             return out
-    packed = inst.segments(edges)
-    crossing = np.triu(kernels.crossing_matrix(packed, packed))
+    ends = _edge_ends(edges)
+    crossing = np.triu(kernels.segment_crossings(inst._packed, ends, ends))
     for i, j in zip(*np.nonzero(crossing)):  # row-major: i, then j
         out.append(f"edges {edges[i]} and {edges[j]} cross")
-    rows, ks = np.nonzero(kernels.vertices_inside(inst._packed, _edge_ends(edges)))
+    rows, ks = np.nonzero(kernels.vertices_inside(inst._packed, ends))
     out += [
         f"vertex {k} lies inside edge {edges[i]}"
         for i, k in zip(rows.tolist(), ks.tolist())
@@ -1144,7 +1230,9 @@ def _violations(t: Triangulation) -> list[str]:
     if not out and actual == expected:
         return out
     candidates = sorted(set(inst.admissible_pairs()) - t.edges)
-    blocked = kernels.crossing_matrix(inst.segments(candidates), packed).any(axis=1)
+    blocked = kernels.segment_crossings(
+        inst._packed, _edge_ends(candidates), ends
+    ).any(axis=1)
     for cand, hit in zip(candidates, blocked):
         if not hit:
             out.append(f"not maximal: edge {cand} could be added")

@@ -369,3 +369,40 @@ def test_render_refuses_invalid_sequence(files, tmp_path, capsys, hexagon, case)
     assert run(["render", str(f1), "--sequence", str(seq_file), "-o", str(svg)]) == 1
     assert capsys.readouterr().err.startswith(expected)
     assert not svg.exists()
+
+
+def test_commands_never_call_the_coordinate_kernel(files, tmp_path, monkeypatch, capsys):
+    """Every command gathers its crossings from sign tables: with the
+    coordinate kernel's crossing_matrix and crossing_counts patched to raise,
+    each still succeeds, validate on a valid and on an invalid
+    triangulation alike."""
+
+    def refused(*args, **kwargs):
+        raise AssertionError("coordinate kernel called")
+
+    monkeypatch.setattr(kernels, "crossing_matrix", refused)
+    monkeypatch.setattr(kernels, "crossing_counts", refused)
+    _, inst, f1, f2 = files
+    gen = ["gen", "--seed", "2", "--n-points", "12", "--shape", "with_holes"]
+    assert run([*gen, "--holes", "1", "-o", str(tmp_path / "gen.json")]) == 0
+    generated, t = tmp_path / "gen.json", tmp_path / "t.json"
+    assert run(["triangulate", str(generated), "-o", str(t)]) == 0
+    assert run(["validate", str(generated), str(t)]) == 0
+    assert run(["validate", str(inst), str(f1)]) == 0
+    t1 = formats.parse_triangulation(f1.read_bytes())
+    broken = Triangulation(t1.instance, set(t1.edges) - {t1.interior_edges()[0]})
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(formats.serialize_triangulation(broken))
+    assert run(["validate", str(inst), str(bad)]) == 1
+    assert "not maximal" in capsys.readouterr().out
+    seq = tmp_path / "seq.json"
+    for argv in (
+        ["count", str(f1), str(f2)],
+        ["morph", str(f1), str(f2), "-o", str(seq)],
+        ["audit", str(f1), str(f2)],
+        ["distance", str(f1), str(f2)],
+        ["enumerate", str(inst)],
+        ["render", str(f1), "--overlay", str(f2), "-o", str(tmp_path / "o.svg")],
+        ["render", str(f1), "--sequence", str(seq), "-o", str(tmp_path / "s.svg")],
+    ):
+        assert run(argv) == 0, argv

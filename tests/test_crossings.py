@@ -11,6 +11,7 @@ from flipdist.morph import morph
 from flipdist.triangulation import (
     Instance,
     Triangulation,
+    edge_signs,
     greedy_triangulate,
     quadrilateral_of,
 )
@@ -379,3 +380,90 @@ def test_count_pair_near_coordinate_cap():
     t2 = Triangulation(big, big.border_edges | {(1, 3)})
     assert count_pair(t1, t2).total == 1
     assert count_pair(t2, t1).total == 1
+
+
+# A 5x5 lattice: collinear triples along rows, columns and diagonals.
+_GRID = [(x, y) for x in range(5) for y in range(5)]
+# Every directed segment between two lattice points.
+_EVERY = np.array([(i, j) for i in range(25) for j in range(25) if i != j])
+
+
+@pytest.mark.parametrize("backend", KERNELS)
+@pytest.mark.parametrize(
+    "scale, shift",
+    [
+        (1, 0),
+        (1 << 29, -(1 << 30)),  # corners at exactly ±2^30, inside the gate
+        (1 << 31, 0),  # beyond the int64 gate
+        (1 << 70, 1),  # beyond int64 itself
+    ],
+)
+@pytest.mark.parametrize("block", [None, 64])
+def test_segment_crossings_match_properly_intersect(
+    backend, scale, shift, block, monkeypatch
+):
+    """The sign-gather primitive equals geometry.properly_intersect on
+    lattice segments that share endpoints, lie on one line, overlap, repeat
+    and run both ways; on self grids and empty sides; with its tables built
+    against the other side's endpoints or passed in against every vertex;
+    and, with tiny blocks, over many row blocks."""
+    monkeypatch.setenv(kernels.KERNEL_ENV, backend)
+    if block:
+        monkeypatch.setattr(kernels, "_CELL_BLOCK", block)
+        monkeypatch.setattr(kernels, "_GATHER_BLOCK", block)
+    coords = [(x * scale + shift, y * scale + shift) for x, y in _GRID]
+    points = kernels.Points(coords)
+    assert (points.array is None) == (scale > 1 << 29)
+    rng = np.random.default_rng(5)
+    a = _EVERY[rng.choice(len(_EVERY), 60)]
+    b = np.concatenate([a[:10], a[:10, ::-1], _EVERY[rng.choice(len(_EVERY), 50)]])
+
+    def want(x, y):
+        return [
+            [
+                geometry.properly_intersect(
+                    (coords[i], coords[j]), (coords[k], coords[m])
+                )
+                for k, m in y.tolist()
+            ]
+            for i, j in x.tolist()
+        ]
+
+    empty = a[:0]
+    for x, y in ((a, b), (b, a), (a, a), (a, a.copy()), (a, empty), (empty, b), (empty, empty)):
+        expected = want(x, y)
+        got = kernels.segment_crossings(points, x, y)
+        assert got.shape == (len(x), len(y)) and got.tolist() == expected
+        tables = [kernels.orientation_signs(points, s) for s in (x, y)]
+        got = kernels.segment_crossings(points, x, y, *tables)
+        assert got.tolist() == expected
+    assert any(map(any, want(a, b))) and not all(map(all, want(a, b)))
+
+
+@pytest.mark.parametrize("backend", KERNELS)
+@pytest.mark.parametrize(
+    "spec",
+    [
+        GenSpec(seed=3, n_points=14, interior_points=4),
+        GenSpec(seed=4, n_points=16, shape="with_holes", holes=2, interior_points=2),
+        GenSpec(seed=5, n_points=14, shape="random_simple_border", interior_points=2),
+    ],
+)
+def test_edge_signs_are_the_sorted_edges_table(backend, spec, monkeypatch):
+    """A triangulation's sign table, interior rows and merged rows, equals
+    orientation_signs of its sorted edges: the border rows read off the
+    instance's table are re-signed for direction and placed in order."""
+    monkeypatch.setenv(kernels.KERNEL_ENV, backend)
+    t1, _ = generate_pair(spec, 7)
+    inst = t1.instance
+    table = edge_signs(t1)
+    edges = np.array(sorted(t1.edges))
+    interior = np.array(t1.interior_edges())
+    assert table.ends.tolist() == edges.tolist()
+    assert table.codes.tolist() == (edges[:, 0] * inst.n + edges[:, 1]).tolist()
+    assert table.signs.tolist() == kernels.orientation_signs(inst._packed, edges).tolist()
+    assert table.interior_ends.tolist() == interior.tolist()
+    assert (
+        table.interior_signs.tolist()
+        == kernels.orientation_signs(inst._packed, interior).tolist()
+    )

@@ -1,4 +1,6 @@
 import gc
+import itertools
+import random
 import weakref
 from pathlib import Path
 
@@ -225,27 +227,35 @@ def test_pair_record_is_of_the_pair():
 
 
 def test_audit_counts_the_pair_once(monkeypatch, capsys):
-    """One `flipdist audit` of a non-equal pair makes one count_pair call
-    and four crossing grids: count_pair's, P1's two and the quadrilateral
-    grid.  P8 reads P1's, and loading the instance makes none."""
-    grids, counts = [], []
-    crossing_matrix = kernels.crossing_matrix
+    """One `flipdist audit` of a non-equal pair makes one count_pair call,
+    one sign table per triangulation and four crossing grids gathered from
+    them: count_pair's, P1's two and the quadrilateral grid.  P8 reads P1's,
+    and loading the instance makes none."""
+    grids, counts, tables = [], [], []
+    segment_crossings = kernels.segment_crossings
 
     def counting_grid(*args, **kwargs):
         grids.append(args)
-        return crossing_matrix(*args, **kwargs)
+        return segment_crossings(*args, **kwargs)
 
     def counting_pair(*args, **kwargs):
         counts.append(args)
         return crossings.count_pair(*args, **kwargs)
 
-    monkeypatch.setattr(kernels, "crossing_matrix", counting_grid)
+    class CountingSigns(triangulation.EdgeSigns):
+        def __init__(self, *args):
+            tables.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(kernels, "segment_crossings", counting_grid)
+    monkeypatch.setattr(triangulation, "EdgeSigns", CountingSigns)
     for module in (cli, formats, lemmas):
         monkeypatch.setattr(module, "count_pair", counting_pair)
     t1, t2 = (str(GOLDEN / f"convex_interior.{t}.json") for t in ("t1", "t2"))
     assert cli_run(["audit", t1, t2]) == 0
     assert "# lemma2.2" in capsys.readouterr().out
     assert len(counts) == 1
+    assert len(tables) == 2
     assert len(grids) == 4
 
 
@@ -288,6 +298,17 @@ _CORNER = st.tuples(
 ).map(lambda p: (4 * p[0], 4 * p[1]))
 
 
+def _inside_quad(p, a, b, c, d) -> bool:
+    """The rule P2 places a vertex by, written out: whether p lies strictly
+    inside the quadrilateral abcd whose faces abc and acd are ccw, tested
+    with exact determinants.  p is inside iff it is strictly left of cd and
+    da when it is strictly left of ac, and strictly left of ab and bc
+    otherwise."""
+    if geometry.orient(a, c, p) > 0:
+        return geometry.orient(c, d, p) > 0 and geometry.orient(d, a, p) > 0
+    return geometry.orient(a, b, p) > 0 and geometry.orient(b, c, p) > 0
+
+
 @settings(max_examples=300, deadline=None)
 @given(quad=st.tuples(*[_CORNER] * 4), data=st.data())
 @example(quad=((0, 0), (8, 0), (8, 8), (0, 8)), data=None)  # convex
@@ -314,4 +335,44 @@ def test_inside_quad_matches_point_in_region(quad, data):
         candidates.append(data.draw(st.tuples(small, small), label="small p"))
     for p in candidates:
         want = geometry.point_in_region(p, [list(quad)]) == geometry.INSIDE
-        assert lemmas._inside_quad(p, a, b, c, d) == want, p
+        assert _inside_quad(p, a, b, c, d) == want, p
+
+
+@pytest.mark.parametrize("backend", ["numpy", "python"])
+@pytest.mark.parametrize(
+    "spec",
+    [
+        GenSpec(seed=1, n_points=14, interior_points=5),
+        GenSpec(seed=2, n_points=16, shape="with_holes", holes=2, interior_points=2),
+        GenSpec(seed=3, n_points=15, shape="random_simple_border", interior_points=3),
+    ],
+)
+def test_inside_quads_match_the_rule(backend, spec, monkeypatch):
+    """P2's inside-quadrilateral kinds, gathered from t1's sign table, equal
+    the rule at every vertex, on both backends, so the witnesses P2 and P3
+    build from them are the rule's.  No vertex lies inside a quadrilateral
+    of a valid triangulation, so t1 here holds every vertex pair, and the
+    quadrilaterals abcd are drawn from all quadruples whose b is right of
+    ac and d left of it: their sides run both ways between ids."""
+    monkeypatch.setenv(kernels.KERNEL_ENV, backend)
+    inst = generate_instance(spec)
+    pts = inst.points
+    t1 = Triangulation(inst, itertools.combinations(range(inst.n), 2))
+    rng = random.Random(spec.seed)
+    quads = []
+    while len(quads) < 60:
+        a, b, c, d = rng.sample(range(inst.n), 4)
+        if geometry.orient(pts[a], pts[c], pts[b]) < 0 < geometry.orient(
+            pts[a], pts[c], pts[d]
+        ):
+            quads.append(
+                triangulation.Quadrilateral(
+                    (a, c), (b, d), False, (a, b, c, d)
+                )
+            )
+    got = crossings.inside_quads(t1, quads)
+    want = [
+        [_inside_quad(p, *(pts[v] for v in q.vertices)) for p in pts] for q in quads
+    ]
+    assert got.tolist() == want
+    assert any(map(any, want))

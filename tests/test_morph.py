@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from flipdist import kernels, lemmas
+from flipdist import kernels, lemmas, triangulation
 from flipdist.crossings import count_pair, quad_crossers
 from flipdist.errors import InstanceMismatch, InvariantViolation, LemmaViolation
 from flipdist.formats import parse_triangulation, serialize_sequence
@@ -420,18 +420,27 @@ def test_morph_refusals(hexagon, monkeypatch, target, name, forged, message):
 
 
 def test_morph_makes_one_crossing_grid(monkeypatch):
+    """The morph gathers one crossing grid from one sign table per
+    triangulation, and no step makes another."""
     t1, t2 = generate_pair(GenSpec(seed=3, n_points=40, interior_points=10), 103)
-    calls = []
-    crossing_matrix = kernels.crossing_matrix
+    calls, tables = [], []
+    segment_crossings = kernels.segment_crossings
 
     def counting(*args, **kwargs):
         calls.append(args)
-        return crossing_matrix(*args, **kwargs)
+        return segment_crossings(*args, **kwargs)
 
-    monkeypatch.setattr(kernels, "crossing_matrix", counting)
+    class CountingSigns(triangulation.EdgeSigns):
+        def __init__(self, *args):
+            tables.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(kernels, "segment_crossings", counting)
+    monkeypatch.setattr(triangulation, "EdgeSigns", CountingSigns)
     seq = morph(t1, t2)
     assert len(seq.steps) > 50
     assert len(calls) == 1
+    assert len(tables) == 2
 
 
 # serialize_sequence(morph(t1, t2)) for the pairs of tests/data/audit,

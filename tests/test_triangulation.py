@@ -703,13 +703,13 @@ def test_validate_verdict_is_cached(pentagon, monkeypatch):
     first = validate(t)
     assert first
     calls = []
-    crossing_matrix = kernels.crossing_matrix
+    segment_crossings = kernels.segment_crossings
 
     def counting(*args, **kwargs):
         calls.append(args)
-        return crossing_matrix(*args, **kwargs)
+        return segment_crossings(*args, **kwargs)
 
-    monkeypatch.setattr(kernels, "crossing_matrix", counting)
+    monkeypatch.setattr(kernels, "segment_crossings", counting)
     again = validate(t)
     assert again == first and calls == []
     again.clear()
