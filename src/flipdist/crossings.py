@@ -1,4 +1,12 @@
-"""Proper-intersection bookkeeping between two triangulations."""
+"""Proper-intersection bookkeeping between two triangulations.
+
+Every grid here is gathered from the two triangulations' sign tables
+(:func:`edge_signs`): the int8 sign of every vertex against the line of
+each edge.  Edges e and f cross properly iff the ends of f have strictly
+opposite signs in e's row and the ends of e strictly opposite signs in
+f's (:func:`kernels.segment_crossings`).  A sign is the sign of an exact
+determinant on either backend, so every count is exact.
+"""
 
 from __future__ import annotations
 
@@ -115,10 +123,8 @@ def quad_crossers(
     inst = t1.instance
     s1, s2 = edge_signs(t1), edge_signs(t2)
     ends = _quad_ends(quads)
-    tails, heads = ends[..., 0], ends[..., 1]
-    low, high = np.minimum(tails, heads), np.maximum(tails, heads)
     signs = np.empty((len(quads), len(QUAD_SEGMENTS), inst.n), dtype=np.int8)
-    signs[:, :5] = s1.signs[np.searchsorted(s1.codes, low[:, :5] * inst.n + high[:, :5])]
+    signs[:, :5] = s1.rows(ends[:, :5])
     signs[:, 5] = kernels.orientation_signs(inst._packed, ends[:, 5])
     hits = kernels.segment_crossings(
         inst._packed, ends.reshape(-1, 2), s2.ends,
@@ -144,13 +150,9 @@ def inside_quads(t1: Triangulation, quads: Sequence[Quadrilateral]) -> np.ndarra
     its sign reversed where the segment runs from its larger id to its
     smaller.
     """
-    table = edge_signs(t1)
     ends = _quad_ends(quads)[:, :5]
     tails, heads = ends[..., 0], ends[..., 1]
-    rows = np.searchsorted(
-        table.codes, np.minimum(tails, heads) * t1.instance.n + np.maximum(tails, heads)
-    )
-    signs = table.signs[rows]
+    signs = edge_signs(t1).rows(ends)
     left = np.where((tails < heads)[..., None], signs > 0, signs < 0)
     ab, bc, cd, da, ac = left.transpose(1, 0, 2)
     return np.where(ac, cd & da, ab & bc)

@@ -1,28 +1,35 @@
 """Batch kernels: proper crossings, orientation signs and point location.
 
-The pairwise O(m1*m2) crossing grid runs once per pair of triangulations:
-the morph keeps its rows as crosser masks and updates them one flip at a
-time without a kernel call.  The crossing grid is also the planarity scan
-of :func:`flipdist.triangulation.validate`'s full checks, which names its
-crossing pairs, the grid of an instance's admissible pairs that every
-search of :mod:`flipdist.oracle` reads (``oracle._FlipTable``), and the
-blocks of candidates :func:`flipdist.triangulation.greedy_triangulate`
-tests against themselves, then against the later candidates; the audits
-of one pair share one grid of their quadrilateral segments, from
-:func:`flipdist.crossings.quad_crossers`.  Every segment array these grids
-read is packed by ``Instance.segments``: vertex-id pairs indexed into the
-instance's packed points (:class:`Points`) under the int64 gate, the
-coordinates themselves beyond it.
+Every crossing grid is :func:`segment_crossings` over segments given as
+vertex-id pairs.  Two segments cross properly iff the ends of each lie
+strictly on opposite sides of the other's line, so a grid is two gathers
+of int8 sign tables (:func:`orientation_signs`): the signs of one side's
+lines at the other side's endpoints, read at each segment's two ends, the
+two straddle tables ANDed.  Each triangulation keeps one table of its
+edges' lines against every vertex (``triangulation.EdgeSigns``), so the
+pair questions gather from two tables: ``crossings.count_pair``, the
+morph's crosser masks, which it then updates one flip at a time without a
+kernel call, and the audits' grids (planarity and
+``crossings.quad_crossers``, whose sides and diagonal are rows of t1's
+table: only the other diagonals need new rows).  The other grids build
+their tables against the distinct endpoints they meet:
+``greedy_triangulate``'s blocks, the admissible-pair grid that every search
+of :mod:`flipdist.oracle` reads (``oracle._FlipTable``), ``validate``'s
+full checks and ``formats.parse_sequence``'s recount.  The grids are exact
+because they read signs only: whichever path computed a sign, it is the
+sign of an exact determinant.  With at most 2m distinct endpoints for m
+segments, a table never makes more orientation tests than four
+determinants per cell would.
 
 :func:`orientation_signs` is the table of signs of vertices against lines
 through two vertices.  ``Instance.validate`` builds one per instance, the
 sign of every vertex against the line of every directed border edge, and
 reads from it the border crossings, the vertices on border edges and the
-ray parity of every point.  ``Instance.admissible_pairs`` reads the same
-table for the corners at a pair's ends and the border edges a pair could
-cross, and builds one more, of its pair lines against the vertices, in row
-blocks: its zeros are the vertices inside a pair.  Every reader works on
-signs only, so it is exact whichever path built the table.
+ray parity of every point; its rows are also the border rows of every
+triangulation's table.  ``Instance.admissible_pairs`` reads the same table
+for the corners at a pair's ends and the border edges a pair could cross,
+and builds one more, of its pair lines against the vertices, in row
+blocks: its zeros are the vertices inside a pair.
 :func:`vertices_inside`, the grid of vertices strictly inside segments,
 serves ``validate``'s full checks.  The messages that name a midpoint's
 class, "leaves the region" in those checks and the rules of
@@ -33,9 +40,6 @@ invalid input or pinched holes reach them.
 Every kernel has two interchangeable backends:
 
 * ``numpy``  - broadcasting over blocks of ``_CELL_BLOCK`` cells (default).
-  Segments cross properly iff each straddles the other's line, so a
-  crossing grid is one straddle table (:func:`_straddle`) and the
-  transpose of another, or of itself for an array against itself.
 * ``python`` - scalar loop over the exact predicates in :mod:`geometry`
 
 Select with the ``FLIPDIST_KERNEL`` environment variable; any other name
@@ -46,6 +50,12 @@ for, so no sign is ever lost to overflow.  :meth:`Points.use_numpy` makes
 that choice for the sign tables, for point location and for the batch face
 trace of the face certificate in :mod:`flipdist.triangulation`, whose turn
 tests and twice-areas are int64 cross products of half-edge directions.
+
+:func:`crossing_matrix` and :func:`crossing_counts` are the earlier
+coordinate kernel, four int64 determinants per cell (:func:`_straddle`)
+over (m, 4) coordinate arrays with their own int64 gate
+(:func:`int64_safe`).  No path of the package calls them: they remain as
+the tests' reference and for the benchmark's cross-check.
 """
 
 from __future__ import annotations
@@ -308,49 +318,59 @@ def segment_crossings(
     crosses segment i of ``a``, both (m, 2) arrays of vertex ids.
 
     Two segments cross properly iff the ends of each lie strictly on
-    opposite sides of the other's line.  So the grid is the straddle table
-    of a's lines over b's ends ANDed with the transpose of b's over a's,
-    and each straddle table is a gather of one sign table: the signs of
-    one side's lines at the other side's distinct endpoints
-    (:func:`orientation_signs`), read at each segment's two ends.  An array
-    against itself (``a is b``) needs its one table.  ``a_signs``, when
-    given, is the table of a's lines against every vertex,
-    ``orientation_signs(points, a)``, which a caller may keep for many
-    grids; likewise ``b_signs``.
+    opposite sides of the other's line.  So entry (i, j) ANDs two straddle
+    tests, each read from a sign table of one side's lines at the other
+    side's distinct endpoints (:func:`orientation_signs`): a's table read
+    at the two columns of b's segment j, and b's table, transposed so that
+    each endpoint is one contiguous row, read at the two rows of a's
+    segment i.  Both gathers fill the grid in a's row order, a block of
+    rows at a time, so no boolean grid is ever transposed.  An array
+    against itself (``a is b``) needs its one table, read both ways.
+    ``a_signs``, when given, is the table of a's lines against every
+    vertex, ``orientation_signs(points, a)``, which a caller may keep for
+    many grids; likewise ``b_signs``.
 
     Exact on both backends: the gathers read signs only, and the int64
     gate of :class:`Points` decides how each sign is computed.  With at
     most 2m distinct endpoints for m segments, the tables never make more
     orientation tests than four determinants per cell would.
     """
-    if a is b:
-        own = _straddles(points, a, a, a_signs)
-        return own & own.T
-    return _straddles(points, a, b, a_signs) & _straddles(points, b, a, b_signs).T
+    table, cols = _sign_table(points, a, b, a_signs)
+    tails, heads = cols[:, 0], cols[:, 1]
+    other, rows = (table, cols) if a is b else _sign_table(points, b, a, b_signs)
+    other = np.ascontiguousarray(other.T)
 
+    def grid(block: slice, out: np.ndarray | None = None) -> np.ndarray:
+        lines, ends = table[block], rows[block]
+        return np.logical_and(
+            lines[:, tails] * lines[:, heads] < 0,
+            other[ends[:, 0]] * other[ends[:, 1]] < 0,
+            out=out,
+        )
 
-def _straddles(
-    points: Points, lines: np.ndarray, segs: np.ndarray, signs: np.ndarray | None
-) -> np.ndarray:
-    """Boolean (len(lines), len(segs)) table: entry (i, j) is whether the
-    ends of segment j lie strictly on opposite sides of line i, gathered
-    from ``signs``, the table of the lines against every vertex, or else
-    from one built against the segments' distinct endpoints."""
-    if signs is None:
-        present = np.zeros(len(points.coords), dtype=bool)
-        present[segs] = True
-        # Column c of the table is the c-th endpoint present, in id order.
-        signs = orientation_signs(points, lines, np.flatnonzero(present))
-        segs = (np.cumsum(present) - 1)[segs]
-    tails, heads = segs[:, 0], segs[:, 1]
-    step = _rows_per_block(len(segs), _GATHER_BLOCK)
-    if len(lines) <= step:
-        return signs[:, tails] * signs[:, heads] < 0
-    out = np.empty((len(lines), len(segs)), dtype=bool)
-    for lo in range(0, len(lines), step):
-        block = signs[lo:lo + step]
-        np.less(block[:, tails] * block[:, heads], 0, out=out[lo:lo + step])
+    step = _rows_per_block(len(b), _GATHER_BLOCK)
+    if len(a) <= step:
+        return grid(slice(None))
+    out = np.empty((len(a), len(b)), dtype=bool)
+    for lo in range(0, len(a), step):
+        grid(slice(lo, lo + step), out[lo:lo + step])
     return out
+
+
+def _sign_table(
+    points: Points, lines: np.ndarray, segs: np.ndarray, signs: np.ndarray | None
+) -> tuple[np.ndarray, np.ndarray]:
+    """The signs of ``lines`` at the endpoints of ``segs``, and each
+    segment's two columns in that table: ``signs``, a table against every
+    vertex, read at the vertex ids themselves, or else a table built
+    against the segments' distinct endpoints."""
+    if signs is not None:
+        return signs, segs
+    present = np.zeros(len(points.coords), dtype=bool)
+    present[segs] = True
+    # Column c of the table is the c-th endpoint present, in id order.
+    columns = np.flatnonzero(present)
+    return orientation_signs(points, lines, columns), (np.cumsum(present) - 1)[segs]
 
 
 def _within_limit(a: np.ndarray) -> bool:

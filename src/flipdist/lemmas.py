@@ -9,7 +9,11 @@ The four audits of one pair share a record of what they all read, each
 part built on first read: the :func:`count_pair` report, t1's
 quadrilaterals and one :func:`quad_crossers` grid over them.  A weak memo
 keyed on t1 keeps each t1's last record, so the audits of one pair count
-its crossings and build its quadrilateral grid once.
+its crossings and build its quadrilateral grid once.  Every grid of an
+audit, and P2's test of which vertices lie inside a quadrilateral
+(:func:`inside_quads`), is gathered from one sign table per triangulation
+(``triangulation.edge_signs``): signs of exact determinants, so the
+verdicts are exact on both backends.
 """
 
 from __future__ import annotations

@@ -118,10 +118,12 @@ class _FlipTable:
         self.pairs = len(grid)
         self.words = -(-self.pairs // 64)
         ids = np.arange(self.pairs)
-        self.cand = np.flatnonzero(grid.any(axis=0))
+        # Crossing is symmetric, and so is the grid: its rows are its
+        # columns, and a row gather is contiguous.
+        self.cand = np.flatnonzero(grid.any(axis=1))
         columns = np.zeros((len(self.cand), 8 * self.words), dtype=np.uint8)
         columns[:, : -(-self.pairs // 8)] = np.packbits(
-            grid[:, self.cand].T, axis=1, bitorder="little"
+            grid[self.cand], axis=1, bitorder="little"
         )
         self.cols = columns.view("<u8").T.copy()
         self.bits = np.zeros((self.pairs, self.words), dtype=np.uint64)

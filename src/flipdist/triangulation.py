@@ -193,8 +193,9 @@ class Instance:
         return (self.points[e[0]], self.points[e[1]])
 
     def segments(self, edges: Sequence[Edge]) -> np.ndarray:
-        """The segments of ``edges``, vertex-id pairs, packed as the crossing
-        kernels read them: an (m, 4) array [ax, ay, bx, by].  Under the int64
+        """The segments of ``edges``, vertex-id pairs, packed as the
+        coordinate kernel (:func:`kernels.crossing_matrix`) reads them: an
+        (m, 4) array [ax, ay, bx, by].  Under the int64
         gate its rows index the packed points; beyond it the coordinates
         themselves are packed, as Python ints past int64."""
         if self._packed.array is None:
@@ -479,7 +480,7 @@ def _crosses_or_holds(
     are the directed border edges ``ends``, and one pair-line x vertex sign
     table built in row blocks."""
     crossable = _crossable(inst._signs)
-    edge_signs, (a, b) = inst._signs[crossable], ends[crossable].T
+    border_signs, (a, b) = inst._signs[crossable], ends[crossable].T
     xy = _exact_coords(inst)
     out = np.zeros(len(pairs), dtype=bool)
     step = kernels._rows_per_block(inst.n)
@@ -491,7 +492,7 @@ def _crosses_or_holds(
         if len(crossable):
             bad |= (
                 (line[:, a] * line[:, b] < 0)
-                & (edge_signs[:, p] * edge_signs[:, q] < 0).T
+                & (border_signs[:, p] * border_signs[:, q] < 0).T
             ).any(axis=1)
         zero = line == 0
         # Both ends of a pair are on its line; usually no other vertex is.
@@ -590,7 +591,9 @@ class Triangulation:
         return self._interior_sorted
 
     def interior_array(self):
-        """Interior-edge coordinates packed for the batch kernels."""
+        """Interior-edge coordinates packed for the coordinate kernel
+        (:func:`kernels.crossing_matrix`), which only the tests and the
+        benchmark's cross-check call; the package reads :func:`edge_signs`."""
         if self._interior_array is None:
             self._interior_array = self.instance.segments(self.interior_edges())
         return self._interior_array
@@ -643,6 +646,14 @@ class EdgeSigns:
     @property
     def signs(self) -> np.ndarray:
         return self._merged[2]
+
+    def rows(self, ends: np.ndarray) -> np.ndarray:
+        """The rows of the edges ``ends``, a (..., 2) array of vertex ids
+        naming edges of the table in either direction: each row is directed
+        from the smaller id to the larger, whichever way it is named."""
+        tails, heads = ends[..., 0], ends[..., 1]
+        codes = np.minimum(tails, heads) * self.instance.n + np.maximum(tails, heads)
+        return self.signs[np.searchsorted(self.codes, codes)]
 
 
 def edge_signs(t: Triangulation) -> EdgeSigns:
