@@ -1,4 +1,4 @@
-"""Batch kernels: proper crossings, orientation signs and point location.
+"""Sign-table kernels: proper crossings and vertices inside segments.
 
 Every crossing grid is :func:`segment_crossings` over segments given as
 vertex-id pairs.  Two segments cross properly iff the ends of each lie
@@ -14,42 +14,55 @@ kernel call, and the audits' grids (planarity and
 table: only the other diagonals need new rows).  The other grids build
 their tables against the distinct endpoints they meet:
 ``greedy_triangulate``'s blocks, the admissible-pair grid that every search
-of :mod:`flipdist.oracle` reads (``oracle._FlipTable``), ``validate``'s
-full checks and ``formats.parse_sequence``'s recount.  The grids are exact
+of :mod:`flipdist.oracle` reads (``oracle._FlipTable``) and
+``formats.parse_sequence``'s recount.  The grids are exact
 because they read signs only: whichever path computed a sign, it is the
 sign of an exact determinant.  With at most 2m distinct endpoints for m
 segments, a table never makes more orientation tests than four
 determinants per cell would.
 
+A segment meets two questions, and each has one kernel that reads sign
+tables: :func:`segment_crossings`, whether another segment crosses it
+properly, and :func:`vertices_inside`, which vertices lie strictly inside
+it.  The latter reads the zeros of the segments' table against every
+vertex: a zero other than the segment's ends is on its line, and inside
+it iff it lies in the segment's bounding box.
+
 :func:`orientation_signs` is the table of signs of vertices against lines
 through two vertices.  ``Instance.validate`` builds one per instance, the
 sign of every vertex against the line of every directed border edge, and
-reads from it the border crossings, the vertices on border edges and the
-ray parity of every point; its rows are also the border rows of every
-triangulation's table.  ``Instance.admissible_pairs`` reads the same table
-for the corners at a pair's ends and the border edges a pair could cross,
-and builds one more, of its pair lines against the vertices, in row
-blocks: its zeros are the vertices inside a pair.
-:func:`vertices_inside`, the grid of vertices strictly inside segments,
-serves ``validate``'s full checks.  The messages that name a midpoint's
-class, "leaves the region" in those checks and the rules of
-``Instance.validate`` for holes that share a vertex with another polygon,
-call the exact :func:`geometry.midpoint_in_region` on their segments: only
-invalid input or pinched holes reach them.
+gives it to both kernels for the border crossings and the vertices on
+border edges; the ray parity of every point is read off it too.  Its rows
+are also the border rows of every triangulation's table.
+``Instance.admissible_pairs`` reads the same table for the corners at a
+pair's ends and for the border edges a pair could cross, and builds one
+more per block of pairs, of their lines against the vertices, which both
+kernels read.  ``validate``'s full checks build one table of the set's
+edges for its self grid, its vertices inside edges and its maximality
+grid.  The messages that name a midpoint's class, "leaves the region" in
+those checks and the rules of ``Instance.validate`` for holes that share
+a vertex with another polygon, call the exact
+:func:`geometry.midpoint_in_region` on their segments: only invalid input
+or pinched holes reach them.
 
-Every kernel has two interchangeable backends:
+Of the kernels the package calls, only :func:`orientation_signs` chooses
+a backend:
 
-* ``numpy``  - broadcasting over blocks of ``_CELL_BLOCK`` cells (default).
-* ``python`` - scalar loop over the exact predicates in :mod:`geometry`
+* ``numpy``  - int64 broadcasting over blocks of ``_CELL_BLOCK`` cells
+  (default).
+* ``python`` - a scalar loop over the exact :func:`geometry.orient`.
 
 Select with the ``FLIPDIST_KERNEL`` environment variable; any other name
 raises :class:`~flipdist.errors.FlipdistError`.  The numpy backend is only
 used when every coordinate satisfies ``|c| <= INT64_SAFE_LIMIT``; beyond
-that, each kernel takes the exact python loop whatever backend is asked
-for, so no sign is ever lost to overflow.  :meth:`Points.use_numpy` makes
-that choice for the sign tables, for point location and for the batch face
-trace of the face certificate in :mod:`flipdist.triangulation`, whose turn
-tests and twice-areas are int64 cross products of half-edge directions.
+that the table takes the exact loop whatever backend is asked for, so no
+sign is ever lost to overflow.  Both give the same table.
+:func:`segment_crossings` reads signs only, and :func:`vertices_inside`
+signs and exact coordinates (:attr:`Points.exact`), so neither has a
+backend of its own.  :meth:`Points.use_numpy` makes the choice for the
+sign tables and for the batch face trace of the face certificate in
+:mod:`flipdist.triangulation`, whose turn tests and twice-areas are int64
+cross products of half-edge directions.
 
 :func:`crossing_matrix` and :func:`crossing_counts` are the earlier
 coordinate kernel, four int64 determinants per cell (:func:`_straddle`)
@@ -129,13 +142,14 @@ def _orient(dx, dy, k, x, y):
 
 
 class Points:
-    """Vertex coordinates for the sign and point-location kernels and for
-    ``Instance.segments``, packed once: the tuples themselves (``coords``,
-    for the exact loop) and, when every coordinate is within
-    ``INT64_SAFE_LIMIT``, an (n, 2) int64 ``array`` with its columns ``x``
-    and ``y`` (None otherwise, which sends every kernel to the exact loop).
-    The gate reads the ints before packing, so no value beyond int64
-    reaches numpy.
+    """Vertex coordinates for the sign kernels and for ``Instance.segments``,
+    packed once.  ``coords`` are the tuples themselves, for the exact loop.
+    When every coordinate is within ``INT64_SAFE_LIMIT``, ``array`` is an
+    (n, 2) int64 array with its columns ``x`` and ``y``; otherwise it is
+    None, which sends every kernel to the exact loop.  ``exact`` is an
+    (n, 2) array whose comparisons are exact on both backends: ``array``
+    under the gate, Python ints in an object array beyond it.  The gate
+    reads the ints before packing, so no value beyond int64 reaches numpy.
     """
 
     def __init__(self, points: Sequence[geometry.Point]):
@@ -149,6 +163,9 @@ class Points:
         )
         if self.array is not None:
             self.x, self.y = self.array.T.copy()
+            self.exact = self.array
+        else:
+            self.exact = np.array(values, dtype=object).reshape(-1, 2)
 
     def use_numpy(self) -> bool:
         """Whether int64 numpy computes on these points: the numpy kernel is
@@ -221,54 +238,32 @@ def _rows_per_block(cols: int, cells: int | None = None) -> int:
     return max(1, (cells or _CELL_BLOCK) // max(cols, 1))
 
 
-def vertices_inside(points: Points, ids: np.ndarray) -> np.ndarray:
-    """Boolean (m, n) grid: entry (i, k) is whether point k lies strictly
-    inside the segment from point ``ids[i, 0]`` to point ``ids[i, 1]``.
+def vertices_inside(
+    points: Points, ids: np.ndarray, signs: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The vertices strictly inside segments, as (row, vertex) index arrays
+    in row-major order: vertex k lies inside the segment from point
+    ``ids[i, 0]`` to point ``ids[i, 1]`` for each pair (i, k).
 
-    ``ids`` is an (m, 2) array of vertex ids; the points must be distinct.
+    ``signs`` is the segments' table against every vertex,
+    ``orientation_signs(points, ids)``.  The points must be distinct, so a
+    zero of row i other than the segment's ends is on its line and inside
+    it iff it lies in the segment's bounding box, compared on
+    :attr:`Points.exact`.  Exact on both backends: the table's signs are,
+    and the box test compares exact coordinates.
     """
-    if points.use_numpy():
-        return _inside_numpy(points, ids)
-    coords = points.coords
-    return np.array(
-        [
-            [
-                k != i and k != j
-                and geometry.point_on_open_segment(p, (coords[i], coords[j]))
-                for k, p in enumerate(coords)
-            ]
-            for i, j in ids.tolist()
-        ],
-        dtype=bool,
-    ).reshape(len(ids), len(coords))
-
-
-def _inside_numpy(points: Points, ids: np.ndarray) -> np.ndarray:
-    x, y = points.x, points.y
-    i, j = ids[:, 0], ids[:, 1]
-    ax, ay = x[i], y[i]
-    dx, dy = x[j] - ax, y[j] - ay
-    # :func:`_orient` is 0 iff dx py - dy px equals k: one pass fewer.
-    dx, dy, k = dx[:, None], dy[:, None], (dx * ay - dy * ax)[:, None]
-    out = np.zeros((len(ids), len(x)), dtype=bool)
-    step = _rows_per_block(len(x))
-    for lo in range(0, len(ids), step):
-        rows = slice(lo, lo + step)
-        on_line = dx[rows] * y - dy[rows] * x == k[rows]
-        # Both ends of a segment are on its line; usually no other point is.
-        if np.count_nonzero(on_line) == 2 * len(on_line):
-            continue
-        r, c = np.nonzero(on_line)
-        r += lo
-        ends, p = points.array[ids[r]], points.array[c]
-        # On the line, p is in the closed segment iff it is in its bounding
-        # box; distinct points make the ends the only ones at its ends.
-        keep = (
-            (c != i[r]) & (c != j[r])
-            & ((ends.min(axis=1) <= p) & (p <= ends.max(axis=1))).all(axis=1)
-        )
-        out[r[keep], c[keep]] = True
-    return out
+    zero = signs == 0
+    # Both ends of a segment are on its line; usually no other vertex is.
+    if np.count_nonzero(zero) == 2 * len(ids):
+        none = np.zeros(0, dtype=np.int64)
+        return none, none
+    rows, ks = np.nonzero(zero)
+    ends = ids[rows]
+    other = (ks != ends[:, 0]) & (ks != ends[:, 1])
+    rows, ks, box = rows[other], ks[other], points.exact[ends[other]]
+    at = points.exact[ks]
+    inside = ((box.min(axis=1) <= at) & (at <= box.max(axis=1))).all(axis=1)
+    return rows[inside], ks[inside]
 
 
 def orientation_signs(

@@ -233,16 +233,16 @@ class Instance:
         # The sign table: rows are the directed edges of every polygon with
         # valid ids, in border order.
         valid, ends, sides = self._valid, self._ends, self._sides
-        signs = self._signs = kernels.orientation_signs(self._packed, ends)
-        tails, heads = ends.T
+        packed = self._packed
+        signs = self._signs = kernels.orientation_signs(packed, ends)
         owner = [b for b in valid for _ in self.border[b]]
-        # Two edges cross properly iff the ends of each lie strictly on
-        # opposite sides of the other's line.  Consecutive edges share a
-        # vertex, so they never do and need no mask.  The first crossing of
-        # each pair of polygons, by owner ids, in row-major order: within one
-        # polygon it names the earlier edge first.
-        straddle = signs[:, tails] * signs[:, heads] < 0
-        rows, cols = np.nonzero(straddle & straddle.T)
+        # Consecutive edges share a vertex, so they never cross and need no
+        # mask.  The first crossing of each pair of polygons, by owner ids,
+        # in row-major order: within one polygon it names the earlier edge
+        # first.
+        rows, cols = np.nonzero(
+            kernels.segment_crossings(packed, ends, ends, signs, signs)
+        )
         witness: dict[tuple[int, int], str] = {}
         for i, j in zip(rows.tolist(), cols.tolist()):
             witness.setdefault(
@@ -274,18 +274,9 @@ class Instance:
                     out.append(f"border[{b1}] and border[{b2}] share an edge")
         # Point containment rules.  The points are distinct and every polygon
         # has rows.  Point k is on polygon b's boundary when it is one of b's
-        # corners or lies inside one of b's edges: a zero sign other than the
-        # row's own ends, which a count rules out on a typical instance, that
-        # the exact in-segment test confirms.
-        found: set[tuple[Edge, int]] = set()
-        zero = signs == 0
-        if np.count_nonzero(zero) > 2 * len(signs):
-            for r, k in np.argwhere(zero).tolist():
-                e = sides[r]
-                if k not in e and geometry.point_on_open_segment(
-                    self.points[k], self.segment(e)
-                ):
-                    found.add((e, k))
+        # corners or lies inside one of b's edges.
+        rows, ks = kernels.vertices_inside(packed, ends, signs)
+        found = {(sides[r], k) for r, k in zip(rows.tolist(), ks.tolist())}
         hits = [(k, e) for e, k in sorted(found)]
         corners = [set(poly) for poly in self.border]
         on = [
@@ -413,20 +404,11 @@ def _ray_parities(inst: Instance, ends: np.ndarray) -> np.ndarray:
     of the edge directed upwards, whose sign is the row's when b is the one
     above and the opposite one otherwise.
     """
-    signs, y = inst._signs, _exact_coords(inst)[:, 1]
+    signs, y = inst._signs, inst._packed.exact[:, 1]
     tail_above, head_above = (y[v][:, None] > y for v in ends.T)
     crossed = (tail_above != head_above) & np.where(head_above, signs > 0, signs < 0)
     starts = list(accumulate(map(len, inst.border[:-1]), initial=0))
     return np.logical_xor.reduceat(crossed, starts, axis=0)
-
-
-def _exact_coords(inst: Instance) -> np.ndarray:
-    """The points as an (n, 2) array whose comparisons are exact: the packed
-    int64 one under the gate, Python ints beyond it."""
-    packed = inst._packed.array
-    if packed is not None:
-        return packed
-    return np.array(inst.points, dtype=object).reshape(-1, 2)
 
 
 def _leaves_into_region(
@@ -476,35 +458,27 @@ def _crosses_or_holds(
 ) -> np.ndarray:
     """Whether each pair of vertex ids crosses a border edge or holds a
     vertex strictly inside: filters 2 and 3 of
-    :meth:`Instance.admissible_pairs`, read off the sign table, whose rows
-    are the directed border edges ``ends``, and one pair-line x vertex sign
-    table built in row blocks."""
+    :meth:`Instance.admissible_pairs`.  Per block of pairs, one table of
+    their lines against every vertex feeds both kernels, with the
+    instance's sign table, whose rows are the directed border edges
+    ``ends``, for the border edges a pair could cross."""
     crossable = _crossable(inst._signs)
-    border_signs, (a, b) = inst._signs[crossable], ends[crossable].T
-    xy = _exact_coords(inst)
+    border, border_signs = ends[crossable], inst._signs[crossable]
     out = np.zeros(len(pairs), dtype=bool)
-    step = kernels._rows_per_block(inst.n)
+    # A block is one gather's worth of int8 cells: orientation_signs blocks
+    # its int64 temporaries itself.
+    step = kernels._rows_per_block(inst.n, kernels._GATHER_BLOCK)
     for lo in range(0, len(pairs), step):
         block = pairs[lo:lo + step]
-        p, q = block.T
         line = kernels.orientation_signs(inst._packed, block)
         bad = out[lo:lo + step]
+        # The border rows come first, so only the block's table is
+        # transposed.
         if len(crossable):
-            bad |= (
-                (line[:, a] * line[:, b] < 0)
-                & (border_signs[:, p] * border_signs[:, q] < 0).T
-            ).any(axis=1)
-        zero = line == 0
-        # Both ends of a pair are on its line; usually no other vertex is.
-        if np.count_nonzero(zero) > 2 * len(block):
-            r, k = np.nonzero(zero)
-            other = (k != p[r]) & (k != q[r])
-            r, k = r[other], k[other]
-            # On the line, such a vertex is inside iff it is in the bounding
-            # box: the points are distinct.
-            box, at = xy[block[r]], xy[k]
-            inside = (box.min(axis=1) <= at) & (at <= box.max(axis=1))
-            bad[r[inside.all(axis=1)]] = True
+            bad |= kernels.segment_crossings(
+                inst._packed, border, block, border_signs, line
+            ).any(axis=0)
+        bad[kernels.vertices_inside(inst._packed, block, line)[0]] = True
     return out
 
 
@@ -1220,11 +1194,13 @@ def _violations(t: Triangulation) -> list[str]:
         if e[0] < 0 or e[1] >= inst.n or e[0] == e[1]:
             out.append(f"invalid edge {e}")
             return out
+    # One table of the edges' lines against every vertex feeds every grid.
     ends = _edge_ends(edges)
-    crossing = np.triu(kernels.segment_crossings(inst._packed, ends, ends))
+    signs = kernels.orientation_signs(inst._packed, ends)
+    crossing = np.triu(kernels.segment_crossings(inst._packed, ends, ends, signs))
     for i, j in zip(*np.nonzero(crossing)):  # row-major: i, then j
         out.append(f"edges {edges[i]} and {edges[j]} cross")
-    rows, ks = np.nonzero(kernels.vertices_inside(inst._packed, ends))
+    rows, ks = kernels.vertices_inside(inst._packed, ends, signs)
     out += [
         f"vertex {k} lies inside edge {edges[i]}"
         for i, k in zip(rows.tolist(), ks.tolist())
@@ -1242,7 +1218,7 @@ def _violations(t: Triangulation) -> list[str]:
         return out
     candidates = sorted(set(inst.admissible_pairs()) - t.edges)
     blocked = kernels.segment_crossings(
-        inst._packed, _edge_ends(candidates), ends
+        inst._packed, _edge_ends(candidates), ends, b_signs=signs
     ).any(axis=1)
     for cand, hit in zip(candidates, blocked):
         if not hit:

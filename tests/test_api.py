@@ -1,6 +1,8 @@
 """The package's public names."""
 
+import ast
 import importlib
+from collections import Counter
 from pathlib import Path
 
 import flipdist
@@ -30,3 +32,61 @@ def test_benchmark_trace_targets_resolve():
         assert callable(target), (module, attr)
     for attr, _ in tracing["METHOD_SPANS"]:
         assert callable(Instance.__dict__.get(attr)), attr
+
+
+# Public names that nothing in the package calls, kept because the
+# benchmark's tracer or workloads read them.
+BENCHMARK_HELD = {
+    "count_segment",
+    "crossing_counts",
+    "FlipSequence.replay",
+    "FlipGraph.adjacency",
+    "Triangulation.interior_array",
+}
+
+
+def _public_definitions(tree: ast.Module):
+    """(qualified name, name, node) of every public module-level function
+    and class in ``tree``, and of every public method of those classes."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name[0] != "_":
+            yield node.name, node.name, node
+            methods = node.body if isinstance(node, ast.ClassDef) else []
+            for sub in methods:
+                if isinstance(sub, ast.FunctionDef) and sub.name[0] != "_":
+                    yield f"{node.name}.{sub.name}", sub.name, sub
+
+
+def _reads(tree: ast.AST) -> Counter:
+    """How often ``tree`` reads each name: as a name, an attribute, an
+    imported name or a whole string constant (``__all__``)."""
+    out: Counter = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            out[node.attr] += 1
+        elif isinstance(node, ast.alias):
+            out[node.name.rpartition(".")[2]] += 1
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            out[node.value] += 1
+    return out
+
+
+def test_every_public_name_has_a_caller_in_the_package():
+    """Every public function, class and method of the package is read
+    somewhere in the package outside its own definition, apart from the
+    entry points that only the benchmark holds."""
+    src = Path(__file__).resolve().parents[1] / "src" / "flipdist"
+    trees = [
+        ast.parse(path.read_text(encoding="utf-8"), str(path))
+        for path in sorted(src.glob("*.py"))
+    ]
+    reads = sum(map(_reads, trees), Counter())
+    unread = {
+        qualified
+        for tree in trees
+        for qualified, name, node in _public_definitions(tree)
+        if reads[name] == _reads(node)[name]
+    }
+    assert unread == BENCHMARK_HELD

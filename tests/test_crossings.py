@@ -360,7 +360,7 @@ def test_active_kernel_env(monkeypatch):
             kernels.active_kernel,
             lambda: kernels.crossing_matrix(seg, seg),
             points.use_numpy,
-            lambda: kernels.vertices_inside(points, ids),
+            lambda: kernels.orientation_signs(points, ids),
             lambda: Instance(coords, [[0, 1, 2]]),
         ):
             with pytest.raises(FlipdistError, match="'pyhton'"):

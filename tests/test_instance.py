@@ -381,19 +381,40 @@ def test_ray_parities_match_the_predicate(monkeypatch):
 
 
 def test_instance_reads_its_sign_table(monkeypatch):
-    """Under the numpy kernel, building a holed instance and listing its
-    admissible pairs read the instance's sign table alone: no crossing grid,
-    no vertex-inside grid and no ray cast."""
+    """Under the numpy kernel, building a holed instance makes exactly one
+    sign table, and its border crossings and vertices on border edges read
+    that table; neither building it nor listing its admissible pairs makes
+    a coordinate crossing grid or a ray cast."""
     holed = generate_instance(
         GenSpec(seed=2, n_points=40, shape="with_holes", holes=3, interior_points=6)
     )
+    tables, read = [], []
+    orientation_signs = kernels.orientation_signs
+    segment_crossings = kernels.segment_crossings
+    vertices_inside = kernels.vertices_inside
 
     def refused(*args, **kwargs):
         raise AssertionError("called")
 
+    def counting_table(*args, **kwargs):
+        tables.append(orientation_signs(*args, **kwargs))
+        return tables[-1]
+
+    def crossings_reading(points, a, b, a_signs=None, b_signs=None):
+        read.extend([a_signs, b_signs])
+        return segment_crossings(points, a, b, a_signs, b_signs)
+
+    def inside_reading(points, ids, signs):
+        read.append(signs)
+        return vertices_inside(points, ids, signs)
+
     monkeypatch.setenv(kernels.KERNEL_ENV, "numpy")
     monkeypatch.setattr(kernels, "crossing_matrix", refused)
-    monkeypatch.setattr(kernels, "vertices_inside", refused)
     monkeypatch.setattr(geometry, "ray_crossing_parity", refused)
+    monkeypatch.setattr(kernels, "orientation_signs", counting_table)
+    monkeypatch.setattr(kernels, "segment_crossings", crossings_reading)
+    monkeypatch.setattr(kernels, "vertices_inside", inside_reading)
     inst = Instance(holed.points, holed.border)
+    assert len(tables) == 1 and tables[0] is inst._signs
+    assert len(read) == 3 and all(signs is inst._signs for signs in read)
     assert len(inst.admissible_pairs()) > len(inst.border_edges)

@@ -11,6 +11,7 @@ from flipdist import cli, crossings, formats, geometry, kernels, lemmas, triangu
 from flipdist.cli import run as cli_run
 from flipdist.errors import AlreadyEqual, InvariantViolation
 from flipdist.generate import GenSpec, generate_instance, random_priority
+from flipdist.morph import morph
 from flipdist.triangulation import Instance, Triangulation, greedy_triangulate
 from helpers import apexes_in_order, generate_pair
 
@@ -229,8 +230,11 @@ def test_pair_record_is_of_the_pair():
 def test_audit_counts_the_pair_once(monkeypatch, capsys):
     """One `flipdist audit` of a non-equal pair makes one count_pair call,
     one sign table per triangulation and four crossing grids gathered from
-    them: count_pair's, P1's two and the quadrilateral grid.  P8 reads P1's,
-    and loading the instance makes none."""
+    them: count_pair's, P1's two and the quadrilateral grid.  P8 reads P1's.
+    Loading the instance makes a fifth: its border against itself, read off
+    the instance's own sign table."""
+    t1, t2 = (str(GOLDEN / f"convex_interior.{t}.json") for t in ("t1", "t2"))
+    inst = formats.parse_triangulation(Path(t1).read_bytes()).instance
     grids, counts, tables = [], [], []
     segment_crossings = kernels.segment_crossings
 
@@ -251,12 +255,33 @@ def test_audit_counts_the_pair_once(monkeypatch, capsys):
     monkeypatch.setattr(triangulation, "EdgeSigns", CountingSigns)
     for module in (cli, formats, lemmas):
         monkeypatch.setattr(module, "count_pair", counting_pair)
-    t1, t2 = (str(GOLDEN / f"convex_interior.{t}.json") for t in ("t1", "t2"))
     assert cli_run(["audit", t1, t2]) == 0
     assert "# lemma2.2" in capsys.readouterr().out
     assert len(counts) == 1
     assert len(tables) == 2
-    assert len(grids) == 4
+    assert len(grids) == 5
+    border = [
+        args for args in grids
+        if len(args[1]) == len(inst.border_edges)
+        and args[1] is args[2] and args[3] is args[4]
+    ]
+    assert len(border) == 1
+    _, ends, _, signs, _ = border[0]
+    assert ends.tolist() == inst._ends.tolist()
+    assert signs.tolist() == inst._signs.tolist()
+
+
+def test_lemma2_vacuous_on_a_reducing_step():
+    """A generated pair whose only maximal edge (8, 13) meets none of Lemma
+    2's hypotheses: (0, 10) is not in t2 and no t2 edge at 0 or 10 crosses a
+    side.  audit_lemma2 says so with SKIP, yet the morph's first flip of
+    that edge lowers the total from 105 to 98."""
+    t1, t2 = generate_pair(GenSpec(seed=70, n_points=24), 510)
+    assert crossings.count_pair(t1, t2).max_edges == ((8, 13),)
+    assert morph(t1, t2).steps[0] == ((8, 13), (0, 10), 105, 98)
+    assert [(c.status, c.witness) for c in lemmas.audit_lemma2(t1, t2).checks] == [
+        (lemmas.SKIP, "hypothesis vacuous")
+    ]
 
 
 def test_vertex_and_meeting_inside_quad_fail(monkeypatch):

@@ -381,6 +381,40 @@ def test_morph_takes_the_next_maximal_edge(hexagon, monkeypatch):
     assert seq.replay() == t2
 
 
+@pytest.mark.parametrize(
+    "spec, seed2, k, first, removed",
+    [
+        pytest.param(
+            GenSpec(seed=56, n_points=40), 508, 11, (10, 15), (10, 17),
+            id="convex_n40",
+        ),
+        pytest.param(
+            GenSpec(seed=63, n_points=64, shape="with_holes", holes=1), 509, 10,
+            (3, 47), (3, 52), id="holed_n64",
+        ),
+    ],
+)
+def test_morph_passes_over_the_first_maximal_edge_unforged(
+    spec, seed2, k, first, removed
+):
+    """Generated pairs on which the first maximal edge, in canonical order,
+    does not lower the total when flipped: step k of the morph flips a later
+    maximal edge instead.  No part of the morph is patched."""
+    t1, t2 = generate_pair(spec, seed2)
+    seq = morph(t1, t2)
+    state = MutableTriangulation(t1)
+    for step in seq.steps[:k]:
+        state.flip(step.removed)
+    report = count_pair(state.freeze(), t2)
+    assert report.max_edges[0] == first
+    assert removed in report.max_edges[1:]
+    assert seq.steps[k].removed == removed
+    assert seq.steps[k].after < seq.steps[k].before == report.total
+    state.flip(first)
+    assert count_pair(state.freeze(), t2).total >= report.total
+    assert seq.replay() == t2
+
+
 def _not_convex(pts, apexes, e, read=MORPH._read_quadrilateral):
     b, d, _, sides = read(pts, apexes, e)
     return b, d, False, sides

@@ -1,9 +1,11 @@
 """The vertex-in-segment kernel against the exact scalar predicate.
 
-``kernels.vertices_inside`` must equal ``geometry.point_on_open_segment``
-for every vertex other than a segment's ends, on both backends (chosen by
-``FLIPDIST_KERNEL``), at the int64 gate's limit (the numpy path) and beyond
-it (the exact loop).
+``kernels.vertices_inside``, read off the segments' sign table
+(``kernels.orientation_signs``), must find exactly the vertices other than
+a segment's ends for which ``geometry.point_on_open_segment`` holds, in
+row-major order, with the table built by either backend (chosen by
+``FLIPDIST_KERNEL``), at the int64 gate's limit (int64 signs and
+coordinates) and beyond it (the exact loop, Python-int coordinates).
 """
 
 import numpy as np
@@ -36,14 +38,15 @@ def _check(coords, ids):
     assert (points.array is None) == beyond
     segments = [(i, j) for i, j in ids if i != j]
     inside = _inside_reference(coords, segments)
+    ids = np.array(segments, dtype=np.int64).reshape(-1, 2)
     for backend in kernels.KERNELS:
         with pytest.MonkeyPatch.context() as mp:
             mp.setenv(kernels.KERNEL_ENV, backend)
-            got = kernels.vertices_inside(
-                points, np.array(segments, dtype=np.int64).reshape(-1, 2)
-            )
-        assert got.shape == (len(segments), len(coords))
-        assert got.tolist() == inside
+            signs = kernels.orientation_signs(points, ids)
+            rows, ks = kernels.vertices_inside(points, ids, signs)
+        assert np.stack([rows, ks], axis=1).tolist() == np.argwhere(
+            np.array(inside, dtype=bool).reshape(len(segments), len(coords))
+        ).tolist()
     return inside
 
 
@@ -116,8 +119,8 @@ def _instances():
 @pytest.mark.parametrize("one_row_blocks", [False, True])
 @pytest.mark.parametrize("name", sorted(_instances()))
 def test_kernels_on_instances(name, one_row_blocks, monkeypatch):
-    """Every vertex pair of the instance, in the kernel's usual blocks and
-    one grid row at a time."""
+    """Every vertex pair of the instance, with the sign table built in its
+    usual blocks and one row at a time."""
     if one_row_blocks:
         monkeypatch.setattr(kernels, "_CELL_BLOCK", 1)
     inst = _instances()[name]

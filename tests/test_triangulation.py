@@ -375,8 +375,8 @@ def _edge_sets(inst, rng):
     ],
 )
 def test_validate_matches_reference(name, backend, monkeypatch):
-    """The full checks' exact midpoints, with each backend's crossing grid
-    and vertices_inside."""
+    """The full checks' exact midpoints, with each backend's sign table
+    read by the crossing grid and vertices_inside."""
     monkeypatch.setenv(kernels.KERNEL_ENV, backend)
     _validate_case(name)
 
