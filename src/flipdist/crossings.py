@@ -2,10 +2,11 @@
 
 Every grid here is gathered from the two triangulations' sign tables
 (:func:`edge_signs`): the int8 sign of every vertex against the line of
-each edge.  Edges e and f cross properly iff the ends of f have strictly
-opposite signs in e's row and the ends of e strictly opposite signs in
-f's (:func:`kernels.segment_crossings`).  A sign is the sign of an exact
-determinant on either backend, so every count is exact.
+each of a triangulation's own edges.  Edges e and f cross properly iff
+the ends of f have strictly opposite signs in e's row and the ends of e
+strictly opposite signs in f's (:func:`kernels.segment_crossings`).  A
+sign is the sign of an exact determinant on either backend, so every
+count is exact.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from .triangulation import (
     Triangulation,
     edge_signs,
     require_same_instance,
+    require_valid,
 )
 
 # The segments of a quadrilateral abcd that quad_crossers reports on: its
@@ -61,9 +63,13 @@ def count_pair(t1: Triangulation, t2: Triangulation) -> CrossingReport:
     :func:`interior_crossings`.
 
     Only interior edges can cross: border edges belong to both
-    triangulations, and crossing one would break planarity.
+    triangulations, and crossing one would break planarity.  Raises
+    InstanceMismatch unless both triangulate one instance, and
+    InvariantViolation (:func:`require_valid`) unless both are valid.
     """
     require_same_instance(t1, t2)
+    require_valid(t1, "t1")
+    require_valid(t2, "t2")
     per_edge: dict[Edge, int] = {e: 0 for e in sorted(t1.edges)}
     counts = interior_crossings(t1, t2).sum(axis=1).tolist()
     for e, c in zip(t1.interior_edges(), counts):
@@ -110,14 +116,14 @@ def quad_crossers(
     """Which t2 edges properly cross the segments of each quadrilateral of
     t1, as a boolean (len(quads), 6, |t2.edges|) grid.
 
-    Entry (k, s, j) is whether the j-th edge of ``sorted(t2.edges)`` crosses
-    the segment ``QUAD_SEGMENTS[s]`` of ``quads[k]``: its sides ``ab``,
-    ``bc``, ``cd``, ``da``, its diagonal ``ac`` and the other diagonal
-    ``bd``.  Every edge of t2 is tested, border edges included.  The
-    segments go to one :func:`kernels.segment_crossings` call.  The sides
-    and ``ac`` are edges of t1, so their signs are rows of t1's sign table;
-    only the ``bd`` diagonals need new rows.  t2's lines read its own
-    table.
+    Entry (k, s, j) is whether the j-th of t2's sorted edges, the rows of
+    its table (``edge_signs(t2).edges``), crosses the segment
+    ``QUAD_SEGMENTS[s]`` of ``quads[k]``: its sides ``ab``, ``bc``, ``cd``,
+    ``da``, its diagonal ``ac`` and the other diagonal ``bd``.  Every edge
+    of t2 is tested, border edges included.  The segments go to one
+    :func:`kernels.segment_crossings` call.  The sides and ``ac`` are edges
+    of t1, so their signs are rows of t1's sign table; only the ``bd``
+    diagonals need new rows.  t2's lines read its own table.
     """
     require_same_instance(t1, t2)
     inst = t1.instance

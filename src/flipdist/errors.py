@@ -19,8 +19,8 @@ class InvariantViolation(FlipdistError):
     ``violations`` lists each violated invariant, located.  Constructing an
     ``Instance`` raises it as ``invalid instance``; parsing a triangulation
     raises it as ``invalid triangulation``; ``require_valid``, the gate of
-    the morph, the audits, the flip searches and the readers of faces,
-    raises it as ``{label} is not a valid triangulation``.
+    count_pair, the morph, the audits, the flip searches and the readers of
+    faces, raises it as ``{label} is not a valid triangulation``.
     """
 
     def __init__(self, message: str, violations: list[str] | None = None):

@@ -6,8 +6,8 @@ strictly on opposite sides of the other's line, so a grid is two gathers
 of int8 sign tables (:func:`orientation_signs`): the signs of one side's
 lines at the other side's endpoints, read at each segment's two ends, the
 two straddle tables ANDed.  Each triangulation keeps one table of its
-edges' lines against every vertex (``triangulation.EdgeSigns``), so the
-pair questions gather from two tables: ``crossings.count_pair``, the
+own edges' lines against every vertex (``triangulation.EdgeSigns``), so
+the pair questions gather from two tables: ``crossings.count_pair``, the
 morph's crosser masks, which it then updates one flip at a time without a
 kernel call, and the audits' grids (planarity and
 ``crossings.quad_crossers``, whose sides and diagonal are rows of t1's
@@ -32,18 +32,17 @@ it iff it lies in the segment's bounding box.
 through two vertices.  ``Instance.validate`` builds one per instance, the
 sign of every vertex against the line of every directed border edge, and
 gives it to both kernels for the border crossings and the vertices on
-border edges; the ray parity of every point is read off it too.  Its rows
-are also the border rows of every triangulation's table.
+border edges; the ray parity of every point is read off it too.
 ``Instance.admissible_pairs`` reads the same table for the corners at a
 pair's ends and for the border edges a pair could cross, and builds one
 more per block of pairs, of their lines against the vertices, which both
-kernels read.  ``validate``'s full checks build one table of the set's
-edges for its self grid, its vertices inside edges and its maximality
-grid.  The messages that name a midpoint's class, "leaves the region" in
-those checks and the rules of ``Instance.validate`` for holes that share
-a vertex with another polygon, call the exact
-:func:`geometry.midpoint_in_region` on their segments: only invalid input
-or pinched holes reach them.
+kernels read.  ``validate``'s full checks read the set's own table, the
+rows of its sorted edges, for its self grid, its vertices inside edges
+and its maximality grid.  The messages that name a midpoint's class,
+"leaves the region" in those checks and the rules of
+``Instance.validate`` for holes that share a vertex with another polygon,
+call the exact :func:`geometry.midpoint_in_region` on their segments:
+only invalid input or pinched holes reach them.
 
 Of the kernels the package calls, only :func:`orientation_signs` chooses
 a backend:

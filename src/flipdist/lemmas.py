@@ -12,8 +12,9 @@ keyed on t1 keeps each t1's last record, so the audits of one pair count
 its crossings and build its quadrilateral grid once.  Every grid of an
 audit, and P2's test of which vertices lie inside a quadrilateral
 (:func:`inside_quads`), is gathered from one sign table per triangulation
-(``triangulation.edge_signs``): signs of exact determinants, so the
-verdicts are exact on both backends.
+(``triangulation.edge_signs``), whose rows are its own edges, sorted, as
+its ``edges`` name them: signs of exact determinants, so the verdicts are
+exact on both backends.
 """
 
 from __future__ import annotations
@@ -125,11 +126,6 @@ class _PairRecord:
         return [quadrilateral_of(t1, e) for e in t1.interior_edges()]
 
     @cached_property
-    def columns(self) -> list[Edge]:
-        """t2's edges in the order of the grid's columns."""
-        return sorted(self.t2().edges)
-
-    @cached_property
     def grid(self) -> np.ndarray:
         """:func:`quad_crossers` of every quadrilateral of ``quads``."""
         return quad_crossers(self.t1(), self.quads, self.t2())
@@ -145,11 +141,12 @@ class _PairRecord:
     def max_sets(self) -> list[dict[str, frozenset[Edge]]]:
         """For each maximal edge, the t2 edges crossing each segment of its
         quadrilateral, by the names of ``QUAD_SEGMENTS``."""
-        decoded = (_row_edges(self.grid[k], self.columns) for k in self.max_rows)
+        columns = edge_signs(self.t2()).edges
+        decoded = (_row_edges(self.grid[k], columns) for k in self.max_rows)
         return [dict(zip(QUAD_SEGMENTS, map(frozenset, d))) for d in decoded]
 
 
-def _row_edges(mask: np.ndarray, columns: list[Edge]) -> list[list[Edge]]:
+def _row_edges(mask: np.ndarray, columns: tuple[Edge, ...]) -> list[list[Edge]]:
     """For each row of a boolean (rows, len(columns)) mask, the columns set
     in it, in order: one ``nonzero`` over the whole mask."""
     out: list[list[Edge]] = [[] for _ in range(len(mask))]
@@ -195,12 +192,12 @@ def audit_propositions(t1: Triangulation, t2: Triangulation) -> AuditReport:
     # pair of its sorted edges in row-major order.
     grids = {}
     for label, t in (("t1", t1), ("t2", t2)):
-        edges = sorted(t.edges)
         table = edge_signs(t)
         grid = grids[label] = kernels.segment_crossings(
             t.instance._packed, table.ends, table.ends, table.signs, table.signs
         )
         if grid.any():
+            edges = table.edges
             i, j = divmod(int(grid.argmax()), len(edges))
             witness = f"{label} edges {edges[i]} and {edges[j]} cross"
             report.add("planarity", "P1", FAIL, witness)
@@ -212,7 +209,7 @@ def audit_propositions(t1: Triangulation, t2: Triangulation) -> AuditReport:
     # the other diagonal bd when t2 has it.  (An edge crossing bd need not
     # enter: ac itself crosses it.)
     # P3: two entering edges never meet strictly inside the quadrilateral.
-    quads, columns = record.quads, record.columns
+    quads, columns = record.quads, edge_signs(t2).edges
     enters = record.grid[:, : QUAD_SEGMENTS.index("bd")].any(axis=1)
     for k, quad in enumerate(quads):
         if quad.opposite in t2.edges:
@@ -307,7 +304,7 @@ def audit_propositions(t1: Triangulation, t2: Triangulation) -> AuditReport:
     border = t1.instance.border_edges
     missing = sorted((border - t1.edges) | (border - t2.edges))
     crossed_border = [
-        e for e, hit in zip(sorted(t2.edges), grids["t2"].any(axis=1).tolist())
+        e for e, hit in zip(columns, grids["t2"].any(axis=1).tolist())
         if hit and e in border
     ]
     report.verdict(

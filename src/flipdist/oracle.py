@@ -103,29 +103,28 @@ class _FlipTable:
     """An instance's crossing grid as the searches read it, built once per
     instance.
 
-    ``grid`` is the crossing grid of the admissible pairs, one
+    The crossing grid of the admissible pairs is one
     :func:`kernels.segment_crossings` call: entry (i, j) is whether pairs i
-    and j cross properly.  ``cand`` lists the pairs that cross some
-    admissible pair, the only ones a flip can add.  ``cols`` holds their
-    grid columns as keys, word by word: ``cols[w, j]`` is word w of the key
-    whose bit i is set iff pairs i and cand[j] cross.  ``bits`` holds each
-    pair's own bit as a key row.
+    and j cross properly.  It is packed once into ``rows``, one key row per
+    pair: word w of row i holds the bits of the pairs crossing pair i.
+    ``cand`` lists the pairs that cross some admissible pair, the only ones
+    a flip can add.  Crossing is symmetric, so ``cols``, their rows
+    transposed, holds the grid's candidate columns word by word:
+    ``cols[w, j]`` is word w of the key whose bit i is set iff pairs i and
+    cand[j] cross.  ``bits`` holds each pair's own bit as a key row.
     """
 
     def __init__(self, inst: Instance):
         ends = np.array(inst.admissible_pairs(), dtype=np.int64).reshape(-1, 2)
-        self.grid = grid = kernels.segment_crossings(inst._packed, ends, ends)
+        grid = kernels.segment_crossings(inst._packed, ends, ends)
         self.pairs = len(grid)
         self.words = -(-self.pairs // 64)
         ids = np.arange(self.pairs)
-        # Crossing is symmetric, and so is the grid: its rows are its
-        # columns, and a row gather is contiguous.
-        self.cand = np.flatnonzero(grid.any(axis=1))
-        columns = np.zeros((len(self.cand), 8 * self.words), dtype=np.uint8)
-        columns[:, : -(-self.pairs // 8)] = np.packbits(
-            grid[self.cand], axis=1, bitorder="little"
-        )
-        self.cols = columns.view("<u8").T.copy()
+        packed = np.zeros((self.pairs, 8 * self.words), dtype=np.uint8)
+        packed[:, : -(-self.pairs // 8)] = np.packbits(grid, axis=1, bitorder="little")
+        self.rows = packed.view("<u8")
+        self.cand = np.flatnonzero(self.rows.any(axis=1))
+        self.cols = self.rows[self.cand].T.copy()
         self.bits = np.zeros((self.pairs, self.words), dtype=np.uint64)
         self.bits[ids, ids // 64] = np.uint64(1) << (ids % 64).astype(np.uint64)
         self.cand_bits = self.bits[self.cand]
@@ -303,10 +302,7 @@ def enumerate_triangulations_direct(inst: Instance) -> list[int]:
     if need == 0:
         return [border]
     # Bit j of crossers[i]: pairs i and j cross.
-    crossers = [
-        int.from_bytes(row.tobytes(), "little")
-        for row in np.packbits(_flip_table(inst).grid, axis=1, bitorder="little")
-    ]
+    crossers = _ints(_flip_table(inst).rows)
     results: list[int] = []
 
     def rec(allowed: int, need_left: int, key: int) -> None:

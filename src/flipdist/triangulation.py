@@ -167,23 +167,6 @@ class Instance:
         return [[self.points[v] for v in poly] for poly in self.border]
 
     @functools.cached_property
-    def _border_rows(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The border edges, sorted, as the rows of every triangulation's
-        sign table (:class:`EdgeSigns`) read them: their (u, v) ids, their
-        codes u * n + v, and their rows of the instance's sign table, whose
-        signs are reversed where the border runs from v to u."""
-        tails, heads = self._ends.T
-        low, high = np.minimum(tails, heads), np.maximum(tails, heads)
-        codes = low * self.n + high
-        order = np.argsort(codes, kind="stable")
-        forward = np.where(tails < heads, 1, -1).astype(np.int8)[order, None]
-        return (
-            np.stack([low[order], high[order]], axis=1),
-            codes[order],
-            self._signs[order] * forward,
-        )
-
-    @functools.cached_property
     def region_area2(self) -> int:
         """Twice the region's area, exactly: |outer| - sum |hole|."""
         outer, *holes = (abs(_area2(poly)) for poly in self.border_coords())
@@ -575,51 +558,41 @@ class Triangulation:
 
 class EdgeSigns:
     """A triangulation's sign table: the int8 sign of every vertex against
-    the line of each of its edges, directed from its smaller id to its
+    the line of each of its own edges, directed from its smaller id to its
     larger (:func:`kernels.orientation_signs`).  Built by :func:`edge_signs`.
 
     ``interior_ends``, the triangulation's sorted interior edges as an
     (m, 2) int64 array of vertex ids, and ``interior_signs``, their rows,
-    are built at once: :func:`crossings.count_pair` and the morph read only
-    them.  The border rows are the instance's (``Instance._border_rows``),
-    computed once per instance.  ``ends``, ``codes`` (u * n + v) and
-    ``signs`` merge both into the rows of the sorted edges, when first
-    read; they are the triangulation's rows only when it has every border
-    edge, as every valid triangulation does.
+    are built at once: :func:`crossings.count_pair`, ``count_edges`` and
+    the morph read only them.  ``edges``, the triangulation's edges sorted,
+    and their ``ends``, ``codes`` (u * n + v) and ``signs`` are built the
+    first time the audits or :func:`validate`'s full checks read them, the
+    signs by one :func:`kernels.orientation_signs` call over ``ends``.
     """
 
-    def __init__(self, inst: Instance, interior: Sequence[Edge]):
-        self.instance = inst
-        self.interior_ends = _edge_ends(interior)
+    def __init__(self, t: Triangulation):
+        self.instance = t.instance
+        self._edges = t.edges
+        self.interior_ends = _edge_ends(t.interior_edges())
         self.interior_signs = kernels.orientation_signs(
-            inst._packed, self.interior_ends
+            t.instance._packed, self.interior_ends
         )
 
     @functools.cached_property
-    def _merged(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        ends, codes, signs = self.instance._border_rows
-        inner = self.interior_ends[:, 0] * self.instance.n + self.interior_ends[:, 1]
-        order = np.argsort(np.concatenate([inner, codes]), kind="stable")
-        return tuple(
-            np.concatenate(parts)[order]
-            for parts in (
-                (self.interior_ends, ends),
-                (inner, codes),
-                (self.interior_signs, signs),
-            )
-        )
+    def edges(self) -> tuple[Edge, ...]:
+        return tuple(sorted(self._edges))
 
-    @property
+    @functools.cached_property
     def ends(self) -> np.ndarray:
-        return self._merged[0]
+        return _edge_ends(self.edges)
 
-    @property
+    @functools.cached_property
     def codes(self) -> np.ndarray:
-        return self._merged[1]
+        return self.ends[:, 0] * self.instance.n + self.ends[:, 1]
 
-    @property
+    @functools.cached_property
     def signs(self) -> np.ndarray:
-        return self._merged[2]
+        return kernels.orientation_signs(self.instance._packed, self.ends)
 
     def rows(self, ends: np.ndarray) -> np.ndarray:
         """The rows of the edges ``ends``, a (..., 2) array of vertex ids
@@ -631,13 +604,14 @@ class EdgeSigns:
 
 
 def edge_signs(t: Triangulation) -> EdgeSigns:
-    """t's sign table (:class:`EdgeSigns`), built on first read and cached
-    on t, like :func:`apex_map`.  Every pair question about t gathers its
-    crossings from it (:func:`kernels.segment_crossings`): ``count_pair``,
-    the morph's crosser masks and the audits.  t's edge ids must be valid.
+    """t's sign table (:class:`EdgeSigns`), the rows of its own sorted
+    edges, built on first read and cached on t, like :func:`apex_map`.
+    Every pair question about t gathers its crossings from it
+    (:func:`kernels.segment_crossings`): ``count_pair``, the morph's
+    crosser masks and the audits.  t's edge ids must be valid.
     """
     if t._table is None:
-        t._table = EdgeSigns(t.instance, t.interior_edges())
+        t._table = EdgeSigns(t)
     return t._table
 
 
@@ -1077,9 +1051,9 @@ def require_valid(t: Triangulation, label: str) -> None:
     """Raise InvariantViolation, naming ``t`` by ``label`` and listing
     :func:`validate`'s violations, unless t is a valid triangulation.
 
-    The one gate of every operation that takes triangulations: the morph,
-    the audits, the flip searches and the readers of faces (:func:`faces`,
-    :func:`apex_map`).  It reads the cached verdict.
+    The one gate of every operation that takes triangulations: count_pair,
+    the morph, the audits, the flip searches and the readers of faces
+    (:func:`faces`, :func:`apex_map`).  It reads the cached verdict.
     """
     violations = validate(t)
     if violations:
@@ -1189,14 +1163,12 @@ def _face_certificate(t: Triangulation) -> Optional[tuple[np.ndarray, np.ndarray
 def _violations(t: Triangulation) -> list[str]:
     inst = t.instance
     out = [f"missing border edge {e}" for e in sorted(inst.border_edges - t.edges)]
-    edges = sorted(t.edges)
-    for e in edges:
-        if e[0] < 0 or e[1] >= inst.n or e[0] == e[1]:
-            out.append(f"invalid edge {e}")
-            return out
-    # One table of the edges' lines against every vertex feeds every grid.
-    ends = _edge_ends(edges)
-    signs = kernels.orientation_signs(inst._packed, ends)
+    invalid = [e for e in t.edges if e[0] < 0 or e[1] >= inst.n or e[0] == e[1]]
+    if invalid:
+        return out + [f"invalid edge {min(invalid)}"]
+    # t's sign table, the rows of its sorted edges, feeds every grid.
+    table = edge_signs(t)
+    edges, ends, signs = table.edges, table.ends, table.signs
     crossing = np.triu(kernels.segment_crossings(inst._packed, ends, ends, signs))
     for i, j in zip(*np.nonzero(crossing)):  # row-major: i, then j
         out.append(f"edges {edges[i]} and {edges[j]} cross")

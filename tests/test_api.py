@@ -90,3 +90,18 @@ def test_every_public_name_has_a_caller_in_the_package():
         if reads[name] == _reads(node)[name]
     }
     assert unread == BENCHMARK_HELD
+
+
+def test_benchmark_held_names_are_read_by_the_benchmark():
+    """Every name ``BENCHMARK_HELD`` allows is read somewhere under
+    perfbench/, so the allowlist fails the moment the benchmark stops
+    holding one."""
+    bench = Path(__file__).resolve().parents[1] / "perfbench"
+    reads = sum(
+        (
+            _reads(ast.parse(path.read_text(encoding="utf-8"), str(path)))
+            for path in sorted(bench.glob("*.py"))
+        ),
+        Counter(),
+    )
+    assert {q for q in BENCHMARK_HELD if not reads[q.rpartition(".")[2]]} == set()

@@ -4,8 +4,8 @@ from hypothesis import given, settings, strategies as st
 
 from flipdist import geometry, kernels
 from flipdist.crossings import count_pair, count_segment, quad_crossers
-from flipdist.errors import FlipdistError, InstanceMismatch
-from flipdist.generate import GenSpec
+from flipdist.errors import FlipdistError, InstanceMismatch, InvariantViolation
+from flipdist.generate import GenSpec, generate_instance
 from flipdist.lemmas import audit_propositions
 from flipdist.morph import morph
 from flipdist.triangulation import (
@@ -450,20 +450,43 @@ def test_segment_crossings_match_properly_intersect(
     ],
 )
 def test_edge_signs_are_the_sorted_edges_table(backend, spec, monkeypatch):
-    """A triangulation's sign table, interior rows and merged rows, equals
-    orientation_signs of its sorted edges: the border rows read off the
-    instance's table are re-signed for direction and placed in order."""
+    """A triangulation's sign table, interior rows and all rows, equals
+    orientation_signs of its own sorted edges: also for an edge set that
+    lacks a border edge or has an extra, crossing admissible pair."""
     monkeypatch.setenv(kernels.KERNEL_ENV, backend)
     t1, _ = generate_pair(spec, 7)
     inst = t1.instance
-    table = edge_signs(t1)
-    edges = np.array(sorted(t1.edges))
-    interior = np.array(t1.interior_edges())
-    assert table.ends.tolist() == edges.tolist()
-    assert table.codes.tolist() == (edges[:, 0] * inst.n + edges[:, 1]).tolist()
-    assert table.signs.tolist() == kernels.orientation_signs(inst._packed, edges).tolist()
-    assert table.interior_ends.tolist() == interior.tolist()
-    assert (
-        table.interior_signs.tolist()
-        == kernels.orientation_signs(inst._packed, interior).tolist()
-    )
+    extra = min(set(inst.admissible_pairs()) - t1.edges)
+    for edges in (
+        t1.edges,
+        t1.edges - {min(inst.border_edges)},
+        t1.edges | {extra},
+    ):
+        t = Triangulation(inst, edges)
+        table = edge_signs(t)
+        ends = np.array(sorted(edges))
+        interior = np.array(t.interior_edges())
+        assert table.edges == tuple(sorted(edges))
+        assert table.ends.tolist() == ends.tolist()
+        assert table.codes.tolist() == (ends[:, 0] * inst.n + ends[:, 1]).tolist()
+        assert table.signs.tolist() == kernels.orientation_signs(inst._packed, ends).tolist()
+        assert table.interior_ends.tolist() == interior.tolist()
+        assert (
+            table.interior_signs.tolist()
+            == kernels.orientation_signs(inst._packed, interior).tolist()
+        )
+
+
+def test_count_pair_refuses_an_invalid_triangulation():
+    """count_pair is gated like every other operation on triangulations:
+    an edge id out of range, negative or past the last vertex, is named,
+    not wrapped around by the sign gather nor raised as an IndexError."""
+    inst = generate_instance(GenSpec(seed=1, n_points=10, interior_points=2))
+    t1 = greedy_triangulate(inst)
+    for bad in ((-1, 3), (0, 99)):
+        t2 = Triangulation(inst, [bad])
+        for args, label in (((t1, t2), "t2"), ((t2, t1), "t1")):
+            with pytest.raises(InvariantViolation) as info:
+                count_pair(*args)
+            assert str(info.value).startswith(f"{label} is not a valid triangulation")
+            assert f"invalid edge {bad}" in info.value.violations

@@ -46,15 +46,17 @@ def test_propositions_reject_invalid_input(square):
 
 def test_border_edges_shared_fails_on_a_crossed_border_edge(monkeypatch):
     """P8 computes the border's crossings itself: count_pair reports 0 for
-    every border edge.  The gate is patched out to forge a t2 with an edge
-    that crosses the border edge (5, 8).  P1 checks each triangulation's
-    planarity itself too, and names t2's first crossing pair."""
+    every border edge.  The gate, the audits' and count_pair's, is patched
+    out to forge a t2 with an edge that crosses the border edge (5, 8).  P1
+    checks each triangulation's planarity itself too, and names t2's first
+    crossing pair."""
     inst = generate_instance(
         GenSpec(seed=3, n_points=10, shape="random_simple_border")
     )
     t1 = greedy_triangulate(inst)
     t2 = Triangulation(inst, t1.edges | {(0, 9)})
-    monkeypatch.setattr(lemmas, "require_valid", lambda t, label: None)
+    for module in (lemmas, crossings):
+        monkeypatch.setattr(module, "require_valid", lambda t, label: None)
     report = lemmas.audit_propositions(t1, t2)
     (p1,) = [c for c in report.checks if c.name == "planarity"]
     assert p1.status == lemmas.FAIL
@@ -285,8 +287,9 @@ def test_lemma2_vacuous_on_a_reducing_step():
 
 
 def test_vertex_and_meeting_inside_quad_fail(monkeypatch):
-    """P2 and P3 on a forged t1 that leaves the interior point 6 isolated:
-    t2's edges at 6 enter t1's quadrilaterals and meet at 6 inside them."""
+    """P2 and P3 on a forged t1 that leaves the interior point 6 isolated,
+    past the audits' and count_pair's gate: t2's edges at 6 enter t1's
+    quadrilaterals and meet at 6 inside them."""
     inst = Instance(
         [(0, 0), (6, 0), (9, 5), (6, 10), (0, 10), (-3, 5), (2, 4)],
         [[0, 1, 2, 3, 4, 5]],
@@ -297,7 +300,8 @@ def test_vertex_and_meeting_inside_quad_fail(monkeypatch):
         triangulation._face_tuple(triangulation._faces_exact(t1)[0])
     )
     t2 = greedy_triangulate(inst, priority=lambda e: (-e[0], -e[1]))
-    monkeypatch.setattr(lemmas, "require_valid", lambda t, label: None)
+    for module in (lemmas, crossings):
+        monkeypatch.setattr(module, "require_valid", lambda t, label: None)
     report = lemmas.audit_propositions(t1, t2)
     failed = [(c.rule, c.witness) for c in report.checks if c.status == lemmas.FAIL]
     assert failed == [

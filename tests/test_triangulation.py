@@ -40,7 +40,7 @@ from flipdist.triangulation import (
     quadrilateral_of,
     validate,
 )
-from helpers import apexes_in_order, count_traces
+from helpers import apexes_in_order, count_traces, violations_reference
 
 
 def test_interior_edge_count_formula():
@@ -804,6 +804,32 @@ def _certificate_case(patch, name, seed, mutations):
         assert traces == {}
         assert apexes == apex_map(Triangulation(inst, edges))
         assert apexes == apexes_in_order(faces(t))
+
+
+@pytest.mark.parametrize("backend", kernels.KERNELS)
+def test_full_checks_match_their_own_table_reference(backend, monkeypatch):
+    """The full checks read the set's own sign table (edge_signs); their
+    messages equal those of the reference that builds its own table, over
+    convex, star and holed instances at n = 12 to 40, each corrupted four
+    ways: an interior or a border edge dropped, a crossing admissible pair
+    added, an interior edge swapped for any other vertex pair."""
+    monkeypatch.setenv(kernels.KERNEL_ENV, backend)
+    rng = random.Random(33)
+    refused = 0
+    for seed, (shape, holes) in enumerate(
+        [("convex_gon", 0), ("random_simple_border", 0), ("with_holes", 2)] * 2
+    ):
+        n = rng.randint(12, 40)
+        inst = generate_instance(
+            GenSpec(seed=seed, n_points=n, shape=shape, holes=holes, interior_points=n // 8)
+        )
+        edges = greedy_triangulate(inst, priority=random_priority(inst, seed)).edges
+        for kind in ("drop", "drop_border", "add_admissible", "swap"):
+            t = Triangulation(inst, _mutate(inst, edges, kind, rng.randrange(10**6)))
+            got = validate(t)
+            assert got == violations_reference(Triangulation(inst, t.edges))
+            refused += bool(got)
+    assert refused >= 18
 
 
 @pytest.mark.parametrize("name", ["pinched", "two_holes_pinched", "collinear"])
