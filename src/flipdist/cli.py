@@ -17,7 +17,7 @@ from .crossings import count_pair
 from .errors import FlipdistError, ParseError
 from .generate import GenSpec, generate_instance, random_priority
 from .morph import intersection_upper_bound, morph
-from .oracle import build_flip_graph, enumerate_triangulations_direct, exact_flip_distance
+from .oracle import _closure_gap, enumerate_triangulations_direct, exact_flip_distance
 from .triangulation import Instance, Triangulation, greedy_triangulate, validate
 
 
@@ -114,14 +114,17 @@ def _cmd_distance(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
+    """Print the number of triangulations, after checking the direct list S
+    against R, the flip closure of the greedy seed, without a search: S = R
+    when the seed is listed, every flip of a listed key is listed (R in S,
+    by induction on depth) and every listed key is reached from the seed
+    along those flips (S in R).  See :func:`oracle._closure_gap`."""
     inst = _load_instance(args.instance)
     nodes = enumerate_triangulations_direct(inst)
-    seed = greedy_triangulate(inst)
-    graph = build_flip_graph(seed)
-    if sorted(graph.nodes) != nodes:
+    gap = _closure_gap(greedy_triangulate(inst), nodes)
+    if gap is not None:
         raise FlipdistError(
-            "flip-graph reachability disagrees with direct enumeration "
-            f"({len(graph.nodes)} vs {len(nodes)} triangulations)"
+            f"flip-graph reachability disagrees with direct enumeration: {gap}"
         )
     print(f"{len(nodes)} triangulations")
     if args.list:

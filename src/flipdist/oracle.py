@@ -2,12 +2,14 @@
 
 Every search names a triangulation by its :meth:`Triangulation.key`, an int
 with bit i set iff ``inst.admissible_pairs()[i]`` is one of its edges;
-``inst.edges_of(key)`` decodes a key into its sorted edge list.  All three
-read one crossing grid per instance, that of its admissible pairs, which
-:class:`_FlipTable` computes and the weak memo ``_TABLES`` keeps.  The
-two flip searches hold keys as rows of W = ceil(P / 64) little-endian
-uint64 words, for P admissible pairs, and expand a whole breadth-first
-level at a time.
+``inst.edges_of(key)`` decodes a key into its sorted edge list.  The two
+flip searches, the direct enumeration and the ``enumerate`` command's check
+of its list (:func:`_closure_gap`) read one crossing grid per instance, that
+of its admissible pairs, which :class:`_FlipTable` computes and the weak memo
+``_TABLES`` keeps.  The searches and the check hold keys as rows of
+W = ceil(P / 64) little-endian uint64 words, for P admissible pairs, and
+expand many at a time: a search a whole breadth-first level, the check its
+whole list.
 
 The flip rule.  Let K be a triangulation's key, j an admissible pair and
 m the set of K's edges that cross j.  If m is one edge i, then
@@ -148,7 +150,7 @@ class _FlipTable:
             # one word w where m is nonzero; in the others that count is 64.
             flipped = np.zeros(len(row), dtype=np.int64)
             for w in range(self.words):
-                m_w = block[row, w] & self.cols[w, j]
+                m_w = block[:, w][row] & self.cols[w][j]
                 below = np.bitwise_count(m_w - np.uint64(1)).astype(np.int64)
                 flipped += np.where(below < 64, below + 64 * w, 0)
             found.append((row + lo, j, flipped))
@@ -157,7 +159,13 @@ class _FlipTable:
         )
         order = np.argsort(row * self.pairs + flipped, kind="stable")
         row, j, flipped = row[order], j[order], flipped[order]
-        return row, flipped, keys[row] ^ self.bits[flipped] ^ self.cand_bits[j]
+        # np.take gathers whole rows; indexing a 2-D array by an index array
+        # took about ten times as long at two words.
+        return row, flipped, (
+            np.take(keys, row, axis=0)
+            ^ np.take(self.bits, flipped, axis=0)
+            ^ np.take(self.cand_bits, j, axis=0)
+        )
 
 
 # Each instance's table, a pure function of its points and border.  Keys are
@@ -180,7 +188,7 @@ def _first_seen(rows: np.ndarray, known: int) -> np.ndarray:
     of a run of equal rows is the earliest.
     """
     order = np.lexsort(rows.T)
-    ranked = rows[order]
+    ranked = np.take(rows, order, axis=0)
     starts = np.empty(len(rows), dtype=bool)
     starts[0] = True
     np.logical_or.reduce(ranked[1:] != ranked[:-1], axis=1, out=starts[1:])
@@ -229,6 +237,63 @@ def build_flip_graph(seed: Triangulation) -> FlipGraph:
         _ints(np.concatenate(levels)),
         tuple(np.concatenate(part) for part in zip(*arcs)),
     )
+
+
+def _closure_gap(seed: Triangulation, keys: list[int]) -> str | None:
+    """Why ``keys`` are not the sorted flip closure R of ``seed``, or None
+    when they are, decided from one expansion of the whole list instead of a
+    search.
+
+    With S the listed keys: R is in S when the seed is listed and every
+    flip of every listed key is listed, by induction on depth.  S is in R
+    when every listed position is marked by marking the seed, then the
+    flips of marked keys only, since a flip of a triangulation is one.
+    Marks go to the first copy of a key (:func:`_first_seen`), so a repeated
+    key stays unmarked.  Last, the keys must increase.  The witness names
+    the first check that fails, at its first key or flip, in (key, flipped
+    edge) order.  Raises InvariantViolation (:func:`require_valid`) when the
+    seed is not a valid triangulation, which the argument needs.
+    """
+    require_valid(seed, "seed")
+    inst, n = seed.instance, len(keys)
+    if seed.key() not in keys:
+        return f"the greedy seed is not among the {n} listed triangulations"
+    flips = _flip_table(inst)
+    listed = _rows(keys, flips.words)
+    row, flipped, neighbours = flips.expand(listed)
+    target = _first_seen(np.concatenate([listed, neighbours]), n)
+    lacking = np.flatnonzero(target >= n)
+    if len(lacking):
+        k = int(lacking[0])
+        source, pairs = int(row[k]), inst.admissible_pairs()
+        added = (_ints(neighbours[k:k + 1])[0] & ~keys[source]).bit_length() - 1
+        (a, b), (c, d) = pairs[flipped[k]], pairs[added]
+        return (
+            f"listed triangulation {source} of {n} flips {a}-{b} to {c}-{d}, "
+            "which is not listed"
+        )
+    marked = np.zeros(n, dtype=bool)
+    marked[keys.index(seed.key())] = True
+    count = 0
+    while (grown := int(np.count_nonzero(marked))) > count:
+        count = grown
+        marked[target[marked[row]]] = True
+    if count < n:
+        return (
+            f"listed triangulation {int(np.argmin(marked))} of {n} is not "
+            "reachable from the greedy seed"
+        )
+    # The rows are distinct now; each must exceed its predecessor in the
+    # highest word where the two differ.
+    before, after = listed[:-1], listed[1:]
+    rising = np.zeros(n - 1, dtype=bool)
+    for w in range(flips.words):
+        same = before[:, w] == after[:, w]
+        rising = np.where(same, rising, before[:, w] < after[:, w])
+    if not rising.all():
+        first = int(np.argmin(rising)) + 1
+        return f"listed triangulation {first} of {n} is out of key order"
+    return None
 
 
 def exact_flip_distance(t1: Triangulation, t2: Triangulation) -> int:

@@ -1,5 +1,6 @@
-"""Seeded triangulation pairs, flip-graph distances, face-trace counters
-and a reference for validate's full checks, for the tests."""
+"""Seeded triangulation pairs, flip-graph distances, wrong key lists,
+face-trace counters and a reference for validate's full checks, for the
+tests."""
 
 from collections import Counter, deque
 
@@ -67,6 +68,25 @@ def distances_from(graph: FlipGraph, start: int) -> list[int]:
                 dist[v] = dist[u] + 1
                 queue.append(v)
     return dist
+
+
+def wrong_key_lists(inst, keys: list[int], start: int) -> dict[str, list[int]]:
+    """Wrong versions of the sorted key list ``keys`` of ``inst``, whose
+    greedy seed has key ``start``, by name, where the list allows them: the
+    seed left out, the key after the seed's left out, the first two keys
+    swapped, key i = len(keys) // 2 repeated, and key i less its lowest
+    interior edge added, which is no triangulation."""
+    i = len(keys) // 2
+    wrong = {"without_seed": [k for k in keys if k != start]}
+    if len(keys) > 1:
+        drop = (keys.index(start) + 1) % len(keys)
+        wrong["less_one"] = keys[:drop] + keys[drop + 1:]
+        wrong["out_of_order"] = [keys[1], keys[0]] + keys[2:]
+    wrong["duplicated"] = keys[:i + 1] + keys[i:]
+    interior = keys[i] & ~sum(1 << inst.edge_index()[e] for e in inst.border_edges)
+    if interior:
+        wrong["non_triangulation"] = sorted(keys + [keys[i] ^ (interior & -interior)])
+    return wrong
 
 
 def count_traces(monkeypatch) -> Counter:

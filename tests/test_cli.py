@@ -7,8 +7,9 @@ import pytest
 from flipdist import cli, formats, kernels, triangulation
 from flipdist.cli import run
 from flipdist.generate import GenSpec
+from flipdist.oracle import enumerate_triangulations_direct
 from flipdist.triangulation import Instance, Triangulation, greedy_triangulate
-from helpers import count_traces, generate_pair
+from helpers import count_traces, generate_pair, wrong_key_lists
 
 
 @pytest.fixture
@@ -166,6 +167,45 @@ def test_enumerate(files, capsys):
     assert run(["enumerate", str(inst), "--list"]) == 0
     out = capsys.readouterr().out
     assert len(out.strip().splitlines()) == 15
+
+
+def _wrong_lists(inst):
+    keys = enumerate_triangulations_direct(inst)
+    return wrong_key_lists(inst, keys, greedy_triangulate(inst).key())
+
+
+# The witness each wrong list is refused with: the seed unlisted, a listed
+# key's flip unlisted, a listed key unreached, a key out of order.
+WRONG_LIST_WITNESSES = {
+    "less_one": "listed triangulation 0 of 13 flips 0-2 to 1-3, which is not listed",
+    "duplicated": "listed triangulation 8 of 15 is not reachable from the greedy seed",
+    "non_triangulation": "listed triangulation 7 of 15 flips 2-4 to 3-5, which is not listed",
+    "without_seed": "the greedy seed is not among the 13 listed triangulations",
+    "out_of_order": "listed triangulation 1 of 14 is out of key order",
+}
+
+
+@pytest.mark.parametrize("case", sorted(WRONG_LIST_WITNESSES))
+def test_enumerate_refuses_a_wrong_list(files, capsys, monkeypatch, hexagon, case):
+    _, inst, _, _ = files
+    wrong = _wrong_lists(hexagon)[case]
+    monkeypatch.setattr(cli, "enumerate_triangulations_direct", lambda _: list(wrong))
+    assert run(["enumerate", str(inst)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: flip-graph reachability disagrees with direct enumeration: "
+        f"{WRONG_LIST_WITNESSES[case]}\n"
+    )
+
+
+def test_wrong_list_witness_names_the_missing_flip(hexagon):
+    """Less one key, the witness is listed key 0, whose flip of 0-2 to 1-3 is
+    the key left out."""
+    wrong = _wrong_lists(hexagon)["less_one"]
+    (missing,) = set(enumerate_triangulations_direct(hexagon)) - set(wrong)
+    index = hexagon.edge_index()
+    assert wrong[0] ^ 1 << index[0, 2] ^ 1 << index[1, 3] == missing
 
 
 def test_audit(files, capsys):

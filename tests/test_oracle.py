@@ -1,11 +1,12 @@
 import itertools
+import math
 import random
 from collections import deque
 from pathlib import Path
 
 import pytest
 
-from flipdist import formats, oracle
+from flipdist import formats, kernels, oracle
 from flipdist.cli import run as cli_run
 from flipdist.errors import GraphTooLarge, InstanceTooLarge, InvariantViolation
 from flipdist.generate import GenSpec, generate_instance, random_priority
@@ -24,7 +25,7 @@ from flipdist.triangulation import (
     quadrilateral_of,
     validate,
 )
-from helpers import distances_from
+from helpers import distances_from, wrong_key_lists
 
 # Triangulation counts of a convex n-gon are the Catalan numbers C(n-2).
 CATALAN = {4: 2, 5: 5, 6: 14, 7: 42, 8: 132}
@@ -229,6 +230,66 @@ def test_pruned_enumeration_matches_flip_graph(inst, count):
     nodes = enumerate_triangulations_direct(inst)
     assert nodes == sorted(build_flip_graph(greedy_triangulate(inst)).nodes)
     assert count is None or len(nodes) == count
+
+
+def _closure_cases(dart):
+    """Instances and their triangulation counts where known: convex n=3-12,
+    Catalan C(n-2), the 12-gon with two key words; star n=9-11; holed
+    n=10-12 with one or two holes; interior points; and the dart, whose
+    candidate set is empty."""
+    specs = [GenSpec(seed=n, n_points=n, shape="random_simple_border") for n in (9, 10, 11)]
+    specs += [
+        GenSpec(seed=n, n_points=n, shape="with_holes", holes=h)
+        for n in (10, 11, 12)
+        for h in (1, 2)
+    ]
+    specs += [GenSpec(seed=10, n_points=10, interior_points=3)]
+    specs += [GenSpec(seed=11, n_points=11, interior_points=2)]
+    yield from (
+        (generate_instance(GenSpec(seed=n, n_points=n)), math.comb(2 * n - 4, n - 2) // (n - 1))
+        for n in range(3, 13)
+    )
+    yield from ((generate_instance(spec), None) for spec in specs)
+    yield dart, 1
+
+
+def _rule_closure(inst, key):
+    """Every key reached from ``key`` by the flip rule of
+    :meth:`oracle._FlipTable.expand`, whether or not key is a triangulation."""
+    flips = oracle._flip_table(inst)
+    seen, level = {key}, [key]
+    while level:
+        _, _, rows = flips.expand(oracle._rows(level, flips.words))
+        level = sorted(set(oracle._ints(rows)) - seen)
+        seen.update(level)
+    return seen
+
+
+def _listings(inst, keys, start):
+    """The sorted key list, its wrong versions and, on small instances, the
+    list with everything its non-triangulation reaches by the flip rule
+    added."""
+    wrong = wrong_key_lists(inst, keys, start)
+    yield keys
+    yield from wrong.values()
+    if "non_triangulation" in wrong and len(keys) <= 500:
+        (cleared,) = set(wrong["non_triangulation"]) - set(keys)
+        yield sorted(set(keys) | _rule_closure(inst, cleared))
+
+
+@pytest.mark.parametrize("backend", kernels.KERNELS)
+def test_closure_check_decides_as_the_flip_graph(backend, monkeypatch, dart):
+    """The enumerate command's check accepts a key list exactly when it is
+    the flip graph's sorted node list, on the direct list and corruptions."""
+    monkeypatch.setenv(kernels.KERNEL_ENV, backend)
+    for inst, count in _closure_cases(dart):
+        keys = enumerate_triangulations_direct(inst)
+        assert count is None or len(keys) == count
+        assert (oracle._flip_table(inst).words == 2) == (count == 16796)
+        seed = greedy_triangulate(inst)
+        reach = sorted(build_flip_graph(seed).nodes)
+        for listed in _listings(inst, keys, seed.key()):
+            assert (oracle._closure_gap(seed, listed) is None) == (listed == reach)
 
 
 def _flip_graph_reference(inst):
